@@ -83,6 +83,18 @@ for seed in 11 47; do
     done
 done
 
+echo "=== served overhead gate (wrappers keep hoisted rotations) ==="
+# A served LeNet request must cost what the runtime below it costs. A
+# backend wrapper that drops a capability (batched rotations split into
+# singles) shows up here as serve overhead, end to end.
+overhead=$(cargo run --release -q -p chet-benchmark -- --workload lenet-rns-closed --seed 1 --trace 1 \
+    | awk '$1 == "serve.overhead_pct" { print $2 }')
+if [ -z "$overhead" ] || awk -v o="$overhead" 'BEGIN { exit !(o > 10) }'; then
+    echo "served overhead gate: serve.overhead_pct='$overhead' (limit 10)" >&2
+    exit 1
+fi
+echo "served overhead gate ok: serve.overhead_pct=$overhead"
+
 echo "=== failure-model lint (no unwrap/expect in runtime/compiler/serve/math) ==="
 # chet-math hosts the thread pool (`par`), which must stay panic-free for
 # the same reason as the serving crates: a worker panic poisons the pool.

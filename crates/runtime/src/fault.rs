@@ -16,6 +16,12 @@
 //! *uninjected* — faults only surface through the `try_*` path (and
 //! [`Hisa::decode`] for NaN poisoning), mirroring how real failures surface
 //! through fallible APIs while leaving analysis interpretations untouched.
+//!
+//! Batched rotations (`*_many`) pass through to the wrapped backend as one
+//! batch — keeping its hoisted key switching — on the panicking path and
+//! whenever [`FaultPlan::drop_rotation_keys`] is off. With rotation faults
+//! on, the `try_` batch is rolled step by step so the schedule matches the
+//! single-rotation path exactly.
 
 use chet_hisa::{Hisa, HisaError};
 use std::collections::BTreeSet;
@@ -245,6 +251,14 @@ impl<H: Hisa> Hisa for FaultInjector<H> {
         self.inner.rot_right(c, x)
     }
 
+    fn rot_left_many(&mut self, c: &H::Ct, steps: &[usize]) -> Vec<H::Ct> {
+        self.inner.rot_left_many(c, steps)
+    }
+
+    fn rot_right_many(&mut self, c: &H::Ct, steps: &[usize]) -> Vec<H::Ct> {
+        self.inner.rot_right_many(c, steps)
+    }
+
     fn add(&mut self, a: &H::Ct, b: &H::Ct) -> H::Ct {
         self.inner.add(a, b)
     }
@@ -316,6 +330,32 @@ impl<H: Hisa> Hisa for FaultInjector<H> {
             return Err(HisaError::MissingRotationKey { step: x, available: Vec::new() });
         }
         self.inner.try_rot_right(c, x)
+    }
+
+    /// Forwards the whole batch unless rotation faults are enabled: a
+    /// disabled class neither fires nor advances the roll counter, so the
+    /// batch is exactly equivalent to its steps. Otherwise each step rolls
+    /// through [`Hisa::try_rot_left`], as the trait default does.
+    fn try_rot_left_many(
+        &mut self,
+        c: &H::Ct,
+        steps: &[usize],
+    ) -> Result<Vec<H::Ct>, HisaError> {
+        if !self.plan.drop_rotation_keys {
+            return self.inner.try_rot_left_many(c, steps);
+        }
+        steps.iter().map(|&x| self.try_rot_left(c, x)).collect()
+    }
+
+    fn try_rot_right_many(
+        &mut self,
+        c: &H::Ct,
+        steps: &[usize],
+    ) -> Result<Vec<H::Ct>, HisaError> {
+        if !self.plan.drop_rotation_keys {
+            return self.inner.try_rot_right_many(c, steps);
+        }
+        steps.iter().map(|&x| self.try_rot_right(c, x)).collect()
     }
 
     fn try_add(&mut self, a: &H::Ct, b: &H::Ct) -> Result<H::Ct, HisaError> {

@@ -136,6 +136,12 @@ fn to_unit(z: u64) -> f64 {
 /// interpretations stay untouched. Every `try_*` override forwards to the
 /// inner backend's `try_*`, so wrapping a `FaultInjector` preserves *its*
 /// injections too: the soak composes HISA-level and serve-level chaos.
+///
+/// Batched rotations (`*_many`) reach the inner backend as one batch
+/// whenever the wrapper cannot inject — always on the panicking path, and
+/// on the `try_` path when no plan is active — so hoisted key switching
+/// survives serving. With an active plan the batch is split into
+/// per-step `try_rot_*` calls, which keeps seeded schedules exact.
 pub struct ChaosInjector<H: Hisa> {
     inner: H,
     plan: Option<ChaosPlan>,
@@ -261,6 +267,14 @@ impl<H: Hisa> Hisa for ChaosInjector<H> {
         self.inner.rot_right(c, x)
     }
 
+    fn rot_left_many(&mut self, c: &H::Ct, steps: &[usize]) -> Vec<H::Ct> {
+        self.inner.rot_left_many(c, steps)
+    }
+
+    fn rot_right_many(&mut self, c: &H::Ct, steps: &[usize]) -> Vec<H::Ct> {
+        self.inner.rot_right_many(c, steps)
+    }
+
     fn add(&mut self, a: &H::Ct, b: &H::Ct) -> H::Ct {
         self.inner.add(a, b)
     }
@@ -328,6 +342,33 @@ impl<H: Hisa> Hisa for ChaosInjector<H> {
             return Err(e);
         }
         self.inner.try_rot_right(c, x)
+    }
+
+    /// Forwards the whole batch when no plan is active, so the inner
+    /// backend's hoisted key switching survives the wrapper. With a plan,
+    /// each step rolls exactly as a single `try_rot_left` would: rolling
+    /// the batch up front would run the op counter past an inner failure
+    /// and shift every later decision in the request.
+    fn try_rot_left_many(
+        &mut self,
+        c: &H::Ct,
+        steps: &[usize],
+    ) -> Result<Vec<H::Ct>, HisaError> {
+        if self.plan.is_none() {
+            return self.inner.try_rot_left_many(c, steps);
+        }
+        steps.iter().map(|&x| self.try_rot_left(c, x)).collect()
+    }
+
+    fn try_rot_right_many(
+        &mut self,
+        c: &H::Ct,
+        steps: &[usize],
+    ) -> Result<Vec<H::Ct>, HisaError> {
+        if self.plan.is_none() {
+            return self.inner.try_rot_right_many(c, steps);
+        }
+        steps.iter().map(|&x| self.try_rot_right(c, x)).collect()
     }
 
     fn try_add(&mut self, a: &H::Ct, b: &H::Ct) -> Result<H::Ct, HisaError> {
