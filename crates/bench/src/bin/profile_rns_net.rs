@@ -12,7 +12,7 @@
 use chet_ckks::rns::RnsCkks;
 use chet_compiler::Compiler;
 use chet_hisa::params::SchemeKind;
-use chet_hisa::{Hisa, HisaError};
+use chet_hisa::{Hisa, HisaError, Instr, RotDir};
 use chet_runtime::exec::{try_encrypt_input, try_run_encrypted_with, ExecControl};
 use chet_runtime::kernels::ScaleConfig;
 use chet_runtime::par::set_threads;
@@ -20,8 +20,9 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 /// Timing wrapper: forwards every op to the inner backend and accumulates
-/// wall-clock per bucket. Single-threaded by construction (`fork` returns
-/// `None`), so the buckets sum to the run's critical path.
+/// wall-clock per bucket (a one-step rotation batch is a single `rotate`).
+/// Single-threaded by construction (`fork` returns `None`), so the buckets
+/// sum to the run's critical path.
 struct Timed {
     inner: RnsCkks,
     buckets: BTreeMap<&'static str, (u64, Duration)>,
@@ -64,8 +65,8 @@ impl Hisa for Timed {
         self.inner.slots()
     }
 
-    fn encode(&mut self, values: &[f64], scale: f64) -> Self::Pt {
-        self.time("encode", 1, |h| h.encode(values, scale))
+    fn try_encode(&mut self, values: &[f64], scale: f64) -> Result<Self::Pt, HisaError> {
+        self.time("encode", 1, |h| h.try_encode(values, scale))
     }
 
     fn decode(&mut self, p: &Self::Pt) -> Vec<f64> {
@@ -80,108 +81,18 @@ impl Hisa for Timed {
         self.inner.decrypt(c)
     }
 
-    fn rot_left(&mut self, c: &Self::Ct, x: usize) -> Self::Ct {
-        self.time("rotate", 1, |h| h.rot_left(c, x))
+    fn try_exec(&mut self, instr: Instr<'_, Self::Ct, Self::Pt>) -> Result<Self::Ct, HisaError> {
+        self.time(instr.op().name(), 1, |h| h.try_exec(instr))
     }
 
-    fn rot_right(&mut self, c: &Self::Ct, x: usize) -> Self::Ct {
-        self.time("rotate", 1, |h| h.rot_right(c, x))
-    }
-
-    fn rot_left_many(&mut self, c: &Self::Ct, steps: &[usize]) -> Vec<Self::Ct> {
-        self.time("rotateBatched", steps.len() as u64, |h| h.rot_left_many(c, steps))
-    }
-
-    fn rot_right_many(&mut self, c: &Self::Ct, steps: &[usize]) -> Vec<Self::Ct> {
-        self.time("rotateBatched", steps.len() as u64, |h| h.rot_right_many(c, steps))
-    }
-
-    fn try_rot_left_many(
+    fn try_rotate(
         &mut self,
         c: &Self::Ct,
+        dir: RotDir,
         steps: &[usize],
     ) -> Result<Vec<Self::Ct>, HisaError> {
-        self.time("rotateBatched", steps.len() as u64, |h| h.try_rot_left_many(c, steps))
-    }
-
-    fn try_rot_right_many(
-        &mut self,
-        c: &Self::Ct,
-        steps: &[usize],
-    ) -> Result<Vec<Self::Ct>, HisaError> {
-        self.time("rotateBatched", steps.len() as u64, |h| h.try_rot_right_many(c, steps))
-    }
-
-    fn add(&mut self, a: &Self::Ct, b: &Self::Ct) -> Self::Ct {
-        self.time("add", 1, |h| h.add(a, b))
-    }
-
-    fn add_assign(&mut self, a: &mut Self::Ct, b: &Self::Ct) {
-        self.time("add", 1, |h| h.add_assign(a, b))
-    }
-
-    fn sub_assign(&mut self, a: &mut Self::Ct, b: &Self::Ct) {
-        self.time("add", 1, |h| h.sub_assign(a, b))
-    }
-
-    fn add_plain_assign(&mut self, a: &mut Self::Ct, p: &Self::Pt) {
-        self.time("add", 1, |h| h.add_plain_assign(a, p))
-    }
-
-    fn sub_plain_assign(&mut self, a: &mut Self::Ct, p: &Self::Pt) {
-        self.time("add", 1, |h| h.sub_plain_assign(a, p))
-    }
-
-    fn mul_plain_assign(&mut self, a: &mut Self::Ct, p: &Self::Pt) {
-        self.time("mulPlain", 1, |h| h.mul_plain_assign(a, p))
-    }
-
-    fn add_scalar_assign(&mut self, a: &mut Self::Ct, x: f64) {
-        self.time("add", 1, |h| h.add_scalar_assign(a, x))
-    }
-
-    fn sub_scalar_assign(&mut self, a: &mut Self::Ct, x: f64) {
-        self.time("add", 1, |h| h.sub_scalar_assign(a, x))
-    }
-
-    fn mul_scalar_assign(&mut self, a: &mut Self::Ct, x: f64, scale: f64) {
-        self.time("mulScalar", 1, |h| h.mul_scalar_assign(a, x, scale))
-    }
-
-    fn add_plain(&mut self, a: &Self::Ct, p: &Self::Pt) -> Self::Ct {
-        self.time("add", 1, |h| h.add_plain(a, p))
-    }
-
-    fn add_scalar(&mut self, a: &Self::Ct, x: f64) -> Self::Ct {
-        self.time("add", 1, |h| h.add_scalar(a, x))
-    }
-
-    fn sub(&mut self, a: &Self::Ct, b: &Self::Ct) -> Self::Ct {
-        self.time("add", 1, |h| h.sub(a, b))
-    }
-
-    fn sub_plain(&mut self, a: &Self::Ct, p: &Self::Pt) -> Self::Ct {
-        self.time("add", 1, |h| h.sub_plain(a, p))
-    }
-
-    fn sub_scalar(&mut self, a: &Self::Ct, x: f64) -> Self::Ct {
-        self.time("add", 1, |h| h.sub_scalar(a, x))
-    }
-
-    fn mul(&mut self, a: &Self::Ct, b: &Self::Ct) -> Self::Ct {
-        self.time("mul", 1, |h| h.mul(a, b))
-    }
-
-    fn mul_plain(&mut self, a: &Self::Ct, p: &Self::Pt) -> Self::Ct {
-        self.time("mulPlain", 1, |h| h.mul_plain(a, p))
-    }
-
-    fn mul_scalar(&mut self, a: &Self::Ct, x: f64, scale: f64) -> Self::Ct {
-        self.time("mulScalar", 1, |h| h.mul_scalar(a, x, scale))
-    }
-
-    fn rescale(&mut self, c: &Self::Ct, divisor: f64) -> Self::Ct {
-        self.time("rescale", 1, |h| h.rescale(c, divisor))
+        let bucket = if steps.len() == 1 { "rotate" } else { "rotateBatched" };
+        self.time(bucket, steps.len() as u64, |h| h.try_rotate(c, dir, steps))
     }
 
     fn max_rescale(&mut self, c: &Self::Ct, ub: f64) -> f64 {

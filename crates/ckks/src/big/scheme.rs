@@ -8,9 +8,9 @@
 
 use super::poly::{BigMultiplier, BigPoly};
 use crate::encoding::CkksEncoder;
-use chet_hisa::keys::{normalize_rotation, plan_rotation, RotationKeyPolicy};
+use chet_hisa::keys::{plan_rotation, RotationKeyPolicy};
 use chet_hisa::params::{EncryptionParams, ModulusSpec};
-use chet_hisa::{Hisa, HisaError};
+use chet_hisa::{Hisa, HisaError, Instr, RotDir};
 use chet_math::bigint::UBig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -217,6 +217,42 @@ impl BigCkks {
         }
     }
 
+    /// `a + x` in every slot, `x` quantized at the ciphertext's scale.
+    fn shifted(a: &BigCiphertext, x: f64) -> BigCiphertext {
+        let k = (x * a.scale).round();
+        assert!(k.abs() < 9.0e18, "scalar too large for the current scale");
+        let mut c0 = a.c0.clone();
+        c0.add_constant(k as i64);
+        BigCiphertext { c0, c1: a.c1.clone(), scale: a.scale }
+    }
+
+    fn rescaled(c: &BigCiphertext, divisor: f64) -> Result<BigCiphertext, HisaError> {
+        if divisor <= 1.0 {
+            return Ok(c.clone());
+        }
+        let k = divisor.log2();
+        if (k - k.round()).abs() >= 1e-9 {
+            return Err(HisaError::InvalidRescale {
+                divisor,
+                reason: "CKKS rescale divisor must be a power of two".into(),
+            });
+        }
+        let k = k.round() as u32;
+        // Rescaling must leave at least one modulus bit, or the ciphertext
+        // silently degenerates (historically unchecked in this backend).
+        if k >= c.log_q() {
+            return Err(HisaError::LevelExhausted {
+                remaining: (c.log_q() - 1) as f64,
+                requested: k as f64,
+            });
+        }
+        Ok(BigCiphertext {
+            c0: c.c0.rescale_by_pow2(k),
+            c1: c.c1.rescale_by_pow2(k),
+            scale: c.scale / divisor,
+        })
+    }
+
     fn rotate_step(&mut self, ct: &BigCiphertext, step: usize) -> Result<BigCiphertext, HisaError> {
         let g = self.encoder.galois_element(step);
         let key = self
@@ -240,10 +276,6 @@ impl Hisa for BigCkks {
 
     fn slots(&self) -> usize {
         self.degree / 2
-    }
-
-    fn encode(&mut self, values: &[f64], scale: f64) -> BigPlaintext {
-        self.try_encode(values, scale).unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn try_encode(&mut self, values: &[f64], scale: f64) -> Result<BigPlaintext, HisaError> {
@@ -283,171 +315,87 @@ impl Hisa for BigCkks {
         BigPlaintext { poly, scale: c.scale, coeffs }
     }
 
-    fn rot_left(&mut self, c: &BigCiphertext, x: usize) -> BigCiphertext {
-        self.try_rot_left(c, x).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_rot_left(&mut self, c: &BigCiphertext, x: usize) -> Result<BigCiphertext, HisaError> {
-        let slots = self.slots();
-        let step = normalize_rotation(x as i64, slots);
-        if step == 0 {
-            return Ok(c.clone());
-        }
-        let plan = plan_rotation(step, &self.key_steps, slots).ok_or_else(|| {
-            HisaError::MissingRotationKey {
-                step,
-                available: self.key_steps.iter().copied().collect(),
+    fn try_exec(
+        &mut self,
+        instr: Instr<'_, BigCiphertext, BigPlaintext>,
+    ) -> Result<BigCiphertext, HisaError> {
+        Ok(match instr {
+            Instr::Add(a, b) | Instr::Sub(a, b) => {
+                Self::check_scales(a.scale, b.scale)?;
+                let (x, y) = self.align(a, b);
+                let (c0, c1) = if let Instr::Add(..) = instr {
+                    (x.c0.add(&y.c0), x.c1.add(&y.c1))
+                } else {
+                    (x.c0.sub(&y.c0), x.c1.sub(&y.c1))
+                };
+                BigCiphertext { c0, c1, scale: x.scale }
             }
-        })?;
-        let mut out = c.clone();
-        for s in plan {
-            out = self.rotate_step(&out, s)?;
-        }
-        Ok(out)
+            Instr::AddPlain(a, p) | Instr::SubPlain(a, p) => {
+                Self::check_scales(a.scale, p.scale)?;
+                let pt = p.poly.mod_down_to(a.log_q());
+                let c0 =
+                    if let Instr::AddPlain(..) = instr { a.c0.add(&pt) } else { a.c0.sub(&pt) };
+                BigCiphertext { c0, c1: a.c1.clone(), scale: a.scale }
+            }
+            Instr::AddScalar(a, x) => Self::shifted(a, x),
+            Instr::SubScalar(a, x) => Self::shifted(a, -x),
+            Instr::Mul(a, b) => {
+                let (x, y) = self.align(a, b);
+                let l = x.log_q();
+                let d0 = self.mult.mul(&x.c0, &y.c0, l);
+                let d1 = self.mult.mul(&x.c0, &y.c1, l).add(&self.mult.mul(&x.c1, &y.c0, l));
+                let d2 = self.mult.mul(&x.c1, &y.c1, l);
+                let (ks0, ks1) = self.switch_key(&d2, &self.relin.clone());
+                BigCiphertext { c0: d0.add(&ks0), c1: d1.add(&ks1), scale: x.scale * y.scale }
+            }
+            Instr::MulPlain(a, p) => {
+                let mut pt = p.poly.mod_down_to(a.log_q());
+                pt.bound_bits = Some(63);
+                BigCiphertext {
+                    c0: self.mult.mul(&a.c0, &pt, a.log_q()),
+                    c1: self.mult.mul(&a.c1, &pt, a.log_q()),
+                    scale: a.scale * p.scale,
+                }
+            }
+            Instr::MulScalar(a, x, scale) => {
+                assert!(scale >= 1.0, "scalar scale must be >= 1");
+                let k = (x * scale).round();
+                assert!(k.abs() < 9.0e18, "scalar too large for the requested scale");
+                BigCiphertext {
+                    c0: a.c0.mul_scalar(k as i64),
+                    c1: a.c1.mul_scalar(k as i64),
+                    scale: a.scale * scale,
+                }
+            }
+            Instr::Rescale(c, divisor) => Self::rescaled(c, divisor)?,
+        })
     }
 
-    fn rot_right(&mut self, c: &BigCiphertext, x: usize) -> BigCiphertext {
-        self.try_rot_right(c, x).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_rot_right(&mut self, c: &BigCiphertext, x: usize) -> Result<BigCiphertext, HisaError> {
-        let slots = self.slots();
-        let step = normalize_rotation(-(x as i64), slots);
-        self.try_rot_left(c, step)
-    }
-
-    fn add(&mut self, a: &BigCiphertext, b: &BigCiphertext) -> BigCiphertext {
-        self.try_add(a, b).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_add(
-        &mut self,
-        a: &BigCiphertext,
-        b: &BigCiphertext,
-    ) -> Result<BigCiphertext, HisaError> {
-        Self::check_scales(a.scale, b.scale)?;
-        let (x, y) = self.align(a, b);
-        Ok(BigCiphertext { c0: x.c0.add(&y.c0), c1: x.c1.add(&y.c1), scale: x.scale })
-    }
-
-    fn add_plain(&mut self, a: &BigCiphertext, p: &BigPlaintext) -> BigCiphertext {
-        self.try_add_plain(a, p).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_add_plain(
-        &mut self,
-        a: &BigCiphertext,
-        p: &BigPlaintext,
-    ) -> Result<BigCiphertext, HisaError> {
-        Self::check_scales(a.scale, p.scale)?;
-        let pt = p.poly.mod_down_to(a.log_q());
-        Ok(BigCiphertext { c0: a.c0.add(&pt), c1: a.c1.clone(), scale: a.scale })
-    }
-
-    fn add_scalar(&mut self, a: &BigCiphertext, x: f64) -> BigCiphertext {
-        let k = (x * a.scale).round();
-        assert!(k.abs() < 9.0e18, "scalar too large for the current scale");
-        let mut c0 = a.c0.clone();
-        c0.add_constant(k as i64);
-        BigCiphertext { c0, c1: a.c1.clone(), scale: a.scale }
-    }
-
-    fn sub(&mut self, a: &BigCiphertext, b: &BigCiphertext) -> BigCiphertext {
-        self.try_sub(a, b).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_sub(
-        &mut self,
-        a: &BigCiphertext,
-        b: &BigCiphertext,
-    ) -> Result<BigCiphertext, HisaError> {
-        Self::check_scales(a.scale, b.scale)?;
-        let (x, y) = self.align(a, b);
-        Ok(BigCiphertext { c0: x.c0.sub(&y.c0), c1: x.c1.sub(&y.c1), scale: x.scale })
-    }
-
-    fn sub_plain(&mut self, a: &BigCiphertext, p: &BigPlaintext) -> BigCiphertext {
-        self.try_sub_plain(a, p).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_sub_plain(
-        &mut self,
-        a: &BigCiphertext,
-        p: &BigPlaintext,
-    ) -> Result<BigCiphertext, HisaError> {
-        Self::check_scales(a.scale, p.scale)?;
-        let pt = p.poly.mod_down_to(a.log_q());
-        Ok(BigCiphertext { c0: a.c0.sub(&pt), c1: a.c1.clone(), scale: a.scale })
-    }
-
-    fn sub_scalar(&mut self, a: &BigCiphertext, x: f64) -> BigCiphertext {
-        self.add_scalar(a, -x)
-    }
-
-    fn mul(&mut self, a: &BigCiphertext, b: &BigCiphertext) -> BigCiphertext {
-        let (x, y) = self.align(a, b);
-        let l = x.log_q();
-        let d0 = self.mult.mul(&x.c0, &y.c0, l);
-        let d1 = self.mult.mul(&x.c0, &y.c1, l).add(&self.mult.mul(&x.c1, &y.c0, l));
-        let d2 = self.mult.mul(&x.c1, &y.c1, l);
-        let (ks0, ks1) = self.switch_key(&d2, &self.relin.clone());
-        BigCiphertext { c0: d0.add(&ks0), c1: d1.add(&ks1), scale: x.scale * y.scale }
-    }
-
-    fn mul_plain(&mut self, a: &BigCiphertext, p: &BigPlaintext) -> BigCiphertext {
-        let mut pt = p.poly.mod_down_to(a.log_q());
-        pt.bound_bits = Some(63);
-        BigCiphertext {
-            c0: self.mult.mul(&a.c0, &pt, a.log_q()),
-            c1: self.mult.mul(&a.c1, &pt, a.log_q()),
-            scale: a.scale * p.scale,
-        }
-    }
-
-    fn mul_scalar(&mut self, a: &BigCiphertext, x: f64, scale: f64) -> BigCiphertext {
-        assert!(scale >= 1.0, "scalar scale must be >= 1");
-        let k = (x * scale).round();
-        assert!(k.abs() < 9.0e18, "scalar too large for the requested scale");
-        BigCiphertext {
-            c0: a.c0.mul_scalar(k as i64),
-            c1: a.c1.mul_scalar(k as i64),
-            scale: a.scale * scale,
-        }
-    }
-
-    fn rescale(&mut self, c: &BigCiphertext, divisor: f64) -> BigCiphertext {
-        self.try_rescale(c, divisor).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_rescale(
+    fn try_rotate(
         &mut self,
         c: &BigCiphertext,
-        divisor: f64,
-    ) -> Result<BigCiphertext, HisaError> {
-        if divisor <= 1.0 {
-            return Ok(c.clone());
+        dir: RotDir,
+        steps: &[usize],
+    ) -> Result<Vec<BigCiphertext>, HisaError> {
+        let slots = self.slots();
+        let mut out = Vec::with_capacity(steps.len());
+        for &x in steps {
+            let step = dir.normalize(x, slots);
+            let mut cur = c.clone();
+            if step != 0 {
+                let plan = plan_rotation(step, &self.key_steps, slots).ok_or_else(|| {
+                    HisaError::MissingRotationKey {
+                        step,
+                        available: self.key_steps.iter().copied().collect(),
+                    }
+                })?;
+                for s in plan {
+                    cur = self.rotate_step(&cur, s)?;
+                }
+            }
+            out.push(cur);
         }
-        let k = divisor.log2();
-        if (k - k.round()).abs() >= 1e-9 {
-            return Err(HisaError::InvalidRescale {
-                divisor,
-                reason: "CKKS rescale divisor must be a power of two".into(),
-            });
-        }
-        let k = k.round() as u32;
-        // Rescaling must leave at least one modulus bit, or the ciphertext
-        // silently degenerates (historically unchecked in this backend).
-        if k >= c.log_q() {
-            return Err(HisaError::LevelExhausted {
-                remaining: (c.log_q() - 1) as f64,
-                requested: k as f64,
-            });
-        }
-        Ok(BigCiphertext {
-            c0: c.c0.rescale_by_pow2(k),
-            c1: c.c1.rescale_by_pow2(k),
-            scale: c.scale / divisor,
-        })
+        Ok(out)
     }
 
     fn max_rescale(&mut self, c: &BigCiphertext, ub: f64) -> f64 {

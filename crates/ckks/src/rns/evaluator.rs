@@ -8,7 +8,7 @@
 //! is simply not there.
 
 use super::scheme::RnsCkks;
-use chet_hisa::Hisa;
+use chet_hisa::{Hisa, HisaError, Instr, RotDir};
 
 /// Server-side evaluator: public keys only.
 ///
@@ -37,8 +37,8 @@ impl Hisa for RnsEvaluator {
         self.inner.slots()
     }
 
-    fn encode(&mut self, values: &[f64], scale: f64) -> Self::Pt {
-        self.inner.encode(values, scale)
+    fn try_encode(&mut self, values: &[f64], scale: f64) -> Result<Self::Pt, HisaError> {
+        self.inner.try_encode(values, scale)
     }
 
     fn decode(&mut self, p: &Self::Pt) -> Vec<f64> {
@@ -57,108 +57,17 @@ impl Hisa for RnsEvaluator {
         panic!("RnsEvaluator holds no secret key; decryption happens client-side");
     }
 
-    fn rot_left(&mut self, c: &Self::Ct, x: usize) -> Self::Ct {
-        self.inner.rot_left(c, x)
+    fn try_exec(&mut self, instr: Instr<'_, Self::Ct, Self::Pt>) -> Result<Self::Ct, HisaError> {
+        self.inner.try_exec(instr)
     }
 
-    fn rot_right(&mut self, c: &Self::Ct, x: usize) -> Self::Ct {
-        self.inner.rot_right(c, x)
-    }
-
-    fn rot_left_many(&mut self, c: &Self::Ct, steps: &[usize]) -> Vec<Self::Ct> {
-        self.inner.rot_left_many(c, steps)
-    }
-
-    fn rot_right_many(&mut self, c: &Self::Ct, steps: &[usize]) -> Vec<Self::Ct> {
-        self.inner.rot_right_many(c, steps)
-    }
-
-    fn try_rot_left_many(
+    fn try_rotate(
         &mut self,
         c: &Self::Ct,
+        dir: RotDir,
         steps: &[usize],
-    ) -> Result<Vec<Self::Ct>, chet_hisa::HisaError> {
-        self.inner.try_rot_left_many(c, steps)
-    }
-
-    fn try_rot_right_many(
-        &mut self,
-        c: &Self::Ct,
-        steps: &[usize],
-    ) -> Result<Vec<Self::Ct>, chet_hisa::HisaError> {
-        self.inner.try_rot_right_many(c, steps)
-    }
-
-    fn add(&mut self, a: &Self::Ct, b: &Self::Ct) -> Self::Ct {
-        self.inner.add(a, b)
-    }
-
-    fn add_assign(&mut self, a: &mut Self::Ct, b: &Self::Ct) {
-        self.inner.add_assign(a, b)
-    }
-
-    fn sub_assign(&mut self, a: &mut Self::Ct, b: &Self::Ct) {
-        self.inner.sub_assign(a, b)
-    }
-
-    fn add_plain_assign(&mut self, a: &mut Self::Ct, p: &Self::Pt) {
-        self.inner.add_plain_assign(a, p)
-    }
-
-    fn sub_plain_assign(&mut self, a: &mut Self::Ct, p: &Self::Pt) {
-        self.inner.sub_plain_assign(a, p)
-    }
-
-    fn mul_plain_assign(&mut self, a: &mut Self::Ct, p: &Self::Pt) {
-        self.inner.mul_plain_assign(a, p)
-    }
-
-    fn add_scalar_assign(&mut self, a: &mut Self::Ct, x: f64) {
-        self.inner.add_scalar_assign(a, x)
-    }
-
-    fn sub_scalar_assign(&mut self, a: &mut Self::Ct, x: f64) {
-        self.inner.sub_scalar_assign(a, x)
-    }
-
-    fn mul_scalar_assign(&mut self, a: &mut Self::Ct, x: f64, scale: f64) {
-        self.inner.mul_scalar_assign(a, x, scale)
-    }
-
-    fn add_plain(&mut self, a: &Self::Ct, p: &Self::Pt) -> Self::Ct {
-        self.inner.add_plain(a, p)
-    }
-
-    fn add_scalar(&mut self, a: &Self::Ct, x: f64) -> Self::Ct {
-        self.inner.add_scalar(a, x)
-    }
-
-    fn sub(&mut self, a: &Self::Ct, b: &Self::Ct) -> Self::Ct {
-        self.inner.sub(a, b)
-    }
-
-    fn sub_plain(&mut self, a: &Self::Ct, p: &Self::Pt) -> Self::Ct {
-        self.inner.sub_plain(a, p)
-    }
-
-    fn sub_scalar(&mut self, a: &Self::Ct, x: f64) -> Self::Ct {
-        self.inner.sub_scalar(a, x)
-    }
-
-    fn mul(&mut self, a: &Self::Ct, b: &Self::Ct) -> Self::Ct {
-        self.inner.mul(a, b)
-    }
-
-    fn mul_plain(&mut self, a: &Self::Ct, p: &Self::Pt) -> Self::Ct {
-        self.inner.mul_plain(a, p)
-    }
-
-    fn mul_scalar(&mut self, a: &Self::Ct, x: f64, scale: f64) -> Self::Ct {
-        self.inner.mul_scalar(a, x, scale)
-    }
-
-    fn rescale(&mut self, c: &Self::Ct, divisor: f64) -> Self::Ct {
-        self.inner.rescale(c, divisor)
+    ) -> Result<Vec<Self::Ct>, HisaError> {
+        self.inner.try_rotate(c, dir, steps)
     }
 
     fn max_rescale(&mut self, c: &Self::Ct, ub: f64) -> f64 {

@@ -11,9 +11,9 @@
 use super::context::RnsContext;
 use super::poly::{centered_switch, RnsPoly};
 use super::pool;
-use chet_hisa::keys::{normalize_rotation, plan_rotation, RotationKeyPolicy};
+use chet_hisa::keys::{plan_rotation, RotationKeyPolicy};
 use chet_hisa::params::EncryptionParams;
-use chet_hisa::{Hisa, HisaError};
+use chet_hisa::{Hisa, HisaError, Instr, RotDir};
 use chet_math::crt::CrtBasis;
 use chet_math::modint::{mul_mod, sub_mod};
 use chet_math::par;
@@ -76,7 +76,7 @@ struct KsKey {
 ///
 /// Computing these digits — `level × (level+1)` base conversions and NTTs —
 /// is the dominant cost of a key switch and depends only on the switched
-/// polynomial, never on the key. [`RnsCkks::rot_left_many`] therefore
+/// polynomial, never on the key. `RnsCkks`'s [`Hisa::try_rotate`] therefore
 /// computes them once per source ciphertext and reuses them for every
 /// requested rotation (nGraph-HE2's hoisting).
 struct KsDigits {
@@ -445,6 +445,42 @@ impl RnsCkks {
         ct.scale /= q_l as f64;
     }
 
+    /// `a + x` in every slot, `x` quantized at the ciphertext's scale.
+    fn shifted(ctx: &RnsContext, a: &RnsCiphertext, x: f64) -> RnsCiphertext {
+        let mut out = a.clone();
+        let k = (x * a.scale).round() as i128;
+        out.c0.add_scalar_all_slots_assign(ctx, k);
+        out
+    }
+
+    fn rescaled(&self, c: &RnsCiphertext, divisor: f64) -> Result<RnsCiphertext, HisaError> {
+        if divisor <= 1.0 {
+            return Ok(c.clone());
+        }
+        let mut out = c.clone();
+        let mut d = divisor;
+        let mut consumed = 0usize;
+        while d > 1.5 {
+            if out.level() <= 1 {
+                return Err(HisaError::LevelExhausted {
+                    remaining: (c.level() - 1) as f64,
+                    requested: (consumed + 1) as f64,
+                });
+            }
+            let q_last = self.ctx.modulus(out.level() - 1) as f64;
+            self.rescale_one(&mut out);
+            consumed += 1;
+            d /= q_last;
+        }
+        if (d - 1.0).abs() >= 1e-6 {
+            return Err(HisaError::InvalidRescale {
+                divisor,
+                reason: "not a product of the next chain primes".into(),
+            });
+        }
+        Ok(out)
+    }
+
     /// Gadget-decomposes `ct.c1` — the hoistable (key-independent) half of
     /// a rotation's key switch.
     fn decompose_c1(&self, ct: &RnsCiphertext) -> KsDigits {
@@ -478,11 +514,9 @@ impl RnsCkks {
         Ok(RnsCiphertext { c0: out0, c1: ks1, scale: ct.scale })
     }
 
-    /// Applies one elementary rotation (a step with a dedicated key).
-    ///
-    /// Decompose-first: the single-rotation path is the hoisted path with a
-    /// one-element batch, so singles and [`Hisa::rot_left_many`] are
-    /// bit-identical by construction.
+    /// Applies one elementary rotation (a step with a dedicated key) with
+    /// its own decomposition: the later hops of a composite plan, which
+    /// rotate fresh intermediates.
     fn rotate_step(&self, ct: &RnsCiphertext, step: usize) -> Result<RnsCiphertext, HisaError> {
         let digits = self.decompose_c1(ct);
         self.rotate_hoisted(ct, &digits, step)
@@ -495,10 +529,6 @@ impl Hisa for RnsCkks {
 
     fn slots(&self) -> usize {
         self.ctx.slots()
-    }
-
-    fn encode(&mut self, values: &[f64], scale: f64) -> RnsPlaintext {
-        self.try_encode(values, scale).unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn try_encode(&mut self, values: &[f64], scale: f64) -> Result<RnsPlaintext, HisaError> {
@@ -585,56 +615,85 @@ impl Hisa for RnsCkks {
         RnsPlaintext { poly, scale: c.scale, coeffs }
     }
 
-    fn rot_left(&mut self, c: &RnsCiphertext, x: usize) -> RnsCiphertext {
-        self.try_rot_left(c, x).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_rot_left(&mut self, c: &RnsCiphertext, x: usize) -> Result<RnsCiphertext, HisaError> {
-        let slots = self.slots();
-        let step = normalize_rotation(x as i64, slots);
-        if step == 0 {
-            return Ok(c.clone());
-        }
-        let plan = plan_rotation(step, &self.key_steps, slots).ok_or_else(|| {
-            HisaError::MissingRotationKey {
-                step,
-                available: self.key_steps.iter().copied().collect(),
+    fn try_exec(
+        &mut self,
+        instr: Instr<'_, RnsCiphertext, RnsPlaintext>,
+    ) -> Result<RnsCiphertext, HisaError> {
+        let ctx = &self.ctx;
+        Ok(match instr {
+            Instr::Add(a, b) | Instr::Sub(a, b) => {
+                Self::check_scales(a.scale, b.scale)?;
+                let level = a.level().min(b.level());
+                let mut x = self.align_level(a, level);
+                let y = self.align_level(b, level);
+                if let Instr::Add(..) = instr {
+                    x.c0.add_assign(ctx, &y.c0);
+                    x.c1.add_assign(ctx, &y.c1);
+                } else {
+                    x.c0.sub_assign(ctx, &y.c0);
+                    x.c1.sub_assign(ctx, &y.c1);
+                }
+                x
             }
-        })?;
-        let mut out = c.clone();
-        for s in plan {
-            out = self.rotate_step(&out, s)?;
-        }
-        Ok(out)
-    }
-
-    fn rot_right(&mut self, c: &RnsCiphertext, x: usize) -> RnsCiphertext {
-        self.try_rot_right(c, x).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_rot_right(&mut self, c: &RnsCiphertext, x: usize) -> Result<RnsCiphertext, HisaError> {
-        let slots = self.slots();
-        let step = normalize_rotation(-(x as i64), slots);
-        self.try_rot_left(c, step)
-    }
-
-    fn rot_left_many(&mut self, c: &RnsCiphertext, steps: &[usize]) -> Vec<RnsCiphertext> {
-        self.try_rot_left_many(c, steps).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn rot_right_many(&mut self, c: &RnsCiphertext, steps: &[usize]) -> Vec<RnsCiphertext> {
-        self.try_rot_right_many(c, steps).unwrap_or_else(|e| panic!("{e}"))
+            Instr::AddPlain(a, p) | Instr::SubPlain(a, p) => {
+                Self::check_scales(a.scale, p.scale)?;
+                let mut out = a.clone();
+                if let Instr::AddPlain(..) = instr {
+                    out.c0.add_assign_prefix(ctx, &p.poly);
+                } else {
+                    out.c0.sub_assign_prefix(ctx, &p.poly);
+                }
+                out
+            }
+            Instr::AddScalar(a, x) => Self::shifted(ctx, a, x),
+            Instr::SubScalar(a, x) => Self::shifted(ctx, a, -x),
+            Instr::Mul(a, b) => {
+                let level = a.level().min(b.level());
+                let x = self.align_level(a, level);
+                let y = self.align_level(b, level);
+                let d0 = x.c0.mul(ctx, &y.c0);
+                let mut d1 = x.c0.mul(ctx, &y.c1);
+                d1.add_assign(ctx, &x.c1.mul(ctx, &y.c0));
+                let mut d2 = x.c1.mul(ctx, &y.c1);
+                // Relinearize d2·s² back to a degree-1 ciphertext.
+                d2.ntt_inverse(ctx);
+                let (ks0, ks1) = self.switch_key(&d2, &self.relin);
+                let mut c0 = d0;
+                c0.add_assign(ctx, &ks0);
+                let mut c1 = d1;
+                c1.add_assign(ctx, &ks1);
+                RnsCiphertext { c0, c1, scale: x.scale * y.scale }
+            }
+            Instr::MulPlain(a, p) => {
+                let mut out = a.clone();
+                out.c0.mul_assign_prefix(ctx, &p.poly);
+                out.c1.mul_assign_prefix(ctx, &p.poly);
+                out.scale *= p.scale;
+                out
+            }
+            Instr::MulScalar(a, x, scale) => {
+                assert!(scale >= 1.0, "scalar scale must be >= 1");
+                let k = (x * scale).round() as i128;
+                let mut out = a.clone();
+                out.c0.mul_scalar_assign(ctx, k);
+                out.c1.mul_scalar_assign(ctx, k);
+                out.scale *= scale;
+                out
+            }
+            Instr::Rescale(c, divisor) => self.rescaled(c, divisor)?,
+        })
     }
 
     /// Hoisted multi-rotation: the gadget decomposition of `c1` — the
     /// dominant cost of a rotation's key switch — is computed once and
     /// shared by the first hop of every requested step. Remaining hops of
     /// composite plans fall back to single [`Self::rotate_step`]s, which
-    /// use the same decompose-first path, so every output is bit-identical
-    /// to the corresponding single-rotation call.
-    fn try_rot_left_many(
+    /// use the same decompose-first path, so a batch is bit-identical to
+    /// its steps issued one at a time.
+    fn try_rotate(
         &mut self,
         c: &RnsCiphertext,
+        dir: RotDir,
         steps: &[usize],
     ) -> Result<Vec<RnsCiphertext>, HisaError> {
         let slots = self.slots();
@@ -643,7 +702,7 @@ impl Hisa for RnsCkks {
         let mut plans = Vec::with_capacity(steps.len());
         let mut any = false;
         for &x in steps {
-            let step = normalize_rotation(x as i64, slots);
+            let step = dir.normalize(x, slots);
             if step == 0 {
                 plans.push(None);
             } else {
@@ -673,217 +732,6 @@ impl Hisa for RnsCkks {
                     out.push(cur);
                 }
             }
-        }
-        Ok(out)
-    }
-
-    fn try_rot_right_many(
-        &mut self,
-        c: &RnsCiphertext,
-        steps: &[usize],
-    ) -> Result<Vec<RnsCiphertext>, HisaError> {
-        let slots = self.slots();
-        let lefts: Vec<usize> =
-            steps.iter().map(|&x| normalize_rotation(-(x as i64), slots)).collect();
-        self.try_rot_left_many(c, &lefts)
-    }
-
-    fn add(&mut self, a: &RnsCiphertext, b: &RnsCiphertext) -> RnsCiphertext {
-        self.try_add(a, b).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_add(
-        &mut self,
-        a: &RnsCiphertext,
-        b: &RnsCiphertext,
-    ) -> Result<RnsCiphertext, HisaError> {
-        Self::check_scales(a.scale, b.scale)?;
-        let level = a.level().min(b.level());
-        let mut x = self.align_level(a, level);
-        let y = self.align_level(b, level);
-        x.c0.add_assign(&self.ctx, &y.c0);
-        x.c1.add_assign(&self.ctx, &y.c1);
-        Ok(x)
-    }
-
-    fn add_assign(&mut self, a: &mut RnsCiphertext, b: &RnsCiphertext) {
-        Self::check_scales(a.scale, b.scale).unwrap_or_else(|e| panic!("{e}"));
-        let level = a.level().min(b.level());
-        if a.level() > level {
-            a.c0.drop_to_level(level);
-            a.c1.drop_to_level(level);
-        }
-        // `b` may sit at a higher level; the prefix ops read its aligned
-        // chain prefix in place — no clone, no truncation.
-        a.c0.add_assign_prefix(&self.ctx, &b.c0);
-        a.c1.add_assign_prefix(&self.ctx, &b.c1);
-    }
-
-    fn add_plain(&mut self, a: &RnsCiphertext, p: &RnsPlaintext) -> RnsCiphertext {
-        self.try_add_plain(a, p).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_add_plain(
-        &mut self,
-        a: &RnsCiphertext,
-        p: &RnsPlaintext,
-    ) -> Result<RnsCiphertext, HisaError> {
-        Self::check_scales(a.scale, p.scale)?;
-        let mut out = a.clone();
-        out.c0.add_assign_prefix(&self.ctx, &p.poly);
-        Ok(out)
-    }
-
-    fn add_plain_assign(&mut self, a: &mut RnsCiphertext, p: &RnsPlaintext) {
-        Self::check_scales(a.scale, p.scale).unwrap_or_else(|e| panic!("{e}"));
-        a.c0.add_assign_prefix(&self.ctx, &p.poly);
-    }
-
-    fn add_scalar(&mut self, a: &RnsCiphertext, x: f64) -> RnsCiphertext {
-        let mut out = a.clone();
-        self.add_scalar_assign(&mut out, x);
-        out
-    }
-
-    fn add_scalar_assign(&mut self, a: &mut RnsCiphertext, x: f64) {
-        let k = (x * a.scale).round() as i128;
-        a.c0.add_scalar_all_slots_assign(&self.ctx, k);
-    }
-
-    fn sub_scalar_assign(&mut self, a: &mut RnsCiphertext, x: f64) {
-        self.add_scalar_assign(a, -x);
-    }
-
-    fn sub(&mut self, a: &RnsCiphertext, b: &RnsCiphertext) -> RnsCiphertext {
-        self.try_sub(a, b).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_sub(
-        &mut self,
-        a: &RnsCiphertext,
-        b: &RnsCiphertext,
-    ) -> Result<RnsCiphertext, HisaError> {
-        Self::check_scales(a.scale, b.scale)?;
-        let level = a.level().min(b.level());
-        let mut x = self.align_level(a, level);
-        let y = self.align_level(b, level);
-        x.c0.sub_assign(&self.ctx, &y.c0);
-        x.c1.sub_assign(&self.ctx, &y.c1);
-        Ok(x)
-    }
-
-    fn sub_assign(&mut self, a: &mut RnsCiphertext, b: &RnsCiphertext) {
-        Self::check_scales(a.scale, b.scale).unwrap_or_else(|e| panic!("{e}"));
-        let level = a.level().min(b.level());
-        if a.level() > level {
-            a.c0.drop_to_level(level);
-            a.c1.drop_to_level(level);
-        }
-        a.c0.sub_assign_prefix(&self.ctx, &b.c0);
-        a.c1.sub_assign_prefix(&self.ctx, &b.c1);
-    }
-
-    fn sub_plain(&mut self, a: &RnsCiphertext, p: &RnsPlaintext) -> RnsCiphertext {
-        self.try_sub_plain(a, p).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_sub_plain(
-        &mut self,
-        a: &RnsCiphertext,
-        p: &RnsPlaintext,
-    ) -> Result<RnsCiphertext, HisaError> {
-        Self::check_scales(a.scale, p.scale)?;
-        let mut out = a.clone();
-        out.c0.sub_assign_prefix(&self.ctx, &p.poly);
-        Ok(out)
-    }
-
-    fn sub_plain_assign(&mut self, a: &mut RnsCiphertext, p: &RnsPlaintext) {
-        Self::check_scales(a.scale, p.scale).unwrap_or_else(|e| panic!("{e}"));
-        a.c0.sub_assign_prefix(&self.ctx, &p.poly);
-    }
-
-    fn sub_scalar(&mut self, a: &RnsCiphertext, x: f64) -> RnsCiphertext {
-        self.add_scalar(a, -x)
-    }
-
-    fn mul(&mut self, a: &RnsCiphertext, b: &RnsCiphertext) -> RnsCiphertext {
-        let ctx = &self.ctx;
-        let level = a.level().min(b.level());
-        let x = self.align_level(a, level);
-        let y = self.align_level(b, level);
-        let d0 = x.c0.mul(ctx, &y.c0);
-        let mut d1 = x.c0.mul(ctx, &y.c1);
-        d1.add_assign(ctx, &x.c1.mul(ctx, &y.c0));
-        let mut d2 = x.c1.mul(ctx, &y.c1);
-        // Relinearize d2·s² back to a degree-1 ciphertext.
-        d2.ntt_inverse(ctx);
-        let (ks0, ks1) = self.switch_key(&d2, &self.relin);
-        let mut c0 = d0;
-        c0.add_assign(ctx, &ks0);
-        let mut c1 = d1;
-        c1.add_assign(ctx, &ks1);
-        RnsCiphertext { c0, c1, scale: x.scale * y.scale }
-    }
-
-    fn mul_plain(&mut self, a: &RnsCiphertext, p: &RnsPlaintext) -> RnsCiphertext {
-        let mut out = a.clone();
-        self.mul_plain_assign(&mut out, p);
-        out
-    }
-
-    fn mul_plain_assign(&mut self, a: &mut RnsCiphertext, p: &RnsPlaintext) {
-        a.c0.mul_assign_prefix(&self.ctx, &p.poly);
-        a.c1.mul_assign_prefix(&self.ctx, &p.poly);
-        a.scale *= p.scale;
-    }
-
-    fn mul_scalar(&mut self, a: &RnsCiphertext, x: f64, scale: f64) -> RnsCiphertext {
-        let mut out = a.clone();
-        self.mul_scalar_assign(&mut out, x, scale);
-        out
-    }
-
-    fn mul_scalar_assign(&mut self, a: &mut RnsCiphertext, x: f64, scale: f64) {
-        assert!(scale >= 1.0, "scalar scale must be >= 1");
-        let k = (x * scale).round() as i128;
-        a.c0.mul_scalar_assign(&self.ctx, k);
-        a.c1.mul_scalar_assign(&self.ctx, k);
-        a.scale *= scale;
-    }
-
-    fn rescale(&mut self, c: &RnsCiphertext, divisor: f64) -> RnsCiphertext {
-        self.try_rescale(c, divisor).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_rescale(
-        &mut self,
-        c: &RnsCiphertext,
-        divisor: f64,
-    ) -> Result<RnsCiphertext, HisaError> {
-        if divisor <= 1.0 {
-            return Ok(c.clone());
-        }
-        let mut out = c.clone();
-        let mut d = divisor;
-        let mut consumed = 0usize;
-        while d > 1.5 {
-            if out.level() <= 1 {
-                return Err(HisaError::LevelExhausted {
-                    remaining: (c.level() - 1) as f64,
-                    requested: (consumed + 1) as f64,
-                });
-            }
-            let q_last = self.ctx.modulus(out.level() - 1) as f64;
-            self.rescale_one(&mut out);
-            consumed += 1;
-            d /= q_last;
-        }
-        if (d - 1.0).abs() >= 1e-6 {
-            return Err(HisaError::InvalidRescale {
-                divisor,
-                reason: "not a product of the next chain primes".into(),
-            });
         }
         Ok(out)
     }

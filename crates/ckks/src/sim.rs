@@ -22,9 +22,9 @@
 //! the cost, enabling full-network sweeps.
 
 use chet_hisa::cost::HisaOp;
-use chet_hisa::keys::{normalize_rotation, plan_rotation, RotationKeyPolicy};
+use chet_hisa::keys::{plan_rotation, RotationKeyPolicy};
 use chet_hisa::params::{EncryptionParams, ModulusSpec};
-use chet_hisa::{Hisa, HisaError};
+use chet_hisa::{Hisa, HisaError, Instr, RotDir};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeSet, HashMap};
@@ -161,6 +161,77 @@ impl SimCkks {
             Err(HisaError::ScaleMismatch { left: a, right: b })
         }
     }
+
+    /// `a + x` in every slot, `x` quantized at the ciphertext's scale.
+    fn shifted(a: &SimCt, x: f64) -> SimCt {
+        let q = (x * a.scale).round() / a.scale;
+        let values = a.values.iter().map(|v| v + q).collect();
+        SimCt { values, scale: a.scale, remaining: a.remaining.clone() }
+    }
+
+    /// Left rotation by a normalized step, composed from the key set.
+    fn rotated(&mut self, c: &SimCt, step: usize) -> Result<SimCt, HisaError> {
+        if step == 0 {
+            return Ok(c.clone());
+        }
+        let plan = plan_rotation(step, &self.keys, self.slots).ok_or_else(|| {
+            HisaError::MissingRotationKey { step, available: self.keys.iter().copied().collect() }
+        })?;
+        let mut out = c.clone();
+        for s in plan {
+            self.bump(HisaOp::Rotate);
+            out.values.rotate_left(s);
+            let units = self.noise_stddev;
+            let scale = out.scale;
+            self.inject_noise(&mut out.values, units, scale);
+        }
+        Ok(out)
+    }
+
+    fn rescaled(&mut self, c: &SimCt, divisor: f64) -> Result<SimCt, HisaError> {
+        if divisor <= 1.0 {
+            return Ok(c.clone());
+        }
+        self.bump(HisaOp::Rescale);
+        let mut out = c.clone();
+        out.scale = c.scale / divisor;
+        out.remaining = match &c.remaining {
+            Remaining::Pow2 { log_q } => {
+                let consumed = divisor.log2();
+                let left = log_q - consumed;
+                if left < 1.0 {
+                    return Err(HisaError::LevelExhausted {
+                        remaining: log_q - 1.0,
+                        requested: consumed,
+                    });
+                }
+                Remaining::Pow2 { log_q: left }
+            }
+            Remaining::Chain { level } => {
+                let mut lvl = *level;
+                let mut d = divisor;
+                while d > 1.5 {
+                    if lvl <= 1 {
+                        return Err(HisaError::LevelExhausted {
+                            remaining: (*level - 1) as f64,
+                            requested: (*level - lvl + 1) as f64,
+                        });
+                    }
+                    lvl -= 1;
+                    d /= self.chain[lvl] as f64;
+                }
+                Remaining::Chain { level: lvl }
+            }
+        };
+        let units = self.noise_stddev;
+        let scale = out.scale;
+        self.inject_noise(&mut out.values, units, scale);
+        Ok(out)
+    }
+}
+
+fn zip(a: &[f64], b: &[f64], f: impl Fn(f64, f64) -> f64) -> Vec<f64> {
+    a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect()
 }
 
 impl Hisa for SimCkks {
@@ -169,10 +240,6 @@ impl Hisa for SimCkks {
 
     fn slots(&self) -> usize {
         self.slots
-    }
-
-    fn encode(&mut self, values: &[f64], scale: f64) -> SimPt {
-        self.try_encode(values, scale).unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn try_encode(&mut self, values: &[f64], scale: f64) -> Result<SimPt, HisaError> {
@@ -214,161 +281,62 @@ impl Hisa for SimCkks {
         SimPt { values: c.values.clone(), scale: c.scale }
     }
 
-    fn rot_left(&mut self, c: &SimCt, x: usize) -> SimCt {
-        self.try_rot_left(c, x).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_rot_left(&mut self, c: &SimCt, x: usize) -> Result<SimCt, HisaError> {
-        let step = normalize_rotation(x as i64, self.slots);
-        if step == 0 {
-            return Ok(c.clone());
+    fn try_exec(&mut self, instr: Instr<'_, SimCt, SimPt>) -> Result<SimCt, HisaError> {
+        // Rescale counts only when it divides (see `rescaled`).
+        if !matches!(instr, Instr::Rescale(..)) {
+            self.bump(instr.op());
         }
-        let plan = plan_rotation(step, &self.keys, self.slots).ok_or_else(|| {
-            HisaError::MissingRotationKey { step, available: self.keys.iter().copied().collect() }
-        })?;
-        let mut out = c.clone();
-        for s in plan {
-            self.bump(HisaOp::Rotate);
-            out.values.rotate_left(s);
-            let units = self.noise_stddev;
-            let scale = out.scale;
-            self.inject_noise(&mut out.values, units, scale);
-        }
-        Ok(out)
-    }
-
-    fn rot_right(&mut self, c: &SimCt, x: usize) -> SimCt {
-        self.try_rot_right(c, x).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_rot_right(&mut self, c: &SimCt, x: usize) -> Result<SimCt, HisaError> {
-        let step = normalize_rotation(-(x as i64), self.slots);
-        self.try_rot_left(c, step)
-    }
-
-    fn add(&mut self, a: &SimCt, b: &SimCt) -> SimCt {
-        self.try_add(a, b).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_add(&mut self, a: &SimCt, b: &SimCt) -> Result<SimCt, HisaError> {
-        self.bump(HisaOp::Add);
-        Self::check_scales(a.scale, b.scale)?;
-        let values = a.values.iter().zip(&b.values).map(|(x, y)| x + y).collect();
-        Ok(SimCt { values, scale: a.scale, remaining: self.meet(&a.remaining, &b.remaining) })
-    }
-
-    fn add_plain(&mut self, a: &SimCt, p: &SimPt) -> SimCt {
-        self.try_add_plain(a, p).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_add_plain(&mut self, a: &SimCt, p: &SimPt) -> Result<SimCt, HisaError> {
-        self.bump(HisaOp::Add);
-        Self::check_scales(a.scale, p.scale)?;
-        let values = a.values.iter().zip(&p.values).map(|(x, y)| x + y).collect();
-        Ok(SimCt { values, scale: a.scale, remaining: a.remaining.clone() })
-    }
-
-    fn add_scalar(&mut self, a: &SimCt, x: f64) -> SimCt {
-        self.bump(HisaOp::Add);
-        let q = (x * a.scale).round() / a.scale;
-        let values = a.values.iter().map(|v| v + q).collect();
-        SimCt { values, scale: a.scale, remaining: a.remaining.clone() }
-    }
-
-    fn sub(&mut self, a: &SimCt, b: &SimCt) -> SimCt {
-        self.try_sub(a, b).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_sub(&mut self, a: &SimCt, b: &SimCt) -> Result<SimCt, HisaError> {
-        self.bump(HisaOp::Add);
-        Self::check_scales(a.scale, b.scale)?;
-        let values = a.values.iter().zip(&b.values).map(|(x, y)| x - y).collect();
-        Ok(SimCt { values, scale: a.scale, remaining: self.meet(&a.remaining, &b.remaining) })
-    }
-
-    fn sub_plain(&mut self, a: &SimCt, p: &SimPt) -> SimCt {
-        self.try_sub_plain(a, p).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_sub_plain(&mut self, a: &SimCt, p: &SimPt) -> Result<SimCt, HisaError> {
-        self.bump(HisaOp::Add);
-        Self::check_scales(a.scale, p.scale)?;
-        let values = a.values.iter().zip(&p.values).map(|(x, y)| x - y).collect();
-        Ok(SimCt { values, scale: a.scale, remaining: a.remaining.clone() })
-    }
-
-    fn sub_scalar(&mut self, a: &SimCt, x: f64) -> SimCt {
-        self.add_scalar(a, -x)
-    }
-
-    fn mul(&mut self, a: &SimCt, b: &SimCt) -> SimCt {
-        self.bump(HisaOp::MulCipher);
-        let values: Vec<f64> = a.values.iter().zip(&b.values).map(|(x, y)| x * y).collect();
-        let scale = a.scale * b.scale;
-        let mut out =
-            SimCt { values, scale, remaining: self.meet(&a.remaining, &b.remaining) };
-        let units = self.noise_stddev;
-        self.inject_noise(&mut out.values, units, scale.sqrt());
-        out
-    }
-
-    fn mul_plain(&mut self, a: &SimCt, p: &SimPt) -> SimCt {
-        self.bump(HisaOp::MulPlain);
-        let values = a.values.iter().zip(&p.values).map(|(x, y)| x * y).collect();
-        SimCt { values, scale: a.scale * p.scale, remaining: a.remaining.clone() }
-    }
-
-    fn mul_scalar(&mut self, a: &SimCt, x: f64, scale: f64) -> SimCt {
-        self.bump(HisaOp::MulScalar);
-        assert!(scale >= 1.0, "scalar scale must be >= 1");
-        let q = (x * scale).round() / scale;
-        let values = a.values.iter().map(|v| v * q).collect();
-        SimCt { values, scale: a.scale * scale, remaining: a.remaining.clone() }
-    }
-
-    fn rescale(&mut self, c: &SimCt, divisor: f64) -> SimCt {
-        self.try_rescale(c, divisor).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_rescale(&mut self, c: &SimCt, divisor: f64) -> Result<SimCt, HisaError> {
-        if divisor <= 1.0 {
-            return Ok(c.clone());
-        }
-        self.bump(HisaOp::Rescale);
-        let mut out = c.clone();
-        out.scale = c.scale / divisor;
-        out.remaining = match &c.remaining {
-            Remaining::Pow2 { log_q } => {
-                let consumed = divisor.log2();
-                let left = log_q - consumed;
-                if left < 1.0 {
-                    return Err(HisaError::LevelExhausted {
-                        remaining: log_q - 1.0,
-                        requested: consumed,
-                    });
-                }
-                Remaining::Pow2 { log_q: left }
+        Ok(match instr {
+            Instr::Add(a, b) | Instr::Sub(a, b) => {
+                Self::check_scales(a.scale, b.scale)?;
+                let values = if let Instr::Add(..) = instr {
+                    zip(&a.values, &b.values, |x, y| x + y)
+                } else {
+                    zip(&a.values, &b.values, |x, y| x - y)
+                };
+                SimCt { values, scale: a.scale, remaining: self.meet(&a.remaining, &b.remaining) }
             }
-            Remaining::Chain { level } => {
-                let mut lvl = *level;
-                let mut d = divisor;
-                while d > 1.5 {
-                    if lvl <= 1 {
-                        return Err(HisaError::LevelExhausted {
-                            remaining: (*level - 1) as f64,
-                            requested: (*level - lvl + 1) as f64,
-                        });
-                    }
-                    lvl -= 1;
-                    d /= self.chain[lvl] as f64;
-                }
-                Remaining::Chain { level: lvl }
+            Instr::AddPlain(a, p) | Instr::SubPlain(a, p) => {
+                Self::check_scales(a.scale, p.scale)?;
+                let values = if let Instr::AddPlain(..) = instr {
+                    zip(&a.values, &p.values, |x, y| x + y)
+                } else {
+                    zip(&a.values, &p.values, |x, y| x - y)
+                };
+                SimCt { values, scale: a.scale, remaining: a.remaining.clone() }
             }
-        };
-        let units = self.noise_stddev;
-        let scale = out.scale;
-        self.inject_noise(&mut out.values, units, scale);
-        Ok(out)
+            Instr::AddScalar(a, x) => Self::shifted(a, x),
+            Instr::SubScalar(a, x) => Self::shifted(a, -x),
+            Instr::Mul(a, b) => {
+                let values = zip(&a.values, &b.values, |x, y| x * y);
+                let scale = a.scale * b.scale;
+                let mut out =
+                    SimCt { values, scale, remaining: self.meet(&a.remaining, &b.remaining) };
+                let units = self.noise_stddev;
+                self.inject_noise(&mut out.values, units, scale.sqrt());
+                out
+            }
+            Instr::MulPlain(a, p) => {
+                let values = zip(&a.values, &p.values, |x, y| x * y);
+                SimCt { values, scale: a.scale * p.scale, remaining: a.remaining.clone() }
+            }
+            Instr::MulScalar(a, x, scale) => {
+                assert!(scale >= 1.0, "scalar scale must be >= 1");
+                let q = (x * scale).round() / scale;
+                let values = a.values.iter().map(|v| v * q).collect();
+                SimCt { values, scale: a.scale * scale, remaining: a.remaining.clone() }
+            }
+            Instr::Rescale(c, divisor) => self.rescaled(c, divisor)?,
+        })
+    }
+
+    fn try_rotate(
+        &mut self,
+        c: &SimCt,
+        dir: RotDir,
+        steps: &[usize],
+    ) -> Result<Vec<SimCt>, HisaError> {
+        steps.iter().map(|&x| self.rotated(c, dir.normalize(x, self.slots))).collect()
     }
 
     fn max_rescale(&mut self, c: &SimCt, ub: f64) -> f64 {

@@ -18,8 +18,7 @@
 //! the compiler sizes candidates to the working scale).
 
 use chet_hisa::cost::{CostModel, HisaOp, LevelInfo};
-use chet_hisa::keys::normalize_rotation;
-use chet_hisa::Hisa;
+use chet_hisa::{Hisa, HisaError, Instr, RotDir};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -116,6 +115,26 @@ impl Analyzer {
         }
     }
 
+    fn rescaled(&self, c: &ACt, divisor: f64) -> ACt {
+        let mut out = *c;
+        out.scale /= divisor;
+        out.consumed_log2 += divisor.log2();
+        if let RescaleModel::Chain(primes) = &self.model {
+            let mut d = divisor;
+            while d > 1.5 {
+                // Invariant: `candidate_primes` sizes the list well beyond
+                // any circuit depth parameter selection accepts.
+                #[allow(clippy::expect_used)]
+                let p = *primes
+                    .get(out.chain_idx)
+                    .expect("candidate prime list exhausted; enlarge it");
+                d /= p as f64;
+                out.chain_idx += 1;
+            }
+        }
+        out
+    }
+
     fn meet(a: &ACt, b: &ACt) -> ACt {
         ACt {
             scale: a.scale,
@@ -133,8 +152,8 @@ impl Hisa for Analyzer {
         self.slots
     }
 
-    fn encode(&mut self, _values: &[f64], scale: f64) -> APt {
-        APt { scale }
+    fn try_encode(&mut self, _values: &[f64], scale: f64) -> Result<APt, HisaError> {
+        Ok(APt { scale })
     }
 
     fn decode(&mut self, _p: &APt) -> Vec<f64> {
@@ -150,93 +169,39 @@ impl Hisa for Analyzer {
         APt { scale: c.scale }
     }
 
-    fn rot_left(&mut self, c: &ACt, x: usize) -> ACt {
-        let step = normalize_rotation(x as i64, self.slots);
-        if step != 0 {
-            self.rotations.insert(step);
-            self.charge(HisaOp::Rotate, c);
-        }
-        self.track(c)
-    }
-
-    fn rot_right(&mut self, c: &ACt, x: usize) -> ACt {
-        let step = normalize_rotation(-(x as i64), self.slots);
-        if step != 0 {
-            self.rotations.insert(step);
-            self.charge(HisaOp::Rotate, c);
-        }
-        self.track(c)
-    }
-
-    fn add(&mut self, a: &ACt, b: &ACt) -> ACt {
-        self.charge(HisaOp::Add, a);
-        let m = Self::meet(a, b);
-        self.track(&m)
-    }
-
-    fn add_plain(&mut self, a: &ACt, _p: &APt) -> ACt {
-        self.charge(HisaOp::Add, a);
-        self.track(a)
-    }
-
-    fn add_scalar(&mut self, a: &ACt, _x: f64) -> ACt {
-        self.charge(HisaOp::Add, a);
-        self.track(a)
-    }
-
-    fn sub(&mut self, a: &ACt, b: &ACt) -> ACt {
-        self.add(a, b)
-    }
-
-    fn sub_plain(&mut self, a: &ACt, p: &APt) -> ACt {
-        self.add_plain(a, p)
-    }
-
-    fn sub_scalar(&mut self, a: &ACt, x: f64) -> ACt {
-        self.add_scalar(a, x)
-    }
-
-    fn mul(&mut self, a: &ACt, b: &ACt) -> ACt {
-        self.charge(HisaOp::MulCipher, a);
-        let mut m = Self::meet(a, b);
-        m.scale = a.scale * b.scale;
-        self.track(&m)
-    }
-
-    fn mul_plain(&mut self, a: &ACt, p: &APt) -> ACt {
-        self.charge(HisaOp::MulPlain, a);
-        let m = ACt { scale: a.scale * p.scale, ..*a };
-        self.track(&m)
-    }
-
-    fn mul_scalar(&mut self, a: &ACt, _x: f64, scale: f64) -> ACt {
-        self.charge(HisaOp::MulScalar, a);
-        let m = ACt { scale: a.scale * scale, ..*a };
-        self.track(&m)
-    }
-
-    fn rescale(&mut self, c: &ACt, divisor: f64) -> ACt {
-        if divisor <= 1.0 {
-            return self.track(c);
-        }
-        self.charge(HisaOp::Rescale, c);
-        let mut out = *c;
-        out.scale /= divisor;
-        out.consumed_log2 += divisor.log2();
-        if let RescaleModel::Chain(primes) = &self.model {
-            let mut d = divisor;
-            while d > 1.5 {
-                // Invariant: `candidate_primes` sizes the list well beyond
-                // any circuit depth parameter selection accepts.
-                #[allow(clippy::expect_used)]
-                let p = *primes
-                    .get(out.chain_idx)
-                    .expect("candidate prime list exhausted; enlarge it");
-                d /= p as f64;
-                out.chain_idx += 1;
+    fn try_exec(&mut self, instr: Instr<'_, ACt, APt>) -> Result<ACt, HisaError> {
+        let a = instr.lhs();
+        if let Instr::Rescale(_, divisor) = instr {
+            if divisor <= 1.0 {
+                return Ok(self.track(a));
             }
         }
-        self.track(&out)
+        self.charge(instr.op(), a);
+        let out = match instr {
+            Instr::Add(_, b) | Instr::Sub(_, b) => Self::meet(a, b),
+            Instr::Mul(_, b) => ACt { scale: a.scale * b.scale, ..Self::meet(a, b) },
+            Instr::MulPlain(_, p) => ACt { scale: a.scale * p.scale, ..*a },
+            Instr::MulScalar(_, _, scale) => ACt { scale: a.scale * scale, ..*a },
+            Instr::AddPlain(..)
+            | Instr::AddScalar(..)
+            | Instr::SubPlain(..)
+            | Instr::SubScalar(..) => *a,
+            Instr::Rescale(_, divisor) => self.rescaled(a, divisor),
+        };
+        Ok(self.track(&out))
+    }
+
+    fn try_rotate(&mut self, c: &ACt, dir: RotDir, steps: &[usize]) -> Result<Vec<ACt>, HisaError> {
+        let mut out = Vec::with_capacity(steps.len());
+        for &x in steps {
+            let step = dir.normalize(x, self.slots);
+            if step != 0 {
+                self.rotations.insert(step);
+                self.charge(HisaOp::Rotate, c);
+            }
+            out.push(self.track(c));
+        }
+        Ok(out)
     }
 
     fn max_rescale(&mut self, c: &ACt, ub: f64) -> f64 {

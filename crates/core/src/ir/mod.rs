@@ -34,10 +34,10 @@ pub mod cost;
 
 use crate::compiler::CompiledCircuit;
 use crate::verify::OpSpan;
-use chet_hisa::keys::{normalize_rotation, plan_rotation};
+use chet_hisa::keys::plan_rotation;
 use chet_hisa::params::{ModulusSpec, SchemeKind};
 use chet_hisa::serial::fnv1a64;
-use chet_hisa::{Hisa, HisaError, LevelInfo};
+use chet_hisa::{Hisa, HisaError, Instr, LevelInfo, RotDir};
 use chet_runtime::ciphertensor::{decrypt_tensor, try_encrypt_tensor, CipherTensor};
 use chet_runtime::exec::{
     try_encrypt_input, try_run_encrypted_with, ExecControl, ExecError, ExecObserver,
@@ -466,6 +466,39 @@ impl TraceInterp {
         }
     }
 
+    /// The modulus state left after dividing by `divisor` (> 1) — the
+    /// reference backend's chain-pop loop.
+    fn rescaled(&self, level: Level, divisor: f64) -> Result<Level, HisaError> {
+        Ok(match level {
+            Level::Pow2 { log_q } => {
+                let consumed = divisor.log2();
+                let left = log_q - consumed;
+                if left < 1.0 {
+                    return Err(HisaError::LevelExhausted {
+                        remaining: log_q - 1.0,
+                        requested: consumed,
+                    });
+                }
+                Level::Pow2 { log_q: left }
+            }
+            Level::Chain { level } => {
+                let mut lvl = level;
+                let mut d = divisor;
+                while d > 1.5 {
+                    if lvl <= 1 {
+                        return Err(HisaError::LevelExhausted {
+                            remaining: (level - 1) as f64,
+                            requested: (level - lvl + 1) as f64,
+                        });
+                    }
+                    lvl -= 1;
+                    d /= self.chain[lvl] as f64;
+                }
+                Level::Chain { level: lvl }
+            }
+        })
+    }
+
     /// Consumes the recorder into a graph. `outputs` / `output_layout` come
     /// from the traced output tensor; the circuit metadata from the caller.
     fn finish(
@@ -508,10 +541,6 @@ impl Hisa for TraceInterp {
         self.slots
     }
 
-    fn encode(&mut self, values: &[f64], scale: f64) -> TracePt {
-        self.try_encode(values, scale).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     fn try_encode(&mut self, values: &[f64], scale: f64) -> Result<TracePt, HisaError> {
         if values.len() > self.slots {
             return Err(HisaError::SlotOverflow { len: values.len(), slots: self.slots });
@@ -544,136 +573,77 @@ impl Hisa for TraceInterp {
         TracePt { pid: INPUT_PT, scale: c.scale }
     }
 
-    fn rot_left(&mut self, c: &TraceCt, x: usize) -> TraceCt {
-        self.try_rot_left(c, x).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_rot_left(&mut self, c: &TraceCt, x: usize) -> Result<TraceCt, HisaError> {
-        let step = normalize_rotation(x as i64, self.slots);
-        if step == 0 {
-            return Ok(c.clone());
-        }
-        if plan_rotation(step, &self.keys, self.slots).is_none() {
-            return Err(HisaError::MissingRotationKey {
-                step,
-                available: self.keys.iter().copied().collect(),
-            });
-        }
-        Ok(self.record(IrOp::RotLeft { a: c.id, step }, c.scale, c.level, c.level))
-    }
-
-    fn rot_right(&mut self, c: &TraceCt, x: usize) -> TraceCt {
-        self.try_rot_right(c, x).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_rot_right(&mut self, c: &TraceCt, x: usize) -> Result<TraceCt, HisaError> {
-        let step = normalize_rotation(-(x as i64), self.slots);
-        self.try_rot_left(c, step)
-    }
-
-    fn add(&mut self, a: &TraceCt, b: &TraceCt) -> TraceCt {
-        self.try_add(a, b).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_add(&mut self, a: &TraceCt, b: &TraceCt) -> Result<TraceCt, HisaError> {
-        Self::check_scales(a.scale, b.scale)?;
-        let level = Self::meet(a.level, b.level);
-        Ok(self.record(IrOp::Add { a: a.id, b: b.id }, a.scale, level, level))
-    }
-
-    fn add_plain(&mut self, a: &TraceCt, p: &TracePt) -> TraceCt {
-        self.try_add_plain(a, p).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_add_plain(&mut self, a: &TraceCt, p: &TracePt) -> Result<TraceCt, HisaError> {
-        Self::check_scales(a.scale, p.scale)?;
-        Ok(self.record(IrOp::AddPlain { a: a.id, pt: p.pid }, a.scale, a.level, a.level))
-    }
-
-    fn add_scalar(&mut self, a: &TraceCt, x: f64) -> TraceCt {
-        self.record(IrOp::AddScalar { a: a.id, x }, a.scale, a.level, a.level)
-    }
-
-    fn sub(&mut self, a: &TraceCt, b: &TraceCt) -> TraceCt {
-        self.try_sub(a, b).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_sub(&mut self, a: &TraceCt, b: &TraceCt) -> Result<TraceCt, HisaError> {
-        Self::check_scales(a.scale, b.scale)?;
-        let level = Self::meet(a.level, b.level);
-        Ok(self.record(IrOp::Sub { a: a.id, b: b.id }, a.scale, level, level))
-    }
-
-    fn sub_plain(&mut self, a: &TraceCt, p: &TracePt) -> TraceCt {
-        self.try_sub_plain(a, p).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_sub_plain(&mut self, a: &TraceCt, p: &TracePt) -> Result<TraceCt, HisaError> {
-        Self::check_scales(a.scale, p.scale)?;
-        Ok(self.record(IrOp::SubPlain { a: a.id, pt: p.pid }, a.scale, a.level, a.level))
-    }
-
-    fn sub_scalar(&mut self, a: &TraceCt, x: f64) -> TraceCt {
-        // The reference backend computes sub_scalar as add_scalar(−x).
-        self.add_scalar(a, -x)
-    }
-
-    fn mul(&mut self, a: &TraceCt, b: &TraceCt) -> TraceCt {
-        let level = Self::meet(a.level, b.level);
-        self.record(IrOp::Mul { a: a.id, b: b.id }, a.scale * b.scale, level, level)
-    }
-
-    fn mul_plain(&mut self, a: &TraceCt, p: &TracePt) -> TraceCt {
-        self.record(IrOp::MulPlain { a: a.id, pt: p.pid }, a.scale * p.scale, a.level, a.level)
-    }
-
-    fn mul_scalar(&mut self, a: &TraceCt, x: f64, scale: f64) -> TraceCt {
-        assert!(scale >= 1.0, "scalar scale must be >= 1");
-        self.record(IrOp::MulScalar { a: a.id, x, scale }, a.scale * scale, a.level, a.level)
-    }
-
-    fn rescale(&mut self, c: &TraceCt, divisor: f64) -> TraceCt {
-        self.try_rescale(c, divisor).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_rescale(&mut self, c: &TraceCt, divisor: f64) -> Result<TraceCt, HisaError> {
-        if divisor <= 1.0 {
-            return Ok(c.clone());
-        }
-        let result = match c.level {
-            Level::Pow2 { log_q } => {
-                let consumed = divisor.log2();
-                let left = log_q - consumed;
-                if left < 1.0 {
-                    return Err(HisaError::LevelExhausted {
-                        remaining: log_q - 1.0,
-                        requested: consumed,
-                    });
-                }
-                Level::Pow2 { log_q: left }
+    fn try_exec(&mut self, instr: Instr<'_, TraceCt, TracePt>) -> Result<TraceCt, HisaError> {
+        let a = instr.lhs();
+        let same = a.level;
+        Ok(match instr {
+            Instr::Add(_, b) | Instr::Sub(_, b) => {
+                Self::check_scales(a.scale, b.scale)?;
+                let level = Self::meet(a.level, b.level);
+                let op = if let Instr::Add(..) = instr {
+                    IrOp::Add { a: a.id, b: b.id }
+                } else {
+                    IrOp::Sub { a: a.id, b: b.id }
+                };
+                self.record(op, a.scale, level, level)
             }
-            Level::Chain { level } => {
-                let mut lvl = level;
-                let mut d = divisor;
-                while d > 1.5 {
-                    if lvl <= 1 {
-                        return Err(HisaError::LevelExhausted {
-                            remaining: (level - 1) as f64,
-                            requested: (level - lvl + 1) as f64,
-                        });
-                    }
-                    lvl -= 1;
-                    d /= self.chain[lvl] as f64;
-                }
-                Level::Chain { level: lvl }
+            Instr::AddPlain(_, p) | Instr::SubPlain(_, p) => {
+                Self::check_scales(a.scale, p.scale)?;
+                let op = if let Instr::AddPlain(..) = instr {
+                    IrOp::AddPlain { a: a.id, pt: p.pid }
+                } else {
+                    IrOp::SubPlain { a: a.id, pt: p.pid }
+                };
+                self.record(op, a.scale, same, same)
             }
-        };
-        Ok(self.record(
-            IrOp::Rescale { a: c.id, divisor },
-            c.scale / divisor,
-            c.level,
-            result,
-        ))
+            // The reference backend computes sub_scalar as add_scalar(−x).
+            Instr::AddScalar(_, x) => {
+                self.record(IrOp::AddScalar { a: a.id, x }, a.scale, same, same)
+            }
+            Instr::SubScalar(_, x) => {
+                self.record(IrOp::AddScalar { a: a.id, x: -x }, a.scale, same, same)
+            }
+            Instr::Mul(_, b) => {
+                let level = Self::meet(a.level, b.level);
+                self.record(IrOp::Mul { a: a.id, b: b.id }, a.scale * b.scale, level, level)
+            }
+            Instr::MulPlain(_, p) => {
+                self.record(IrOp::MulPlain { a: a.id, pt: p.pid }, a.scale * p.scale, same, same)
+            }
+            Instr::MulScalar(_, x, scale) => {
+                assert!(scale >= 1.0, "scalar scale must be >= 1");
+                self.record(IrOp::MulScalar { a: a.id, x, scale }, a.scale * scale, same, same)
+            }
+            Instr::Rescale(_, divisor) if divisor <= 1.0 => a.clone(),
+            Instr::Rescale(_, divisor) => {
+                let result = self.rescaled(a.level, divisor)?;
+                self.record(IrOp::Rescale { a: a.id, divisor }, a.scale / divisor, same, result)
+            }
+        })
+    }
+
+    fn try_rotate(
+        &mut self,
+        c: &TraceCt,
+        dir: RotDir,
+        steps: &[usize],
+    ) -> Result<Vec<TraceCt>, HisaError> {
+        let mut out = Vec::with_capacity(steps.len());
+        for &x in steps {
+            let step = dir.normalize(x, self.slots);
+            if step == 0 {
+                out.push(c.clone());
+                continue;
+            }
+            if plan_rotation(step, &self.keys, self.slots).is_none() {
+                return Err(HisaError::MissingRotationKey {
+                    step,
+                    available: self.keys.iter().copied().collect(),
+                });
+            }
+            out.push(self.record(IrOp::RotLeft { a: c.id, step }, c.scale, c.level, c.level));
+        }
+        Ok(out)
     }
 
     fn max_rescale(&mut self, c: &TraceCt, ub: f64) -> f64 {
@@ -854,12 +824,8 @@ pub fn try_replay_ir<H: Hisa>(
     let mut plains: Vec<Option<H::Pt>> = (0..ir.plains.len()).map(|_| None).collect();
     let mut values: Vec<Option<H::Ct>> = (0..n).map(|_| None).collect();
 
-    fn operand<C: Clone>(
-        values: &[Option<C>],
-        id: usize,
-        at: usize,
-    ) -> Result<C, ReplayError> {
-        values.get(id).and_then(|v| v.clone()).ok_or_else(|| ReplayError::Malformed {
+    fn operand<C>(values: &[Option<C>], id: usize, at: usize) -> Result<&C, ReplayError> {
+        values.get(id).and_then(Option::as_ref).ok_or_else(|| ReplayError::Malformed {
             detail: format!("node %{at} references undefined value %{id}"),
         })
     }
@@ -893,59 +859,34 @@ pub fn try_replay_ir<H: Hisa>(
     }
 
     for (id, node) in ir.nodes.iter().enumerate() {
-        let hisa = |source| ReplayError::Hisa { node: id, source };
-        let v = match &node.op {
-            IrOp::Input { ct } => enc
-                .cts
-                .get(*ct)
-                .cloned()
-                .ok_or_else(|| ReplayError::Malformed {
+        let ct = |a: usize| operand(&values, a, id);
+        let v = match node.op {
+            IrOp::Input { ct } => Ok(enc.cts.get(ct).cloned().ok_or_else(|| {
+                ReplayError::Malformed {
                     detail: format!("node %{id} references missing input ct[{ct}]"),
-                })?,
-            IrOp::Add { a, b } => {
-                let (x, y) = (operand(&values, *a, id)?, operand(&values, *b, id)?);
-                h.try_add(&x, &y).map_err(hisa)?
-            }
-            IrOp::Sub { a, b } => {
-                let (x, y) = (operand(&values, *a, id)?, operand(&values, *b, id)?);
-                h.try_sub(&x, &y).map_err(hisa)?
-            }
-            IrOp::Mul { a, b } => {
-                let (x, y) = (operand(&values, *a, id)?, operand(&values, *b, id)?);
-                h.try_mul(&x, &y).map_err(hisa)?
-            }
+                }
+            })?),
+            IrOp::RotLeft { a, step } => h.try_rot_left(ct(a)?, step),
+            IrOp::Add { a, b } => h.try_exec(Instr::Add(ct(a)?, ct(b)?)),
+            IrOp::Sub { a, b } => h.try_exec(Instr::Sub(ct(a)?, ct(b)?)),
+            IrOp::Mul { a, b } => h.try_exec(Instr::Mul(ct(a)?, ct(b)?)),
             IrOp::AddPlain { a, pt } => {
-                let x = operand(&values, *a, id)?;
-                let p = plain(h, ir, &mut plains, *pt, id)?.clone();
-                h.try_add_plain(&x, &p).map_err(hisa)?
+                let p = plain(h, ir, &mut plains, pt, id)?;
+                h.try_exec(Instr::AddPlain(ct(a)?, p))
             }
             IrOp::SubPlain { a, pt } => {
-                let x = operand(&values, *a, id)?;
-                let p = plain(h, ir, &mut plains, *pt, id)?.clone();
-                h.try_sub_plain(&x, &p).map_err(hisa)?
+                let p = plain(h, ir, &mut plains, pt, id)?;
+                h.try_exec(Instr::SubPlain(ct(a)?, p))
             }
             IrOp::MulPlain { a, pt } => {
-                let x = operand(&values, *a, id)?;
-                let p = plain(h, ir, &mut plains, *pt, id)?.clone();
-                h.try_mul_plain(&x, &p).map_err(hisa)?
+                let p = plain(h, ir, &mut plains, pt, id)?;
+                h.try_exec(Instr::MulPlain(ct(a)?, p))
             }
-            IrOp::AddScalar { a, x } => {
-                let v = operand(&values, *a, id)?;
-                h.try_add_scalar(&v, *x).map_err(hisa)?
-            }
-            IrOp::MulScalar { a, x, scale } => {
-                let v = operand(&values, *a, id)?;
-                h.try_mul_scalar(&v, *x, *scale).map_err(hisa)?
-            }
-            IrOp::RotLeft { a, step } => {
-                let v = operand(&values, *a, id)?;
-                h.try_rot_left(&v, *step).map_err(hisa)?
-            }
-            IrOp::Rescale { a, divisor } => {
-                let v = operand(&values, *a, id)?;
-                h.try_rescale(&v, *divisor).map_err(hisa)?
-            }
-        };
+            IrOp::AddScalar { a, x } => h.try_exec(Instr::AddScalar(ct(a)?, x)),
+            IrOp::MulScalar { a, x, scale } => h.try_exec(Instr::MulScalar(ct(a)?, x, scale)),
+            IrOp::Rescale { a, divisor } => h.try_exec(Instr::Rescale(ct(a)?, divisor)),
+        }
+        .map_err(|source| ReplayError::Hisa { node: id, source })?;
         values[id] = Some(v);
         for dep in ir.nodes[id].op.operands() {
             if last_use[dep] <= id {

@@ -14,8 +14,7 @@ use super::domain::{
 };
 use super::{DiagSink, LintCode};
 use crate::compiler::CompiledCircuit;
-use chet_hisa::keys::normalize_rotation;
-use chet_hisa::Hisa;
+use chet_hisa::{Hisa, HisaError, Instr, RotDir};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
@@ -93,8 +92,7 @@ impl<D: AbstractDomain> VerifyInterp<D> {
         VCt { fact: self.domain.transfer(&op, &a.fact, b.map(|x| &x.fact), &mut emit) }
     }
 
-    fn rotate(&mut self, c: &VCt<D::Fact>, signed_step: i64) -> VCt<D::Fact> {
-        let step = normalize_rotation(signed_step, self.slots);
+    fn rotate(&mut self, c: &VCt<D::Fact>, step: usize) -> VCt<D::Fact> {
         if step == 0 {
             return c.clone();
         }
@@ -110,14 +108,14 @@ impl<D: AbstractDomain> Hisa for VerifyInterp<D> {
         self.slots
     }
 
-    fn encode(&mut self, values: &[f64], scale: f64) -> VPt {
+    fn try_encode(&mut self, values: &[f64], scale: f64) -> Result<VPt, HisaError> {
         if values.len() > self.slots {
             self.sink.lock().unwrap_or_else(|e| e.into_inner()).emit(
                 LintCode::SlotOverflow,
                 format!("encoding {} values into {} slots", values.len(), self.slots),
             );
         }
-        VPt { scale, len: values.len().min(self.slots) }
+        Ok(VPt { scale, len: values.len().min(self.slots) })
     }
 
     fn decode(&mut self, _p: &VPt) -> Vec<f64> {
@@ -132,55 +130,32 @@ impl<D: AbstractDomain> Hisa for VerifyInterp<D> {
         VPt { scale: self.fact_scale(c), len: self.slots }
     }
 
-    fn rot_left(&mut self, c: &Self::Ct, x: usize) -> Self::Ct {
-        self.rotate(c, x as i64)
+    /// Infallible: violations are diagnostics, not errors.
+    fn try_exec(&mut self, instr: Instr<'_, Self::Ct, VPt>) -> Result<Self::Ct, HisaError> {
+        let a = instr.lhs();
+        Ok(match instr {
+            Instr::Add(_, b) | Instr::Sub(_, b) => self.step(AbstractOp::Add, a, Some(b)),
+            Instr::AddPlain(_, p) | Instr::SubPlain(_, p) => {
+                self.step(AbstractOp::AddPlain { scale: p.scale }, a, None)
+            }
+            Instr::AddScalar(..) | Instr::SubScalar(..) => {
+                self.step(AbstractOp::AddScalar, a, None)
+            }
+            Instr::Mul(_, b) => self.step(AbstractOp::Mul, a, Some(b)),
+            Instr::MulPlain(_, p) => self.step(AbstractOp::MulPlain { scale: p.scale }, a, None),
+            Instr::MulScalar(_, _, scale) => self.step(AbstractOp::MulScalar { scale }, a, None),
+            Instr::Rescale(_, divisor) if divisor <= 1.0 => a.clone(),
+            Instr::Rescale(_, divisor) => self.step(AbstractOp::Rescale { divisor }, a, None),
+        })
     }
 
-    fn rot_right(&mut self, c: &Self::Ct, x: usize) -> Self::Ct {
-        self.rotate(c, -(x as i64))
-    }
-
-    fn add(&mut self, a: &Self::Ct, b: &Self::Ct) -> Self::Ct {
-        self.step(AbstractOp::Add, a, Some(b))
-    }
-
-    fn add_plain(&mut self, a: &Self::Ct, p: &VPt) -> Self::Ct {
-        self.step(AbstractOp::AddPlain { scale: p.scale }, a, None)
-    }
-
-    fn add_scalar(&mut self, a: &Self::Ct, _x: f64) -> Self::Ct {
-        self.step(AbstractOp::AddScalar, a, None)
-    }
-
-    fn sub(&mut self, a: &Self::Ct, b: &Self::Ct) -> Self::Ct {
-        self.step(AbstractOp::Add, a, Some(b))
-    }
-
-    fn sub_plain(&mut self, a: &Self::Ct, p: &VPt) -> Self::Ct {
-        self.step(AbstractOp::AddPlain { scale: p.scale }, a, None)
-    }
-
-    fn sub_scalar(&mut self, a: &Self::Ct, _x: f64) -> Self::Ct {
-        self.step(AbstractOp::AddScalar, a, None)
-    }
-
-    fn mul(&mut self, a: &Self::Ct, b: &Self::Ct) -> Self::Ct {
-        self.step(AbstractOp::Mul, a, Some(b))
-    }
-
-    fn mul_plain(&mut self, a: &Self::Ct, p: &VPt) -> Self::Ct {
-        self.step(AbstractOp::MulPlain { scale: p.scale }, a, None)
-    }
-
-    fn mul_scalar(&mut self, a: &Self::Ct, _x: f64, scale: f64) -> Self::Ct {
-        self.step(AbstractOp::MulScalar { scale }, a, None)
-    }
-
-    fn rescale(&mut self, c: &Self::Ct, divisor: f64) -> Self::Ct {
-        if divisor <= 1.0 {
-            return c.clone();
-        }
-        self.step(AbstractOp::Rescale { divisor }, c, None)
+    fn try_rotate(
+        &mut self,
+        c: &Self::Ct,
+        dir: RotDir,
+        steps: &[usize],
+    ) -> Result<Vec<Self::Ct>, HisaError> {
+        Ok(steps.iter().map(|&x| self.rotate(c, dir.normalize(x, self.slots))).collect())
     }
 
     fn max_rescale(&mut self, c: &Self::Ct, ub: f64) -> f64 {

@@ -51,9 +51,10 @@ pub const ALL_OPS: [HisaOp; 8] = [
     HisaOp::RotateHoisted,
 ];
 
-impl std::fmt::Display for HisaOp {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+impl HisaOp {
+    /// The op's name in reports and calibration files (its `Display`).
+    pub fn name(self) -> &'static str {
+        match self {
             HisaOp::Add => "add",
             HisaOp::MulScalar => "mulScalar",
             HisaOp::MulPlain => "mulPlain",
@@ -62,8 +63,13 @@ impl std::fmt::Display for HisaOp {
             HisaOp::Rescale => "rescale",
             HisaOp::Encode => "encode",
             HisaOp::RotateHoisted => "rotateHoisted",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl std::fmt::Display for HisaOp {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
     }
 }
 

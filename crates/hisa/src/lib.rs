@@ -21,6 +21,22 @@
 //! * [`keys`] — rotation-key policies: default power-of-two keys vs the
 //!   exact key set chosen by the rotation-key-selection pass (paper §5.4).
 //!
+//! # One fallible core, many adapters
+//!
+//! An interpretation implements nine methods: [`Hisa::slots`],
+//! [`Hisa::try_encode`], [`Hisa::decode`], [`Hisa::encrypt`],
+//! [`Hisa::decrypt`], [`Hisa::max_rescale`], [`Hisa::scale_of`],
+//! [`Hisa::try_exec`] — one entry point for the ten ciphertext-producing
+//! instructions, named by [`Instr`] — and [`Hisa::try_rotate`], the batched
+//! rotation primitive that hoisted key switching needs. Every other
+//! instruction method (`add`, `try_mul_plain`, `rot_left`,
+//! `try_rot_right_many`, `add_assign`, …) is a provided adapter that
+//! reaches the implementation only through that core: panicking forms
+//! unwrap the fallible one, single rotations are one-element batches. A
+//! wrapper therefore intercepts an instruction in exactly one place, and
+//! cannot lose a backend capability by forgetting to forward one of its
+//! spellings. `ci.sh` fails if any `impl Hisa` overrides an adapter.
+//!
 //! # Examples
 //!
 //! ```
@@ -49,24 +65,135 @@ pub use security::SecurityLevel;
 
 use std::collections::BTreeSet;
 
+/// Direction of a slot rotation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum RotDir {
+    /// Slot `i` receives old slot `i + x`.
+    Left,
+    /// Slot `i` receives old slot `i - x`.
+    Right,
+}
+
+impl RotDir {
+    /// The equivalent left step in `[0, slots)` for a rotation by `x`.
+    pub fn normalize(self, x: usize, slots: usize) -> usize {
+        match self {
+            RotDir::Left => normalize_rotation(x as i64, slots),
+            RotDir::Right => normalize_rotation(-(x as i64), slots),
+        }
+    }
+}
+
+/// One ciphertext-producing HISA instruction (paper Table 2), with borrowed
+/// operands: the argument of [`Hisa::try_exec`].
+///
+/// Semantics notes mirroring the paper:
+///
+/// * `MulScalar(c, x, scale)` multiplies every slot by the real constant
+///   `x` encoded at fixed-point `scale` (paper `P_u`); `MulPlain`
+///   multiplies slot-wise by an encoded vector (paper `P_w` / `P_m`).
+/// * `Rescale(c, d)` divides the ciphertext scale by `d`; `d` must be a
+///   value previously returned by [`Hisa::max_rescale`]. Divisors `<= 1`
+///   are a no-op.
+/// * Binary ops require (approximately) matching operand scales; backends
+///   internally align *levels* by modulus switching, as SEAL/HEAAN do.
+#[derive(Debug)]
+pub enum Instr<'a, Ct, Pt> {
+    /// Ciphertext + ciphertext.
+    Add(&'a Ct, &'a Ct),
+    /// Ciphertext + plaintext.
+    AddPlain(&'a Ct, &'a Pt),
+    /// Ciphertext + scalar broadcast.
+    AddScalar(&'a Ct, f64),
+    /// Ciphertext − ciphertext.
+    Sub(&'a Ct, &'a Ct),
+    /// Ciphertext − plaintext.
+    SubPlain(&'a Ct, &'a Pt),
+    /// Ciphertext − scalar broadcast.
+    SubScalar(&'a Ct, f64),
+    /// Ciphertext × ciphertext (with relinearization).
+    Mul(&'a Ct, &'a Ct),
+    /// Ciphertext × plaintext.
+    MulPlain(&'a Ct, &'a Pt),
+    /// Ciphertext × scalar `x` encoded at `scale`: `MulScalar(c, x, scale)`.
+    MulScalar(&'a Ct, f64, f64),
+    /// Divides the ciphertext scale by `divisor`, consuming modulus.
+    Rescale(&'a Ct, f64),
+}
+
+impl<'a, Ct, Pt> Instr<'a, Ct, Pt> {
+    /// The (first) ciphertext operand.
+    pub fn lhs(&self) -> &'a Ct {
+        match *self {
+            Instr::Add(a, _)
+            | Instr::AddPlain(a, _)
+            | Instr::AddScalar(a, _)
+            | Instr::Sub(a, _)
+            | Instr::SubPlain(a, _)
+            | Instr::SubScalar(a, _)
+            | Instr::Mul(a, _)
+            | Instr::MulPlain(a, _)
+            | Instr::MulScalar(a, _, _)
+            | Instr::Rescale(a, _) => a,
+        }
+    }
+
+    /// The name of the [`Hisa`] method that issues this instruction.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Instr::Add(..) => "add",
+            Instr::AddPlain(..) => "add_plain",
+            Instr::AddScalar(..) => "add_scalar",
+            Instr::Sub(..) => "sub",
+            Instr::SubPlain(..) => "sub_plain",
+            Instr::SubScalar(..) => "sub_scalar",
+            Instr::Mul(..) => "mul",
+            Instr::MulPlain(..) => "mul_plain",
+            Instr::MulScalar(..) => "mul_scalar",
+            Instr::Rescale(..) => "rescale",
+        }
+    }
+
+    /// The cost-model family the instruction is priced under.
+    pub fn op(&self) -> HisaOp {
+        match self {
+            Instr::Add(..)
+            | Instr::AddPlain(..)
+            | Instr::AddScalar(..)
+            | Instr::Sub(..)
+            | Instr::SubPlain(..)
+            | Instr::SubScalar(..) => HisaOp::Add,
+            Instr::Mul(..) => HisaOp::MulCipher,
+            Instr::MulPlain(..) => HisaOp::MulPlain,
+            Instr::MulScalar(..) => HisaOp::MulScalar,
+            Instr::Rescale(..) => HisaOp::Rescale,
+        }
+    }
+}
+
+/// The panicking adapters' unwrap: the error's message is the panic
+/// message, as it always was for the real backends.
+fn or_panic<T>(r: Result<T, HisaError>) -> T {
+    r.unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The one result of a one-element rotation batch.
+fn single<Ct>(r: Result<Vec<Ct>, HisaError>) -> Result<Ct, HisaError> {
+    r.map(|mut v| v.swap_remove(0))
+}
+
 /// The Homomorphic Instruction Set Architecture (paper Table 2).
 ///
 /// `Ct` and `Pt` are the backend's ciphertext and plaintext types. For real
 /// schemes they hold ring elements; for compiler analyses they hold
 /// data-flow facts (consumed modulus, accumulated cost, rotation sets, …).
+/// Vectors have [`Hisa::slots`] entries; rotations are cyclic.
 ///
-/// Semantics notes mirroring the paper:
-///
-/// * Vectors have [`Hisa::slots`] entries; rotations are cyclic.
-/// * `mul_scalar(c, x, scale)` multiplies every slot by the real constant
-///   `x` encoded at fixed-point `scale` (paper `P_u`); `mul_plain`
-///   multiplies slot-wise by an encoded vector (paper `P_w` / `P_m`).
-/// * `rescale(c, d)` divides the ciphertext scale by `d`; `d` must be a
-///   value previously returned by [`Hisa::max_rescale`], which yields the
-///   largest legal divisor `<= ub` (a power of two for CKKS, a product of
-///   the next chain primes for RNS-CKKS, `1.0` if none).
-/// * Binary ops require (approximately) matching operand scales; backends
-///   internally align *levels* by modulus switching, as SEAL/HEAAN do.
+/// Implementations write the nine required methods (the fallible core, see
+/// the crate docs) plus, optionally, [`Hisa::copy`],
+/// [`Hisa::available_rotations`], [`Hisa::fork`], [`Hisa::join`] and
+/// [`Hisa::cancel_requested`]. The remaining methods are adapters over the
+/// core and must not be overridden.
 ///
 /// All methods take `&mut self` because backends carry mutable state
 /// (random number generators, lazily generated keys) and analyses accumulate
@@ -83,16 +210,15 @@ pub trait Hisa: Send {
     /// Plaintext handle.
     type Pt: Clone + Send + Sync;
 
+    // ---- The fallible core ---------------------------------------------
+
     /// Number of SIMD slots per ciphertext (`N/2` for CKKS-family schemes).
     fn slots(&self) -> usize;
 
     /// Encodes a vector of reals at the given fixed-point scale. Missing
     /// entries (beyond `values.len()`) are zero.
-    ///
-    /// # Panics
-    ///
-    /// Backends panic if `values.len() > self.slots()`.
-    fn encode(&mut self, values: &[f64], scale: f64) -> Self::Pt;
+    /// [`HisaError::SlotOverflow`] when `values.len() > self.slots()`.
+    fn try_encode(&mut self, values: &[f64], scale: f64) -> Result<Self::Pt, HisaError>;
 
     /// Decodes a plaintext back to a vector of reals (length [`Hisa::slots`]).
     fn decode(&mut self, p: &Self::Pt) -> Vec<f64>;
@@ -103,222 +229,42 @@ pub trait Hisa: Send {
     /// Decrypts a ciphertext.
     fn decrypt(&mut self, c: &Self::Ct) -> Self::Pt;
 
-    /// Explicit ciphertext copy (analyses may want to observe it).
-    fn copy(&mut self, c: &Self::Ct) -> Self::Ct {
-        c.clone()
-    }
+    /// Executes one ciphertext-producing instruction:
+    /// [`HisaError::ScaleMismatch`] on diverged operand scales,
+    /// [`HisaError::LevelExhausted`] when the modulus cannot absorb a
+    /// rescale, [`HisaError::InvalidRescale`] when a divisor violates the
+    /// backend's contract.
+    fn try_exec(&mut self, instr: Instr<'_, Self::Ct, Self::Pt>) -> Result<Self::Ct, HisaError>;
 
-    /// Rotates slots left by `x` (slot `i` receives old slot `i + x`).
-    fn rot_left(&mut self, c: &Self::Ct, x: usize) -> Self::Ct;
-
-    /// Rotates slots right by `x`.
-    fn rot_right(&mut self, c: &Self::Ct, x: usize) -> Self::Ct;
-
-    /// Rotates the *same* ciphertext left by each step in `steps`,
-    /// returning the results in step order.
+    /// Rotates the *same* ciphertext by each step in `steps`, returning one
+    /// result per step, in step order. Fails fast:
+    /// [`HisaError::MissingRotationKey`] when a step cannot be planned from
+    /// the available keys.
     ///
-    /// The default loops [`Hisa::rot_left`]; backends with an expensive
-    /// per-ciphertext setup (key-switch decomposition) override this to
-    /// *hoist* that setup across all requested rotations (nGraph-HE2's
-    /// optimization). Implementations must produce results bit-identical
-    /// to the single-rotation path.
-    fn rot_left_many(&mut self, c: &Self::Ct, steps: &[usize]) -> Vec<Self::Ct> {
-        steps.iter().map(|&x| self.rot_left(c, x)).collect()
-    }
+    /// This is the only rotation entry point, so backends with an expensive
+    /// per-ciphertext setup (key-switch decomposition) *hoist* that setup
+    /// across the batch (nGraph-HE2's optimization) and every caller gets
+    /// it. Results must be bit-identical to rotating by each step alone.
+    fn try_rotate(
+        &mut self,
+        c: &Self::Ct,
+        dir: RotDir,
+        steps: &[usize],
+    ) -> Result<Vec<Self::Ct>, HisaError>;
 
-    /// Rotates the same ciphertext right by each step in `steps` (see
-    /// [`Hisa::rot_left_many`]).
-    fn rot_right_many(&mut self, c: &Self::Ct, steps: &[usize]) -> Vec<Self::Ct> {
-        steps.iter().map(|&x| self.rot_right(c, x)).collect()
-    }
-
-    /// Ciphertext + ciphertext.
-    fn add(&mut self, a: &Self::Ct, b: &Self::Ct) -> Self::Ct;
-    /// Ciphertext + plaintext.
-    fn add_plain(&mut self, a: &Self::Ct, p: &Self::Pt) -> Self::Ct;
-    /// Ciphertext + scalar broadcast.
-    fn add_scalar(&mut self, a: &Self::Ct, x: f64) -> Self::Ct;
-
-    /// Ciphertext − ciphertext.
-    fn sub(&mut self, a: &Self::Ct, b: &Self::Ct) -> Self::Ct;
-    /// Ciphertext − plaintext.
-    fn sub_plain(&mut self, a: &Self::Ct, p: &Self::Pt) -> Self::Ct;
-    /// Ciphertext − scalar broadcast.
-    fn sub_scalar(&mut self, a: &Self::Ct, x: f64) -> Self::Ct;
-
-    /// Ciphertext × ciphertext (with relinearization).
-    fn mul(&mut self, a: &Self::Ct, b: &Self::Ct) -> Self::Ct;
-    /// Ciphertext × plaintext.
-    fn mul_plain(&mut self, a: &Self::Ct, p: &Self::Pt) -> Self::Ct;
-    /// Ciphertext × scalar constant encoded at `scale`.
-    fn mul_scalar(&mut self, a: &Self::Ct, x: f64, scale: f64) -> Self::Ct;
-
-    /// Divides the ciphertext scale by `divisor`, consuming modulus.
-    ///
-    /// `divisor` must come from [`Hisa::max_rescale`]; passing anything else
-    /// is a contract violation and backends may panic.
-    fn rescale(&mut self, c: &Self::Ct, divisor: f64) -> Self::Ct;
-
-    /// Largest legal rescale divisor `<= ub` for this ciphertext (`1.0` when
-    /// no rescaling is possible).
+    /// Largest legal rescale divisor `<= ub` for this ciphertext (a power of
+    /// two for CKKS, a product of the next chain primes for RNS-CKKS, `1.0`
+    /// when no rescaling is possible).
     fn max_rescale(&mut self, c: &Self::Ct, ub: f64) -> f64;
 
     /// Current fixed-point scale of a ciphertext.
     fn scale_of(&self, c: &Self::Ct) -> f64;
 
-    // ---- Assign variants (paper lists them; default to the pure ops) ----
+    // ---- Optional hooks ------------------------------------------------
 
-    /// In-place [`Hisa::rot_left`].
-    fn rot_left_assign(&mut self, c: &mut Self::Ct, x: usize) {
-        *c = self.rot_left(c, x);
-    }
-    /// In-place [`Hisa::rot_right`].
-    fn rot_right_assign(&mut self, c: &mut Self::Ct, x: usize) {
-        *c = self.rot_right(c, x);
-    }
-    /// In-place [`Hisa::add`].
-    fn add_assign(&mut self, a: &mut Self::Ct, b: &Self::Ct) {
-        *a = self.add(a, b);
-    }
-    /// In-place [`Hisa::add_plain`].
-    fn add_plain_assign(&mut self, a: &mut Self::Ct, p: &Self::Pt) {
-        *a = self.add_plain(a, p);
-    }
-    /// In-place [`Hisa::add_scalar`].
-    fn add_scalar_assign(&mut self, a: &mut Self::Ct, x: f64) {
-        *a = self.add_scalar(a, x);
-    }
-    /// In-place [`Hisa::sub`].
-    fn sub_assign(&mut self, a: &mut Self::Ct, b: &Self::Ct) {
-        *a = self.sub(a, b);
-    }
-    /// In-place [`Hisa::sub_plain`].
-    fn sub_plain_assign(&mut self, a: &mut Self::Ct, p: &Self::Pt) {
-        *a = self.sub_plain(a, p);
-    }
-    /// In-place [`Hisa::sub_scalar`].
-    fn sub_scalar_assign(&mut self, a: &mut Self::Ct, x: f64) {
-        *a = self.sub_scalar(a, x);
-    }
-    /// In-place [`Hisa::mul`].
-    fn mul_assign(&mut self, a: &mut Self::Ct, b: &Self::Ct) {
-        *a = self.mul(a, b);
-    }
-    /// In-place [`Hisa::mul_plain`].
-    fn mul_plain_assign(&mut self, a: &mut Self::Ct, p: &Self::Pt) {
-        *a = self.mul_plain(a, p);
-    }
-    /// In-place [`Hisa::mul_scalar`].
-    fn mul_scalar_assign(&mut self, a: &mut Self::Ct, x: f64, scale: f64) {
-        *a = self.mul_scalar(a, x, scale);
-    }
-    /// In-place [`Hisa::rescale`].
-    fn rescale_assign(&mut self, c: &mut Self::Ct, divisor: f64) {
-        *c = self.rescale(c, divisor);
-    }
-
-    // ---- Fallible surface ----------------------------------------------
-    //
-    // Every instruction that can violate a backend contract has a `try_*`
-    // twin returning `Result<_, HisaError>`. The defaults delegate to the
-    // panicking methods, so interpretations that cannot fail (the compiler
-    // analyses) need no changes; real backends override the `try_*` methods
-    // with checked logic and implement the panicking methods on top of them
-    // (`.unwrap_or_else(|e| panic!("{e}"))`), preserving the historical
-    // panic messages while making every failure observable as a value.
-
-    /// Fallible [`Hisa::encode`]: [`HisaError::SlotOverflow`] when
-    /// `values.len() > self.slots()`.
-    fn try_encode(&mut self, values: &[f64], scale: f64) -> Result<Self::Pt, HisaError> {
-        Ok(self.encode(values, scale))
-    }
-
-    /// Fallible [`Hisa::rot_left`]: [`HisaError::MissingRotationKey`] when
-    /// the step cannot be planned from the available keys.
-    fn try_rot_left(&mut self, c: &Self::Ct, x: usize) -> Result<Self::Ct, HisaError> {
-        Ok(self.rot_left(c, x))
-    }
-
-    /// Fallible [`Hisa::rot_right`].
-    fn try_rot_right(&mut self, c: &Self::Ct, x: usize) -> Result<Self::Ct, HisaError> {
-        Ok(self.rot_right(c, x))
-    }
-
-    /// Fallible [`Hisa::rot_left_many`]. Fails fast: the first rotation
-    /// whose keys are missing aborts the batch.
-    fn try_rot_left_many(
-        &mut self,
-        c: &Self::Ct,
-        steps: &[usize],
-    ) -> Result<Vec<Self::Ct>, HisaError> {
-        steps.iter().map(|&x| self.try_rot_left(c, x)).collect()
-    }
-
-    /// Fallible [`Hisa::rot_right_many`].
-    fn try_rot_right_many(
-        &mut self,
-        c: &Self::Ct,
-        steps: &[usize],
-    ) -> Result<Vec<Self::Ct>, HisaError> {
-        steps.iter().map(|&x| self.try_rot_right(c, x)).collect()
-    }
-
-    /// Fallible [`Hisa::add`]: [`HisaError::ScaleMismatch`] on diverged
-    /// operand scales.
-    fn try_add(&mut self, a: &Self::Ct, b: &Self::Ct) -> Result<Self::Ct, HisaError> {
-        Ok(self.add(a, b))
-    }
-
-    /// Fallible [`Hisa::add_plain`].
-    fn try_add_plain(&mut self, a: &Self::Ct, p: &Self::Pt) -> Result<Self::Ct, HisaError> {
-        Ok(self.add_plain(a, p))
-    }
-
-    /// Fallible [`Hisa::add_scalar`].
-    fn try_add_scalar(&mut self, a: &Self::Ct, x: f64) -> Result<Self::Ct, HisaError> {
-        Ok(self.add_scalar(a, x))
-    }
-
-    /// Fallible [`Hisa::sub`].
-    fn try_sub(&mut self, a: &Self::Ct, b: &Self::Ct) -> Result<Self::Ct, HisaError> {
-        Ok(self.sub(a, b))
-    }
-
-    /// Fallible [`Hisa::sub_plain`].
-    fn try_sub_plain(&mut self, a: &Self::Ct, p: &Self::Pt) -> Result<Self::Ct, HisaError> {
-        Ok(self.sub_plain(a, p))
-    }
-
-    /// Fallible [`Hisa::sub_scalar`].
-    fn try_sub_scalar(&mut self, a: &Self::Ct, x: f64) -> Result<Self::Ct, HisaError> {
-        Ok(self.sub_scalar(a, x))
-    }
-
-    /// Fallible [`Hisa::mul`].
-    fn try_mul(&mut self, a: &Self::Ct, b: &Self::Ct) -> Result<Self::Ct, HisaError> {
-        Ok(self.mul(a, b))
-    }
-
-    /// Fallible [`Hisa::mul_plain`].
-    fn try_mul_plain(&mut self, a: &Self::Ct, p: &Self::Pt) -> Result<Self::Ct, HisaError> {
-        Ok(self.mul_plain(a, p))
-    }
-
-    /// Fallible [`Hisa::mul_scalar`].
-    fn try_mul_scalar(
-        &mut self,
-        a: &Self::Ct,
-        x: f64,
-        scale: f64,
-    ) -> Result<Self::Ct, HisaError> {
-        Ok(self.mul_scalar(a, x, scale))
-    }
-
-    /// Fallible [`Hisa::rescale`]: [`HisaError::LevelExhausted`] when the
-    /// modulus cannot absorb the rescale, [`HisaError::InvalidRescale`] when
-    /// the divisor violates the backend's contract.
-    fn try_rescale(&mut self, c: &Self::Ct, divisor: f64) -> Result<Self::Ct, HisaError> {
-        Ok(self.rescale(c, divisor))
+    /// Explicit ciphertext copy (analyses may want to observe it).
+    fn copy(&mut self, c: &Self::Ct) -> Self::Ct {
+        c.clone()
     }
 
     /// The rotation steps this backend holds keys for, or `None` when the
@@ -328,8 +274,6 @@ pub trait Hisa: Send {
     fn available_rotations(&self) -> Option<BTreeSet<usize>> {
         None
     }
-
-    // ---- Parallel fan-out ----------------------------------------------
 
     /// Forks an evaluation-equivalent child backend for parallel kernel
     /// fan-out, or `None` when this interpretation cannot fork (the
@@ -370,5 +314,165 @@ pub trait Hisa: Send {
     /// boundary.
     fn cancel_requested(&self) -> bool {
         false
+    }
+
+    // ---- Adapters over the core (never overridden) ---------------------
+
+    /// [`Hisa::try_encode`], panicking on error.
+    fn encode(&mut self, values: &[f64], scale: f64) -> Self::Pt {
+        or_panic(self.try_encode(values, scale))
+    }
+
+    /// Rotates slots left by `x` (slot `i` receives old slot `i + x`).
+    fn try_rot_left(&mut self, c: &Self::Ct, x: usize) -> Result<Self::Ct, HisaError> {
+        single(self.try_rotate(c, RotDir::Left, &[x]))
+    }
+
+    /// Rotates slots right by `x`.
+    fn try_rot_right(&mut self, c: &Self::Ct, x: usize) -> Result<Self::Ct, HisaError> {
+        single(self.try_rotate(c, RotDir::Right, &[x]))
+    }
+
+    /// Rotates the same ciphertext left by each step (one hoisted batch).
+    fn try_rot_left_many(
+        &mut self,
+        c: &Self::Ct,
+        steps: &[usize],
+    ) -> Result<Vec<Self::Ct>, HisaError> {
+        self.try_rotate(c, RotDir::Left, steps)
+    }
+
+    /// Rotates the same ciphertext right by each step (one hoisted batch).
+    fn try_rot_right_many(
+        &mut self,
+        c: &Self::Ct,
+        steps: &[usize],
+    ) -> Result<Vec<Self::Ct>, HisaError> {
+        self.try_rotate(c, RotDir::Right, steps)
+    }
+
+    /// [`Hisa::try_rot_left`], panicking on error.
+    fn rot_left(&mut self, c: &Self::Ct, x: usize) -> Self::Ct {
+        or_panic(self.try_rot_left(c, x))
+    }
+
+    /// [`Hisa::try_rot_right`], panicking on error.
+    fn rot_right(&mut self, c: &Self::Ct, x: usize) -> Self::Ct {
+        or_panic(self.try_rot_right(c, x))
+    }
+
+    /// [`Hisa::try_rot_left_many`], panicking on error.
+    fn rot_left_many(&mut self, c: &Self::Ct, steps: &[usize]) -> Vec<Self::Ct> {
+        or_panic(self.try_rot_left_many(c, steps))
+    }
+
+    /// [`Hisa::try_rot_right_many`], panicking on error.
+    fn rot_right_many(&mut self, c: &Self::Ct, steps: &[usize]) -> Vec<Self::Ct> {
+        or_panic(self.try_rot_right_many(c, steps))
+    }
+
+    /// [`Instr::Add`].
+    fn try_add(&mut self, a: &Self::Ct, b: &Self::Ct) -> Result<Self::Ct, HisaError> {
+        self.try_exec(Instr::Add(a, b))
+    }
+
+    /// [`Instr::AddPlain`].
+    fn try_add_plain(&mut self, a: &Self::Ct, p: &Self::Pt) -> Result<Self::Ct, HisaError> {
+        self.try_exec(Instr::AddPlain(a, p))
+    }
+
+    /// [`Instr::AddScalar`].
+    fn try_add_scalar(&mut self, a: &Self::Ct, x: f64) -> Result<Self::Ct, HisaError> {
+        self.try_exec(Instr::AddScalar(a, x))
+    }
+
+    /// [`Instr::Sub`].
+    fn try_sub(&mut self, a: &Self::Ct, b: &Self::Ct) -> Result<Self::Ct, HisaError> {
+        self.try_exec(Instr::Sub(a, b))
+    }
+
+    /// [`Instr::SubPlain`].
+    fn try_sub_plain(&mut self, a: &Self::Ct, p: &Self::Pt) -> Result<Self::Ct, HisaError> {
+        self.try_exec(Instr::SubPlain(a, p))
+    }
+
+    /// [`Instr::SubScalar`].
+    fn try_sub_scalar(&mut self, a: &Self::Ct, x: f64) -> Result<Self::Ct, HisaError> {
+        self.try_exec(Instr::SubScalar(a, x))
+    }
+
+    /// [`Instr::Mul`].
+    fn try_mul(&mut self, a: &Self::Ct, b: &Self::Ct) -> Result<Self::Ct, HisaError> {
+        self.try_exec(Instr::Mul(a, b))
+    }
+
+    /// [`Instr::MulPlain`].
+    fn try_mul_plain(&mut self, a: &Self::Ct, p: &Self::Pt) -> Result<Self::Ct, HisaError> {
+        self.try_exec(Instr::MulPlain(a, p))
+    }
+
+    /// [`Instr::MulScalar`].
+    fn try_mul_scalar(&mut self, a: &Self::Ct, x: f64, scale: f64) -> Result<Self::Ct, HisaError> {
+        self.try_exec(Instr::MulScalar(a, x, scale))
+    }
+
+    /// [`Instr::Rescale`].
+    fn try_rescale(&mut self, c: &Self::Ct, divisor: f64) -> Result<Self::Ct, HisaError> {
+        self.try_exec(Instr::Rescale(c, divisor))
+    }
+
+    /// [`Hisa::try_add`], panicking on error.
+    fn add(&mut self, a: &Self::Ct, b: &Self::Ct) -> Self::Ct {
+        or_panic(self.try_add(a, b))
+    }
+
+    /// In-place [`Hisa::add`].
+    fn add_assign(&mut self, a: &mut Self::Ct, b: &Self::Ct) {
+        *a = self.add(a, b);
+    }
+
+    /// [`Hisa::try_add_plain`], panicking on error.
+    fn add_plain(&mut self, a: &Self::Ct, p: &Self::Pt) -> Self::Ct {
+        or_panic(self.try_add_plain(a, p))
+    }
+
+    /// [`Hisa::try_add_scalar`], panicking on error.
+    fn add_scalar(&mut self, a: &Self::Ct, x: f64) -> Self::Ct {
+        or_panic(self.try_add_scalar(a, x))
+    }
+
+    /// [`Hisa::try_sub`], panicking on error.
+    fn sub(&mut self, a: &Self::Ct, b: &Self::Ct) -> Self::Ct {
+        or_panic(self.try_sub(a, b))
+    }
+
+    /// [`Hisa::try_sub_plain`], panicking on error.
+    fn sub_plain(&mut self, a: &Self::Ct, p: &Self::Pt) -> Self::Ct {
+        or_panic(self.try_sub_plain(a, p))
+    }
+
+    /// [`Hisa::try_sub_scalar`], panicking on error.
+    fn sub_scalar(&mut self, a: &Self::Ct, x: f64) -> Self::Ct {
+        or_panic(self.try_sub_scalar(a, x))
+    }
+
+    /// [`Hisa::try_mul`], panicking on error.
+    fn mul(&mut self, a: &Self::Ct, b: &Self::Ct) -> Self::Ct {
+        or_panic(self.try_mul(a, b))
+    }
+
+    /// [`Hisa::try_mul_plain`], panicking on error.
+    fn mul_plain(&mut self, a: &Self::Ct, p: &Self::Pt) -> Self::Ct {
+        or_panic(self.try_mul_plain(a, p))
+    }
+
+    /// [`Hisa::try_mul_scalar`], panicking on error.
+    fn mul_scalar(&mut self, a: &Self::Ct, x: f64, scale: f64) -> Self::Ct {
+        or_panic(self.try_mul_scalar(a, x, scale))
+    }
+
+    /// [`Hisa::try_rescale`], panicking on error.
+    fn rescale(&mut self, c: &Self::Ct, divisor: f64) -> Self::Ct {
+        or_panic(self.try_rescale(c, divisor))
     }
 }

@@ -12,18 +12,21 @@
 //! property tests reproducible: `try_infer` must return `Err`, never panic,
 //! for **every** seed.
 //!
-//! The panicking [`Hisa`] methods delegate to the wrapped backend
-//! *uninjected* — faults only surface through the `try_*` path (and
-//! [`Hisa::decode`] for NaN poisoning), mirroring how real failures surface
-//! through fallible APIs while leaving analysis interpretations untouched.
+//! The injector intercepts four entry points of the [`Hisa`] core and
+//! forwards the rest untouched: [`Hisa::try_encode`] (slot overflow),
+//! [`Hisa::try_exec`] (scale drift on `add`/`add_plain`/`sub`/`sub_plain`,
+//! exhausted levels and invalid divisors on `rescale`),
+//! [`Hisa::try_rotate`] (dropped rotation keys) and [`Hisa::decode`] (NaN
+//! poisoning). Every adapter — panicking or `try_*` — reaches the backend
+//! through those, so each instruction has one injection point.
 //!
-//! Batched rotations (`*_many`) pass through to the wrapped backend as one
-//! batch — keeping its hoisted key switching — on the panicking path and
-//! whenever [`FaultPlan::drop_rotation_keys`] is off. With rotation faults
-//! on, the `try_` batch is rolled step by step so the schedule matches the
-//! single-rotation path exactly.
+//! A rotation batch passes through to the wrapped backend whole — keeping
+//! its hoisted key switching — whenever [`FaultPlan::drop_rotation_keys`]
+//! is off. With rotation faults on, each step rolls and then reaches the
+//! backend as a one-element batch, so the schedule is the single-rotation
+//! schedule exactly.
 
-use chet_hisa::{Hisa, HisaError};
+use chet_hisa::{Hisa, HisaError, Instr, RotDir};
 use std::collections::BTreeSet;
 
 /// splitmix64: the tiny deterministic mixer every seeded component in this
@@ -214,8 +217,13 @@ impl<H: Hisa> Hisa for FaultInjector<H> {
         self.inner.slots()
     }
 
-    fn encode(&mut self, values: &[f64], scale: f64) -> H::Pt {
-        self.inner.encode(values, scale)
+    fn try_encode(&mut self, values: &[f64], scale: f64) -> Result<H::Pt, HisaError> {
+        if self.roll(self.plan.slot_overflow) {
+            let slots = self.inner.slots();
+            self.log(format!("slot overflow on encode of {} values", values.len()));
+            return Err(HisaError::SlotOverflow { len: slots + values.len().max(1), slots });
+        }
+        self.inner.try_encode(values, scale)
     }
 
     fn decode(&mut self, p: &H::Pt) -> Vec<f64> {
@@ -239,64 +247,61 @@ impl<H: Hisa> Hisa for FaultInjector<H> {
         self.inner.decrypt(c)
     }
 
-    fn copy(&mut self, c: &H::Ct) -> H::Ct {
-        self.inner.copy(c)
+    fn try_exec(&mut self, instr: Instr<'_, H::Ct, H::Pt>) -> Result<H::Ct, HisaError> {
+        match instr {
+            // One roll per instruction: the alternatives are disjoint, so
+            // the guard runs once.
+            Instr::Add(a, _) | Instr::AddPlain(a, _) | Instr::Sub(a, _) | Instr::SubPlain(a, _)
+                if self.roll(self.plan.scale_drift) =>
+            {
+                let s = self.inner.scale_of(a);
+                self.log(format!("scale drift on {}", instr.name()));
+                return Err(HisaError::ScaleMismatch { left: s, right: s * 1.5 });
+            }
+            Instr::Rescale(_, divisor) => {
+                if self.roll(self.plan.exhaust_levels) {
+                    self.log(format!("premature level exhaustion on rescale by {divisor}"));
+                    return Err(HisaError::LevelExhausted {
+                        remaining: 0.0,
+                        requested: divisor.max(2.0).log2(),
+                    });
+                }
+                if self.roll(self.plan.invalid_rescale) {
+                    self.log(format!("invalid rescale divisor {divisor}"));
+                    return Err(HisaError::InvalidRescale {
+                        divisor,
+                        reason: "injected fault: divisor rejected by backend".into(),
+                    });
+                }
+            }
+            _ => {}
+        }
+        self.inner.try_exec(instr)
     }
 
-    fn rot_left(&mut self, c: &H::Ct, x: usize) -> H::Ct {
-        self.inner.rot_left(c, x)
-    }
-
-    fn rot_right(&mut self, c: &H::Ct, x: usize) -> H::Ct {
-        self.inner.rot_right(c, x)
-    }
-
-    fn rot_left_many(&mut self, c: &H::Ct, steps: &[usize]) -> Vec<H::Ct> {
-        self.inner.rot_left_many(c, steps)
-    }
-
-    fn rot_right_many(&mut self, c: &H::Ct, steps: &[usize]) -> Vec<H::Ct> {
-        self.inner.rot_right_many(c, steps)
-    }
-
-    fn add(&mut self, a: &H::Ct, b: &H::Ct) -> H::Ct {
-        self.inner.add(a, b)
-    }
-
-    fn add_plain(&mut self, a: &H::Ct, p: &H::Pt) -> H::Ct {
-        self.inner.add_plain(a, p)
-    }
-
-    fn add_scalar(&mut self, a: &H::Ct, x: f64) -> H::Ct {
-        self.inner.add_scalar(a, x)
-    }
-
-    fn sub(&mut self, a: &H::Ct, b: &H::Ct) -> H::Ct {
-        self.inner.sub(a, b)
-    }
-
-    fn sub_plain(&mut self, a: &H::Ct, p: &H::Pt) -> H::Ct {
-        self.inner.sub_plain(a, p)
-    }
-
-    fn sub_scalar(&mut self, a: &H::Ct, x: f64) -> H::Ct {
-        self.inner.sub_scalar(a, x)
-    }
-
-    fn mul(&mut self, a: &H::Ct, b: &H::Ct) -> H::Ct {
-        self.inner.mul(a, b)
-    }
-
-    fn mul_plain(&mut self, a: &H::Ct, p: &H::Pt) -> H::Ct {
-        self.inner.mul_plain(a, p)
-    }
-
-    fn mul_scalar(&mut self, a: &H::Ct, x: f64, scale: f64) -> H::Ct {
-        self.inner.mul_scalar(a, x, scale)
-    }
-
-    fn rescale(&mut self, c: &H::Ct, divisor: f64) -> H::Ct {
-        self.inner.rescale(c, divisor)
+    /// Forwards the whole batch unless rotation faults are enabled: a
+    /// disabled class neither fires nor advances the roll counter, so the
+    /// batch is exactly equivalent to its steps. Otherwise each step rolls,
+    /// then reaches the backend as a one-element batch.
+    fn try_rotate(
+        &mut self,
+        c: &H::Ct,
+        dir: RotDir,
+        steps: &[usize],
+    ) -> Result<Vec<H::Ct>, HisaError> {
+        if !self.plan.drop_rotation_keys {
+            return self.inner.try_rotate(c, dir, steps);
+        }
+        let mut out = Vec::with_capacity(steps.len());
+        for &x in steps {
+            if self.roll(true) {
+                let side = if dir == RotDir::Left { "left" } else { "right" };
+                self.log(format!("dropped rotation key for {side} step {x}"));
+                return Err(HisaError::MissingRotationKey { step: x, available: Vec::new() });
+            }
+            out.extend(self.inner.try_rotate(c, dir, &[x])?);
+        }
+        Ok(out)
     }
 
     fn max_rescale(&mut self, c: &H::Ct, ub: f64) -> f64 {
@@ -305,131 +310,6 @@ impl<H: Hisa> Hisa for FaultInjector<H> {
 
     fn scale_of(&self, c: &H::Ct) -> f64 {
         self.inner.scale_of(c)
-    }
-
-    fn try_encode(&mut self, values: &[f64], scale: f64) -> Result<H::Pt, HisaError> {
-        if self.roll(self.plan.slot_overflow) {
-            let slots = self.inner.slots();
-            self.log(format!("slot overflow on encode of {} values", values.len()));
-            return Err(HisaError::SlotOverflow { len: slots + values.len().max(1), slots });
-        }
-        self.inner.try_encode(values, scale)
-    }
-
-    fn try_rot_left(&mut self, c: &H::Ct, x: usize) -> Result<H::Ct, HisaError> {
-        if self.roll(self.plan.drop_rotation_keys) {
-            self.log(format!("dropped rotation key for left step {x}"));
-            return Err(HisaError::MissingRotationKey { step: x, available: Vec::new() });
-        }
-        self.inner.try_rot_left(c, x)
-    }
-
-    fn try_rot_right(&mut self, c: &H::Ct, x: usize) -> Result<H::Ct, HisaError> {
-        if self.roll(self.plan.drop_rotation_keys) {
-            self.log(format!("dropped rotation key for right step {x}"));
-            return Err(HisaError::MissingRotationKey { step: x, available: Vec::new() });
-        }
-        self.inner.try_rot_right(c, x)
-    }
-
-    /// Forwards the whole batch unless rotation faults are enabled: a
-    /// disabled class neither fires nor advances the roll counter, so the
-    /// batch is exactly equivalent to its steps. Otherwise each step rolls
-    /// through [`Hisa::try_rot_left`], as the trait default does.
-    fn try_rot_left_many(
-        &mut self,
-        c: &H::Ct,
-        steps: &[usize],
-    ) -> Result<Vec<H::Ct>, HisaError> {
-        if !self.plan.drop_rotation_keys {
-            return self.inner.try_rot_left_many(c, steps);
-        }
-        steps.iter().map(|&x| self.try_rot_left(c, x)).collect()
-    }
-
-    fn try_rot_right_many(
-        &mut self,
-        c: &H::Ct,
-        steps: &[usize],
-    ) -> Result<Vec<H::Ct>, HisaError> {
-        if !self.plan.drop_rotation_keys {
-            return self.inner.try_rot_right_many(c, steps);
-        }
-        steps.iter().map(|&x| self.try_rot_right(c, x)).collect()
-    }
-
-    fn try_add(&mut self, a: &H::Ct, b: &H::Ct) -> Result<H::Ct, HisaError> {
-        if self.roll(self.plan.scale_drift) {
-            let s = self.inner.scale_of(a);
-            self.log("scale drift on add".into());
-            return Err(HisaError::ScaleMismatch { left: s, right: s * 1.5 });
-        }
-        self.inner.try_add(a, b)
-    }
-
-    fn try_add_plain(&mut self, a: &H::Ct, p: &H::Pt) -> Result<H::Ct, HisaError> {
-        if self.roll(self.plan.scale_drift) {
-            let s = self.inner.scale_of(a);
-            self.log("scale drift on add_plain".into());
-            return Err(HisaError::ScaleMismatch { left: s, right: s * 1.5 });
-        }
-        self.inner.try_add_plain(a, p)
-    }
-
-    fn try_add_scalar(&mut self, a: &H::Ct, x: f64) -> Result<H::Ct, HisaError> {
-        self.inner.try_add_scalar(a, x)
-    }
-
-    fn try_sub(&mut self, a: &H::Ct, b: &H::Ct) -> Result<H::Ct, HisaError> {
-        if self.roll(self.plan.scale_drift) {
-            let s = self.inner.scale_of(a);
-            self.log("scale drift on sub".into());
-            return Err(HisaError::ScaleMismatch { left: s, right: s * 1.5 });
-        }
-        self.inner.try_sub(a, b)
-    }
-
-    fn try_sub_plain(&mut self, a: &H::Ct, p: &H::Pt) -> Result<H::Ct, HisaError> {
-        if self.roll(self.plan.scale_drift) {
-            let s = self.inner.scale_of(a);
-            self.log("scale drift on sub_plain".into());
-            return Err(HisaError::ScaleMismatch { left: s, right: s * 1.5 });
-        }
-        self.inner.try_sub_plain(a, p)
-    }
-
-    fn try_sub_scalar(&mut self, a: &H::Ct, x: f64) -> Result<H::Ct, HisaError> {
-        self.inner.try_sub_scalar(a, x)
-    }
-
-    fn try_mul(&mut self, a: &H::Ct, b: &H::Ct) -> Result<H::Ct, HisaError> {
-        self.inner.try_mul(a, b)
-    }
-
-    fn try_mul_plain(&mut self, a: &H::Ct, p: &H::Pt) -> Result<H::Ct, HisaError> {
-        self.inner.try_mul_plain(a, p)
-    }
-
-    fn try_mul_scalar(&mut self, a: &H::Ct, x: f64, scale: f64) -> Result<H::Ct, HisaError> {
-        self.inner.try_mul_scalar(a, x, scale)
-    }
-
-    fn try_rescale(&mut self, c: &H::Ct, divisor: f64) -> Result<H::Ct, HisaError> {
-        if self.roll(self.plan.exhaust_levels) {
-            self.log(format!("premature level exhaustion on rescale by {divisor}"));
-            return Err(HisaError::LevelExhausted {
-                remaining: 0.0,
-                requested: divisor.max(2.0).log2(),
-            });
-        }
-        if self.roll(self.plan.invalid_rescale) {
-            self.log(format!("invalid rescale divisor {divisor}"));
-            return Err(HisaError::InvalidRescale {
-                divisor,
-                reason: "injected fault: divisor rejected by backend".into(),
-            });
-        }
-        self.inner.try_rescale(c, divisor)
     }
 
     fn available_rotations(&self) -> Option<BTreeSet<usize>> {

@@ -128,10 +128,10 @@ pub fn rot_signed<H: Hisa>(h: &mut H, ct: &H::Ct, offset: isize) -> H::Ct {
 /// Rotates the same ciphertext by a batch of signed offsets (positive =
 /// left), returning outputs in input order.
 ///
-/// Routes through [`Hisa::rot_left_many`]/[`Hisa::rot_right_many`] so
-/// backends with hoisted key switching (the RNS scheme) share one gadget
-/// decomposition across the whole batch; backends without an override
-/// decompose to the identical single-rotation calls.
+/// Routes through [`Hisa::rot_left_many`]/[`Hisa::rot_right_many`] — one
+/// [`Hisa::try_rotate`] batch per direction — so backends with hoisted key
+/// switching (the RNS scheme) share one gadget decomposition across the
+/// whole batch.
 pub fn rot_signed_many<H: Hisa>(h: &mut H, ct: &H::Ct, offsets: &[isize]) -> Vec<H::Ct> {
     let lefts: Vec<usize> = offsets.iter().filter(|&&o| o > 0).map(|&o| o as usize).collect();
     let rights: Vec<usize> =

@@ -2,12 +2,25 @@
 //! backend contract violations into latched [`HisaError`] values instead of
 //! panics.
 //!
-//! [`FalliblePipeline`] wraps any backend and routes every failable
-//! instruction through the backend's `try_*` surface. The first error is
-//! *latched*; from then on every instruction short-circuits (returning its
-//! input unchanged, without touching the backend), so the executor can keep
-//! walking the node list safely and attribute the failure to the exact
-//! circuit op at which it occurred — see `exec::try_run_encrypted`.
+//! [`FalliblePipeline`] wraps any backend and intercepts its fallible core:
+//!
+//! * [`Hisa::try_exec`] and [`Hisa::try_rotate`] forward to the backend
+//!   (rotation batches whole, so hoisted key switching survives) and never
+//!   fail. The first backend error is *latched*; from then on every
+//!   instruction short-circuits, returning its input unchanged without
+//!   touching the backend, so the executor can keep walking the node list
+//!   safely and attribute the failure to the exact circuit op at which it
+//!   occurred — see `exec::try_run_encrypted`.
+//! * [`Hisa::try_encode`] latches an encode failure too. The pipeline's
+//!   plaintexts are `Result<H::Pt, HisaError>`, so a failed encode still
+//!   yields a value — the error — and no second, fallback encode reaches
+//!   the backend; an instruction given such a plaintext fails with it.
+//! * [`Hisa::max_rescale`] answers `1.0` once an error is latched;
+//!   `fork` / `join` / `cancel_requested` carry the latch, the degradation
+//!   tallies and the cancel token across kernel fan-out.
+//!
+//! Everything else — the panicking and `try_*` adapters the kernels call —
+//! reaches the backend only through those entry points.
 //!
 //! The pipeline also implements the paper-faithful *graceful degradation*
 //! bookkeeping: when a rotation step has no dedicated key but can be
@@ -18,8 +31,8 @@
 //! fail with [`HisaError::MissingRotationKey`].
 
 use crate::cancel::CancelToken;
-use chet_hisa::keys::{normalize_rotation, plan_rotation};
-use chet_hisa::{Hisa, HisaError};
+use chet_hisa::keys::plan_rotation;
+use chet_hisa::{Hisa, HisaError, Instr, RotDir};
 use std::collections::BTreeSet;
 
 /// How a [`FalliblePipeline`] holds its backend: the executor's root
@@ -126,263 +139,100 @@ impl<'a, H: Hisa> FalliblePipeline<'a, H> {
     }
 }
 
+/// Unwraps an instruction's plaintext operand: a plaintext whose encode
+/// failed fails the instruction with the encode's error.
+fn with_plaintext<'a, Ct, Pt>(
+    instr: Instr<'a, Ct, Result<Pt, HisaError>>,
+) -> Result<Instr<'a, Ct, Pt>, HisaError> {
+    let pt = |p: &'a Result<Pt, HisaError>| p.as_ref().map_err(Clone::clone);
+    Ok(match instr {
+        Instr::Add(a, b) => Instr::Add(a, b),
+        Instr::AddPlain(a, p) => Instr::AddPlain(a, pt(p)?),
+        Instr::AddScalar(a, x) => Instr::AddScalar(a, x),
+        Instr::Sub(a, b) => Instr::Sub(a, b),
+        Instr::SubPlain(a, p) => Instr::SubPlain(a, pt(p)?),
+        Instr::SubScalar(a, x) => Instr::SubScalar(a, x),
+        Instr::Mul(a, b) => Instr::Mul(a, b),
+        Instr::MulPlain(a, p) => Instr::MulPlain(a, pt(p)?),
+        Instr::MulScalar(a, x, scale) => Instr::MulScalar(a, x, scale),
+        Instr::Rescale(a, d) => Instr::Rescale(a, d),
+    })
+}
+
 impl<H: Hisa> Hisa for FalliblePipeline<'_, H> {
     type Ct = H::Ct;
-    type Pt = H::Pt;
+    /// A plaintext, or the latched error of its failed encode.
+    type Pt = Result<H::Pt, HisaError>;
 
     fn slots(&self) -> usize {
         self.slots
     }
 
-    fn encode(&mut self, values: &[f64], scale: f64) -> H::Pt {
-        match self.inner.get_mut().try_encode(values, scale) {
-            Ok(p) => p,
-            Err(e) => {
-                self.latch(e);
-                // Still produce a plaintext so execution can limp to the
-                // next error check: encode what fits.
-                let n = values.len().min(self.slots);
-                self.inner.get_mut().encode(&values[..n], scale)
+    fn try_encode(&mut self, values: &[f64], scale: f64) -> Result<Self::Pt, HisaError> {
+        let p = self.inner.get_mut().try_encode(values, scale);
+        if let Err(e) = &p {
+            self.latch(e.clone());
+        }
+        Ok(p)
+    }
+
+    /// # Panics
+    ///
+    /// On a plaintext whose encode failed, with the encode's error.
+    fn decode(&mut self, p: &Self::Pt) -> Vec<f64> {
+        match p {
+            Ok(p) => self.inner.get_mut().decode(p),
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// # Panics
+    ///
+    /// On a plaintext whose encode failed, with the encode's error.
+    fn encrypt(&mut self, p: &Self::Pt) -> H::Ct {
+        match p {
+            Ok(p) => self.inner.get_mut().encrypt(p),
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    fn decrypt(&mut self, c: &H::Ct) -> Self::Pt {
+        Ok(self.inner.get_mut().decrypt(c))
+    }
+
+    /// Never fails: a backend error is latched and the instruction returns
+    /// its first operand unchanged, as does every instruction after it.
+    fn try_exec(&mut self, instr: Instr<'_, H::Ct, Self::Pt>) -> Result<H::Ct, HisaError> {
+        let lhs = instr.lhs();
+        if self.error.is_none() {
+            match with_plaintext(instr).and_then(|i| self.inner.get_mut().try_exec(i)) {
+                Ok(v) => return Ok(v),
+                Err(e) => self.latch(e),
             }
         }
-    }
-
-    fn decode(&mut self, p: &H::Pt) -> Vec<f64> {
-        self.inner.get_mut().decode(p)
-    }
-
-    fn encrypt(&mut self, p: &H::Pt) -> H::Ct {
-        self.inner.get_mut().encrypt(p)
-    }
-
-    fn decrypt(&mut self, c: &H::Ct) -> H::Pt {
-        self.inner.get_mut().decrypt(c)
-    }
-
-    fn copy(&mut self, c: &H::Ct) -> H::Ct {
-        self.inner.get_mut().copy(c)
-    }
-
-    fn rot_left(&mut self, c: &H::Ct, x: usize) -> H::Ct {
-        if self.error.is_some() {
-            return c.clone();
-        }
-        self.note_rotation(normalize_rotation(x as i64, self.slots));
-        match self.inner.get_mut().try_rot_left(c, x) {
-            Ok(v) => v,
-            Err(e) => {
-                self.latch(e);
-                c.clone()
-            }
-        }
-    }
-
-    fn rot_right(&mut self, c: &H::Ct, x: usize) -> H::Ct {
-        if self.error.is_some() {
-            return c.clone();
-        }
-        self.note_rotation(normalize_rotation(-(x as i64), self.slots));
-        match self.inner.get_mut().try_rot_right(c, x) {
-            Ok(v) => v,
-            Err(e) => {
-                self.latch(e);
-                c.clone()
-            }
-        }
-    }
-
-    fn rot_left_many(&mut self, c: &H::Ct, steps: &[usize]) -> Vec<H::Ct> {
-        match self.try_rot_left_many(c, steps) {
-            Ok(v) => v,
-            Err(e) => {
-                self.latch(e);
-                steps.iter().map(|_| c.clone()).collect()
-            }
-        }
-    }
-
-    fn rot_right_many(&mut self, c: &H::Ct, steps: &[usize]) -> Vec<H::Ct> {
-        match self.try_rot_right_many(c, steps) {
-            Ok(v) => v,
-            Err(e) => {
-                self.latch(e);
-                steps.iter().map(|_| c.clone()).collect()
-            }
-        }
+        Ok(lhs.clone())
     }
 
     /// Forwards the whole batch to the backend so hoisted key switching
-    /// (one gadget decomposition shared across the batch) stays intact —
-    /// the trait default would decompose into single rotations and silently
-    /// lose the hoisting the kernels batched for.
-    fn try_rot_left_many(
+    /// (one gadget decomposition shared across the batch) stays intact.
+    /// Never fails, like [`Hisa::try_exec`]: on error every step yields
+    /// the input unchanged.
+    fn try_rotate(
         &mut self,
         c: &H::Ct,
+        dir: RotDir,
         steps: &[usize],
     ) -> Result<Vec<H::Ct>, HisaError> {
-        if let Some(e) = &self.error {
-            return Err(e.clone());
-        }
-        for &x in steps {
-            self.note_rotation(normalize_rotation(x as i64, self.slots));
-        }
-        match self.inner.get_mut().try_rot_left_many(c, steps) {
-            Ok(v) => Ok(v),
-            Err(e) => {
-                self.latch(e.clone());
-                Err(e)
+        if self.error.is_none() {
+            for &x in steps {
+                self.note_rotation(dir.normalize(x, self.slots));
+            }
+            match self.inner.get_mut().try_rotate(c, dir, steps) {
+                Ok(v) => return Ok(v),
+                Err(e) => self.latch(e),
             }
         }
-    }
-
-    fn try_rot_right_many(
-        &mut self,
-        c: &H::Ct,
-        steps: &[usize],
-    ) -> Result<Vec<H::Ct>, HisaError> {
-        if let Some(e) = &self.error {
-            return Err(e.clone());
-        }
-        for &x in steps {
-            self.note_rotation(normalize_rotation(-(x as i64), self.slots));
-        }
-        match self.inner.get_mut().try_rot_right_many(c, steps) {
-            Ok(v) => Ok(v),
-            Err(e) => {
-                self.latch(e.clone());
-                Err(e)
-            }
-        }
-    }
-
-    fn add(&mut self, a: &H::Ct, b: &H::Ct) -> H::Ct {
-        if self.error.is_some() {
-            return a.clone();
-        }
-        match self.inner.get_mut().try_add(a, b) {
-            Ok(v) => v,
-            Err(e) => {
-                self.latch(e);
-                a.clone()
-            }
-        }
-    }
-
-    fn add_plain(&mut self, a: &H::Ct, p: &H::Pt) -> H::Ct {
-        if self.error.is_some() {
-            return a.clone();
-        }
-        match self.inner.get_mut().try_add_plain(a, p) {
-            Ok(v) => v,
-            Err(e) => {
-                self.latch(e);
-                a.clone()
-            }
-        }
-    }
-
-    fn add_scalar(&mut self, a: &H::Ct, x: f64) -> H::Ct {
-        if self.error.is_some() {
-            return a.clone();
-        }
-        match self.inner.get_mut().try_add_scalar(a, x) {
-            Ok(v) => v,
-            Err(e) => {
-                self.latch(e);
-                a.clone()
-            }
-        }
-    }
-
-    fn sub(&mut self, a: &H::Ct, b: &H::Ct) -> H::Ct {
-        if self.error.is_some() {
-            return a.clone();
-        }
-        match self.inner.get_mut().try_sub(a, b) {
-            Ok(v) => v,
-            Err(e) => {
-                self.latch(e);
-                a.clone()
-            }
-        }
-    }
-
-    fn sub_plain(&mut self, a: &H::Ct, p: &H::Pt) -> H::Ct {
-        if self.error.is_some() {
-            return a.clone();
-        }
-        match self.inner.get_mut().try_sub_plain(a, p) {
-            Ok(v) => v,
-            Err(e) => {
-                self.latch(e);
-                a.clone()
-            }
-        }
-    }
-
-    fn sub_scalar(&mut self, a: &H::Ct, x: f64) -> H::Ct {
-        if self.error.is_some() {
-            return a.clone();
-        }
-        match self.inner.get_mut().try_sub_scalar(a, x) {
-            Ok(v) => v,
-            Err(e) => {
-                self.latch(e);
-                a.clone()
-            }
-        }
-    }
-
-    fn mul(&mut self, a: &H::Ct, b: &H::Ct) -> H::Ct {
-        if self.error.is_some() {
-            return a.clone();
-        }
-        match self.inner.get_mut().try_mul(a, b) {
-            Ok(v) => v,
-            Err(e) => {
-                self.latch(e);
-                a.clone()
-            }
-        }
-    }
-
-    fn mul_plain(&mut self, a: &H::Ct, p: &H::Pt) -> H::Ct {
-        if self.error.is_some() {
-            return a.clone();
-        }
-        match self.inner.get_mut().try_mul_plain(a, p) {
-            Ok(v) => v,
-            Err(e) => {
-                self.latch(e);
-                a.clone()
-            }
-        }
-    }
-
-    fn mul_scalar(&mut self, a: &H::Ct, x: f64, scale: f64) -> H::Ct {
-        if self.error.is_some() {
-            return a.clone();
-        }
-        match self.inner.get_mut().try_mul_scalar(a, x, scale) {
-            Ok(v) => v,
-            Err(e) => {
-                self.latch(e);
-                a.clone()
-            }
-        }
-    }
-
-    fn rescale(&mut self, c: &H::Ct, divisor: f64) -> H::Ct {
-        if self.error.is_some() {
-            return c.clone();
-        }
-        match self.inner.get_mut().try_rescale(c, divisor) {
-            Ok(v) => v,
-            Err(e) => {
-                self.latch(e);
-                c.clone()
-            }
-        }
+        Ok(vec![c.clone(); steps.len()])
     }
 
     fn max_rescale(&mut self, c: &H::Ct, ub: f64) -> f64 {

@@ -32,8 +32,26 @@
 //! settings: same seed, same faults, at the same ops of the same
 //! requests. The worker calls [`ChaosInjector::begin_request`] before
 //! each attempt to (re)key the stream.
+//!
+//! # Interception
+//!
+//! [`ChaosInjector`] intercepts the [`Hisa`] core at four entry points and
+//! forwards the rest untouched: [`Hisa::try_encode`] and
+//! [`Hisa::try_exec`] stall, [`Hisa::try_rotate`] stalls and drops keys,
+//! [`Hisa::decode`] flips bits. Every adapter — panicking or `try_*` —
+//! reaches the wrapped backend through those, so each instruction has one
+//! injection point, and wrapping a
+//! [`FaultInjector`](chet_runtime::fault::FaultInjector) keeps *its*
+//! injections: the soak composes HISA-level and serve-level chaos.
+//!
+//! A rotation batch reaches the wrapped backend whole when no plan is
+//! active — every `chet-serve` worker runs under this wrapper, even with
+//! `chaos: None`, so hoisted key switching survives serving. With a plan,
+//! each step stalls and rolls, then reaches the backend as a one-element
+//! batch: rolling the whole batch first would run the op counter past an
+//! inner failure and shift every later decision in the request.
 
-use chet_hisa::{Hisa, HisaError};
+use chet_hisa::{Hisa, HisaError, Instr, RotDir};
 use chet_runtime::fault::splitmix64;
 use std::collections::BTreeSet;
 use std::fs::OpenOptions;
@@ -128,20 +146,8 @@ fn to_unit(z: u64) -> f64 {
     (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// A [`Hisa`] wrapper that injects the [`ChaosPlan`]'s op-level faults.
-///
-/// Like [`FaultInjector`](chet_runtime::fault::FaultInjector), error
-/// faults fire only on the `try_*` path (plus decode poisoning) — the
-/// panicking methods and timing faults pass through so analysis
-/// interpretations stay untouched. Every `try_*` override forwards to the
-/// inner backend's `try_*`, so wrapping a `FaultInjector` preserves *its*
-/// injections too: the soak composes HISA-level and serve-level chaos.
-///
-/// Batched rotations (`*_many`) reach the inner backend as one batch
-/// whenever the wrapper cannot inject — always on the panicking path, and
-/// on the `try_` path when no plan is active — so hoisted key switching
-/// survives serving. With an active plan the batch is split into
-/// per-step `try_rot_*` calls, which keeps seeded schedules exact.
+/// A [`Hisa`] wrapper that injects the [`ChaosPlan`]'s op-level faults at
+/// the interception points listed in the module docs.
 pub struct ChaosInjector<H: Hisa> {
     inner: H,
     plan: Option<ChaosPlan>,
@@ -227,8 +233,9 @@ impl<H: Hisa> Hisa for ChaosInjector<H> {
         self.inner.slots()
     }
 
-    fn encode(&mut self, values: &[f64], scale: f64) -> H::Pt {
-        self.inner.encode(values, scale)
+    fn try_encode(&mut self, values: &[f64], scale: f64) -> Result<H::Pt, HisaError> {
+        self.stall();
+        self.inner.try_encode(values, scale)
     }
 
     fn decode(&mut self, p: &H::Pt) -> Vec<f64> {
@@ -255,64 +262,30 @@ impl<H: Hisa> Hisa for ChaosInjector<H> {
         self.inner.decrypt(c)
     }
 
-    fn copy(&mut self, c: &H::Ct) -> H::Ct {
-        self.inner.copy(c)
+    fn try_exec(&mut self, instr: Instr<'_, H::Ct, H::Pt>) -> Result<H::Ct, HisaError> {
+        self.stall();
+        self.inner.try_exec(instr)
     }
 
-    fn rot_left(&mut self, c: &H::Ct, x: usize) -> H::Ct {
-        self.inner.rot_left(c, x)
-    }
-
-    fn rot_right(&mut self, c: &H::Ct, x: usize) -> H::Ct {
-        self.inner.rot_right(c, x)
-    }
-
-    fn rot_left_many(&mut self, c: &H::Ct, steps: &[usize]) -> Vec<H::Ct> {
-        self.inner.rot_left_many(c, steps)
-    }
-
-    fn rot_right_many(&mut self, c: &H::Ct, steps: &[usize]) -> Vec<H::Ct> {
-        self.inner.rot_right_many(c, steps)
-    }
-
-    fn add(&mut self, a: &H::Ct, b: &H::Ct) -> H::Ct {
-        self.inner.add(a, b)
-    }
-
-    fn add_plain(&mut self, a: &H::Ct, p: &H::Pt) -> H::Ct {
-        self.inner.add_plain(a, p)
-    }
-
-    fn add_scalar(&mut self, a: &H::Ct, x: f64) -> H::Ct {
-        self.inner.add_scalar(a, x)
-    }
-
-    fn sub(&mut self, a: &H::Ct, b: &H::Ct) -> H::Ct {
-        self.inner.sub(a, b)
-    }
-
-    fn sub_plain(&mut self, a: &H::Ct, p: &H::Pt) -> H::Ct {
-        self.inner.sub_plain(a, p)
-    }
-
-    fn sub_scalar(&mut self, a: &H::Ct, x: f64) -> H::Ct {
-        self.inner.sub_scalar(a, x)
-    }
-
-    fn mul(&mut self, a: &H::Ct, b: &H::Ct) -> H::Ct {
-        self.inner.mul(a, b)
-    }
-
-    fn mul_plain(&mut self, a: &H::Ct, p: &H::Pt) -> H::Ct {
-        self.inner.mul_plain(a, p)
-    }
-
-    fn mul_scalar(&mut self, a: &H::Ct, x: f64, scale: f64) -> H::Ct {
-        self.inner.mul_scalar(a, x, scale)
-    }
-
-    fn rescale(&mut self, c: &H::Ct, divisor: f64) -> H::Ct {
-        self.inner.rescale(c, divisor)
+    /// Whole batch without a plan; step by step with one (module docs).
+    fn try_rotate(
+        &mut self,
+        c: &H::Ct,
+        dir: RotDir,
+        steps: &[usize],
+    ) -> Result<Vec<H::Ct>, HisaError> {
+        if self.plan.is_none() {
+            return self.inner.try_rotate(c, dir, steps);
+        }
+        let mut out = Vec::with_capacity(steps.len());
+        for &x in steps {
+            self.stall();
+            if let Some(e) = self.roll_rotation_fault(x) {
+                return Err(e);
+            }
+            out.extend(self.inner.try_rotate(c, dir, &[x])?);
+        }
+        Ok(out)
     }
 
     fn max_rescale(&mut self, c: &H::Ct, ub: f64) -> f64 {
@@ -321,104 +294,6 @@ impl<H: Hisa> Hisa for ChaosInjector<H> {
 
     fn scale_of(&self, c: &H::Ct) -> f64 {
         self.inner.scale_of(c)
-    }
-
-    fn try_encode(&mut self, values: &[f64], scale: f64) -> Result<H::Pt, HisaError> {
-        self.stall();
-        self.inner.try_encode(values, scale)
-    }
-
-    fn try_rot_left(&mut self, c: &H::Ct, x: usize) -> Result<H::Ct, HisaError> {
-        self.stall();
-        if let Some(e) = self.roll_rotation_fault(x) {
-            return Err(e);
-        }
-        self.inner.try_rot_left(c, x)
-    }
-
-    fn try_rot_right(&mut self, c: &H::Ct, x: usize) -> Result<H::Ct, HisaError> {
-        self.stall();
-        if let Some(e) = self.roll_rotation_fault(x) {
-            return Err(e);
-        }
-        self.inner.try_rot_right(c, x)
-    }
-
-    /// Forwards the whole batch when no plan is active, so the inner
-    /// backend's hoisted key switching survives the wrapper. With a plan,
-    /// each step rolls exactly as a single `try_rot_left` would: rolling
-    /// the batch up front would run the op counter past an inner failure
-    /// and shift every later decision in the request.
-    fn try_rot_left_many(
-        &mut self,
-        c: &H::Ct,
-        steps: &[usize],
-    ) -> Result<Vec<H::Ct>, HisaError> {
-        if self.plan.is_none() {
-            return self.inner.try_rot_left_many(c, steps);
-        }
-        steps.iter().map(|&x| self.try_rot_left(c, x)).collect()
-    }
-
-    fn try_rot_right_many(
-        &mut self,
-        c: &H::Ct,
-        steps: &[usize],
-    ) -> Result<Vec<H::Ct>, HisaError> {
-        if self.plan.is_none() {
-            return self.inner.try_rot_right_many(c, steps);
-        }
-        steps.iter().map(|&x| self.try_rot_right(c, x)).collect()
-    }
-
-    fn try_add(&mut self, a: &H::Ct, b: &H::Ct) -> Result<H::Ct, HisaError> {
-        self.stall();
-        self.inner.try_add(a, b)
-    }
-
-    fn try_add_plain(&mut self, a: &H::Ct, p: &H::Pt) -> Result<H::Ct, HisaError> {
-        self.stall();
-        self.inner.try_add_plain(a, p)
-    }
-
-    fn try_add_scalar(&mut self, a: &H::Ct, x: f64) -> Result<H::Ct, HisaError> {
-        self.stall();
-        self.inner.try_add_scalar(a, x)
-    }
-
-    fn try_sub(&mut self, a: &H::Ct, b: &H::Ct) -> Result<H::Ct, HisaError> {
-        self.stall();
-        self.inner.try_sub(a, b)
-    }
-
-    fn try_sub_plain(&mut self, a: &H::Ct, p: &H::Pt) -> Result<H::Ct, HisaError> {
-        self.stall();
-        self.inner.try_sub_plain(a, p)
-    }
-
-    fn try_sub_scalar(&mut self, a: &H::Ct, x: f64) -> Result<H::Ct, HisaError> {
-        self.stall();
-        self.inner.try_sub_scalar(a, x)
-    }
-
-    fn try_mul(&mut self, a: &H::Ct, b: &H::Ct) -> Result<H::Ct, HisaError> {
-        self.stall();
-        self.inner.try_mul(a, b)
-    }
-
-    fn try_mul_plain(&mut self, a: &H::Ct, p: &H::Pt) -> Result<H::Ct, HisaError> {
-        self.stall();
-        self.inner.try_mul_plain(a, p)
-    }
-
-    fn try_mul_scalar(&mut self, a: &H::Ct, x: f64, scale: f64) -> Result<H::Ct, HisaError> {
-        self.stall();
-        self.inner.try_mul_scalar(a, x, scale)
-    }
-
-    fn try_rescale(&mut self, c: &H::Ct, divisor: f64) -> Result<H::Ct, HisaError> {
-        self.stall();
-        self.inner.try_rescale(c, divisor)
     }
 
     fn available_rotations(&self) -> Option<BTreeSet<usize>> {

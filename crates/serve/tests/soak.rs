@@ -10,7 +10,7 @@
 use chet_ckks::sim::SimCkks;
 use chet_compiler::Compiler;
 use chet_hisa::params::SchemeKind;
-use chet_hisa::Hisa;
+use chet_hisa::{Hisa, HisaError, Instr, RotDir};
 use chet_runtime::cancel::{CancelReason, CancelToken};
 use chet_runtime::fault::{FaultInjector, FaultPlan};
 use chet_runtime::kernels::ScaleConfig;
@@ -340,8 +340,8 @@ impl Hisa for PanicOnce {
     fn slots(&self) -> usize {
         self.inner.slots()
     }
-    fn encode(&mut self, values: &[f64], scale: f64) -> Self::Pt {
-        self.inner.encode(values, scale)
+    fn try_encode(&mut self, values: &[f64], scale: f64) -> Result<Self::Pt, HisaError> {
+        self.inner.try_encode(values, scale)
     }
     fn decode(&mut self, p: &Self::Pt) -> Vec<f64> {
         self.inner.decode(p)
@@ -352,45 +352,20 @@ impl Hisa for PanicOnce {
     fn decrypt(&mut self, c: &Self::Ct) -> Self::Pt {
         self.inner.decrypt(c)
     }
-    fn rot_left(&mut self, c: &Self::Ct, x: usize) -> Self::Ct {
+    fn try_exec(&mut self, instr: Instr<'_, Self::Ct, Self::Pt>) -> Result<Self::Ct, HisaError> {
+        self.inner.try_exec(instr)
+    }
+    fn try_rotate(
+        &mut self,
+        c: &Self::Ct,
+        dir: RotDir,
+        steps: &[usize],
+    ) -> Result<Vec<Self::Ct>, HisaError> {
         if self.armed {
             self.armed = false;
             panic!("simulated native-library crash");
         }
-        self.inner.rot_left(c, x)
-    }
-    fn rot_right(&mut self, c: &Self::Ct, x: usize) -> Self::Ct {
-        self.inner.rot_right(c, x)
-    }
-    fn add(&mut self, a: &Self::Ct, b: &Self::Ct) -> Self::Ct {
-        self.inner.add(a, b)
-    }
-    fn add_plain(&mut self, a: &Self::Ct, p: &Self::Pt) -> Self::Ct {
-        self.inner.add_plain(a, p)
-    }
-    fn add_scalar(&mut self, a: &Self::Ct, x: f64) -> Self::Ct {
-        self.inner.add_scalar(a, x)
-    }
-    fn sub(&mut self, a: &Self::Ct, b: &Self::Ct) -> Self::Ct {
-        self.inner.sub(a, b)
-    }
-    fn sub_plain(&mut self, a: &Self::Ct, p: &Self::Pt) -> Self::Ct {
-        self.inner.sub_plain(a, p)
-    }
-    fn sub_scalar(&mut self, a: &Self::Ct, x: f64) -> Self::Ct {
-        self.inner.sub_scalar(a, x)
-    }
-    fn mul(&mut self, a: &Self::Ct, b: &Self::Ct) -> Self::Ct {
-        self.inner.mul(a, b)
-    }
-    fn mul_plain(&mut self, a: &Self::Ct, p: &Self::Pt) -> Self::Ct {
-        self.inner.mul_plain(a, p)
-    }
-    fn mul_scalar(&mut self, a: &Self::Ct, x: f64, scale: f64) -> Self::Ct {
-        self.inner.mul_scalar(a, x, scale)
-    }
-    fn rescale(&mut self, c: &Self::Ct, divisor: f64) -> Self::Ct {
-        self.inner.rescale(c, divisor)
+        self.inner.try_rotate(c, dir, steps)
     }
     fn max_rescale(&mut self, c: &Self::Ct, ub: f64) -> f64 {
         self.inner.max_rescale(c, ub)

@@ -1,27 +1,31 @@
-//! Backend wrappers must not break rotation batches apart when they have
-//! nothing to inject (DESIGN.md §13.3, §16.4).
+//! Backend wrappers must hand the backend exactly the instruction stream
+//! the bare backend would see (DESIGN.md §9, §13.3, §16.4).
 //!
-//! `RnsCkks` hoists the key-switch decomposition across each
-//! `try_rot_*_many` batch, so a wrapper that splits batches into single
-//! rotations silently pays full key-switch cost per step. A counting
-//! double over the noiseless simulator records every rotation call that
-//! reaches the backend; the tests check that:
+//! `Hisa` has one fallible core (`try_exec`, `try_rotate`, …) and every
+//! other method is an adapter over it, so a wrapper intercepts each
+//! instruction in one place. A counting double over the noiseless
+//! simulator implements only that core and logs every call that reaches
+//! it; the tests check that:
 //!
-//! * inert `ChaosInjector` / `FaultInjector` stacks deliver the same
-//!   batched calls as the bare backend, with bit-equal outputs;
+//! * the bare backend, `FalliblePipeline`, inert `FaultInjector`,
+//!   `ChaosInjector(None)` and the stacked worker wrappers deliver an
+//!   identical call stream — every instruction kind, every rotation batch
+//!   with its direction and steps — with bit-equal outputs;
 //! * an active plan splits batches on exactly the single-rotation
 //!   schedule, so seeded fault campaigns replay unchanged;
 //! * both `chet-serve` worker paths (solo and cohort) hand batches to the
-//!   backend when chaos is off.
+//!   backend when chaos is off, and the solo path's stream is the direct
+//!   run's.
 
 use chet::ckks::sim::SimCkks;
 use chet::compiler::Compiler;
 use chet::hisa::params::SchemeKind;
-use chet::hisa::{EncryptionParams, Hisa, HisaError, RotationKeyPolicy};
+use chet::hisa::{EncryptionParams, Hisa, HisaError, Instr, RotDir, RotationKeyPolicy};
 use chet::runtime::exec::{batch_capacity, try_infer, ExecPlan};
 use chet::runtime::fault::{FaultInjector, FaultPlan};
 use chet::runtime::kernels::ScaleConfig;
 use chet::runtime::layout::LayoutKind;
+use chet::runtime::FalliblePipeline;
 use chet::serve::{ChaosInjector, ChaosPlan, InferenceService, ServeConfig};
 use chet::tensor::circuit::{Circuit, CircuitBuilder};
 use chet::tensor::ops::Padding;
@@ -33,27 +37,30 @@ use std::time::Duration;
 type Ct = <SimCkks as Hisa>::Ct;
 type Pt = <SimCkks as Hisa>::Pt;
 
-/// One rotation call as the backend saw it.
+/// One core call as the backend saw it.
 #[derive(Debug, Clone, PartialEq)]
-struct Call {
-    left: bool,
-    batched: bool,
-    steps: Vec<usize>,
+enum Call {
+    Encode(usize),
+    Decode,
+    Encrypt,
+    Decrypt,
+    Exec(&'static str),
+    Rotate(RotDir, Vec<usize>),
+    MaxRescale,
 }
 
 type Log = Arc<Mutex<Vec<Call>>>;
 
-/// Forwards everything to a simulator and logs each rotation call.
-/// Does not forward `fork`, so fan-out runs on it and every rotation of
-/// the run is logged in program order.
+/// The core only, forwarded to a simulator, logging every call. Does not
+/// forward `fork`, so fan-out runs on it and the whole run is logged in
+/// program order.
 struct Counting {
     inner: SimCkks,
     log: Log,
 }
 
 impl Counting {
-    fn record(&self, left: bool, batched: bool, steps: &[usize]) {
-        let call = Call { left, batched, steps: steps.to_vec() };
+    fn record(&self, call: Call) {
         self.log.lock().unwrap().push(call);
     }
 }
@@ -65,93 +72,36 @@ impl Hisa for Counting {
     fn slots(&self) -> usize {
         self.inner.slots()
     }
-    fn encode(&mut self, values: &[f64], scale: f64) -> Pt {
-        self.inner.encode(values, scale)
+    fn try_encode(&mut self, values: &[f64], scale: f64) -> Result<Pt, HisaError> {
+        self.record(Call::Encode(values.len()));
+        self.inner.try_encode(values, scale)
     }
     fn decode(&mut self, p: &Pt) -> Vec<f64> {
+        self.record(Call::Decode);
         self.inner.decode(p)
     }
     fn encrypt(&mut self, p: &Pt) -> Ct {
+        self.record(Call::Encrypt);
         self.inner.encrypt(p)
     }
     fn decrypt(&mut self, c: &Ct) -> Pt {
+        self.record(Call::Decrypt);
         self.inner.decrypt(c)
     }
-    fn rot_left(&mut self, c: &Ct, x: usize) -> Ct {
-        self.inner.rot_left(c, x)
+    fn try_exec(&mut self, instr: Instr<'_, Ct, Pt>) -> Result<Ct, HisaError> {
+        self.record(Call::Exec(instr.name()));
+        self.inner.try_exec(instr)
     }
-    fn rot_right(&mut self, c: &Ct, x: usize) -> Ct {
-        self.inner.rot_right(c, x)
-    }
-    fn add(&mut self, a: &Ct, b: &Ct) -> Ct {
-        self.inner.add(a, b)
-    }
-    fn add_plain(&mut self, a: &Ct, p: &Pt) -> Ct {
-        self.inner.add_plain(a, p)
-    }
-    fn add_scalar(&mut self, a: &Ct, x: f64) -> Ct {
-        self.inner.add_scalar(a, x)
-    }
-    fn sub(&mut self, a: &Ct, b: &Ct) -> Ct {
-        self.inner.sub(a, b)
-    }
-    fn sub_plain(&mut self, a: &Ct, p: &Pt) -> Ct {
-        self.inner.sub_plain(a, p)
-    }
-    fn sub_scalar(&mut self, a: &Ct, x: f64) -> Ct {
-        self.inner.sub_scalar(a, x)
-    }
-    fn mul(&mut self, a: &Ct, b: &Ct) -> Ct {
-        self.inner.mul(a, b)
-    }
-    fn mul_plain(&mut self, a: &Ct, p: &Pt) -> Ct {
-        self.inner.mul_plain(a, p)
-    }
-    fn mul_scalar(&mut self, a: &Ct, x: f64, scale: f64) -> Ct {
-        self.inner.mul_scalar(a, x, scale)
-    }
-    fn rescale(&mut self, c: &Ct, divisor: f64) -> Ct {
-        self.inner.rescale(c, divisor)
+    fn try_rotate(&mut self, c: &Ct, dir: RotDir, steps: &[usize]) -> Result<Vec<Ct>, HisaError> {
+        self.record(Call::Rotate(dir, steps.to_vec()));
+        self.inner.try_rotate(c, dir, steps)
     }
     fn max_rescale(&mut self, c: &Ct, ub: f64) -> f64 {
+        self.record(Call::MaxRescale);
         self.inner.max_rescale(c, ub)
     }
     fn scale_of(&self, c: &Ct) -> f64 {
         self.inner.scale_of(c)
-    }
-    fn try_encode(&mut self, values: &[f64], scale: f64) -> Result<Pt, HisaError> {
-        self.inner.try_encode(values, scale)
-    }
-    fn try_rot_left(&mut self, c: &Ct, x: usize) -> Result<Ct, HisaError> {
-        self.record(true, false, &[x]);
-        self.inner.try_rot_left(c, x)
-    }
-    fn try_rot_right(&mut self, c: &Ct, x: usize) -> Result<Ct, HisaError> {
-        self.record(false, false, &[x]);
-        self.inner.try_rot_right(c, x)
-    }
-    fn try_rot_left_many(&mut self, c: &Ct, steps: &[usize]) -> Result<Vec<Ct>, HisaError> {
-        self.record(true, true, steps);
-        self.inner.try_rot_left_many(c, steps)
-    }
-    fn try_rot_right_many(&mut self, c: &Ct, steps: &[usize]) -> Result<Vec<Ct>, HisaError> {
-        self.record(false, true, steps);
-        self.inner.try_rot_right_many(c, steps)
-    }
-    fn try_add(&mut self, a: &Ct, b: &Ct) -> Result<Ct, HisaError> {
-        self.inner.try_add(a, b)
-    }
-    fn try_add_plain(&mut self, a: &Ct, p: &Pt) -> Result<Ct, HisaError> {
-        self.inner.try_add_plain(a, p)
-    }
-    fn try_sub(&mut self, a: &Ct, b: &Ct) -> Result<Ct, HisaError> {
-        self.inner.try_sub(a, b)
-    }
-    fn try_sub_plain(&mut self, a: &Ct, p: &Pt) -> Result<Ct, HisaError> {
-        self.inner.try_sub_plain(a, p)
-    }
-    fn try_rescale(&mut self, c: &Ct, divisor: f64) -> Result<Ct, HisaError> {
-        self.inner.try_rescale(c, divisor)
     }
     fn available_rotations(&self) -> Option<BTreeSet<usize>> {
         self.inner.available_rotations()
@@ -179,12 +129,29 @@ fn small_cnn() -> Circuit {
     b.build(m)
 }
 
+/// Every kernel kind: conv, activation (ct×ct mul), batch-norm, concat,
+/// pool, and dense with bias.
+fn every_kernel() -> Circuit {
+    let mut b = CircuitBuilder::new();
+    let x = b.input(vec![1, 6, 6]);
+    let w = Tensor::from_fn(vec![2, 1, 3, 3], |i| (i[2] * 3 + i[3]) as f64 * 0.05 - 0.1);
+    let c = b.conv2d(x, w, Some(vec![0.1, -0.1]), 1, Padding::Valid);
+    let a = b.activation(c, 0.2, 0.9);
+    let n1 = b.batch_norm(a, vec![0.9, 1.1], vec![0.05, -0.05]);
+    let n2 = b.batch_norm(a, vec![1.2, 0.8], vec![-0.1, 0.1]);
+    let k = b.concat(vec![n1, n2]);
+    let p = b.avg_pool2d(k, 2, 2);
+    let f = b.flatten(p);
+    let m = b.matmul(f, Tensor::random(vec![3, 16], 0.4, 33), Some(vec![0.2, -0.3, 0.1]));
+    b.build(m)
+}
+
 fn image(seed: u64) -> Tensor {
     Tensor::random(vec![1, 6, 6], 1.0, seed)
 }
 
 fn sim() -> SimCkks {
-    let params = EncryptionParams::rns_ckks(8192, 40, 6);
+    let params = EncryptionParams::rns_ckks(8192, 40, 8);
     SimCkks::new(&params, &RotationKeyPolicy::PowersOfTwo, 5).without_noise()
 }
 
@@ -192,16 +159,82 @@ fn bits(t: &Tensor) -> Vec<u64> {
     t.data().iter().map(|x| x.to_bits()).collect()
 }
 
-/// Runs the circuit through `try_infer` on `wrap(counting double)`;
-/// returns the output bits and the rotation calls the double received.
-fn observe<W: Hisa>(wrap: impl FnOnce(Counting) -> W) -> (Vec<u64>, Vec<Call>) {
+fn infer_bits<H: Hisa>(h: &mut H, circuit: &Circuit) -> Vec<u64> {
+    let plan = ExecPlan::uniform(circuit, LayoutKind::CHW, SCALES);
+    bits(&try_infer(h, circuit, &plan, &image(17)).expect("fault-free run"))
+}
+
+/// Issues every instruction kind through both of its adapters (fallible
+/// and panicking), plus single and batched rotations in both directions.
+/// Kernels never subtract, so this is where the `Sub*` kinds get covered.
+fn drive_adapters<H: Hisa>(h: &mut H) -> Vec<u64> {
+    const S: f64 = (1u64 << 30) as f64;
+    let p = h.encode(&[0.5, -1.0, 2.0, 0.25], S);
+    let q = h.try_encode(&[1.5, 0.75, -0.5, 1.0], S).expect("fits");
+    let (a, b) = (h.encrypt(&p), h.encrypt(&q));
+    let prod = h.try_mul(&a, &b).unwrap();
+    let d = h.max_rescale(&prod, S * S);
+    let mut out = vec![
+        h.try_add(&a, &b).unwrap(),
+        h.add(&a, &b),
+        h.try_add_plain(&a, &q).unwrap(),
+        h.add_plain(&a, &q),
+        h.try_add_scalar(&a, 1.5).unwrap(),
+        h.add_scalar(&a, 1.5),
+        h.try_sub(&a, &b).unwrap(),
+        h.sub(&a, &b),
+        h.try_sub_plain(&a, &q).unwrap(),
+        h.sub_plain(&a, &q),
+        h.try_sub_scalar(&a, 0.5).unwrap(),
+        h.sub_scalar(&a, 0.5),
+        h.mul(&a, &b),
+        h.try_mul_plain(&a, &q).unwrap(),
+        h.mul_plain(&a, &q),
+        h.try_mul_scalar(&a, 2.0, S).unwrap(),
+        h.mul_scalar(&a, 2.0, S),
+        h.try_rescale(&prod, d).unwrap(),
+        h.rescale(&prod, d),
+        h.try_rot_left(&a, 1).unwrap(),
+        h.rot_left(&a, 1),
+        h.try_rot_right(&a, 2).unwrap(),
+        h.rot_right(&a, 2),
+        prod,
+    ];
+    out.extend(h.try_rot_left_many(&a, &[1, 2, 4]).unwrap());
+    out.extend(h.rot_left_many(&a, &[3, 0]));
+    out.extend(h.try_rot_right_many(&a, &[1, 5]).unwrap());
+    out.extend(h.rot_right_many(&a, &[]));
+    let mut acc = a.clone();
+    h.add_assign(&mut acc, &b);
+    out.push(acc);
+    out.iter()
+        .flat_map(|c| {
+            let pt = h.decrypt(c);
+            h.decode(&pt)
+        })
+        .map(f64::to_bits)
+        .collect()
+}
+
+/// Both circuits through `try_infer`, then the adapter drive.
+fn everything<H: Hisa>(h: &mut H) -> Vec<u64> {
+    let mut out = infer_bits(h, &small_cnn());
+    out.extend(infer_bits(h, &every_kernel()));
+    out.extend(drive_adapters(h));
+    out
+}
+
+/// Runs `run` on a fresh counting double; returns its result and the
+/// calls the double received.
+fn observe<R>(run: impl FnOnce(Counting) -> R) -> (R, Vec<Call>) {
+    observe_on(sim(), run)
+}
+
+fn observe_on<R>(inner: SimCkks, run: impl FnOnce(Counting) -> R) -> (R, Vec<Call>) {
     let log = Log::default();
-    let mut h = wrap(Counting { inner: sim(), log: Arc::clone(&log) });
-    let circuit = small_cnn();
-    let plan = ExecPlan::uniform(&circuit, LayoutKind::CHW, SCALES);
-    let out = try_infer(&mut h, &circuit, &plan, &image(17)).expect("fault-free run");
+    let out = run(Counting { inner, log: Arc::clone(&log) });
     let calls = log.lock().unwrap().clone();
-    (bits(&out), calls)
+    (out, calls)
 }
 
 /// Every fault class except rotations, enabled at rate 0: the counters
@@ -211,36 +244,56 @@ fn inert_faults() -> FaultPlan {
 }
 
 fn has_multi_step_batch(calls: &[Call]) -> bool {
-    calls.iter().any(|c| c.batched && c.steps.len() > 1)
+    calls.iter().any(|c| matches!(c, Call::Rotate(_, steps) if steps.len() > 1))
+}
+
+/// The instruction kinds among the calls.
+fn kinds(calls: &[Call]) -> BTreeSet<&'static str> {
+    calls.iter().filter_map(|c| if let Call::Exec(k) = c { Some(*k) } else { None }).collect()
+}
+
+/// Rotation calls flattened to (direction, step) pairs.
+fn rotation_steps(calls: &[Call]) -> Vec<(RotDir, usize)> {
+    calls
+        .iter()
+        .flat_map(|c| match c {
+            Call::Rotate(dir, steps) => steps.iter().map(|&s| (*dir, s)).collect(),
+            _ => Vec::new(),
+        })
+        .collect()
 }
 
 #[test]
 fn inert_wrappers_deliver_rotation_batches_unchanged() {
-    let (out, bare) = observe(|h| h);
-    assert!(has_multi_step_batch(&bare), "circuit must batch rotations: {bare:?}");
+    let (out, bare) = observe(|mut h| everything(&mut h));
+    assert!(has_multi_step_batch(&bare), "circuits must batch rotations");
+    let (_, circuit) = observe(|mut h| infer_bits(&mut h, &every_kernel()));
+    let want = ["add", "add_plain", "add_scalar", "mul", "mul_plain", "mul_scalar", "rescale"];
+    assert_eq!(kinds(&circuit), want.into_iter().collect(), "every kernel-issued kind");
+    assert_eq!(kinds(&bare).len(), 10, "every instruction kind: {:?}", kinds(&bare));
 
-    let inert = [
-        ("chaos(None)", observe(|h| ChaosInjector::new(h, None))),
-        ("fault(inert)", observe(|h| FaultInjector::new(h, inert_faults(), 3))),
+    let stacks = [
+        ("pipeline", observe(|mut h| everything(&mut FalliblePipeline::new(&mut h)))),
+        ("fault(inert)", observe(|h| everything(&mut FaultInjector::new(h, inert_faults(), 3)))),
+        ("chaos(None)", observe(|h| everything(&mut ChaosInjector::new(h, None)))),
         (
             "chaos(None) over fault(inert)",
-            observe(|h| ChaosInjector::new(FaultInjector::new(h, inert_faults(), 3), None)),
+            observe(|h| {
+                everything(&mut ChaosInjector::new(FaultInjector::new(h, inert_faults(), 3), None))
+            }),
         ),
     ];
-    for (name, (o, calls)) in &inert {
-        assert_eq!(calls, &bare, "{name}: rotation calls must reach the backend unchanged");
+    for (name, (o, calls)) in &stacks {
+        assert_eq!(calls, &bare, "{name}: calls must reach the backend unchanged");
         assert_eq!(o, &out, "{name}: output must be bit-equal");
     }
 
-    // Rotation faults armed (rate 0): every step rolls, so the batch is
-    // split — but into exactly the same steps, with the same result.
+    // Rotation faults armed (rate 0): every step rolls, so each batch is
+    // split — into exactly the same steps, with the same result.
     let dropping = FaultPlan::none(0.0).with_dropped_rotation_keys();
-    let (o, split) = observe(|h| FaultInjector::new(h, dropping, 3));
-    assert!(split.iter().all(|c| !c.batched && c.steps.len() == 1), "{split:?}");
-    let flat = |calls: &[Call]| -> Vec<(bool, usize)> {
-        calls.iter().flat_map(|c| c.steps.iter().map(move |&s| (c.left, s))).collect()
-    };
-    assert_eq!(flat(&split), flat(&bare));
+    let (o, split) = observe(|h| everything(&mut FaultInjector::new(h, dropping, 3)));
+    assert!(split.iter().all(|c| !matches!(c, Call::Rotate(_, s) if s.len() != 1)), "{split:?}");
+    assert_eq!(rotation_steps(&split), rotation_steps(&bare));
     assert_eq!(o, out, "rotation-dropping plan at rate 0 must be bit-equal");
 }
 
@@ -327,9 +380,9 @@ fn rotation_dropping_fault_plan_splits_batches_on_the_single_rotation_schedule()
 fn serve(config: ServeConfig, n: u64) -> (chet::serve::ServiceStats, Vec<Call>) {
     let log = Log::default();
     let factory_log = Arc::clone(&log);
-    let factory = move |_: usize, compiled: &chet::compiler::CompiledCircuit| {
-        let inner = SimCkks::new(&compiled.params, &compiled.rotation_keys, 42).without_noise();
-        Counting { inner, log: Arc::clone(&factory_log) }
+    let factory = move |_: usize, compiled: &chet::compiler::CompiledCircuit| Counting {
+        inner: serve_sim(compiled),
+        log: Arc::clone(&factory_log),
     };
     assert!(config.chaos.is_none());
     let svc = InferenceService::start_with_compiler(
@@ -349,6 +402,10 @@ fn serve(config: ServeConfig, n: u64) -> (chet::serve::ServiceStats, Vec<Call>) 
     (stats, calls)
 }
 
+fn serve_sim(compiled: &chet::compiler::CompiledCircuit) -> SimCkks {
+    SimCkks::new(&compiled.params, &compiled.rotation_keys, 42).without_noise()
+}
+
 fn compiler() -> Compiler {
     Compiler::new(SchemeKind::RnsCkks).with_output_precision(2f64.powi(20))
 }
@@ -364,6 +421,13 @@ fn served_requests_reach_the_backend_as_rotation_batches() {
     let (stats, calls) = serve(solo, 1);
     assert_eq!((stats.completed_ok, stats.batches_formed), (1, 0));
     assert!(has_multi_step_batch(&calls), "solo path split the batches: {calls:?}");
+    // The worker stack (chaos(None) under the executor's pipeline) hands
+    // the backend exactly the direct run's stream.
+    let (compiled, _) = compiler().compile_checked(&small_cnn(), &serve_scales()).unwrap();
+    let (_, direct) = observe_on(serve_sim(&compiled), |mut h| {
+        try_infer(&mut h, &small_cnn(), &compiled.plan, &image(100)).unwrap()
+    });
+    assert_eq!(calls, direct, "solo served stream must equal the direct run's");
 
     // Cohort path (`run_batch`): all four members fit one batch, and the
     // linger holds the worker until they have all arrived.
