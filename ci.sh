@@ -70,6 +70,43 @@ assert found >= 11, f"only {found} impl Hisa blocks found"
 print(f"Hisa: {len(required)} required methods; {found} impls, none overrides an adapter")
 EOF
 
+echo "=== one error channel gate (kernels and executor propagate HISA failures) ==="
+# Kernels and the executor issue every instruction through the fallible
+# `try_*` adapters and return failures with `?` (DESIGN.md §9). Nothing
+# catches a backend error on their behalf, so a panicking adapter call
+# there would turn that error into a worker panic. Non-test code of the
+# kernels, `exec.rs` and `par.rs` must call none, and must not funnel
+# errors into panics.
+python3 - <<'EOF'
+import glob, re
+
+ADAPTER = re.compile(r"\.(encode|add|add_assign|add_plain|add_scalar|sub\w*|mul\w*|rescale"
+                     r"|rot_left|rot_right|rot_left_many|rot_right_many)\(")
+FUNNEL = re.compile(r"expect_kernel|panic_any|unwrap_or_else\(\|e\| panic!")
+
+def non_test(path):
+    """(line number, code) outside `#[cfg(test)] mod tests`, comments cut."""
+    lines = open(path).read().split("\n")
+    skip = False
+    for i, line in enumerate(lines):
+        if line == "#[cfg(test)]" and lines[i + 1 : i + 2] == ["mod tests {"]:
+            skip = True
+        if not skip:
+            yield i + 1, line.split("//")[0]
+        elif line == "}":
+            skip = False
+
+files = sorted(glob.glob("crates/runtime/src/kernels/*.rs")) + [
+    "crates/runtime/src/exec.rs", "crates/runtime/src/par.rs"]
+assert len(files) == 9, f"expected 7 kernel files + exec.rs + par.rs, found {files}"
+bad = [f"{path}:{n}: {code.strip()}" for path in files for n, code in non_test(path)
+       if ADAPTER.search(code) or FUNNEL.search(code)]
+for b in bad:
+    print("  " + b)
+assert not bad, f"{len(bad)} panicking call(s) in kernel/executor code; use try_* with `?`"
+print(f"{len(files)} files: every HISA call in the kernels and executor is fallible")
+EOF
+
 echo "=== build (release) ==="
 cargo build --release
 

@@ -4,9 +4,9 @@
 use chet_ckks::rns::RnsCkks;
 use chet_hisa::{EncryptionParams, Hisa, RotationKeyPolicy, SecurityLevel};
 use chet_runtime::ciphertensor::encrypt_tensor;
-use chet_runtime::kernels::conv::hconv2d;
-use chet_runtime::kernels::matmul::hmatmul;
-use chet_runtime::kernels::pool::havg_pool2d;
+use chet_runtime::kernels::conv::try_hconv2d_with_mask;
+use chet_runtime::kernels::matmul::try_hmatmul;
+use chet_runtime::kernels::pool::try_havg_pool2d_with_mask;
 use chet_runtime::kernels::ScaleConfig;
 use chet_runtime::layout::{Layout, LayoutKind};
 use chet_tensor::ops::Padding;
@@ -34,10 +34,17 @@ fn bench_kernels(c: &mut Criterion) {
         };
         let enc = encrypt_tensor(&mut h, &image, &layout, scales.input);
         group.bench_function(format!("conv3x3_{kind}"), |b| {
-            b.iter(|| hconv2d(&mut h, &enc, &weights, None, 1, Padding::Valid, kind, &scales))
+            b.iter(|| {
+                try_hconv2d_with_mask(
+                    &mut h, &enc, &weights, None, 1, Padding::Valid, kind, &scales, true,
+                )
+                .expect("conv runs")
+            })
         });
         group.bench_function(format!("avgpool2_{kind}"), |b| {
-            b.iter(|| havg_pool2d(&mut h, &enc, 2, 2, &scales))
+            b.iter(|| {
+                try_havg_pool2d_with_mask(&mut h, &enc, 2, 2, &scales, true).expect("pool runs")
+            })
         });
     }
 
@@ -46,7 +53,7 @@ fn bench_kernels(c: &mut Criterion) {
     let enc = encrypt_tensor(&mut h, &image, &layout, scales.input);
     let w = Tensor::random(vec![4, 128], 0.2, 3);
     group.bench_function("matmul_128x4", |b| {
-        b.iter(|| hmatmul(&mut h, &enc, &w, None, &scales))
+        b.iter(|| try_hmatmul(&mut h, &enc, &w, None, &scales).expect("dense layer runs"))
     });
     group.finish();
 }

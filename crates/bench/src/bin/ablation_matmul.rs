@@ -12,7 +12,7 @@ use chet_ckks::sim::SimCkks;
 use chet_hisa::cost::HisaOp;
 use chet_hisa::{EncryptionParams, Hisa, RotationKeyPolicy, SecurityLevel};
 use chet_runtime::ciphertensor::encrypt_tensor;
-use chet_runtime::kernels::matmul::{hmatmul, hmatmul_bsgs};
+use chet_runtime::kernels::matmul::{try_hmatmul, try_hmatmul_bsgs};
 use chet_runtime::kernels::ScaleConfig;
 use chet_runtime::layout::Layout;
 use chet_tensor::Tensor;
@@ -33,9 +33,9 @@ fn main() {
             let layout = Layout::dense_vector(inp, h.slots());
             let enc = encrypt_tensor(&mut h, &x, &layout, scales.input);
             if bsgs {
-                let _ = hmatmul_bsgs(&mut h, &enc, &w, None, &scales);
+                try_hmatmul_bsgs(&mut h, &enc, &w, None, &scales).expect("BSGS dense layer");
             } else {
-                let _ = hmatmul(&mut h, &enc, &w, None, &scales);
+                try_hmatmul(&mut h, &enc, &w, None, &scales).expect("dense layer");
             }
             (h.op_count(HisaOp::Rotate), h.op_count(HisaOp::MulPlain))
         };
@@ -55,9 +55,9 @@ fn main() {
                 );
                 let enc = encrypt_tensor(&mut az, &x, &layout, scales.input);
                 if bsgs {
-                    let _ = hmatmul_bsgs(&mut az, &enc, &w, None, &scales);
+                    try_hmatmul_bsgs(&mut az, &enc, &w, None, &scales).expect("BSGS dense layer");
                 } else {
-                    let _ = hmatmul(&mut az, &enc, &w, None, &scales);
+                    try_hmatmul(&mut az, &enc, &w, None, &scales).expect("dense layer");
                 }
                 az.rotations.clone()
             };
@@ -65,9 +65,9 @@ fn main() {
             let enc = encrypt_tensor(&mut h, &x, &layout, scales.input);
             let t0 = Instant::now();
             if bsgs {
-                let _ = hmatmul_bsgs(&mut h, &enc, &w, None, &scales);
+                try_hmatmul_bsgs(&mut h, &enc, &w, None, &scales).expect("BSGS dense layer");
             } else {
-                let _ = hmatmul(&mut h, &enc, &w, None, &scales);
+                try_hmatmul(&mut h, &enc, &w, None, &scales).expect("dense layer");
             }
             t0.elapsed()
         };

@@ -50,8 +50,8 @@ pub struct APt {
 }
 
 /// The analysis backend. Construct with [`Analyzer::new`], execute the
-/// circuit against it (via `chet_runtime::exec::run_encrypted` — kernels
-/// are generic over `Hisa`), then read the accumulated facts.
+/// circuit against it (via `chet_runtime::exec::try_run_encrypted_with` —
+/// kernels are generic over `Hisa`), then read the accumulated facts.
 #[derive(Debug)]
 pub struct Analyzer {
     slots: usize,

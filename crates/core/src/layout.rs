@@ -11,7 +11,9 @@ use crate::params::{
 use chet_hisa::cost::{CostModel, LevelInfo};
 use chet_hisa::params::SchemeKind;
 use chet_hisa::security::SecurityLevel;
-use chet_runtime::exec::{encrypt_input, required_margin_for, run_encrypted, ExecPlan};
+use chet_runtime::exec::{
+    encrypt_input, required_margin_for, try_run_encrypted_with, ExecControl, ExecPlan,
+};
 use chet_runtime::kernels::ScaleConfig;
 use chet_runtime::layout::LayoutKind;
 use chet_tensor::circuit::{Circuit, Op};
@@ -127,7 +129,8 @@ pub fn estimate_cost(
         .expect("circuit has an input");
     let image = Tensor::zeros(input_shape);
     let enc = encrypt_input(&mut az, circuit, plan, &image);
-    let _ = run_encrypted(&mut az, circuit, plan, enc);
+    try_run_encrypted_with(&mut az, circuit, plan, enc, &mut ExecControl::none())
+        .unwrap_or_else(|e| panic!("{e}"));
     az.total_cost
 }
 

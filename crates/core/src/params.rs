@@ -9,7 +9,7 @@ use chet_hisa::cost::HisaOp;
 use chet_hisa::params::{EncryptionParams, ModulusSpec, SchemeKind};
 use chet_hisa::security::{max_log_q, SecurityLevel, DEGREES};
 use chet_math::prime::ntt_primes;
-use chet_runtime::exec::{encrypt_input, run_encrypted, ExecPlan};
+use chet_runtime::exec::{encrypt_input, try_run_encrypted_with, ExecControl, ExecPlan};
 use chet_runtime::kernels::ScaleConfig;
 use chet_runtime::layout::LayoutKind;
 use chet_tensor::circuit::{Circuit, Op};
@@ -147,7 +147,8 @@ fn analyze(
         .expect("circuit has an input");
     let image = Tensor::zeros(input_shape);
     let enc = encrypt_input(&mut az, circuit, &plan, &image);
-    let _out = run_encrypted(&mut az, circuit, &plan, enc);
+    try_run_encrypted_with(&mut az, circuit, &plan, enc, &mut ExecControl::none())
+        .unwrap_or_else(|e| panic!("{e}"));
     az
 }
 

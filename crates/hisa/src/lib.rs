@@ -294,9 +294,9 @@ pub trait Hisa: Send {
     }
 
     /// Merges a forked child back after its fan-out job completed: global
-    /// facts the child accumulated (op counters, latched errors,
-    /// degradation tallies) fold into the parent. Joins happen in job
-    /// order. The default discards the child.
+    /// facts the child accumulated (op counters, degradation tallies) fold
+    /// into the parent. Joins happen in job order, whether or not the job
+    /// failed. The default discards the child.
     fn join(&mut self, child: Self)
     where
         Self: Sized,
@@ -308,10 +308,10 @@ pub trait Hisa: Send {
     /// job launches: `true` means the caller has given up on this run
     /// (deadline expiry, client disconnect) and remaining jobs should be
     /// skipped. The default — no cancellation source — never trips.
-    /// Interpretations that carry a cancellation token (the runtime's
-    /// fallible pipeline) override this; forked children share the parent's
-    /// token, so a trip mid-fan-out stops every thread at its next job
-    /// boundary.
+    /// Interpretations that carry a cancellation token (the runtime
+    /// executor's run wrapper) override this; forked children share the
+    /// parent's token, so a trip mid-fan-out stops every thread at its next
+    /// job boundary.
     fn cancel_requested(&self) -> bool {
         false
     }

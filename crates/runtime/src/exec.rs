@@ -5,11 +5,18 @@
 //! HTC), this walks the circuit and invokes the homomorphic kernels.
 //! Because kernels are generic over [`Hisa`], the same executor performs
 //! real encrypted inference *and* the compiler's data-flow analyses.
+//!
+//! Errors travel one way: a failing HISA instruction, a kernel contract
+//! violation or a cancelled fan-out returns from the kernel as a
+//! [`KernelError`], and [`try_run_encrypted_with`] attributes it once, to
+//! the node that was running, as an [`ExecError`]. No later node runs. A
+//! failing fan-out job's siblings run on their own forked backends and
+//! still finish; on a backend that cannot fork, nothing runs after the
+//! failing instruction.
 
 use crate::cancel::{CancelReason, CancelToken};
 use crate::ciphertensor::{
-    decrypt_batch, decrypt_tensor, encrypt_tensor, try_encrypt_batch, try_encrypt_tensor,
-    CipherTensor,
+    decrypt_batch, decrypt_tensor, try_encrypt_batch, try_encrypt_tensor, CipherTensor,
 };
 use crate::kernels::concat::try_hconcat;
 use crate::kernels::conv::{conv_output_layout, try_hconv2d_with_mask};
@@ -19,7 +26,7 @@ use crate::kernels::matmul::try_hmatmul;
 use crate::kernels::pool::{try_havg_pool2d_with_mask, try_hglobal_avg_pool};
 use crate::kernels::{KernelError, ScaleConfig};
 use crate::layout::{Layout, LayoutKind};
-use crate::pipeline::FalliblePipeline;
+use crate::tally::RunTally;
 use chet_hisa::{Hisa, HisaError};
 use chet_tensor::circuit::{Circuit, Op};
 use chet_tensor::Tensor;
@@ -58,10 +65,12 @@ pub enum ExecError {
         op_index: usize,
         /// Human-readable name of the node's operation.
         op: String,
-        /// The kernel's contract violation.
+        /// The kernel's contract violation (always
+        /// [`KernelError::Contract`]).
         source: KernelError,
     },
-    /// The run was cancelled cooperatively between tensor ops.
+    /// The run was cancelled cooperatively, between tensor ops or at a
+    /// kernel fan-out job boundary.
     Cancelled {
         /// Index of the circuit node at which the token was found tripped.
         op_index: usize,
@@ -316,56 +325,33 @@ pub fn clean_output_required(circuit: &Circuit, plan: &ExecPlan) -> Vec<bool> {
     need
 }
 
-/// Builds the input layout for a circuit under a plan.
-///
-/// # Panics
-///
-/// Panics if the circuit has no input op.
-pub fn input_layout<H: Hisa>(h: &H, circuit: &Circuit, plan: &ExecPlan) -> Layout {
-    member_layout(circuit, plan, h.slots())
-}
-
-/// [`input_layout`] at a member width of `slots / batch`: the layout a
-/// batch of `batch` inputs packs into (see `crate::ciphertensor::pack_batch`).
-///
-/// # Panics
-///
-/// Panics unless `batch` is a power of two dividing the scheme's slot
-/// count, or if one member cannot hold the padded input.
-pub fn input_layout_batched<H: Hisa>(
-    h: &H,
+/// The input layout at an explicit member width (`slots / batch` for a
+/// batch of inputs, see `crate::ciphertensor::pack_batch`).
+fn member_layout(
     circuit: &Circuit,
     plan: &ExecPlan,
-    batch: usize,
-) -> Layout {
-    assert!(
-        batch.is_power_of_two() && batch <= h.slots(),
-        "batch ({batch}) must be a power of two dividing the slot count ({})",
-        h.slots()
-    );
-    let member = member_layout(circuit, plan, h.slots() / batch);
-    member.with_batch(batch)
-}
-
-/// The input layout at an explicit member width (no backend needed).
-// A circuit without an input op is unconstructible via CircuitBuilder, so
-// this is an internal invariant, not a recoverable failure.
-#[allow(clippy::expect_used)]
-fn member_layout(circuit: &Circuit, plan: &ExecPlan, member_slots: usize) -> Layout {
+    member_slots: usize,
+) -> Result<Layout, ExecError> {
+    let unsupported = |reason: String| ExecError::UnsupportedCircuit { reason };
     let (idx, shape) = circuit
         .ops()
         .iter()
         .enumerate()
         .find_map(|(i, op)| match op {
-            Op::Input { shape } => Some((i, shape.clone())),
+            Op::Input { shape } => Some((i, shape)),
             _ => None,
         })
-        .expect("circuit has an input");
-    let [c, ih, iw] = shape[..] else { panic!("input must be CHW") };
-    match plan.layouts[idx] {
+        .ok_or_else(|| unsupported("circuit has no encrypted input".into()))?;
+    let [c, ih, iw] = shape[..] else {
+        return Err(unsupported(format!("input shape {shape:?} is not CHW")));
+    };
+    let kind = plan.layouts.get(idx).ok_or_else(|| {
+        unsupported(format!("plan has no layout for input node #{idx}"))
+    })?;
+    Ok(match kind {
         LayoutKind::HW => Layout::hw(c, ih, iw, plan.margin, member_slots),
         LayoutKind::CHW => Layout::chw(c, ih, iw, plan.margin, member_slots),
-    }
+    })
 }
 
 /// How many batch members fit one ciphertext for this circuit under this
@@ -520,26 +506,39 @@ fn min_member_width(circuit: &Circuit, plan: &ExecPlan, slots: usize) -> Option<
     Some(required.next_power_of_two())
 }
 
+/// The client conveniences' unwrap: the error's message is the panic
+/// message.
+fn or_panic<T>(r: Result<T, ExecError>) -> T {
+    match r {
+        Ok(v) => v,
+        Err(e) => panic!("{e}"),
+    }
+}
+
 /// Client-side step: encode + encrypt an image under the plan's layout.
+///
+/// # Panics
+///
+/// On any failure [`try_encrypt_input`] reports.
 pub fn encrypt_input<H: Hisa>(
     h: &mut H,
     circuit: &Circuit,
     plan: &ExecPlan,
     image: &Tensor,
 ) -> CipherTensor<H::Ct> {
-    let layout = input_layout(h, circuit, plan);
-    encrypt_tensor(h, image, &layout, plan.scales.input)
+    or_panic(try_encrypt_input(h, circuit, plan, image))
 }
 
 /// Fallible [`encrypt_input`]: encode failures come back as
-/// [`ExecError::Hisa`] attributed to the input node.
+/// [`ExecError::Hisa`] attributed to the input node, a plan without an
+/// input layout as [`ExecError::UnsupportedCircuit`].
 pub fn try_encrypt_input<H: Hisa>(
     h: &mut H,
     circuit: &Circuit,
     plan: &ExecPlan,
     image: &Tensor,
 ) -> Result<CipherTensor<H::Ct>, ExecError> {
-    let layout = input_layout(h, circuit, plan);
+    let layout = member_layout(circuit, plan, h.slots())?;
     let op_index = circuit
         .ops()
         .iter()
@@ -549,44 +548,18 @@ pub fn try_encrypt_input<H: Hisa>(
         .map_err(|source| ExecError::Hisa { op_index, op: "input".into(), source })
 }
 
-/// Server-side step: execute the homomorphic tensor circuit on an
-/// encrypted input, returning the encrypted prediction.
+/// Server-side step: executes the homomorphic tensor circuit on an
+/// encrypted input, returning the encrypted prediction and the
+/// [`ExecReport`] with the degraded-rotation log (rotations composed from
+/// available keys because the exact key was missing — the
+/// graceful-degradation cost penalty).
 ///
-/// # Panics
-///
-/// Panics on unsupported circuits (multiple encrypted inputs) or any
-/// backend failure — this is the panicking shim over
-/// [`try_run_encrypted`], which reports the same conditions as values.
-pub fn run_encrypted<H: Hisa>(
-    h: &mut H,
-    circuit: &Circuit,
-    plan: &ExecPlan,
-    input: CipherTensor<H::Ct>,
-) -> CipherTensor<H::Ct> {
-    try_run_encrypted(h, circuit, plan, input)
-        .map(|(out, _)| out)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`run_encrypted`]: executes the circuit through a
-/// [`FalliblePipeline`], so the first backend failure aborts the run with
-/// an [`ExecError`] naming the op index and operation, instead of
-/// panicking. Also returns the [`ExecReport`] with the degraded-rotation
-/// log (rotations composed from available keys because the exact key was
-/// missing — the graceful-degradation cost penalty).
-pub fn try_run_encrypted<H: Hisa>(
-    h: &mut H,
-    circuit: &Circuit,
-    plan: &ExecPlan,
-    input: CipherTensor<H::Ct>,
-) -> Result<(CipherTensor<H::Ct>, ExecReport), ExecError> {
-    try_run_encrypted_with(h, circuit, plan, input, &mut ExecControl::none())
-}
-
-/// [`try_run_encrypted`] with an [`ExecControl`]: the serving layer's entry
-/// point. The cancel token is checked between tensor ops, so a request whose
-/// deadline passes mid-circuit aborts with [`ExecError::Cancelled`] instead
-/// of burning the remaining ciphertext work.
+/// The first failure aborts the run with an [`ExecError`] naming the op
+/// index and operation. The [`ExecControl`]'s cancel token is checked
+/// between tensor ops and at every kernel fan-out job boundary, so a
+/// request whose deadline passes mid-circuit aborts with
+/// [`ExecError::Cancelled`] instead of burning the remaining ciphertext
+/// work.
 pub fn try_run_encrypted_with<H: Hisa>(
     h: &mut H,
     circuit: &Circuit,
@@ -594,56 +567,32 @@ pub fn try_run_encrypted_with<H: Hisa>(
     input: CipherTensor<H::Ct>,
     ctrl: &mut ExecControl<'_>,
 ) -> Result<(CipherTensor<H::Ct>, ExecReport), ExecError> {
-    let mut p = FalliblePipeline::new(h);
-    // Forked kernel-fan-out children inherit a clone of the token (clones
-    // share the flag), so a deadline firing mid-fan-out stops every worker
-    // at its next job boundary.
-    if let Some(token) = ctrl.cancel {
-        p = p.with_cancel(token.clone());
-    }
+    let mut p = RunTally::new(h, ctrl.cancel.cloned());
     let out = run_nodes(&mut p, circuit, plan, input, ctrl)?;
-    let report = ExecReport {
-        degraded_rotations: p.degraded_rotations(),
-        extra_rotation_ops: p.extra_rotation_ops(),
-    };
-    Ok((out, report))
+    Ok((out, p.report()))
 }
 
-/// Attributes a kernel failure: a [`KernelError`] produced while the
-/// request's token is tripped is a cooperative cancellation observed
-/// mid-fan-out, not a contract violation — report it as
-/// [`ExecError::Cancelled`] so the serving layer's retry classifier does
-/// not mistake it for a permanently malformed layer.
-fn kernel_error_or_cancel(
-    cancel: Option<&CancelToken>,
-    op_index: usize,
-    op: String,
-    source: KernelError,
-) -> ExecError {
-    if let Some(token) = cancel {
-        if let Err(reason) = token.check() {
-            return ExecError::Cancelled { op_index, op, reason };
-        }
-    }
-    ExecError::Kernel { op_index, op, source }
-}
-
-/// The executor core: walks the node list, dispatching to kernels through
-/// the error-latching pipeline, and checks the latch after every node so
-/// failures are attributed precisely.
+/// The executor core: walks the node list, dispatching to kernels, and
+/// attributes a kernel's failure to the node that was running.
 // The `expect("dep computed")` calls assert topological order — ops only
 // reference earlier nodes, which CircuitBuilder guarantees by construction.
-// Backend failures (the recoverable class) flow through the pipeline latch.
 #[allow(clippy::expect_used)]
 fn run_nodes<H: Hisa>(
-    p: &mut FalliblePipeline<'_, H>,
+    p: &mut RunTally<'_, H>,
     circuit: &Circuit,
     plan: &ExecPlan,
     input: CipherTensor<H::Ct>,
     ctrl: &mut ExecControl<'_>,
 ) -> Result<CipherTensor<H::Ct>, ExecError> {
     let n = circuit.ops().len();
-    assert_eq!(plan.layouts.len(), n, "plan must assign a layout per node");
+    if plan.layouts.len() != n {
+        return Err(ExecError::UnsupportedCircuit {
+            reason: format!(
+                "plan assigns {} layouts to a circuit of {n} nodes",
+                plan.layouts.len()
+            ),
+        });
+    }
     // Free intermediate tensors after their last consumer.
     let mut last_use = vec![0usize; n];
     for (i, op) in circuit.ops().iter().enumerate() {
@@ -666,22 +615,15 @@ fn run_nodes<H: Hisa>(
         want: LayoutKind,
         scales: &ScaleConfig,
     ) -> Result<&'v CipherTensor<H2::Ct>, KernelError> {
-        let needs = {
-            let x = values[dep].as_ref().expect("dep computed");
-            x.layout.kind != want && x.layout.height * x.layout.width > 1
-        };
-        if needs {
-            let converted = {
-                let x = values[dep].as_ref().expect("dep computed");
-                try_convert_layout(h, x, want, scales)?
-            };
-            values[dep] = Some(converted);
+        let x = values[dep].as_ref().expect("dep computed");
+        if x.layout.kind != want && x.layout.height * x.layout.width > 1 {
+            values[dep] = Some(try_convert_layout(h, x, want, scales)?);
         }
         Ok(values[dep].as_ref().expect("dep computed"))
     }
     for (i, op) in circuit.ops().iter().enumerate() {
         // Cooperative preemption point: deadline/cancel checks and progress
-        // observation happen between nodes, never inside a kernel.
+        // observation happen between nodes; fan-out jobs poll the token too.
         if let Some(token) = ctrl.cancel {
             if let Err(reason) = token.check() {
                 return Err(ExecError::Cancelled { op_index: i, op: op_name(op).into(), reason });
@@ -690,96 +632,75 @@ fn run_nodes<H: Hisa>(
         if let Some(obs) = ctrl.observer.as_deref_mut() {
             obs.on_op(i, op_name(op));
         }
+        let kind = plan.layouts[i];
         let v = match op {
-            Op::Input { .. } => input_slot.take().ok_or_else(|| {
-                ExecError::UnsupportedCircuit {
-                    reason: "circuits with multiple encrypted inputs are unsupported".into(),
-                }
-            })?,
-            Op::Conv2d { input, weights, bias, stride, padding } => {
-                let x = values[*input].as_ref().expect("dep computed");
-                try_hconv2d_with_mask(
-                    p,
-                    x,
-                    weights,
-                    bias.as_deref(),
-                    *stride,
-                    *padding,
-                    plan.layouts[i],
-                    scales,
-                    need_clean[i],
-                )
-                .map_err(|source| {
-                    kernel_error_or_cancel(ctrl.cancel, i, op_name(op).into(), source)
-                })?
-            }
-            Op::MatMul { input, weights, bias } => {
-                let x = values[*input].as_ref().expect("dep computed");
-                try_hmatmul(p, x, weights, bias.as_deref(), scales).map_err(|source| {
-                    kernel_error_or_cancel(ctrl.cancel, i, op_name(op).into(), source)
-                })?
-            }
-            Op::AvgPool2d { input, kernel, stride } => {
-                let x = fetch(p, &mut values, *input, plan.layouts[i], scales)
-                    .map(Clone::clone)
-                    .and_then(|x| {
-                        try_havg_pool2d_with_mask(p, &x, *kernel, *stride, scales, need_clean[i])
-                    });
-                x.map_err(|source| {
-                    kernel_error_or_cancel(ctrl.cancel, i, op_name(op).into(), source)
-                })?
-            }
-            Op::GlobalAvgPool { input } => {
-                let x = fetch(p, &mut values, *input, plan.layouts[i], scales)
-                    .map(Clone::clone)
-                    .and_then(|x| try_hglobal_avg_pool(p, &x, scales));
-                x.map_err(|source| {
-                    kernel_error_or_cancel(ctrl.cancel, i, op_name(op).into(), source)
-                })?
-            }
-            Op::Activation { input, a, b } => {
-                let x = fetch(p, &mut values, *input, plan.layouts[i], scales)
-                    .map(Clone::clone)
-                    .and_then(|x| try_hactivation(p, &x, *a, *b, scales));
-                x.map_err(|source| {
-                    kernel_error_or_cancel(ctrl.cancel, i, op_name(op).into(), source)
-                })?
-            }
-            Op::BatchNorm { input, scale, shift } => {
-                let x = fetch(p, &mut values, *input, plan.layouts[i], scales)
-                    .map(Clone::clone)
-                    .and_then(|x| try_hbatch_norm(p, &x, scale, shift, scales));
-                x.map_err(|source| {
-                    kernel_error_or_cancel(ctrl.cancel, i, op_name(op).into(), source)
-                })?
-            }
-            Op::Concat { inputs } => {
-                let r = inputs
-                    .iter()
-                    .try_for_each(|&j| {
-                        fetch(p, &mut values, j, plan.layouts[i], scales).map(|_| ())
+            Op::Input { .. } => match input_slot.take() {
+                Some(x) => Ok(x),
+                None => {
+                    return Err(ExecError::UnsupportedCircuit {
+                        reason: "circuits with multiple encrypted inputs are unsupported".into(),
                     })
-                    .and_then(|()| {
-                        let xs: Vec<&CipherTensor<H::Ct>> = inputs
-                            .iter()
-                            .map(|&j| values[j].as_ref().expect("dep computed"))
-                            .collect();
-                        try_hconcat(p, &xs, scales)
-                    });
-                r.map_err(|source| {
-                    kernel_error_or_cancel(ctrl.cancel, i, op_name(op).into(), source)
-                })?
+                }
+            },
+            Op::Conv2d { input, weights, bias, stride, padding } => try_hconv2d_with_mask(
+                p,
+                values[*input].as_ref().expect("dep computed"),
+                weights,
+                bias.as_deref(),
+                *stride,
+                *padding,
+                kind,
+                scales,
+                need_clean[i],
+            ),
+            Op::MatMul { input, weights, bias } => try_hmatmul(
+                p,
+                values[*input].as_ref().expect("dep computed"),
+                weights,
+                bias.as_deref(),
+                scales,
+            ),
+            Op::AvgPool2d { input, kernel, stride } => {
+                fetch(p, &mut values, *input, kind, scales).and_then(|x| {
+                    try_havg_pool2d_with_mask(p, x, *kernel, *stride, scales, need_clean[i])
+                })
             }
+            Op::GlobalAvgPool { input } => fetch(p, &mut values, *input, kind, scales)
+                .and_then(|x| try_hglobal_avg_pool(p, x, scales)),
+            Op::Activation { input, a, b } => fetch(p, &mut values, *input, kind, scales)
+                .and_then(|x| try_hactivation(p, x, *a, *b, scales)),
+            Op::BatchNorm { input, scale, shift } => fetch(p, &mut values, *input, kind, scales)
+                .and_then(|x| try_hbatch_norm(p, x, scale, shift, scales)),
+            Op::Concat { inputs } => inputs
+                .iter()
+                .try_for_each(|&j| fetch(p, &mut values, j, kind, scales).map(|_| ()))
+                .and_then(|()| {
+                    let xs: Vec<&CipherTensor<H::Ct>> = inputs
+                        .iter()
+                        .map(|&j| values[j].as_ref().expect("dep computed"))
+                        .collect();
+                    try_hconcat(p, &xs, scales)
+                }),
             Op::Flatten { input } => {
                 // Metadata-only: the dense kernel enumerates any layout.
-                values[*input].as_ref().expect("dep computed").clone()
+                Ok(values[*input].clone().expect("dep computed"))
             }
         };
-        // A latched error means node i's kernel produced garbage: abort
-        // here with precise attribution.
-        if let Some(source) = p.take_error() {
-            return Err(ExecError::Hisa { op_index: i, op: op_name(op).into(), source });
-        }
+        let v = v.map_err(|cause| {
+            let op = op_name(op).into();
+            match cause {
+                KernelError::Hisa(source) => ExecError::Hisa { op_index: i, op, source },
+                KernelError::Cancelled => {
+                    let reason = ctrl.cancel.and_then(|t| t.check().err());
+                    ExecError::Cancelled {
+                        op_index: i,
+                        op,
+                        reason: reason.unwrap_or(CancelReason::Cancelled),
+                    }
+                }
+                source => ExecError::Kernel { op_index: i, op, source },
+            }
+        })?;
         values[i] = Some(v);
         // Drop tensors that will not be used again.
         for dep in op.inputs() {
@@ -793,9 +714,16 @@ fn run_nodes<H: Hisa>(
 
 /// End-to-end convenience: encrypt, run, decrypt (the full Figure 3 flow on
 /// one machine).
+///
+/// # Panics
+///
+/// On any failure [`try_encrypt_input`] or [`try_run_encrypted_with`]
+/// reports. Unlike [`try_infer`], non-finite output slots are returned, not
+/// rejected.
 pub fn infer<H: Hisa>(h: &mut H, circuit: &Circuit, plan: &ExecPlan, image: &Tensor) -> Tensor {
     let enc = encrypt_input(h, circuit, plan, image);
-    let out = run_encrypted(h, circuit, plan, enc);
+    let run = try_run_encrypted_with(h, circuit, plan, enc, &mut ExecControl::none());
+    let (out, _) = or_panic(run);
     let dec = decrypt_tensor(h, &out);
     reshape_output(circuit, dec)
 }
@@ -810,22 +738,13 @@ pub fn try_infer<H: Hisa>(
     plan: &ExecPlan,
     image: &Tensor,
 ) -> Result<Tensor, ExecError> {
-    try_infer_with_report(h, circuit, plan, image).map(|(t, _)| t)
+    try_infer_with_control(h, circuit, plan, image, &mut ExecControl::none()).map(|(t, _)| t)
 }
 
-/// [`try_infer`] plus the [`ExecReport`] (degraded-rotation log).
-pub fn try_infer_with_report<H: Hisa>(
-    h: &mut H,
-    circuit: &Circuit,
-    plan: &ExecPlan,
-    image: &Tensor,
-) -> Result<(Tensor, ExecReport), ExecError> {
-    try_infer_with_control(h, circuit, plan, image, &mut ExecControl::none())
-}
-
-/// [`try_infer_with_report`] under an [`ExecControl`]: cooperative
-/// cancellation (deadlines) plus per-op observation — the full fallible
-/// surface the serving layer runs requests through.
+/// [`try_infer`] under an [`ExecControl`], plus the [`ExecReport`]
+/// (degraded-rotation log): cooperative cancellation (deadlines) and
+/// per-op observation — the full fallible surface the serving layer runs
+/// requests through.
 pub fn try_infer_with_control<H: Hisa>(
     h: &mut H,
     circuit: &Circuit,
@@ -878,7 +797,7 @@ pub fn try_infer_batch_with_control<H: Hisa>(
             ),
         });
     }
-    let layout = input_layout_batched(h, circuit, plan, batch);
+    let layout = member_layout(circuit, plan, h.slots() / batch)?.with_batch(batch);
     let op_index = circuit
         .ops()
         .iter()

@@ -12,20 +12,6 @@ use crate::layout::{prev_power_of_two, LayoutKind};
 use crate::par;
 use chet_hisa::Hisa;
 
-/// Concatenates [`CipherTensor`]s along the channel dimension.
-///
-/// # Panics
-///
-/// Panics on any contract violation [`try_hconcat`] reports as a
-/// [`KernelError`] — the panicking shim.
-pub fn hconcat<H: Hisa>(
-    h: &mut H,
-    inputs: &[&CipherTensor<H::Ct>],
-    scales: &ScaleConfig,
-) -> CipherTensor<H::Ct> {
-    super::expect_kernel(try_hconcat(h, inputs, scales))
-}
-
 /// One CHW placement job: rotate (optionally mask first) a source
 /// ciphertext's channel run into its destination position.
 struct PieceJob {
@@ -39,11 +25,11 @@ struct PieceJob {
     dest_ct: usize,
 }
 
-/// Fallible [`hconcat`]: layout disagreements (kind, spatial geometry) come
-/// back as [`KernelError`] values instead of panics, so a malformed network
-/// cannot kill a serving worker. Piece placement fans out per source
-/// ciphertext run; the overlap-add into destination ciphertexts folds on
-/// the parent in source order.
+/// Concatenates [`CipherTensor`]s along the channel dimension. Layout
+/// disagreements (kind, spatial geometry) come back as [`KernelError`]
+/// values, so a malformed network cannot kill a serving worker. Piece
+/// placement fans out per source ciphertext run; the overlap-add into
+/// destination ciphertexts folds on the parent in source order.
 pub fn try_hconcat<H: Hisa>(
     h: &mut H,
     inputs: &[&CipherTensor<H::Ct>],
@@ -86,7 +72,7 @@ pub fn try_hconcat<H: Hisa>(
         LayoutKind::HW => {
             let mut layout = first.clone();
             layout.channels = total_c;
-            let cts = par::fan_out(h, flat.len(), |h, i| h.copy(flat[i]))?;
+            let cts = par::try_fan_out(h, flat.len(), |h, i| Ok(h.copy(flat[i])))?;
             Ok(CipherTensor { layout, cts })
         }
         LayoutKind::CHW => {
@@ -165,22 +151,22 @@ pub fn try_hconcat<H: Hisa>(
                 g_off += t.layout.channels;
             }
 
-            let pieces: Vec<H::Ct> = par::fan_out(h, jobs.len(), |h, j| {
+            let pieces: Vec<H::Ct> = par::try_fan_out(h, jobs.len(), |h, j| {
                 let job = &jobs[j];
-                match &job.mask {
+                Ok(match &job.mask {
                     Some(m) => {
-                        let masked = apply_mask(h, flat[job.src], m, scales);
-                        rot_signed(h, &masked, job.offset)
+                        let masked = apply_mask(h, flat[job.src], m, scales)?;
+                        rot_signed(h, &masked, job.offset)?
                     }
-                    None => rot_signed(h, flat[job.src], job.offset),
-                }
+                    None => rot_signed(h, flat[job.src], job.offset)?,
+                })
             })?;
             let mut out: Vec<Option<H::Ct>> = vec![None; layout.num_cts()];
             for (piece, job) in pieces.into_iter().zip(&jobs) {
-                match out[job.dest_ct].as_mut() {
-                    None => out[job.dest_ct] = Some(piece),
-                    Some(prev) => h.add_assign(prev, &piece),
-                }
+                out[job.dest_ct] = Some(match out[job.dest_ct].take() {
+                    None => piece,
+                    Some(prev) => h.try_add(&prev, &piece)?,
+                });
             }
             Ok(CipherTensor {
                 layout,
@@ -218,7 +204,7 @@ mod tests {
         let lb = Layout::hw(1, 3, 3, 0, h.slots());
         let ea = encrypt_tensor(&mut h, &a, &la, scales.input);
         let eb = encrypt_tensor(&mut h, &b, &lb, scales.input);
-        let out = hconcat(&mut h, &[&ea, &eb], &scales);
+        let out = try_hconcat(&mut h, &[&ea, &eb], &scales).unwrap();
         assert_eq!(out.num_cts(), 3);
         let got = decrypt_tensor(&mut h, &out);
         let want = ops::concat_channels(&[&a, &b]);
@@ -236,7 +222,7 @@ mod tests {
         let lb = Layout::chw(2, 4, 4, 0, h.slots());
         let ea = encrypt_tensor(&mut h, &a, &la, scales.input);
         let eb = encrypt_tensor(&mut h, &b, &lb, scales.input);
-        let out = hconcat(&mut h, &[&ea, &eb], &scales);
+        let out = try_hconcat(&mut h, &[&ea, &eb], &scales).unwrap();
         assert_eq!(out.num_cts(), 1);
         let got = decrypt_tensor(&mut h, &out);
         let want = ops::concat_channels(&[&a, &b]);
@@ -256,15 +242,14 @@ mod tests {
             })
             .collect();
         let refs: Vec<&CipherTensor<_>> = encs.iter().collect();
-        let out = hconcat(&mut h, &refs, &scales);
+        let out = try_hconcat(&mut h, &refs, &scales).unwrap();
         let got = decrypt_tensor(&mut h, &out);
         let want = ops::concat_channels(&[&ts[0], &ts[1], &ts[2]]);
         assert!(got.max_abs_diff(&want) < 1e-9);
     }
 
     #[test]
-    #[should_panic(expected = "share layout kind")]
-    fn mixed_kind_concat_panics() {
+    fn mixed_kind_concat_is_a_contract_violation() {
         let mut h = sim();
         let scales = ScaleConfig::default();
         let a = ramp(1, 2, 2, 0.0);
@@ -272,6 +257,8 @@ mod tests {
         let lchw = Layout::chw(1, 2, 2, 0, h.slots());
         let ea = encrypt_tensor(&mut h, &a, &lhw, scales.input);
         let eb = encrypt_tensor(&mut h, &a, &lchw, scales.input);
-        hconcat(&mut h, &[&ea, &eb], &scales);
+        let e = try_hconcat(&mut h, &[&ea, &eb], &scales).unwrap_err();
+        assert!(matches!(e, KernelError::Contract { kernel: "concat", .. }), "{e:?}");
+        assert!(e.to_string().contains("share layout kind"), "{e}");
     }
 }

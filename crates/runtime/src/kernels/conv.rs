@@ -19,7 +19,7 @@ use super::{apply_mask, rot_signed_many, KernelError, ScaleConfig};
 use crate::ciphertensor::CipherTensor;
 use crate::layout::{Layout, LayoutKind};
 use crate::par;
-use chet_hisa::Hisa;
+use chet_hisa::{Hisa, HisaError};
 use chet_tensor::ops::{conv_output_dim, Padding};
 use chet_tensor::Tensor;
 
@@ -43,53 +43,6 @@ pub(crate) fn conv_output_layout(
         }
     };
     out
-}
-
-/// Homomorphic convolution of a CHW [`CipherTensor`] with KCRS weights.
-///
-/// # Panics
-///
-/// Panics on shape mismatches, or if `Same` padding needs more margin than
-/// the input layout reserved.
-pub fn hconv2d<H: Hisa>(
-    h: &mut H,
-    input: &CipherTensor<H::Ct>,
-    weights: &Tensor,
-    bias: Option<&[f64]>,
-    stride: usize,
-    padding: Padding,
-    out_kind: LayoutKind,
-    scales: &ScaleConfig,
-) -> CipherTensor<H::Ct> {
-    hconv2d_with_mask(h, input, weights, bias, stride, padding, out_kind, scales, true)
-}
-
-/// [`hconv2d`] with an explicit masking decision (lazy masking, §4.2: CHET
-/// "avoids or delays performing these expensive operations"). Masking can
-/// only be skipped when the output stays in HW layout with at most one
-/// channel block per ciphertext — CHW placement must isolate each block —
-/// and when no consumer needs zeroed junk slots (the executor's backward
-/// analysis decides).
-///
-/// # Panics
-///
-/// Panics on any contract violation [`try_hconv2d_with_mask`] reports as a
-/// [`KernelError`].
-#[allow(clippy::too_many_arguments)]
-pub fn hconv2d_with_mask<H: Hisa>(
-    h: &mut H,
-    input: &CipherTensor<H::Ct>,
-    weights: &Tensor,
-    bias: Option<&[f64]>,
-    stride: usize,
-    padding: Padding,
-    out_kind: LayoutKind,
-    scales: &ScaleConfig,
-    mask_output: bool,
-) -> CipherTensor<H::Ct> {
-    super::expect_kernel(try_hconv2d_with_mask(
-        h, input, weights, bias, stride, padding, out_kind, scales, mask_output,
-    ))
 }
 
 /// Validates the convolution's input contract — the checks that used to be
@@ -151,10 +104,19 @@ fn validate_conv(
     Ok([k_out, c_in, r, s])
 }
 
-/// Fallible [`hconv2d_with_mask`]: input-contract violations come back as
-/// [`KernelError`] values instead of panics, so the executor (and the
-/// serving layer's worker threads) can reject a malformed layer without
-/// dying.
+/// Homomorphic convolution of a CHW [`CipherTensor`] with KCRS weights.
+///
+/// `mask_output` is the lazy-masking decision (§4.2: CHET "avoids or
+/// delays performing these expensive operations"). Masking can only be
+/// skipped when the output stays in HW layout with at most one channel
+/// block per ciphertext — CHW placement must isolate each block — and when
+/// no consumer needs zeroed junk slots (the executor's backward analysis
+/// decides).
+///
+/// Input-contract violations — shape mismatches, or `Same` padding needing
+/// more margin than the input layout reserved — come back as
+/// [`KernelError`] values, so the executor (and the serving layer's worker
+/// threads) can reject a malformed layer without dying.
 #[allow(clippy::too_many_arguments)]
 pub fn try_hconv2d_with_mask<H: Hisa>(
     h: &mut H,
@@ -190,25 +152,25 @@ pub fn try_hconv2d_with_mask<H: Hisa>(
     let must_mask = mask_output || out_layout.channels_per_ct > 1;
     // Mask + placement rotation fan out per output channel; the fold into
     // shared output ciphertexts runs on the parent in channel order.
-    let placed: Vec<H::Ct> = par::fan_out(h, accs.len(), |h, k| {
+    let placed: Vec<H::Ct> = par::try_fan_out(h, accs.len(), |h, k| {
         let masked = if must_mask {
-            apply_mask(h, &accs[k], &grid_mask, scales)
+            apply_mask(h, &accs[k], &grid_mask, scales)?
         } else {
-            super::settle(h, accs[k].clone(), scales.input)
+            super::settle(h, accs[k].clone(), scales.input)?
         };
         let dest_block = k % out_layout.channels_per_ct;
-        if dest_block == 0 {
+        Ok(if dest_block == 0 {
             masked
         } else {
-            h.rot_right(&masked, dest_block * out_layout.c_stride)
-        }
+            h.try_rot_right(&masked, dest_block * out_layout.c_stride)?
+        })
     })?;
     let mut out_cts: Vec<Option<H::Ct>> = vec![None; out_layout.num_cts()];
     for (k, p) in placed.into_iter().enumerate() {
         let dest_ct = k / out_layout.channels_per_ct;
         out_cts[dest_ct] = Some(match out_cts[dest_ct].take() {
             None => p,
-            Some(prev) => h.add(&prev, &p),
+            Some(prev) => h.try_add(&prev, &p)?,
         });
     }
     let mut out = CipherTensor {
@@ -233,8 +195,8 @@ pub fn try_hconv2d_with_mask<H: Hisa>(
                 }
             }
             let scale = h.scale_of(ct);
-            let pt = super::encode_tiled(h, &vec, scale);
-            *ct = h.add_plain(ct, &pt);
+            let pt = super::encode_tiled(h, &vec, scale)?;
+            *ct = h.try_add_plain(ct, &pt)?;
         }
     }
     Ok(out)
@@ -248,7 +210,7 @@ fn rotate_taps<H: Hisa>(
     h: &mut H,
     input: &CipherTensor<H::Ct>,
     taps: &[(usize, usize, usize, isize)],
-) -> Vec<H::Ct> {
+) -> Result<Vec<H::Ct>, HisaError> {
     let mut rotated = Vec::with_capacity(taps.len());
     let mut start = 0;
     while start < taps.len() {
@@ -258,10 +220,10 @@ fn rotate_taps<H: Hisa>(
             end += 1;
         }
         let offs: Vec<isize> = taps[start..end].iter().map(|t| t.3).collect();
-        rotated.extend(rot_signed_many(h, &input.cts[src], &offs));
+        rotated.extend(rot_signed_many(h, &input.cts[src], &offs)?);
         start = end;
     }
-    rotated
+    Ok(rotated)
 }
 
 /// HW-input accumulation: rotations shared across output channels, scalar
@@ -294,24 +256,27 @@ fn conv_accumulate_hw<H: Hisa>(
             }
         }
     }
-    let rotated = rotate_taps(h, input, &taps);
-    par::fan_out(h, k_out, |h, k| {
+    let rotated = rotate_taps(h, input, &taps)?;
+    par::try_fan_out(h, k_out, |h, k| {
         let mut acc: Option<H::Ct> = None;
         for (t, &(ci, ry, rx, _)) in taps.iter().enumerate() {
             let w = weights.at(&[k, ci, ry, rx]);
             if w == 0.0 {
                 continue;
             }
-            let prod = h.mul_scalar(&rotated[t], w, scales.weight_scalar);
-            match acc.as_mut() {
-                None => acc = Some(prod),
-                Some(prev) => h.add_assign(prev, &prod),
-            }
+            let prod = h.try_mul_scalar(&rotated[t], w, scales.weight_scalar)?;
+            acc = Some(match acc {
+                None => prod,
+                Some(prev) => h.try_add(&prev, &prod)?,
+            });
         }
         // All-zero filters (possibly every filter) get an encrypt-free zero
         // via 0 × input, which lands at the same scale as any real
         // accumulator (input_scale · weight_scalar either way).
-        acc.unwrap_or_else(|| h.mul_scalar(&input.cts[0], 0.0, scales.weight_scalar))
+        Ok(match acc {
+            Some(acc) => acc,
+            None => h.try_mul_scalar(&input.cts[0], 0.0, scales.weight_scalar)?,
+        })
     })
 }
 
@@ -350,8 +315,8 @@ fn conv_accumulate_chw<H: Hisa>(
             }
         }
     }
-    let rotated = rotate_taps(h, input, &taps);
-    par::fan_out(h, k_out, |h, k| {
+    let rotated = rotate_taps(h, input, &taps)?;
+    par::try_fan_out(h, k_out, |h, k| {
         let mut acc: Option<H::Ct> = None;
         for (t, &(ct_idx, ry, rx, _)) in taps.iter().enumerate() {
             // Plaintext: weight of (k, channel block) broadcast over each
@@ -374,18 +339,21 @@ fn conv_accumulate_chw<H: Hisa>(
             if !any {
                 continue;
             }
-            let pt = super::encode_tiled(h, &vec, scales.weight_plain);
-            let prod = h.mul_plain(&rotated[t], &pt);
-            match acc.as_mut() {
-                None => acc = Some(prod),
-                Some(prev) => h.add_assign(prev, &prod),
-            }
+            let pt = super::encode_tiled(h, &vec, scales.weight_plain)?;
+            let prod = h.try_mul_plain(&rotated[t], &pt)?;
+            acc = Some(match acc {
+                None => prod,
+                Some(prev) => h.try_add(&prev, &prod)?,
+            });
         }
-        let acc = acc.unwrap_or_else(|| {
-            let pt = super::encode_tiled(h, &vec![0.0; lin.slots], scales.weight_plain);
-            h.mul_plain(&input.cts[0], &pt)
-        });
-        super::reduce_groups(h, &acc, lin.c_stride, cpc)
+        let acc = match acc {
+            Some(acc) => acc,
+            None => {
+                let pt = super::encode_tiled(h, &vec![0.0; lin.slots], scales.weight_plain)?;
+                h.try_mul_plain(&input.cts[0], &pt)?
+            }
+        };
+        Ok(super::reduce_groups(h, &acc, lin.c_stride, cpc)?)
     })
 }
 
@@ -426,7 +394,10 @@ mod tests {
             LayoutKind::CHW => Layout::chw(c, ih, iw, margin, h.slots()),
         };
         let enc = encrypt_tensor(&mut h, &input, &layout, scales.input);
-        let out = hconv2d(&mut h, &enc, &weights, Some(&bias), stride, padding, out_kind, &scales);
+        let out = try_hconv2d_with_mask(
+            &mut h, &enc, &weights, Some(&bias), stride, padding, out_kind, &scales, true,
+        )
+        .unwrap();
         let got = decrypt_tensor(&mut h, &out);
         let want = ops::conv2d(&input, &weights, Some(&bias), stride, padding);
         assert_eq!(got.shape(), want.shape());
@@ -532,7 +503,10 @@ mod tests {
         let layout = Layout::hw(1, 4, 4, 0, h.slots());
         let enc = encrypt_tensor(&mut h, &input, &layout, scales.input);
         let w = Tensor::zeros(vec![2, 1, 2, 2]);
-        let out = hconv2d(&mut h, &enc, &w, None, 1, Padding::Valid, LayoutKind::HW, &scales);
+        let out = try_hconv2d_with_mask(
+            &mut h, &enc, &w, None, 1, Padding::Valid, LayoutKind::HW, &scales, true,
+        )
+        .unwrap();
         let got = decrypt_tensor(&mut h, &out);
         assert!(got.data().iter().all(|&v| v.abs() < 1e-9));
     }
@@ -546,9 +520,10 @@ mod tests {
         let weights = Tensor::from_fn(vec![6, 1, 3, 3], |i| (i[0] as f64 - 2.5) * 0.1);
         let layout = Layout::chw(1, 30, 30, 2, h.slots());
         let enc = encrypt_tensor(&mut h, &input, &layout, scales.input);
-        let out = hconv2d(
-            &mut h, &enc, &weights, None, 1, Padding::Valid, LayoutKind::CHW, &scales,
-        );
+        let out = try_hconv2d_with_mask(
+            &mut h, &enc, &weights, None, 1, Padding::Valid, LayoutKind::CHW, &scales, true,
+        )
+        .unwrap();
         assert!(out.layout.num_cts() >= 1);
         let got = decrypt_tensor(&mut h, &out);
         let want = ops::conv2d(&input, &weights, None, 1, Padding::Valid);

@@ -10,24 +10,15 @@ use crate::layout::{prev_power_of_two, LayoutKind};
 use crate::par;
 use chet_hisa::Hisa;
 
-/// Repacks a [`CipherTensor`] into the target layout kind (no-op when it
+/// Repacks a [`CipherTensor`] into the target layout kind (a copy when it
 /// already matches).
 ///
 /// * HW → CHW: rotate each channel grid into its block (rotations + adds).
 /// * CHW → HW: mask out each channel block, rotate to the origin (one mask
 ///   multiply + rotation per channel).
-pub fn convert_layout<H: Hisa>(
-    h: &mut H,
-    input: &CipherTensor<H::Ct>,
-    target: LayoutKind,
-    scales: &ScaleConfig,
-) -> CipherTensor<H::Ct> {
-    super::expect_kernel(try_convert_layout(h, input, target, scales))
-}
-
-/// Fallible [`convert_layout`]: the repacking fans out per source channel
-/// (CHW → HW) or per source ciphertext (HW → CHW, copies), and observes
-/// cancellation at job boundaries.
+///
+/// The repacking fans out per source channel (CHW → HW) or per source
+/// ciphertext (HW → CHW), and observes cancellation at job boundaries.
 pub fn try_convert_layout<H: Hisa>(
     h: &mut H,
     input: &CipherTensor<H::Ct>,
@@ -36,7 +27,7 @@ pub fn try_convert_layout<H: Hisa>(
 ) -> Result<CipherTensor<H::Ct>, KernelError> {
     let lin = &input.layout;
     if lin.kind == target {
-        let cts = par::fan_out(h, input.cts.len(), |h, i| h.copy(&input.cts[i]))?;
+        let cts = par::try_fan_out(h, input.cts.len(), |h, i| Ok(h.copy(&input.cts[i])))?;
         return Ok(CipherTensor { layout: lin.clone(), cts });
     }
     match target {
@@ -49,21 +40,21 @@ pub fn try_convert_layout<H: Hisa>(
                 .min(lin.channels);
             // Per-channel placement rotations fan out; the overlap-add into
             // destination blocks folds on the parent in channel order.
-            let pieces: Vec<H::Ct> = par::fan_out(h, input.cts.len(), |h, c| {
+            let pieces: Vec<H::Ct> = par::try_fan_out(h, input.cts.len(), |h, c| {
                 let block = c % layout.channels_per_ct;
-                if block == 0 {
+                Ok(if block == 0 {
                     h.copy(&input.cts[c])
                 } else {
-                    h.rot_right(&input.cts[c], block * layout.c_stride)
-                }
+                    h.try_rot_right(&input.cts[c], block * layout.c_stride)?
+                })
             })?;
             let mut cts: Vec<Option<H::Ct>> = vec![None; layout.num_cts()];
             for (c, piece) in pieces.into_iter().enumerate() {
                 let dest_ct = c / layout.channels_per_ct;
-                match cts[dest_ct].as_mut() {
-                    None => cts[dest_ct] = Some(piece),
-                    Some(prev) => h.add_assign(prev, &piece),
-                }
+                cts[dest_ct] = Some(match cts[dest_ct].take() {
+                    None => piece,
+                    Some(prev) => h.try_add(&prev, &piece)?,
+                });
             }
             Ok(CipherTensor {
                 layout,
@@ -79,14 +70,14 @@ pub fn try_convert_layout<H: Hisa>(
             single.channels = 1;
             single.channels_per_ct = 1;
             let grid_mask = single.mask_for_ct(0);
-            let cts = par::fan_out(h, lin.channels, |h, c| {
+            let cts = par::try_fan_out(h, lin.channels, |h, c| {
                 let (src_ct, base_slot) = lin.slot_of(c, 0, 0);
                 let moved = if base_slot == 0 {
                     h.copy(&input.cts[src_ct])
                 } else {
-                    h.rot_left(&input.cts[src_ct], base_slot)
+                    h.try_rot_left(&input.cts[src_ct], base_slot)?
                 };
-                apply_mask(h, &moved, &grid_mask, scales)
+                Ok(apply_mask(h, &moved, &grid_mask, scales)?)
             })?;
             Ok(CipherTensor { layout, cts })
         }
@@ -118,7 +109,7 @@ mod tests {
         let t = ramp(5, 4, 4);
         let l = Layout::hw(5, 4, 4, 1, h.slots());
         let enc = encrypt_tensor(&mut h, &t, &l, scales.input);
-        let chw = convert_layout(&mut h, &enc, LayoutKind::CHW, &scales);
+        let chw = try_convert_layout(&mut h, &enc, LayoutKind::CHW, &scales).unwrap();
         assert_eq!(chw.layout.kind, LayoutKind::CHW);
         assert!(chw.num_cts() < enc.num_cts());
         let got = decrypt_tensor(&mut h, &chw);
@@ -132,7 +123,7 @@ mod tests {
         let t = ramp(4, 3, 3);
         let l = Layout::chw(4, 3, 3, 0, h.slots());
         let enc = encrypt_tensor(&mut h, &t, &l, scales.input);
-        let hw = convert_layout(&mut h, &enc, LayoutKind::HW, &scales);
+        let hw = try_convert_layout(&mut h, &enc, LayoutKind::HW, &scales).unwrap();
         assert_eq!(hw.layout.kind, LayoutKind::HW);
         assert_eq!(hw.num_cts(), 4);
         let got = decrypt_tensor(&mut h, &hw);
@@ -146,8 +137,8 @@ mod tests {
         let t = ramp(3, 4, 4);
         let l = Layout::hw(3, 4, 4, 0, h.slots());
         let enc = encrypt_tensor(&mut h, &t, &l, scales.input);
-        let chw = convert_layout(&mut h, &enc, LayoutKind::CHW, &scales);
-        let back = convert_layout(&mut h, &chw, LayoutKind::HW, &scales);
+        let chw = try_convert_layout(&mut h, &enc, LayoutKind::CHW, &scales).unwrap();
+        let back = try_convert_layout(&mut h, &chw, LayoutKind::HW, &scales).unwrap();
         let got = decrypt_tensor(&mut h, &back);
         assert!(got.max_abs_diff(&t) < 1e-3);
     }
@@ -159,7 +150,7 @@ mod tests {
         let t = ramp(2, 2, 2);
         let l = Layout::hw(2, 2, 2, 0, h.slots());
         let enc = encrypt_tensor(&mut h, &t, &l, scales.input);
-        let out = convert_layout(&mut h, &enc, LayoutKind::HW, &scales);
+        let out = try_convert_layout(&mut h, &enc, LayoutKind::HW, &scales).unwrap();
         assert_eq!(out.layout, enc.layout);
         let got = decrypt_tensor(&mut h, &out);
         assert!(got.max_abs_diff(&t) < 1e-9);

@@ -10,19 +10,7 @@ use chet_hisa::Hisa;
 /// `x · (a·x + b)` — one scalar multiply plus one ciphertext multiply.
 ///
 /// Zero slots stay zero (`f(0) = 0`), preserving the masking discipline.
-pub fn hactivation<H: Hisa>(
-    h: &mut H,
-    input: &CipherTensor<H::Ct>,
-    a: f64,
-    b: f64,
-    scales: &ScaleConfig,
-) -> CipherTensor<H::Ct> {
-    super::expect_kernel(try_hactivation(h, input, a, b, scales))
-}
-
-/// Fallible [`hactivation`]: the body cannot violate a contract, but the
-/// fan-out can observe a cancellation request. Each ciphertext activates as
-/// an independent fan-out job.
+/// Each ciphertext activates as an independent fan-out job.
 pub fn try_hactivation<H: Hisa>(
     h: &mut H,
     input: &CipherTensor<H::Ct>,
@@ -30,18 +18,18 @@ pub fn try_hactivation<H: Hisa>(
     b: f64,
     scales: &ScaleConfig,
 ) -> Result<CipherTensor<H::Ct>, KernelError> {
-    let cts = par::fan_out(h, input.cts.len(), |h, i| {
+    let cts = par::try_fan_out(h, input.cts.len(), |h, i| {
         let ct = &input.cts[i];
         if a == 0.0 {
             // Degenerate linear activation.
-            let y = h.mul_scalar(ct, b, scales.weight_scalar);
-            return settle(h, y, scales.input);
+            let y = h.try_mul_scalar(ct, b, scales.weight_scalar)?;
+            return Ok(settle(h, y, scales.input)?);
         }
-        let u = h.mul_scalar(ct, a, scales.weight_scalar);
-        let u = settle(h, u, scales.input);
-        let u = h.add_scalar(&u, b);
-        let y = h.mul(&u, ct);
-        settle(h, y, scales.input)
+        let u = h.try_mul_scalar(ct, a, scales.weight_scalar)?;
+        let u = settle(h, u, scales.input)?;
+        let u = h.try_add_scalar(&u, b)?;
+        let y = h.try_mul(&u, ct)?;
+        Ok(settle(h, y, scales.input)?)
     })?;
     Ok(CipherTensor { layout: input.layout.clone(), cts })
 }
@@ -49,24 +37,8 @@ pub fn try_hactivation<H: Hisa>(
 /// Folded batch normalization `y_c = g_c · x_c + s_c` per channel: one
 /// plaintext multiply (the per-channel scales) and one plaintext add, both
 /// restricted to valid slot positions so junk slots stay zero.
-///
-/// # Panics
-///
-/// Panics on any contract violation [`try_hbatch_norm`] reports as a
-/// [`KernelError`] — the panicking shim.
-pub fn hbatch_norm<H: Hisa>(
-    h: &mut H,
-    input: &CipherTensor<H::Ct>,
-    scale: &[f64],
-    shift: &[f64],
-    scales: &ScaleConfig,
-) -> CipherTensor<H::Ct> {
-    super::expect_kernel(try_hbatch_norm(h, input, scale, shift, scales))
-}
-
-/// Fallible [`hbatch_norm`]: per-channel parameter length mismatches come
-/// back as [`KernelError`] values. Each ciphertext normalizes as an
-/// independent fan-out job.
+/// Per-channel parameter length mismatches come back as [`KernelError`]
+/// values. Each ciphertext normalizes as an independent fan-out job.
 pub fn try_hbatch_norm<H: Hisa>(
     h: &mut H,
     input: &CipherTensor<H::Ct>,
@@ -87,7 +59,7 @@ pub fn try_hbatch_norm<H: Hisa>(
             format!("shift length {} must equal channels {}", shift.len(), layout.channels),
         ));
     }
-    let cts = par::fan_out(h, input.cts.len(), |h, ct_idx| {
+    let cts = par::try_fan_out(h, input.cts.len(), |h, ct_idx| {
         let ct = &input.cts[ct_idx];
         let mut gain = vec![0.0; layout.slots];
         let mut offset = vec![0.0; layout.slots];
@@ -103,12 +75,12 @@ pub fn try_hbatch_norm<H: Hisa>(
                 }
             }
         }
-        let gpt = super::encode_tiled(h, &gain, scales.weight_plain);
-        let t = h.mul_plain(ct, &gpt);
-        let t = settle(h, t, scales.input);
+        let gpt = super::encode_tiled(h, &gain, scales.weight_plain)?;
+        let t = h.try_mul_plain(ct, &gpt)?;
+        let t = settle(h, t, scales.input)?;
         let cur = h.scale_of(&t);
-        let spt = super::encode_tiled(h, &offset, cur);
-        h.add_plain(&t, &spt)
+        let spt = super::encode_tiled(h, &offset, cur)?;
+        Ok(h.try_add_plain(&t, &spt)?)
     })?;
     Ok(CipherTensor { layout: layout.clone(), cts })
 }
@@ -138,7 +110,7 @@ mod tests {
             let scales = ScaleConfig::default();
             let input = Tensor::from_fn(vec![2, 3, 3], |i| (i[0] + i[1] + i[2]) as f64 * 0.3 - 1.0);
             let enc = encrypt_tensor(&mut h, &input, &layout, scales.input);
-            let out = hactivation(&mut h, &enc, 0.25, 0.5, &scales);
+            let out = try_hactivation(&mut h, &enc, 0.25, 0.5, &scales).unwrap();
             let got = decrypt_tensor(&mut h, &out);
             let want = ops::activation(&input, 0.25, 0.5);
             assert!(got.max_abs_diff(&want) < 1e-5, "{:?}", layout.kind);
@@ -152,7 +124,7 @@ mod tests {
         let input = Tensor::from_fn(vec![1, 2, 2], |i| i[1] as f64 + 1.0);
         let layout = Layout::hw(1, 2, 2, 0, h.slots());
         let enc = encrypt_tensor(&mut h, &input, &layout, scales.input);
-        let out = hactivation(&mut h, &enc, 0.0, 2.0, &scales);
+        let out = try_hactivation(&mut h, &enc, 0.0, 2.0, &scales).unwrap();
         let got = decrypt_tensor(&mut h, &out);
         let want = ops::activation(&input, 0.0, 2.0);
         assert!(got.max_abs_diff(&want) < 1e-6);
@@ -165,7 +137,7 @@ mod tests {
         let input = Tensor::from_fn(vec![1, 2, 2], |_| 1.0);
         let layout = Layout::hw(1, 2, 2, 2, h.slots());
         let enc = encrypt_tensor(&mut h, &input, &layout, scales.input);
-        let out = hactivation(&mut h, &enc, 0.5, 1.0, &scales);
+        let out = try_hactivation(&mut h, &enc, 0.5, 1.0, &scales).unwrap();
         // Inspect raw slots: margin slot 2 must still be zero.
         let pt = h.decrypt(&out.cts[0]);
         let raw = h.decode(&pt);
@@ -181,7 +153,7 @@ mod tests {
             let g = [0.5, 2.0, -1.0];
             let s = [1.0, -0.5, 0.25];
             let enc = encrypt_tensor(&mut h, &input, &layout, scales.input);
-            let out = hbatch_norm(&mut h, &enc, &g, &s, &scales);
+            let out = try_hbatch_norm(&mut h, &enc, &g, &s, &scales).unwrap();
             let got = decrypt_tensor(&mut h, &out);
             let want = ops::batch_norm(&input, &g, &s);
             assert!(got.max_abs_diff(&want) < 1e-5, "{:?}", layout.kind);
@@ -195,7 +167,7 @@ mod tests {
         let input = Tensor::from_fn(vec![1, 2, 2], |_| 1.0);
         let layout = Layout::hw(1, 2, 2, 2, h.slots());
         let enc = encrypt_tensor(&mut h, &input, &layout, scales.input);
-        let out = hbatch_norm(&mut h, &enc, &[1.0], &[5.0], &scales);
+        let out = try_hbatch_norm(&mut h, &enc, &[1.0], &[5.0], &scales).unwrap();
         let pt = h.decrypt(&out.cts[0]);
         let raw = h.decode(&pt);
         assert!(raw[2].abs() < 1e-9, "shift leaked into junk slot: {}", raw[2]);
@@ -210,7 +182,7 @@ mod tests {
         let layout = Layout::chw(4, 3, 3, 0, h.slots());
         assert_eq!(layout.kind, LayoutKind::CHW);
         let enc = encrypt_tensor(&mut h, &input, &layout, scales.input);
-        let out = hactivation(&mut h, &enc, 0.1, 1.0, &scales);
+        let out = try_hactivation(&mut h, &enc, 0.1, 1.0, &scales).unwrap();
         assert_eq!(out.layout, layout);
     }
 }

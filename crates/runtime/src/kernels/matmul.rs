@@ -48,24 +48,9 @@ fn validate_dense(
 /// Per output neuron: multiply each input ciphertext by a plaintext holding
 /// that neuron's weights at the input's slot positions, add, rotate-reduce
 /// the sum into slot 0, mask, and rotate into the output position. The
-/// output is a dense vector layout (one ciphertext).
-///
-/// # Panics
-///
-/// Panics if dimensions mismatch or the output does not fit one ciphertext
-/// — the panicking shim over [`try_hmatmul`].
-pub fn hmatmul<H: Hisa>(
-    h: &mut H,
-    input: &CipherTensor<H::Ct>,
-    weights: &Tensor,
-    bias: Option<&[f64]>,
-    scales: &ScaleConfig,
-) -> CipherTensor<H::Ct> {
-    super::expect_kernel(try_hmatmul(h, input, weights, bias, scales))
-}
-
-/// Fallible [`hmatmul`]: dimension mismatches come back as [`KernelError`]
-/// values instead of panics.
+/// output is a dense vector layout (one ciphertext). Dimension mismatches,
+/// or an output that does not fit one ciphertext, come back as
+/// [`KernelError`] values.
 pub fn try_hmatmul<H: Hisa>(
     h: &mut H,
     input: &CipherTensor<H::Ct>,
@@ -103,7 +88,7 @@ pub fn try_hmatmul<H: Hisa>(
 
     // One fan-out job per output neuron; the fold into the single output
     // ciphertext happens on the parent in neuron order.
-    let placed: Vec<H::Ct> = par::fan_out(h, out_dim, |h, o| {
+    let placed: Vec<H::Ct> = par::try_fan_out(h, out_dim, |h, o| {
         // Weighted input, one plaintext multiply per input ciphertext.
         let mut acc: Option<H::Ct> = None;
         for (ct_idx, ct) in input.cts.iter().enumerate() {
@@ -129,36 +114,36 @@ pub fn try_hmatmul<H: Hisa>(
             if !any {
                 continue;
             }
-            let pt = super::encode_tiled(h, &vec, scales.weight_plain);
-            let prod = h.mul_plain(ct, &pt);
-            match acc.as_mut() {
-                None => acc = Some(prod),
-                Some(prev) => h.add_assign(prev, &prod),
-            }
+            let pt = super::encode_tiled(h, &vec, scales.weight_plain)?;
+            let prod = h.try_mul_plain(ct, &pt)?;
+            acc = Some(match acc {
+                None => prod,
+                Some(prev) => h.try_add(&prev, &prod)?,
+            });
         }
         let acc = match acc {
             Some(a) => a,
             None => {
                 // All-zero row: synthesize a zero at the right scale.
-                let pt = super::encode_tiled(h, &vec![0.0; lin.slots], scales.weight_plain);
-                h.mul_plain(&input.cts[0], &pt)
+                let pt = super::encode_tiled(h, &vec![0.0; lin.slots], scales.weight_plain)?;
+                h.try_mul_plain(&input.cts[0], &pt)?
             }
         };
         // Sum all used slots into slot 0, isolate it, move to position o.
-        let red = reduce_groups(h, &acc, 1, span_p2);
-        let masked = apply_mask(h, &red, &unit_mask, scales);
-        if o == 0 {
+        let red = reduce_groups(h, &acc, 1, span_p2)?;
+        let masked = apply_mask(h, &red, &unit_mask, scales)?;
+        Ok(if o == 0 {
             masked
         } else {
-            h.rot_right(&masked, o)
-        }
+            h.try_rot_right(&masked, o)?
+        })
     })?;
     let mut out_ct: Option<H::Ct> = None;
     for p in placed {
-        match out_ct.as_mut() {
-            None => out_ct = Some(p),
-            Some(prev) => h.add_assign(prev, &p),
-        }
+        out_ct = Some(match out_ct {
+            None => p,
+            Some(prev) => h.try_add(&prev, &p)?,
+        });
     }
 
     let mut result = out_ct.expect("out_dim >= 1 was validated");
@@ -166,8 +151,8 @@ pub fn try_hmatmul<H: Hisa>(
         let mut vec = vec![0.0; lin.slots];
         vec[..out_dim].copy_from_slice(b);
         let scale = h.scale_of(&result);
-        let pt = super::encode_tiled(h, &vec, scale);
-        result = h.add_plain(&result, &pt);
+        let pt = super::encode_tiled(h, &vec, scale)?;
+        result = h.try_add_plain(&result, &pt)?;
     }
     Ok(CipherTensor {
         layout: Layout::dense_vector(out_dim, lin.slots).with_batch(lin.batch),
@@ -184,23 +169,9 @@ pub fn try_hmatmul<H: Hisa>(
 /// needed instead of `out·log(n)` — the `ablation_matmul` experiment
 /// quantifies the trade (more plaintext multiplies, far fewer rotations).
 ///
-/// # Panics
-///
-/// Panics unless the input layout is a contiguous vector (`slot(e) = e`)
-/// and `2·n` slots are available for `n = next_pow2(max(in, out))` — the
-/// panicking shim over [`try_hmatmul_bsgs`].
-pub fn hmatmul_bsgs<H: Hisa>(
-    h: &mut H,
-    input: &CipherTensor<H::Ct>,
-    weights: &Tensor,
-    bias: Option<&[f64]>,
-    scales: &ScaleConfig,
-) -> CipherTensor<H::Ct> {
-    super::expect_kernel(try_hmatmul_bsgs(h, input, weights, bias, scales))
-}
-
-/// Fallible [`hmatmul_bsgs`]: contract violations come back as
-/// [`KernelError`] values instead of panics.
+/// The input layout must be a contiguous vector (`slot(e) = e`) with `2·n`
+/// slots available for `n = next_pow2(max(in, out))`; contract violations
+/// come back as [`KernelError`] values.
 pub fn try_hmatmul_bsgs<H: Hisa>(
     h: &mut H,
     input: &CipherTensor<H::Ct>,
@@ -229,8 +200,8 @@ pub fn try_hmatmul_bsgs<H: Hisa>(
 
     // x_ext: the input replicated with period n.
     let x = &input.cts[0];
-    let dup = h.rot_right(x, n);
-    let x_ext = h.add(x, &dup);
+    let dup = h.try_rot_right(x, n)?;
+    let x_ext = h.try_add(x, &dup)?;
 
     // Block sizes: B baby steps, G giant steps, B·G = n.
     let b_steps = (1usize << (n.ilog2().div_ceil(2))).min(n);
@@ -242,11 +213,11 @@ pub fn try_hmatmul_bsgs<H: Hisa>(
     let steps: Vec<usize> = (1..b_steps).collect();
     let mut baby = Vec::with_capacity(b_steps);
     baby.push(h.copy(&x_ext));
-    baby.extend(h.rot_left_many(&x_ext, &steps));
+    baby.extend(h.try_rot_left_many(&x_ext, &steps)?);
 
     // One fan-out job per giant step; partials fold on the parent in giant
     // order.
-    let partials: Vec<Option<H::Ct>> = par::fan_out(h, g_steps, |h, g| {
+    let partials: Vec<Option<H::Ct>> = par::try_fan_out(h, g_steps, |h, g| {
         let gb = g * b_steps;
         let mut acc: Option<H::Ct> = None;
         for (b, xb) in baby.iter().enumerate() {
@@ -270,29 +241,31 @@ pub fn try_hmatmul_bsgs<H: Hisa>(
             if !any {
                 continue;
             }
-            let pt = super::encode_tiled(h, &vec, scales.weight_plain);
-            let prod = h.mul_plain(xb, &pt);
-            match acc.as_mut() {
-                None => acc = Some(prod),
-                Some(prev) => h.add_assign(prev, &prod),
-            }
+            let pt = super::encode_tiled(h, &vec, scales.weight_plain)?;
+            let prod = h.try_mul_plain(xb, &pt)?;
+            acc = Some(match acc {
+                None => prod,
+                Some(prev) => h.try_add(&prev, &prod)?,
+            });
         }
-        let partial = acc?;
-        Some(if gb == 0 { partial } else { h.rot_left(&partial, gb) })
+        Ok(match acc {
+            Some(partial) if gb > 0 => Some(h.try_rot_left(&partial, gb)?),
+            partial => partial,
+        })
     })?;
     let mut acc_total: Option<H::Ct> = None;
     for shifted in partials.into_iter().flatten() {
-        match acc_total.as_mut() {
-            None => acc_total = Some(shifted),
-            Some(prev) => h.add_assign(prev, &shifted),
-        }
+        acc_total = Some(match acc_total {
+            None => shifted,
+            Some(prev) => h.try_add(&prev, &shifted)?,
+        });
     }
     let acc = match acc_total {
-        Some(a) => super::settle(h, a, scales.input),
+        Some(a) => super::settle(h, a, scales.input)?,
         None => {
-            let pt = super::encode_tiled(h, &vec![0.0; lin.slots], scales.weight_plain);
-            let z = h.mul_plain(x, &pt);
-            super::settle(h, z, scales.input)
+            let pt = super::encode_tiled(h, &vec![0.0; lin.slots], scales.weight_plain)?;
+            let z = h.try_mul_plain(x, &pt)?;
+            super::settle(h, z, scales.input)?
         }
     };
     let mut result = acc;
@@ -300,8 +273,8 @@ pub fn try_hmatmul_bsgs<H: Hisa>(
         let mut vec = vec![0.0; lin.slots];
         vec[..out_dim].copy_from_slice(bv);
         let scale = h.scale_of(&result);
-        let pt = super::encode_tiled(h, &vec, scale);
-        result = h.add_plain(&result, &pt);
+        let pt = super::encode_tiled(h, &vec, scale)?;
+        result = h.try_add_plain(&result, &pt)?;
     }
     Ok(CipherTensor {
         layout: Layout::dense_vector(out_dim, lin.slots).with_batch(lin.batch),
@@ -339,7 +312,7 @@ mod tests {
             LayoutKind::CHW => Layout::chw(c, ih, iw, 0, h.slots()),
         };
         let enc = encrypt_tensor(&mut h, &input, &layout, scales.input);
-        let out = hmatmul(&mut h, &enc, &weights, bias.as_deref(), &scales);
+        let out = try_hmatmul(&mut h, &enc, &weights, bias.as_deref(), &scales).unwrap();
         let got = decrypt_tensor(&mut h, &out);
         let want = ops::matmul_vec(&weights, input.data(), bias.as_deref());
         for (i, (&g, &w)) in got.data().iter().zip(&want).enumerate() {
@@ -371,7 +344,7 @@ mod tests {
         let layout = Layout::dense_vector(6, h.slots());
         let enc = encrypt_tensor(&mut h, &x, &layout, scales.input);
         let w = Tensor::from_fn(vec![4, 6], |i| ((i[0] + i[1]) % 3) as f64 - 1.0);
-        let out = hmatmul(&mut h, &enc, &w, None, &scales);
+        let out = try_hmatmul(&mut h, &enc, &w, None, &scales).unwrap();
         let got = decrypt_tensor(&mut h, &out);
         let want = ops::matmul_vec(&w, x.data(), None);
         for (g, w) in got.data().iter().zip(&want) {
@@ -389,7 +362,7 @@ mod tests {
             let enc = encrypt_tensor(&mut h, &x, &layout, scales.input);
             let w = Tensor::from_fn(vec![out, inp], |i| ((i[0] * 3 + i[1]) % 5) as f64 * 0.2 - 0.4);
             let bias: Vec<f64> = (0..out).map(|o| o as f64 * 0.1).collect();
-            let fast = hmatmul_bsgs(&mut h, &enc, &w, Some(&bias), &scales);
+            let fast = try_hmatmul_bsgs(&mut h, &enc, &w, Some(&bias), &scales).unwrap();
             let want = ops::matmul_vec(&w, x.data(), Some(&bias));
             let got = decrypt_tensor(&mut h, &fast);
             for (i, (&g, &e)) in got.data().iter().zip(&want).enumerate() {
@@ -410,12 +383,12 @@ mod tests {
         let mut h1 = sim();
         let layout = Layout::dense_vector(inp, h1.slots());
         let enc = encrypt_tensor(&mut h1, &x, &layout, scales.input);
-        let _ = hmatmul(&mut h1, &enc, &w, None, &scales);
+        try_hmatmul(&mut h1, &enc, &w, None, &scales).unwrap();
         let standard_rots = h1.op_count(HisaOp::Rotate);
 
         let mut h2 = sim();
         let enc = encrypt_tensor(&mut h2, &x, &layout, scales.input);
-        let _ = hmatmul_bsgs(&mut h2, &enc, &w, None, &scales);
+        try_hmatmul_bsgs(&mut h2, &enc, &w, None, &scales).unwrap();
         let bsgs_rots = h2.op_count(HisaOp::Rotate);
 
         assert!(
@@ -461,7 +434,7 @@ mod tests {
         let layout = Layout::hw(2, 2, 2, 0, h.slots());
         let enc = encrypt_tensor(&mut h, &x, &layout, scales.input);
         let w = Tensor::zeros(vec![3, 8]);
-        let out = hmatmul(&mut h, &enc, &w, None, &scales);
+        let out = try_hmatmul(&mut h, &enc, &w, None, &scales).unwrap();
         assert_eq!(out.layout, Layout::dense_vector(3, h.slots()));
         assert_eq!(out.num_cts(), 1);
     }

@@ -14,12 +14,15 @@
 //!   RNS-CKKS this consumes whole chain primes only when enough scale has
 //!   accumulated; under CKKS it divides exactly — reproducing both schemes'
 //!   rescaling semantics.
+//! * One error channel: kernels and their helpers issue every instruction
+//!   through the fallible `try_*` adapters and return the first failure
+//!   with `?`, as a [`KernelError`]; the executor attributes the error to
+//!   the node.
 
 // Kernel `expect`s assert accumulator-population invariants (every output
 // ciphertext slot gets written because loop bounds derive from the same
 // tensor shapes) — unreachable unless the kernel itself is wrong. The
-// recoverable failure class (backend contract violations) flows through the
-// fallible pipeline instead.
+// recoverable failure class travels as `KernelError` values instead.
 #![allow(clippy::expect_used)]
 
 pub mod concat;
@@ -29,54 +32,56 @@ pub mod elementwise;
 pub mod matmul;
 pub mod pool;
 
-use chet_hisa::Hisa;
+use chet_hisa::{Hisa, HisaError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// A kernel input-contract violation: malformed weight shapes, mismatched
-/// dimensions, or a layout the kernel cannot enumerate.
-///
-/// Historically these were panicking `assert!` sites inside the kernels —
-/// acceptable in a single-shot compiler run, fatal in a serving worker
-/// thread. The `try_*` kernel entry points ([`conv::try_hconv2d_with_mask`],
-/// [`matmul::try_hmatmul`]) validate their inputs up front and return this
-/// error instead, and the executor surfaces it as `ExecError::Kernel` with
-/// op attribution. The panicking entry points remain as thin shims.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KernelError {
-    /// The kernel that rejected its inputs.
-    pub kernel: &'static str,
-    /// What was malformed.
-    pub reason: String,
+/// Why a kernel failed. The executor attributes each cause to the circuit
+/// node that was running: a contract violation becomes
+/// `ExecError::Kernel`, a HISA failure `ExecError::Hisa`, a cancellation
+/// `ExecError::Cancelled`.
+#[derive(Debug, Clone, PartialEq)]
+pub enum KernelError {
+    /// A kernel input-contract violation: malformed weight shapes,
+    /// mismatched dimensions, or a layout the kernel cannot enumerate.
+    /// Kernels validate their inputs up front, so a malformed network is
+    /// rejected before any instruction runs.
+    Contract {
+        /// The kernel that rejected its inputs.
+        kernel: &'static str,
+        /// What was malformed.
+        reason: String,
+    },
+    /// A HISA instruction failed.
+    Hisa(HisaError),
+    /// The run's cancel token tripped at a fan-out job boundary (see
+    /// [`crate::par::try_fan_out`]).
+    Cancelled,
 }
 
 impl KernelError {
     pub(crate) fn new(kernel: &'static str, reason: impl Into<String>) -> Self {
-        KernelError { kernel, reason: reason.into() }
+        KernelError::Contract { kernel, reason: reason.into() }
+    }
+}
+
+impl From<HisaError> for KernelError {
+    fn from(e: HisaError) -> Self {
+        KernelError::Hisa(e)
     }
 }
 
 impl fmt::Display for KernelError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: {}", self.kernel, self.reason)
+        match self {
+            KernelError::Contract { kernel, reason } => write!(f, "{kernel}: {reason}"),
+            KernelError::Hisa(e) => write!(f, "{e}"),
+            KernelError::Cancelled => write!(f, "run cancelled mid-fan-out"),
+        }
     }
 }
 
 impl std::error::Error for KernelError {}
-
-/// Unwraps a kernel result for the legacy panicking entry points.
-///
-/// The serving path never reaches this — it calls the `try_*` kernels and
-/// propagates [`KernelError`] as a value. The panicking shims (kept for
-/// one-shot CLI/bench use where aborting is the right behavior) funnel
-/// through here; `panic_any` with a `String` payload keeps
-/// `#[should_panic(expected = "…")]` tests matching on the message.
-pub(crate) fn expect_kernel<T>(r: Result<T, KernelError>) -> T {
-    match r {
-        Ok(v) => v,
-        Err(e) => std::panic::panic_any(e.to_string()),
-    }
-}
 
 /// The four fixed-point scales CHET exposes (paper §5.5, Table 4):
 /// image (`P_c`), plaintext-vector weights (`P_w`), scalar weights (`P_u`)
@@ -117,68 +122,77 @@ impl Default for ScaleConfig {
 }
 
 /// Rotates by a signed slot offset (positive = left).
-pub fn rot_signed<H: Hisa>(h: &mut H, ct: &H::Ct, offset: isize) -> H::Ct {
+pub fn rot_signed<H: Hisa>(h: &mut H, ct: &H::Ct, offset: isize) -> Result<H::Ct, HisaError> {
     match offset.cmp(&0) {
-        std::cmp::Ordering::Equal => h.copy(ct),
-        std::cmp::Ordering::Greater => h.rot_left(ct, offset as usize),
-        std::cmp::Ordering::Less => h.rot_right(ct, offset.unsigned_abs()),
+        std::cmp::Ordering::Equal => Ok(h.copy(ct)),
+        std::cmp::Ordering::Greater => h.try_rot_left(ct, offset as usize),
+        std::cmp::Ordering::Less => h.try_rot_right(ct, offset.unsigned_abs()),
     }
 }
 
 /// Rotates the same ciphertext by a batch of signed offsets (positive =
 /// left), returning outputs in input order.
 ///
-/// Routes through [`Hisa::rot_left_many`]/[`Hisa::rot_right_many`] — one
-/// [`Hisa::try_rotate`] batch per direction — so backends with hoisted key
-/// switching (the RNS scheme) share one gadget decomposition across the
-/// whole batch.
-pub fn rot_signed_many<H: Hisa>(h: &mut H, ct: &H::Ct, offsets: &[isize]) -> Vec<H::Ct> {
+/// Routes through [`Hisa::try_rot_left_many`]/[`Hisa::try_rot_right_many`]
+/// — one [`Hisa::try_rotate`] batch per direction — so backends with
+/// hoisted key switching (the RNS scheme) share one gadget decomposition
+/// across the whole batch.
+pub fn rot_signed_many<H: Hisa>(
+    h: &mut H,
+    ct: &H::Ct,
+    offsets: &[isize],
+) -> Result<Vec<H::Ct>, HisaError> {
     let lefts: Vec<usize> = offsets.iter().filter(|&&o| o > 0).map(|&o| o as usize).collect();
     let rights: Vec<usize> =
         offsets.iter().filter(|&&o| o < 0).map(|&o| o.unsigned_abs()).collect();
-    let mut left_out = h.rot_left_many(ct, &lefts).into_iter();
-    let mut right_out = h.rot_right_many(ct, &rights).into_iter();
-    offsets
+    let mut left_out = h.try_rot_left_many(ct, &lefts)?.into_iter();
+    let mut right_out = h.try_rot_right_many(ct, &rights)?.into_iter();
+    Ok(offsets
         .iter()
         .map(|&o| match o.cmp(&0) {
             std::cmp::Ordering::Equal => h.copy(ct),
             std::cmp::Ordering::Greater => left_out.next().expect("left rotation produced"),
             std::cmp::Ordering::Less => right_out.next().expect("right rotation produced"),
         })
-        .collect()
+        .collect())
 }
 
 /// Rescales `ct` toward `target` scale using the largest divisor the scheme
 /// currently offers (a no-op when none fits).
-pub fn settle<H: Hisa>(h: &mut H, ct: H::Ct, target: f64) -> H::Ct {
+pub fn settle<H: Hisa>(h: &mut H, ct: H::Ct, target: f64) -> Result<H::Ct, HisaError> {
     let current = h.scale_of(&ct);
     if current <= target * 1.5 {
-        return ct;
+        return Ok(ct);
     }
     let d = h.max_rescale(&ct, current / target);
     if d > 1.0 {
-        h.rescale(&ct, d)
+        h.try_rescale(&ct, d)
     } else {
-        ct
+        Ok(ct)
     }
 }
 
 /// Sums `count` groups spaced `stride` slots apart into group 0 by a
 /// rotate-and-add tree. Requires slots beyond the used region to be zero
 /// and `next_power_of_two(count) * stride <= slots`.
-pub fn reduce_groups<H: Hisa>(h: &mut H, ct: &H::Ct, stride: usize, count: usize) -> H::Ct {
+pub fn reduce_groups<H: Hisa>(
+    h: &mut H,
+    ct: &H::Ct,
+    stride: usize,
+    count: usize,
+) -> Result<H::Ct, HisaError> {
     let mut acc = h.copy(ct);
     if count <= 1 {
-        return acc;
+        return Ok(acc);
     }
     let target = count.next_power_of_two();
     let mut step = target / 2;
     while step >= 1 {
-        let rotated = h.rot_left(&acc, step * stride);
-        h.add_assign(&mut acc, &rotated);
+        let rotated = h.try_rot_left(&acc, step * stride)?;
+        acc = h.try_add(&acc, &rotated)?;
         step /= 2;
     }
-    acc
+    Ok(acc)
 }
 
 /// Encodes a kernel-built plaintext (mask, weight vector, bias), tiling it
@@ -189,18 +203,18 @@ pub fn reduce_groups<H: Hisa>(h: &mut H, ct: &H::Ct, stride: usize, count: usize
 /// `layout.slots`, so the same plaintext must act on every member.
 ///
 /// With `batch == 1` the member width equals the physical width and this is
-/// a plain [`Hisa::encode`]. Vectors whose length does not divide the slot
-/// count (hand-written test data) zero-pad as `encode` always has.
-pub fn encode_tiled<H: Hisa>(h: &mut H, vec: &[f64], scale: f64) -> H::Pt {
+/// a plain [`Hisa::try_encode`]. Vectors whose length does not divide the
+/// slot count (hand-written test data) zero-pad as encoding always has.
+pub fn encode_tiled<H: Hisa>(h: &mut H, vec: &[f64], scale: f64) -> Result<H::Pt, HisaError> {
     let slots = h.slots();
     if !vec.is_empty() && vec.len() < slots && slots % vec.len() == 0 {
         let mut tiled = Vec::with_capacity(slots);
         while tiled.len() < slots {
             tiled.extend_from_slice(vec);
         }
-        h.encode(&tiled, scale)
+        h.try_encode(&tiled, scale)
     } else {
-        h.encode(vec, scale)
+        h.try_encode(vec, scale)
     }
 }
 
@@ -212,9 +226,9 @@ pub fn apply_mask<H: Hisa>(
     ct: &H::Ct,
     mask: &[f64],
     scales: &ScaleConfig,
-) -> H::Ct {
-    let pt = encode_tiled(h, mask, scales.mask);
-    let masked = h.mul_plain(ct, &pt);
+) -> Result<H::Ct, HisaError> {
+    let pt = encode_tiled(h, mask, scales.mask)?;
+    let masked = h.try_mul_plain(ct, &pt)?;
     settle(h, masked, scales.input)
 }
 
@@ -234,9 +248,9 @@ mod tests {
         let mut h = sim();
         let pt = h.encode(&[1.0, 2.0, 3.0, 4.0], 2f64.powi(30));
         let ct = h.encrypt(&pt);
-        let l = rot_signed(&mut h, &ct, 1);
-        let r = rot_signed(&mut h, &ct, -1);
-        let z = rot_signed(&mut h, &ct, 0);
+        let l = rot_signed(&mut h, &ct, 1).unwrap();
+        let r = rot_signed(&mut h, &ct, -1).unwrap();
+        let z = rot_signed(&mut h, &ct, 0).unwrap();
         let dl = h.decrypt(&l);
         assert_eq!(h.decode(&dl)[0], 2.0);
         let dr = h.decrypt(&r);
@@ -255,7 +269,7 @@ mod tests {
         }
         let pt = h.encode(&v, 2f64.powi(30));
         let ct = h.encrypt(&pt);
-        let red = reduce_groups(&mut h, &ct, 8, 5);
+        let red = reduce_groups(&mut h, &ct, 8, 5).unwrap();
         let d = h.decrypt(&red);
         assert_eq!(h.decode(&d)[0], 15.0);
     }
@@ -268,12 +282,12 @@ mod tests {
         let ct = h.encrypt(&pt);
         let big = h.mul_scalar(&ct, 3.0, 2f64.powi(20));
         assert_eq!(h.scale_of(&big), 2f64.powi(50));
-        let settled = settle(&mut h, big, s);
+        let settled = settle(&mut h, big, s).unwrap();
         // One 40-bit prime fits in the 2^20 excess? No: excess is 2^20 < prime,
         // so nothing happens yet (RNS drift semantics).
         assert_eq!(h.scale_of(&settled), 2f64.powi(50));
         let bigger = h.mul_scalar(&settled, 1.0, 2f64.powi(25));
-        let settled = settle(&mut h, bigger, s);
+        let settled = settle(&mut h, bigger, s).unwrap();
         // Now excess 2^45 >= one 40-bit prime: rescale fires.
         assert!(h.scale_of(&settled) < 2f64.powi(40));
     }
@@ -285,7 +299,7 @@ mod tests {
         let pt = h.encode(&[5.0, 7.0, 9.0], s);
         let ct = h.encrypt(&pt);
         let mask = vec![1.0, 0.0, 1.0];
-        let m = apply_mask(&mut h, &ct, &mask, &ScaleConfig::default());
+        let m = apply_mask(&mut h, &ct, &mask, &ScaleConfig::default()).unwrap();
         let d = h.decrypt(&m);
         let out = h.decode(&d);
         assert_eq!(&out[..3], &[5.0, 0.0, 9.0]);

@@ -11,36 +11,10 @@ use chet_tensor::ops::{conv_output_dim, Padding};
 /// multiply by `1/k²` + mask. Identical structure in both layouts — under
 /// CHW all channels of a ciphertext pool simultaneously, which is why
 /// non-conv ops favor CHW (paper §5.3 heuristics).
-pub fn havg_pool2d<H: Hisa>(
-    h: &mut H,
-    input: &CipherTensor<H::Ct>,
-    kernel: usize,
-    stride: usize,
-    scales: &ScaleConfig,
-) -> CipherTensor<H::Ct> {
-    havg_pool2d_with_mask(h, input, kernel, stride, scales, true)
-}
-
-/// [`havg_pool2d`] with an explicit masking decision (lazy masking): the
-/// window reads touch only valid input positions, so when no downstream
-/// consumer needs zeroed junk the mask multiply can be skipped.
 ///
-/// # Panics
-///
-/// Panics on any contract violation [`try_havg_pool2d_with_mask`] reports
-/// as a [`KernelError`] — the panicking shim.
-pub fn havg_pool2d_with_mask<H: Hisa>(
-    h: &mut H,
-    input: &CipherTensor<H::Ct>,
-    kernel: usize,
-    stride: usize,
-    scales: &ScaleConfig,
-    mask_output: bool,
-) -> CipherTensor<H::Ct> {
-    super::expect_kernel(try_havg_pool2d_with_mask(h, input, kernel, stride, scales, mask_output))
-}
-
-/// Fallible [`havg_pool2d_with_mask`]: window/stride contract violations
+/// `mask_output` is the lazy-masking decision: the window reads touch only
+/// valid input positions, so when no downstream consumer needs zeroed junk
+/// the mask multiply can be skipped. Window/stride contract violations
 /// come back as [`KernelError`] values. Each ciphertext pools as an
 /// independent fan-out job (under CHW one job covers a whole channel
 /// block).
@@ -72,7 +46,7 @@ pub fn try_havg_pool2d_with_mask<H: Hisa>(
     let (ow, _) = conv_output_dim(lin.width, kernel, stride, Padding::Valid);
     let out_layout = lin.strided_view(oh, ow, stride, lin.channels);
     let inv = 1.0 / (kernel * kernel) as f64;
-    let cts = par::fan_out(h, input.cts.len(), |h, i| {
+    let cts = par::try_fan_out(h, input.cts.len(), |h, i| {
         let ct = &input.cts[i];
         // One batched rotation call per ciphertext: hoisting backends share
         // a single key-switch decomposition across the whole window.
@@ -83,37 +57,28 @@ pub fn try_havg_pool2d_with_mask<H: Hisa>(
             }
         }
         let mut acc: Option<H::Ct> = None;
-        for rotated in rot_signed_many(h, ct, &offs) {
-            match acc.as_mut() {
-                None => acc = Some(rotated),
-                Some(prev) => h.add_assign(prev, &rotated),
-            }
+        for rotated in rot_signed_many(h, ct, &offs)? {
+            acc = Some(match acc {
+                None => rotated,
+                Some(prev) => h.try_add(&prev, &rotated)?,
+            });
         }
         let summed = acc.expect("kernel >= 1 was validated");
-        let scaled = h.mul_scalar(&summed, inv, scales.weight_scalar);
-        if mask_output {
-            apply_mask(h, &scaled, &out_layout.mask_for_ct(i), scales)
+        let scaled = h.try_mul_scalar(&summed, inv, scales.weight_scalar)?;
+        Ok(if mask_output {
+            apply_mask(h, &scaled, &out_layout.mask_for_ct(i), scales)?
         } else {
-            super::settle(h, scaled, scales.input)
-        }
+            super::settle(h, scaled, scales.input)?
+        })
     })?;
     Ok(CipherTensor { layout: out_layout, cts })
 }
 
 /// Global average pooling: sum each channel grid into its origin slot, then
 /// scale by `1/(H·W)` and mask the origins. The output keeps the layout's
-/// channel placement with a `1×1` grid.
-pub fn hglobal_avg_pool<H: Hisa>(
-    h: &mut H,
-    input: &CipherTensor<H::Ct>,
-    scales: &ScaleConfig,
-) -> CipherTensor<H::Ct> {
-    super::expect_kernel(try_hglobal_avg_pool(h, input, scales))
-}
-
-/// Fallible [`hglobal_avg_pool`]: degenerate (zero-area) input frames come
-/// back as [`KernelError`] values. Each ciphertext reduces as an
-/// independent fan-out job.
+/// channel placement with a `1×1` grid. Degenerate (zero-area) input
+/// frames come back as [`KernelError`] values. Each ciphertext reduces as
+/// an independent fan-out job.
 pub fn try_hglobal_avg_pool<H: Hisa>(
     h: &mut H,
     input: &CipherTensor<H::Ct>,
@@ -130,31 +95,31 @@ pub fn try_hglobal_avg_pool<H: Hisa>(
     out_layout.height = 1;
     out_layout.width = 1;
     let inv = 1.0 / (lin.height * lin.width) as f64;
-    let cts = par::fan_out(h, input.cts.len(), |h, i| {
+    let cts = par::try_fan_out(h, input.cts.len(), |h, i| {
         let ct = &input.cts[i];
         // Fold columns into column 0 (reads only valid columns), batching
         // the rotations so one key-switch decomposition covers the row.
         let col_offs: Vec<isize> = (0..lin.width).map(|x| (x * lin.w_stride) as isize).collect();
         let mut cols: Option<H::Ct> = None;
-        for rotated in rot_signed_many(h, ct, &col_offs) {
-            match cols.as_mut() {
-                None => cols = Some(rotated),
-                Some(prev) => h.add_assign(prev, &rotated),
-            }
+        for rotated in rot_signed_many(h, ct, &col_offs)? {
+            cols = Some(match cols {
+                None => rotated,
+                Some(prev) => h.try_add(&prev, &rotated)?,
+            });
         }
         let cols = cols.expect("width >= 1 was validated");
         // Fold rows into row 0.
         let row_offs: Vec<isize> = (0..lin.height).map(|y| (y * lin.h_stride) as isize).collect();
         let mut rows: Option<H::Ct> = None;
-        for rotated in rot_signed_many(h, &cols, &row_offs) {
-            match rows.as_mut() {
-                None => rows = Some(rotated),
-                Some(prev) => h.add_assign(prev, &rotated),
-            }
+        for rotated in rot_signed_many(h, &cols, &row_offs)? {
+            rows = Some(match rows {
+                None => rotated,
+                Some(prev) => h.try_add(&prev, &rotated)?,
+            });
         }
         let summed = rows.expect("height >= 1 was validated");
-        let scaled = h.mul_scalar(&summed, inv, scales.weight_scalar);
-        apply_mask(h, &scaled, &out_layout.mask_for_ct(i), scales)
+        let scaled = h.try_mul_scalar(&summed, inv, scales.weight_scalar)?;
+        Ok(apply_mask(h, &scaled, &out_layout.mask_for_ct(i), scales)?)
     })?;
     Ok(CipherTensor { layout: out_layout, cts })
 }
@@ -183,7 +148,7 @@ mod tests {
             LayoutKind::CHW => Layout::chw(c, ih, iw, 0, h.slots()),
         };
         let enc = encrypt_tensor(&mut h, &input, &layout, scales.input);
-        let out = havg_pool2d(&mut h, &enc, kernel, stride, &scales);
+        let out = try_havg_pool2d_with_mask(&mut h, &enc, kernel, stride, &scales, true).unwrap();
         let got = decrypt_tensor(&mut h, &out);
         let want = ops::avg_pool2d(&input, kernel, stride);
         assert_eq!(got.shape(), want.shape());
@@ -216,7 +181,7 @@ mod tests {
                 LayoutKind::CHW => Layout::chw(4, 5, 5, 0, h.slots()),
             };
             let enc = encrypt_tensor(&mut h, &input, &layout, scales.input);
-            let out = hglobal_avg_pool(&mut h, &enc, &scales);
+            let out = try_hglobal_avg_pool(&mut h, &enc, &scales).unwrap();
             let got = decrypt_tensor(&mut h, &out);
             let want = ops::global_avg_pool(&input);
             assert!(got.max_abs_diff(&want) < 1e-3, "{kind}: diff {}", got.max_abs_diff(&want));
@@ -230,7 +195,7 @@ mod tests {
         let input = Tensor::from_fn(vec![1, 4, 4], |i| (i[1] * 4 + i[2]) as f64);
         let layout = Layout::hw(1, 4, 4, 0, h.slots());
         let enc = encrypt_tensor(&mut h, &input, &layout, scales.input);
-        let out = havg_pool2d(&mut h, &enc, 2, 2, &scales);
+        let out = try_havg_pool2d_with_mask(&mut h, &enc, 2, 2, &scales, true).unwrap();
         assert_eq!(out.layout.h_stride, 8);
         assert_eq!(out.layout.w_stride, 2);
     }

@@ -41,9 +41,9 @@
 
 // Failure-model gate (enforced by `ci.sh` via clippy): non-test runtime
 // code must not unwrap/expect — contract violations flow through the
-// fallible `try_*` surface as `HisaError`/`ExecError` values. Tests may
-// unwrap freely. Deliberate panics on internal invariants use
-// `#[allow]` with a justification at the site.
+// fallible `try_*` surface as `HisaError`/`KernelError`/`ExecError`
+// values. Tests may unwrap freely. Deliberate panics on internal
+// invariants use `#[allow]` with a justification at the site.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod cancel;
@@ -53,16 +53,15 @@ pub mod fault;
 pub mod kernels;
 pub mod layout;
 pub mod par;
-pub mod pipeline;
+pub mod tally;
 
 pub use cancel::{CancelReason, CancelToken};
 pub use ciphertensor::{decrypt_tensor, encrypt_tensor, try_encrypt_tensor, CipherTensor};
 pub use exec::{
-    infer, run_encrypted, try_infer, try_infer_with_control, try_infer_with_report,
-    try_run_encrypted, try_run_encrypted_with, ExecControl, ExecError, ExecObserver, ExecPlan,
-    ExecReport,
+    infer, try_infer, try_infer_with_control, try_run_encrypted_with, ExecControl, ExecError,
+    ExecObserver, ExecPlan, ExecReport,
 };
 pub use fault::{FaultInjector, FaultPlan};
 pub use kernels::{KernelError, ScaleConfig};
 pub use layout::{Layout, LayoutKind};
-pub use pipeline::FalliblePipeline;
+pub use tally::RunTally;

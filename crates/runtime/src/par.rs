@@ -5,7 +5,7 @@
 //! per-ciphertext bodies are independent given a read-only view of the
 //! inputs. What makes fan-out non-trivial is that every kernel threads a
 //! `&mut H` backend through its ops — the backend carries RNG state, op
-//! counters and (for the fallible pipeline) the error latch.
+//! counters and (for the executor's run wrapper) degradation tallies.
 //!
 //! [`try_fan_out`] solves this with the [`Hisa::fork`]/[`Hisa::join`]
 //! protocol:
@@ -17,24 +17,24 @@
 //!    which is what makes results bit-identical across thread counts.
 //! 2. **Run each job on its own child.** Jobs write disjoint result slots
 //!    indexed by job id; no reduction order depends on thread timing.
-//! 3. **Join children back in job order.** Op counters, degradation tallies
-//!    and latched errors fold into the parent deterministically; the first
-//!    error *by job index* wins, exactly as sequential execution would have
-//!    latched it.
+//! 3. **Join children back in job order.** Op counters and degradation
+//!    tallies fold into the parent deterministically. A job returns its
+//!    first error with `?`; the fan-out returns the first error *by job
+//!    index*, whichever job finished first.
 //!
 //! Backends that cannot fork (`fork() → None`) run the jobs sequentially on
-//! the parent — the same code path, minus the children.
+//! the parent — the same code path, minus the children — and stop at the
+//! first failing job.
 //!
 //! # Cancellation
 //!
 //! Before each job body runs, the job's backend is polled via
-//! [`Hisa::cancel_requested`]. The fallible pipeline wires this to the
+//! [`Hisa::cancel_requested`]. The executor's run wrapper wires this to the
 //! request's [`crate::cancel::CancelToken`] (children share the parent's
 //! token), so a deadline firing mid-fan-out stops every thread at its next
 //! job boundary instead of burning the remaining ciphertext work. A
-//! cancelled fan-out reports [`KernelError`] with kernel name
-//! [`CANCELLED_KERNEL`]; the executor rewrites it to
-//! [`crate::exec::ExecError::Cancelled`] when it sees the token tripped.
+//! cancelled fan-out returns [`KernelError::Cancelled`], which the executor
+//! reports as [`crate::exec::ExecError::Cancelled`] with the token's reason.
 
 use crate::kernels::KernelError;
 use chet_hisa::Hisa;
@@ -45,20 +45,11 @@ use chet_hisa::Hisa;
 pub use chet_math::par::{effective_threads, set_threads, threads, MAX_THREADS};
 use chet_math::par;
 
-/// Kernel name used for [`KernelError`]s produced by a cancelled fan-out;
-/// the executor matches on the tripped token (not this string) to rewrite
-/// them into `ExecError::Cancelled`.
-pub const CANCELLED_KERNEL: &str = "fan_out";
-
-fn cancelled() -> KernelError {
-    KernelError::new(CANCELLED_KERNEL, "run cancelled mid-fan-out")
-}
-
 /// Runs `count` independent jobs against forked backends and returns the
 /// results in job order. See the module docs for the determinism contract.
 ///
-/// Errors: the first job error *by job index* (not completion order), or a
-/// cancellation [`KernelError`] when the backend's cancel hint trips.
+/// Errors: the first job error *by job index* (not completion order), or
+/// [`KernelError::Cancelled`] when the backend's cancel hint trips.
 pub fn try_fan_out<H, T, F>(h: &mut H, count: usize, f: F) -> Result<Vec<T>, KernelError>
 where
     H: Hisa,
@@ -69,7 +60,7 @@ where
         return Ok(Vec::new());
     }
     if h.cancel_requested() {
-        return Err(cancelled());
+        return Err(KernelError::Cancelled);
     }
     // Fork one child per job, in job order. A backend either always forks
     // or never does, so a mid-sequence `None` (drain below) cannot happen
@@ -85,7 +76,7 @@ where
                 return (0..count)
                     .map(|i| {
                         if h.cancel_requested() {
-                            return Err(cancelled());
+                            return Err(KernelError::Cancelled);
                         }
                         f(h, i)
                     })
@@ -96,7 +87,7 @@ where
     let mut slots: Vec<Option<Result<T, KernelError>>> = (0..count).map(|_| None).collect();
     par::par_zip_mut(&mut children, &mut slots, |i, child, slot| {
         *slot = Some(if child.cancel_requested() {
-            Err(cancelled())
+            Err(KernelError::Cancelled)
         } else {
             f(child, i)
         });
@@ -106,40 +97,15 @@ where
     for c in children {
         h.join(c);
     }
-    let mut out = Vec::with_capacity(count);
-    let mut first_err: Option<KernelError> = None;
-    for r in slots.into_iter().flatten() {
-        match r {
-            Ok(v) => out.push(v),
-            Err(e) => {
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
-            }
-        }
-    }
-    match first_err {
-        None => Ok(out),
-        Some(e) => Err(e),
-    }
-}
-
-/// [`try_fan_out`] for infallible job bodies: only cancellation can fail.
-pub fn fan_out<H, T, F>(h: &mut H, count: usize, f: F) -> Result<Vec<T>, KernelError>
-where
-    H: Hisa,
-    T: Send,
-    F: Fn(&mut H, usize) -> T + Sync,
-{
-    try_fan_out(h, count, |h, i| Ok(f(h, i)))
+    slots.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::FalliblePipeline;
+    use crate::tally::RunTally;
     use chet_ckks::sim::SimCkks;
-    use chet_hisa::{EncryptionParams, RotationKeyPolicy};
+    use chet_hisa::{EncryptionParams, HisaError, RotationKeyPolicy};
 
     const S: f64 = (1u64 << 30) as f64;
 
@@ -159,11 +125,11 @@ mod tests {
             let mut h = sim(7);
             let pt = h.encode(&[1.0, 2.0, 3.0], S);
             let ct = h.encrypt(&pt);
-            let outs = fan_out(&mut h, 6, |h, i| {
-                let r = h.rot_left(&ct, i % 3);
-                h.add(&r, &ct)
+            let outs = try_fan_out(&mut h, 6, |h, i| {
+                let r = h.try_rot_left(&ct, i % 3)?;
+                Ok(h.try_add(&r, &ct)?)
             })
-            .expect("no cancellation source");
+            .expect("no job fails");
             outs.iter()
                 .map(|c| {
                     let p = h.decrypt(c);
@@ -177,25 +143,25 @@ mod tests {
     }
 
     #[test]
-    fn join_folds_child_errors_in_job_order() {
-        let mut h = sim(3);
-        let pt = h.encode(&[1.0; 8], S);
-        let ct = h.encrypt(&pt);
-        let mut p = FalliblePipeline::new(&mut h);
-        // Jobs 2 and 4 rotate by steps with no key and no composition at
-        // 2048 slots... power-of-two keys compose everything, so instead
-        // force errors via slot overflow on encode.
-        let slots = p.slots();
-        let result = fan_out(&mut p, 5, |p, i| {
-            if i == 2 || i == 4 {
-                // Oversized encode latches SlotOverflow in this child.
-                let _ = p.encode(&vec![0.0; slots + 1], S);
-            }
-            p.add(&ct, &ct)
-        });
-        assert!(result.is_ok(), "job bodies are infallible");
-        let latched = p.take_error().expect("child error must fold into the parent");
-        assert!(matches!(latched, chet_hisa::HisaError::SlotOverflow { .. }));
+    fn first_failing_job_by_index_wins() {
+        // Jobs 2 and 4 fail with distinguishable slot overflows; job 2's
+        // error returns at every thread count, however the jobs finish.
+        for threads in [1, 4] {
+            let _guard = chet_math::par::test_support::config_lock();
+            chet_math::par::set_threads(threads);
+            let mut h = sim(3);
+            let pt = h.encode(&[1.0; 8], S);
+            let ct = h.encrypt(&pt);
+            let slots = h.slots();
+            let e = try_fan_out(&mut h, 5, |h, i| {
+                if i == 2 || i == 4 {
+                    h.try_encode(&vec![0.0; slots + i], S)?;
+                }
+                Ok(h.try_add(&ct, &ct)?)
+            })
+            .expect_err("jobs 2 and 4 fail");
+            assert_eq!(e, KernelError::Hisa(HisaError::SlotOverflow { len: slots + 2, slots }));
+        }
     }
 
     #[test]
@@ -205,9 +171,9 @@ mod tests {
         token.cancel();
         let pt = h.encode(&[1.0; 4], S);
         let ct = h.encrypt(&pt);
-        let mut p = FalliblePipeline::new(&mut h).with_cancel(token);
-        let result = fan_out(&mut p, 4, |p, _| p.add(&ct, &ct));
+        let mut p = RunTally::new(&mut h, Some(token));
+        let result = try_fan_out(&mut p, 4, |p, _| Ok(p.try_add(&ct, &ct)?));
         let e = result.expect_err("tripped token must cancel the fan-out");
-        assert_eq!(e.kernel, CANCELLED_KERNEL);
+        assert_eq!(e, KernelError::Cancelled);
     }
 }

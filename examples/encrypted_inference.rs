@@ -12,7 +12,7 @@ use chet::compiler::Compiler;
 use chet::hisa::params::SchemeKind;
 use chet::hisa::Hisa;
 use chet::runtime::ciphertensor::decrypt_tensor;
-use chet::runtime::exec::{encrypt_input, run_encrypted};
+use chet::runtime::exec::{encrypt_input, try_run_encrypted_with, ExecControl};
 use chet::runtime::kernels::ScaleConfig;
 
 fn main() {
@@ -52,8 +52,14 @@ fn main() {
     // (Here the same scheme object plays the server role; in deployment the
     // server holds only the public evaluation keys.) ----
     let t0 = std::time::Instant::now();
-    let encrypted_prediction =
-        run_encrypted(&mut client, &net.circuit, &compiled.plan, encrypted_image);
+    let (encrypted_prediction, _) = try_run_encrypted_with(
+        &mut client,
+        &net.circuit,
+        &compiled.plan,
+        encrypted_image,
+        &mut ExecControl::none(),
+    )
+    .expect("the compiled circuit runs");
     println!("server: homomorphic inference took {:.1} s", t0.elapsed().as_secs_f64());
 
     // ---- Client: decrypts the prediction. ----

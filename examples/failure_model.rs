@@ -10,7 +10,7 @@ use chet::ckks::sim::SimCkks;
 use chet::compiler::Compiler;
 use chet::hisa::params::SchemeKind;
 use chet::hisa::RotationKeyPolicy;
-use chet::runtime::exec::{try_infer, try_infer_with_report, ExecPlan};
+use chet::runtime::exec::{try_infer, try_infer_with_control, ExecControl, ExecPlan};
 use chet::runtime::fault::{FaultInjector, FaultPlan};
 use chet::runtime::kernels::ScaleConfig;
 use chet::runtime::layout::LayoutKind;
@@ -69,9 +69,14 @@ fn main() {
         [1usize, 2, 4, 8, 16].iter().flat_map(|&s| [s, slots - s]).collect();
     let mut degraded =
         SimCkks::new(&compiled.params, &RotationKeyPolicy::Exact(sparse), 2024);
-    let (out, report) =
-        try_infer_with_report(&mut degraded, &circuit, &compiled.plan, &image)
-            .expect("degraded keys still infer");
+    let (out, report) = try_infer_with_control(
+        &mut degraded,
+        &circuit,
+        &compiled.plan,
+        &image,
+        &mut ExecControl::none(),
+    )
+    .expect("degraded keys still infer");
     println!(
         "degraded rotations: {} (+{} extra key-switches), max |err| {:.4}",
         report.degraded_rotations,

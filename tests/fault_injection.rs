@@ -7,7 +7,9 @@ use chet::ckks::sim::SimCkks;
 use chet::compiler::Compiler;
 use chet::hisa::params::SchemeKind;
 use chet::hisa::{EncryptionParams, HisaError, RotationKeyPolicy};
-use chet::runtime::exec::{infer, try_infer, try_infer_with_report, ExecError, ExecPlan};
+use chet::runtime::exec::{
+    infer, try_infer, try_infer_with_control, ExecControl, ExecError, ExecPlan,
+};
 use chet::runtime::fault::{FaultInjector, FaultPlan};
 use chet::runtime::kernels::ScaleConfig;
 use chet::runtime::layout::LayoutKind;
@@ -134,8 +136,9 @@ fn fault_free_run_reports_no_degradation() {
         .compile(&circuit, &SCALES)
         .expect("compiles");
     let mut h = SimCkks::new(&compiled.params, &compiled.rotation_keys, 5).without_noise();
-    let (got, report) = try_infer_with_report(&mut h, &circuit, &compiled.plan, &image())
-        .expect("healthy run");
+    let (got, report) =
+        try_infer_with_control(&mut h, &circuit, &compiled.plan, &image(), &mut ExecControl::none())
+            .expect("healthy run");
     let want = circuit.eval(&[image()]);
     assert!(got.max_abs_diff(&want) < 1e-3);
     assert_eq!(report.degraded_rotations, 0);
@@ -159,7 +162,8 @@ fn missing_exact_keys_degrade_gracefully_with_logged_penalty() {
             .collect();
     let mut h = sim(&RotationKeyPolicy::Exact(keys));
     let (got, report) =
-        try_infer_with_report(&mut h, &circuit, &plan, &image()).expect("degraded run completes");
+        try_infer_with_control(&mut h, &circuit, &plan, &image(), &mut ExecControl::none())
+            .expect("degraded run completes");
     let want = circuit.eval(&[image()]);
     assert!(got.max_abs_diff(&want) < 1e-3, "degraded run stays correct");
     assert!(report.degraded_rotations > 0, "missing exact keys must be logged");

@@ -201,7 +201,7 @@ proptest! {
         b in 0.5f64..1.5,
         vals in prop::collection::vec(-2.0f64..2.0, 4),
     ) {
-        use chet::runtime::kernels::elementwise::hactivation;
+        use chet::runtime::kernels::elementwise::try_hactivation;
         use chet::runtime::ciphertensor::{decrypt_tensor, encrypt_tensor};
         use chet::runtime::kernels::ScaleConfig;
         let mut h = chet_ckks::sim::SimCkks::new(
@@ -214,7 +214,7 @@ proptest! {
         let layout = Layout::hw(1, 2, 2, 0, h.slots());
         let scales = ScaleConfig::from_log2(30, 20, 20, 14);
         let enc = encrypt_tensor(&mut h, &t, &layout, scales.input);
-        let out = hactivation(&mut h, &enc, a, b, &scales);
+        let out = try_hactivation(&mut h, &enc, a, b, &scales).unwrap();
         let got = decrypt_tensor(&mut h, &out);
         let want = chet::tensor::ops::activation(&t, a, b);
         prop_assert!(got.max_abs_diff(&want) < 1e-3);

@@ -7,7 +7,7 @@
 //! simulator implements only that core and logs every call that reaches
 //! it; the tests check that:
 //!
-//! * the bare backend, `FalliblePipeline`, inert `FaultInjector`,
+//! * the bare backend, `RunTally`, inert `FaultInjector`,
 //!   `ChaosInjector(None)` and the stacked worker wrappers deliver an
 //!   identical call stream — every instruction kind, every rotation batch
 //!   with its direction and steps — with bit-equal outputs;
@@ -25,7 +25,7 @@ use chet::runtime::exec::{batch_capacity, try_infer, ExecPlan};
 use chet::runtime::fault::{FaultInjector, FaultPlan};
 use chet::runtime::kernels::ScaleConfig;
 use chet::runtime::layout::LayoutKind;
-use chet::runtime::FalliblePipeline;
+use chet::runtime::RunTally;
 use chet::serve::{ChaosInjector, ChaosPlan, InferenceService, ServeConfig};
 use chet::tensor::circuit::{Circuit, CircuitBuilder};
 use chet::tensor::ops::Padding;
@@ -273,7 +273,7 @@ fn inert_wrappers_deliver_rotation_batches_unchanged() {
     assert_eq!(kinds(&bare).len(), 10, "every instruction kind: {:?}", kinds(&bare));
 
     let stacks = [
-        ("pipeline", observe(|mut h| everything(&mut FalliblePipeline::new(&mut h)))),
+        ("tally", observe(|mut h| everything(&mut RunTally::new(&mut h, None)))),
         ("fault(inert)", observe(|h| everything(&mut FaultInjector::new(h, inert_faults(), 3)))),
         ("chaos(None)", observe(|h| everything(&mut ChaosInjector::new(h, None)))),
         (
