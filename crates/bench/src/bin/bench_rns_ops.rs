@@ -8,6 +8,11 @@
 //! ([`chet_compiler::ir::cost::estimate`]) and compares the prediction
 //! against a measured end-to-end encrypted run on the same backend.
 //!
+//! Every configuration uses the prime layout the compiler emits (60-bit
+//! base and special primes around 30-bit rescale primes), so the sampled
+//! ops run the same limb kernels as compiled networks: the 30-bit limbs
+//! take the 32-bit-lane paths, the 60-bit ones the 64-bit paths.
+//!
 //! The emitted `BENCH_rns_ops.json` is the calibration artifact `ci.sh`
 //! gates on: per-op fit quality (`max_rel_err`) and whole-network
 //! prediction error (`network.rel_err`, required ≤ 0.30 by the paper
@@ -20,7 +25,8 @@ use chet_compiler::Compiler;
 use chet_hisa::cost::{calibrate, CostSample, HisaOp, LevelInfo, ALL_OPS};
 use chet_hisa::json::Json;
 use chet_hisa::params::SchemeKind;
-use chet_hisa::{EncryptionParams, Hisa, RotationKeyPolicy, SecurityLevel};
+use chet_hisa::{EncryptionParams, Hisa, ModulusSpec, RotationKeyPolicy, SecurityLevel};
+use chet_math::prime::ntt_primes;
 use chet_runtime::exec::{try_encrypt_input, try_run_encrypted_with, ExecControl};
 use chet_runtime::kernels::ScaleConfig;
 use chet_runtime::par::set_threads;
@@ -37,12 +43,32 @@ fn bench_op(mut f: impl FnMut(), reps: usize) -> Duration {
     t0.elapsed() / reps as u32
 }
 
+/// Base and special prime size the compiler emits for RNS-CKKS.
+const BASE_PRIME_BITS: u32 = 60;
+/// Rescale prime size the compiler emits at the benchmark's working scale
+/// (2^25 floors to 30-bit candidates, which take the 32-bit-lane kernels).
+const RESCALE_PRIME_BITS: u32 = 30;
+
+/// The prime layout `chet_compiler::params` emits for a chain of `r`
+/// primes at degree `n`: one 60-bit base prime, `r − 1` 30-bit rescale
+/// primes, and a 60-bit special prime.
+fn compiler_layout(n: usize, r: usize) -> EncryptionParams {
+    let mut primes = ntt_primes(BASE_PRIME_BITS, n, 2);
+    let special = primes.remove(0);
+    primes.extend(ntt_primes(RESCALE_PRIME_BITS, n, r - 1));
+    EncryptionParams {
+        degree: n,
+        modulus: ModulusSpec::PrimeChain { primes, special },
+        security: SecurityLevel::Insecure,
+        error_stddev: EncryptionParams::DEFAULT_ERROR_STDDEV,
+    }
+}
+
 /// Measures every HISA op on a fresh RNS-CKKS context at `(n, r)` and
 /// returns one [`CostSample`] per op, all at the fresh-ciphertext modulus
 /// state (full chain — the state the microbenchmark operands are in).
-fn sample_config(n: usize, r: usize, prime_bits: u32, reps: usize) -> Vec<CostSample> {
-    let params =
-        EncryptionParams::rns_ckks(n, prime_bits, r).with_security(SecurityLevel::Insecure);
+fn sample_config(n: usize, r: usize, reps: usize) -> Vec<CostSample> {
+    let params = compiler_layout(n, r);
     // Several distinct rotation keys, cycled below: real inference streams a
     // different key almost every rotation, so a single hot key would
     // under-measure the memory-bound key-switch cost by nearly half.
@@ -50,7 +76,7 @@ fn sample_config(n: usize, r: usize, prime_bits: u32, reps: usize) -> Vec<CostSa
     let policy = RotationKeyPolicy::Exact((1..=KEY_STEPS).collect());
     let mut h = RnsCkks::new(&params, &policy, 7);
 
-    let scale = 2f64.powi(i32::try_from(prime_bits).unwrap_or(40));
+    let scale = 2f64.powi(RESCALE_PRIME_BITS as i32);
     let slots = n / 2;
     let vals: Vec<f64> = (0..slots).map(|i| (i % 64) as f64 * 0.01).collect();
     let pt = h.encode(&vals, scale);
@@ -60,9 +86,9 @@ fn sample_config(n: usize, r: usize, prime_bits: u32, reps: usize) -> Vec<CostSa
     // the ct×ct product at scale² qualifies; `max_rescale` picks the
     // divisor the backend would actually use (one prime off the chain).
     let prod = h.mul(&a, &b);
-    let divisor = h.max_rescale(&prod, 2f64.powi(i32::try_from(prime_bits + 1).unwrap_or(41)));
+    let divisor = h.max_rescale(&prod, 2f64.powi(RESCALE_PRIME_BITS as i32 + 1));
 
-    let lvl = LevelInfo { log_q: f64::from(prime_bits) * r as f64, rns_len: r };
+    let lvl = LevelInfo { log_q: params.modulus.log_q(), rns_len: r };
     // Cycle through the keyed steps so every rotation pulls a different key,
     // like the network does.
     let mut next_step = 0usize;
@@ -150,7 +176,6 @@ fn main() {
 
     println!("== RNS-CKKS cost-model calibration ==\n");
 
-    let prime_bits = 40u32;
     // (16384, 8) anchors the fit near the reduced network's own operating
     // point (N=16384, chain 10); without it the r≤4 configs extrapolate a
     // 3× span in the rotation weight r·(r+log n).
@@ -163,7 +188,7 @@ fn main() {
     let mut samples = Vec::new();
     for &(n, r) in configs {
         println!("sampling N={n}, r={r} ({reps} reps/op)...");
-        samples.extend(sample_config(n, r, prime_bits, reps));
+        samples.extend(sample_config(n, r, reps));
     }
 
     let (model, fits) = calibrate(SchemeKind::RnsCkks, &samples);
@@ -211,7 +236,8 @@ fn main() {
     let mut root = BTreeMap::new();
     root.insert("bench".into(), Json::Str("rns_ops".into()));
     root.insert("scheme".into(), Json::Str("rns-ckks".into()));
-    root.insert("prime_bits".into(), Json::Num(f64::from(prime_bits)));
+    root.insert("prime_bits".into(), Json::Num(f64::from(RESCALE_PRIME_BITS)));
+    root.insert("base_prime_bits".into(), Json::Num(f64::from(BASE_PRIME_BITS)));
 
     let mut constants = BTreeMap::new();
     for op in ALL_OPS {

@@ -34,6 +34,9 @@
 //! assert!((out[1] - 4.0).abs() < 1e-3);
 //! ```
 
+// Vectorized limb kernels live behind safe functions in `chet-math`.
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod big;
 pub mod encoding;

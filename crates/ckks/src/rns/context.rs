@@ -2,7 +2,7 @@
 
 use crate::encoding::CkksEncoder;
 use chet_hisa::params::{EncryptionParams, ModulusSpec};
-use chet_math::modint::inv_mod;
+use chet_math::modint::{inv_mod, Barrett};
 use chet_math::ntt::{bit_reverse, NttTable};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -20,6 +20,8 @@ pub struct RnsContext {
     moduli: Vec<u64>,
     num_chain: usize,
     ntt: Vec<NttTable>,
+    /// Barrett reducer per modulus.
+    barrett: Vec<Barrett>,
     /// `inv[i][j] = moduli[i]^{-1} mod moduli[j]` (diagonal unused).
     inv: Vec<Vec<u64>>,
     encoder: CkksEncoder,
@@ -52,6 +54,7 @@ impl RnsContext {
             .iter()
             .map(|&q| NttTable::new(q, degree).expect("modulus must be NTT friendly"))
             .collect();
+        let barrett = moduli.iter().map(|&q| Barrett::new(q)).collect();
         let k = moduli.len();
         let mut inv = vec![vec![0u64; k]; k];
         for i in 0..k {
@@ -67,6 +70,7 @@ impl RnsContext {
             moduli,
             num_chain,
             ntt,
+            barrett,
             inv,
             encoder: CkksEncoder::new(degree),
             auto_perms: Mutex::new(HashMap::new()),
@@ -106,6 +110,11 @@ impl RnsContext {
     /// NTT table for modulus `i`.
     pub fn ntt(&self, i: usize) -> &NttTable {
         &self.ntt[i]
+    }
+
+    /// Barrett reducer for modulus `i`.
+    pub fn barrett(&self, i: usize) -> &Barrett {
+        &self.barrett[i]
     }
 
     /// `moduli[i]^{-1} mod moduli[j]`.

@@ -7,7 +7,7 @@
 
 use super::context::RnsContext;
 use super::pool;
-use chet_math::modint::{add_mod, mul_mod, neg_mod, sub_mod};
+use chet_math::modint::{add_mod, neg_mod, sub_mod, Barrett, ShoupMul};
 use chet_math::par;
 
 /// A polynomial over a prefix of the modulus chain, optionally extended by
@@ -201,9 +201,9 @@ impl RnsPoly {
         assert!(self.ntt_form, "ring products require NTT form");
         let (special, comps) = (self.special, self.data.len());
         par::par_iter_mut(&mut self.data, |k, comp| {
-            let q = ctx.modulus(mod_index_of(special, comps, ctx, k));
+            let br = ctx.barrett(mod_index_of(special, comps, ctx, k));
             for (a, &b) in comp.iter_mut().zip(&other.data[k]) {
-                *a = mul_mod(*a, b, q);
+                *a = br.mul(*a, b);
             }
         });
     }
@@ -213,9 +213,9 @@ impl RnsPoly {
         self.check_prefix_compatible(other);
         assert!(self.ntt_form, "ring products require NTT form");
         par::par_iter_mut(&mut self.data, |k, comp| {
-            let q = ctx.modulus(k);
+            let br = ctx.barrett(k);
             for (a, &b) in comp.iter_mut().zip(&other.data[k]) {
-                *a = mul_mod(*a, b, q);
+                *a = br.mul(*a, b);
             }
         });
     }
@@ -225,9 +225,9 @@ impl RnsPoly {
         let (special, comps) = (self.special, self.data.len());
         par::par_iter_mut(&mut self.data, |k, comp| {
             let q = ctx.modulus(mod_index_of(special, comps, ctx, k));
-            let kq = ((k_int % q as i128 + q as i128) % q as i128) as u64;
+            let kq = ShoupMul::new(((k_int % q as i128 + q as i128) % q as i128) as u64, q);
             for a in comp.iter_mut() {
-                *a = mul_mod(*a, kq, q);
+                *a = kq.mul(*a, q);
             }
         });
     }
@@ -317,19 +317,20 @@ fn mod_index_of(special: bool, comps: usize, ctx: &RnsContext, k: usize) -> usiz
 }
 
 /// Centered base conversion of one residue: interprets `v mod q_src` as a
-/// signed value in `(−q_src/2, q_src/2]` and reduces it modulo `q_dst`.
+/// signed value in `(−q_src/2, q_src/2]` and reduces it modulo the
+/// destination modulus.
 #[inline]
-pub fn centered_switch(v: u64, q_src: u64, q_dst: u64) -> u64 {
+pub fn centered_switch(v: u64, q_src: u64, dst: &Barrett) -> u64 {
     if v > q_src / 2 {
         // negative: −(q_src − v)
-        let mag = (q_src - v) % q_dst;
+        let mag = dst.reduce(q_src - v);
         if mag == 0 {
             0
         } else {
-            q_dst - mag
+            dst.modulus() - mag
         }
     } else {
-        v % q_dst
+        dst.reduce(v)
     }
 }
 
@@ -492,10 +493,11 @@ mod tests {
     #[test]
     fn centered_switch_small_values() {
         let q_src = 1000003u64;
-        let q_dst = 97u64;
-        assert_eq!(centered_switch(5, q_src, q_dst), 5);
-        assert_eq!(centered_switch(q_src - 5, q_src, q_dst), 97 - 5);
-        assert_eq!(centered_switch(0, q_src, q_dst), 0);
+        let dst = Barrett::new(97);
+        assert_eq!(centered_switch(5, q_src, &dst), 5);
+        assert_eq!(centered_switch(q_src - 5, q_src, &dst), 97 - 5);
+        assert_eq!(centered_switch(0, q_src, &dst), 0);
+        assert_eq!(centered_switch(q_src - 97, q_src, &dst), 0);
     }
 
     #[test]

@@ -15,12 +15,38 @@ use chet_hisa::keys::{plan_rotation, RotationKeyPolicy};
 use chet_hisa::params::EncryptionParams;
 use chet_hisa::{Hisa, HisaError, Instr, RotDir};
 use chet_math::crt::CrtBasis;
-use chet_math::modint::{mul_mod, sub_mod};
+use chet_math::lanes;
+use chet_math::modint::{add_mod, sub_mod, ShoupMul};
 use chet_math::par;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
+
+/// Coefficients per tile of the key-switch inner product
+/// ([`RnsCkks::accumulate`]): the gathered digit and both accumulators of
+/// one tile stay in L1.
+const KS_TILE: usize = 512;
+
+/// A digit's residues over the coefficient range `span`: a slice of `src`,
+/// or — when rotating — gathered through the slot permutation into `buf`.
+fn digit_tile<'a>(
+    src: &'a [u64],
+    perm: Option<&[u32]>,
+    buf: &'a mut [u64; KS_TILE],
+    span: std::ops::Range<usize>,
+) -> &'a [u64] {
+    match perm {
+        Some(p) => {
+            let len = span.len();
+            for (g, &j) in buf.iter_mut().zip(&p[span]) {
+                *g = src[j as usize];
+            }
+            &buf[..len]
+        }
+        None => &src[span],
+    }
+}
 
 /// An RNS-CKKS ciphertext: two NTT-form ring elements plus scale.
 #[derive(Debug, Clone)]
@@ -74,11 +100,12 @@ struct KsKey {
 /// base-converted to the full (chain-prefix + special) basis and
 /// NTT-transformed.
 ///
-/// Computing these digits — `level × (level+1)` base conversions and NTTs —
-/// is the dominant cost of a key switch and depends only on the switched
-/// polynomial, never on the key. `RnsCkks`'s [`Hisa::try_rotate`] therefore
-/// computes them once per source ciphertext and reuses them for every
-/// requested rotation (nGraph-HE2's hoisting).
+/// Computing these digits — `level²` base conversions and NTTs (the
+/// `level` diagonal limbs are copies) — is the dominant cost of a key
+/// switch and depends only on the switched polynomial, never on the key.
+/// `RnsCkks`'s [`Hisa::try_rotate`] therefore computes them once per source
+/// ciphertext and reuses them for every requested rotation (nGraph-HE2's
+/// hoisting).
 struct KsDigits {
     level: usize,
     /// `digits[i]`: digit `i` (the residues modulo chain prime `i`) over
@@ -265,24 +292,31 @@ impl RnsCkks {
             b.neg_assign(ctx);
             // Gadget: add (p mod q_i)·s_from on component i only.
             let q_i = ctx.modulus(i);
-            let p_mod = ctx.special() % q_i;
+            let p_mod = ShoupMul::new(ctx.special() % q_i, q_i);
             for (dst, &src) in b.data[i].iter_mut().zip(&s_from.data[i]) {
-                *dst = (*dst + mul_mod(p_mod, src, q_i)) % q_i;
+                *dst = add_mod(*dst, p_mod.mul(src, q_i), q_i);
             }
             rows.push((b, a));
         }
         KsKey { rows }
     }
 
-    /// Computes the hoistable half of a key switch: the gadget digits of a
-    /// coefficient-form, chain-only polynomial `t`, base-converted to the
-    /// full (chain-prefix + special) basis and NTT-transformed.
+    /// Computes the hoistable half of a key switch: the gadget digits of an
+    /// NTT-form, chain-only polynomial `src`, base-converted to the full
+    /// (chain-prefix + special) basis and NTT-transformed.
+    ///
+    /// Digit `i` at its own modulus `q_i` is `src`'s limb `i` itself (the
+    /// digit's residues are already reduced there), so the diagonal is
+    /// copied and only the `level²` off-diagonal limbs take a base
+    /// conversion and a forward NTT.
     ///
     /// The `(digit, component)` work items are flattened into one parallel
     /// region ([`par`] regions do not nest), each with a fixed index-ordered
     /// write target — results are bit-identical at any thread count.
-    fn decompose(ctx: &RnsContext, t: &RnsPoly) -> KsDigits {
-        assert!(!t.ntt_form && !t.special);
+    fn decompose(ctx: &RnsContext, src: &RnsPoly) -> KsDigits {
+        assert!(src.ntt_form && !src.special);
+        let mut t = src.clone();
+        t.ntt_inverse(ctx);
         let level = t.level;
         let comps = level + 1; // chain prefix + special
         let mut digits: Vec<RnsPoly> =
@@ -294,11 +328,15 @@ impl RnsCkks {
             }
         }
         par::par_iter_mut(&mut jobs, |_, (i, k, limb)| {
+            if *i == *k {
+                limb.copy_from_slice(&src.data[*i]);
+                return;
+            }
             let mod_idx = if *k == comps - 1 { ctx.special_index() } else { *k };
-            let q = ctx.modulus(mod_idx);
             // Base-convert the unsigned decomposition digit, then NTT.
+            let br = ctx.barrett(mod_idx);
             for (dst, &v) in limb.iter_mut().zip(&t.data[*i]) {
-                *dst = if v >= q { v % q } else { v };
+                *dst = br.reduce(v);
             }
             ctx.ntt(mod_idx).forward(limb);
         });
@@ -310,9 +348,21 @@ impl RnsCkks {
     /// Galois slot permutation to the digits on the fly — the hoisted
     /// rotation path — at zero extra passes over the data.
     ///
-    /// Products of canonical residues (< 2^62) are accumulated in `u128`
-    /// and reduced every 8 digits instead of per term: 8·(2^62−1)² plus a
-    /// carried partial stays below 2^128.
+    /// Each limb runs digit-major over tiles of [`KS_TILE`] coefficients:
+    /// digit `i`'s (permuted) residues are gathered into a tile buffer and
+    /// multiplied into two tile accumulators by the key row's residues, and
+    /// the sums are reduced only when their lazy budget runs out:
+    ///
+    /// * limbs modulo `q < 2^30` accumulate in `u64` lanes
+    ///   ([`lanes::mul_acc_pair`]), reducing after [`lanes::u64_budget`]`(q)`
+    ///   terms — the largest count with `(q−1) + m·(q−1)² < 2^64`, at least
+    ///   16, so at every level the parameter table admits for 30-bit primes
+    ///   this is one reduction per output;
+    /// * other limbs (`q < 2^62`) accumulate in `u128`, reduced every 8
+    ///   digits: 8·(2^62−1)² plus a carried partial stays below 2^128.
+    ///
+    /// Reductions are Barrett ([`chet_math::modint::Barrett`]); the output
+    /// is the exact canonical inner product.
     fn accumulate(
         ctx: &RnsContext,
         digits: &KsDigits,
@@ -320,46 +370,71 @@ impl RnsCkks {
         perm: Option<&[u32]>,
     ) -> (RnsPoly, RnsPoly) {
         let level = digits.level;
-        let n = ctx.degree();
         let comps = level + 1;
         let mut acc0 = RnsPoly::uninit(ctx, level, true, true);
         let mut acc1 = RnsPoly::uninit(ctx, level, true, true);
         par::par_zip_mut(&mut acc0.data, &mut acc1.data, |k, acc0_k, acc1_k| {
             let mod_idx = if k == comps - 1 { ctx.special_index() } else { k };
-            let q = ctx.modulus(mod_idx) as u128;
+            let br = ctx.barrett(mod_idx);
             // Key rows live at the full basis: chain j ↔ data[j],
             // special ↔ data[r].
             let key_k = if k == comps - 1 { ctx.max_level() } else { k };
-            let dlimbs: Vec<&[u64]> =
-                (0..level).map(|i| digits.digits[i].data[k].as_slice()).collect();
-            let rows: Vec<(&[u64], &[u64])> = (0..level)
-                .map(|i| {
-                    (key.rows[i].0.data[key_k].as_slice(), key.rows[i].1.data[key_k].as_slice())
-                })
-                .collect();
-            for idx in 0..n {
-                let src = perm.map_or(idx, |p| p[idx] as usize);
-                let mut s0: u128 = 0;
-                let mut s1: u128 = 0;
-                for (i, (dl, row)) in dlimbs.iter().zip(&rows).enumerate() {
-                    let d = dl[src] as u128;
-                    s0 += d * row.0[idx] as u128;
-                    s1 += d * row.1[idx] as u128;
-                    if i % 8 == 7 {
-                        s0 %= q;
-                        s1 %= q;
+            let digit = |i: usize| digits.digits[i].data[k].as_slice();
+            let rows = |i: usize| (&key.rows[i].0.data[key_k], &key.rows[i].1.data[key_k]);
+            let mut gathered = [0u64; KS_TILE];
+            let tiles = acc0_k.chunks_mut(KS_TILE).zip(acc1_k.chunks_mut(KS_TILE));
+            if lanes::is_lane_modulus(br.modulus()) {
+                let budget = lanes::u64_budget(br.modulus());
+                let (mut s0, mut s1) = ([0u64; KS_TILE], [0u64; KS_TILE]);
+                for (t, (out0, out1)) in tiles.enumerate() {
+                    let span = t * KS_TILE..t * KS_TILE + out0.len();
+                    let (s0, s1) = (&mut s0[..span.len()], &mut s1[..span.len()]);
+                    s0.fill(0);
+                    s1.fill(0);
+                    for i in 0..level {
+                        if i > 0 && i % budget == 0 {
+                            s0.iter_mut().chain(s1.iter_mut()).for_each(|x| *x = br.reduce(*x));
+                        }
+                        let d = digit_tile(digit(i), perm, &mut gathered, span.clone());
+                        let (k0, k1) = rows(i);
+                        lanes::mul_acc_pair(s0, s1, d, &k0[span.clone()], &k1[span.clone()]);
                     }
+                    let sums = out0.iter_mut().zip(&*s0).chain(out1.iter_mut().zip(&*s1));
+                    sums.for_each(|(o, &x)| *o = br.reduce(x));
                 }
-                acc0_k[idx] = (s0 % q) as u64;
-                acc1_k[idx] = (s1 % q) as u64;
+            } else {
+                let (mut s0, mut s1) = ([0u128; KS_TILE], [0u128; KS_TILE]);
+                for (t, (out0, out1)) in tiles.enumerate() {
+                    let span = t * KS_TILE..t * KS_TILE + out0.len();
+                    let (s0, s1) = (&mut s0[..span.len()], &mut s1[..span.len()]);
+                    s0.fill(0);
+                    s1.fill(0);
+                    for i in 0..level {
+                        if i > 0 && i % 8 == 0 {
+                            s0.iter_mut()
+                                .chain(s1.iter_mut())
+                                .for_each(|x| *x = u128::from(br.reduce_u128(*x)));
+                        }
+                        let d = digit_tile(digit(i), perm, &mut gathered, span.clone());
+                        let (k0, k1) = rows(i);
+                        let accs = s0.iter_mut().zip(s1.iter_mut());
+                        let terms = d.iter().zip(&k0[span.clone()]).zip(&k1[span.clone()]);
+                        for ((a0, a1), ((&d, &k0), &k1)) in accs.zip(terms) {
+                            *a0 += u128::from(d) * u128::from(k0);
+                            *a1 += u128::from(d) * u128::from(k1);
+                        }
+                    }
+                    let sums = out0.iter_mut().zip(&*s0).chain(out1.iter_mut().zip(&*s1));
+                    sums.for_each(|(o, &x)| *o = br.reduce_u128(x));
+                }
             }
         });
         (acc0, acc1)
     }
 
-    /// Key-switches a coefficient-form polynomial `t` (valid under some
-    /// secret `s_from`) into a pair `(acc0, acc1)` valid under `s`, at `t`'s
-    /// level, NTT form.
+    /// Key-switches an NTT-form polynomial `t` (valid under some secret
+    /// `s_from`) into a pair `(acc0, acc1)` valid under `s`, at `t`'s level,
+    /// NTT form.
     fn switch_key(&self, t: &RnsPoly, key: &KsKey) -> (RnsPoly, RnsPoly) {
         let ctx = &self.ctx;
         let digits = Self::decompose(ctx, t);
@@ -371,29 +446,46 @@ impl RnsCkks {
     /// with rounding, returning a chain-only polynomial (NTT form).
     fn mod_down_special(ctx: &RnsContext, mut poly: RnsPoly) -> RnsPoly {
         assert!(poly.special && poly.ntt_form);
-        let level = poly.level;
-        let p = ctx.special();
-        // Bring the special component to coefficient form.
-        let mut sp = poly.pop_component().expect("special component present");
-        ctx.ntt(ctx.special_index()).inverse(&mut sp);
+        let sp = poly.pop_component().expect("special component present");
         poly.special = false;
-        debug_assert_eq!(poly.data.len(), level);
-        let sp_ref = &sp;
+        debug_assert_eq!(poly.data.len(), poly.level);
+        Self::divide_rounded(ctx, &mut poly, sp, ctx.special_index());
+        poly
+    }
+
+    /// Divides the chain limbs of `poly` (NTT form) with rounding by the
+    /// modulus `ctx.modulus(src)`, whose NTT-form limb `last` was just
+    /// detached from it: `c_j ← (c_j − [last]_j)·q_src⁻¹ mod q_j`, where
+    /// `[last]_j` is the centered lift of `last` to `q_j`. Limbs modulo
+    /// `q_j < 2^30` run the lift and the tail in 32-bit lanes.
+    fn divide_rounded(ctx: &RnsContext, poly: &mut RnsPoly, mut last: Vec<u64>, src: usize) {
+        ctx.ntt(src).inverse(&mut last);
+        let q_src = ctx.modulus(src);
+        let last_ref = &last;
         par::par_iter_mut(&mut poly.data, |j, comp| {
             let q = ctx.modulus(j);
-            let mut t = pool::acquire_uninit(sp_ref.len());
-            for (dst, &v) in t.iter_mut().zip(sp_ref.iter()) {
-                *dst = centered_switch(v, p, q);
+            let inv = ShoupMul::new(ctx.inv_mod_of(src, j), q);
+            let lane = lanes::is_lane_modulus(q);
+            let mut t = pool::acquire_uninit(last_ref.len());
+            if lane {
+                lanes::centered_switch(&mut t, last_ref, q_src, q);
+            } else {
+                let br = ctx.barrett(j);
+                for (dst, &v) in t.iter_mut().zip(last_ref.iter()) {
+                    *dst = centered_switch(v, q_src, br);
+                }
             }
             ctx.ntt(j).forward(&mut t);
-            let inv_p = ctx.inv_mod_of(ctx.special_index(), j);
-            for (a, &b) in comp.iter_mut().zip(t.iter()) {
-                *a = mul_mod(sub_mod(*a, b, q), inv_p, q);
+            if lane {
+                lanes::sub_mul(comp, &t, &inv, q);
+            } else {
+                for (a, &b) in comp.iter_mut().zip(t.iter()) {
+                    *a = inv.mul(sub_mod(*a, b, q), q);
+                }
             }
             pool::release(t);
         });
-        pool::release(sp);
-        poly
+        pool::release(last);
     }
 
     /// Drops both ciphertext components to `level` (modulus switch).
@@ -423,24 +515,9 @@ impl RnsCkks {
         let l = level - 1;
         let q_l = ctx.modulus(l);
         for c in [&mut ct.c0, &mut ct.c1] {
-            let mut last = c.pop_component().expect("component");
-            ctx.ntt(l).inverse(&mut last);
+            let last = c.pop_component().expect("component");
             c.level = l;
-            let last_ref = &last;
-            par::par_iter_mut(&mut c.data, |j, comp| {
-                let q = ctx.modulus(j);
-                let mut t = pool::acquire_uninit(last_ref.len());
-                for (dst, &v) in t.iter_mut().zip(last_ref.iter()) {
-                    *dst = centered_switch(v, q_l, q);
-                }
-                ctx.ntt(j).forward(&mut t);
-                let inv = ctx.inv_mod_of(l, j);
-                for (a, &b) in comp.iter_mut().zip(t.iter()) {
-                    *a = mul_mod(sub_mod(*a, b, q), inv, q);
-                }
-                pool::release(t);
-            });
-            pool::release(last);
+            Self::divide_rounded(ctx, c, last, l);
         }
         ct.scale /= q_l as f64;
     }
@@ -481,14 +558,6 @@ impl RnsCkks {
         Ok(out)
     }
 
-    /// Gadget-decomposes `ct.c1` — the hoistable (key-independent) half of
-    /// a rotation's key switch.
-    fn decompose_c1(&self, ct: &RnsCiphertext) -> KsDigits {
-        let mut c1 = ct.c1.clone();
-        c1.ntt_inverse(&self.ctx);
-        Self::decompose(&self.ctx, &c1)
-    }
-
     /// Finishes one rotation from precomputed digits of `ct.c1`: the Galois
     /// automorphism is a slot permutation in evaluation form, folded into
     /// the key-switch inner product ([`Self::accumulate`]) and applied to
@@ -518,7 +587,7 @@ impl RnsCkks {
     /// its own decomposition: the later hops of a composite plan, which
     /// rotate fresh intermediates.
     fn rotate_step(&self, ct: &RnsCiphertext, step: usize) -> Result<RnsCiphertext, HisaError> {
-        let digits = self.decompose_c1(ct);
+        let digits = Self::decompose(&self.ctx, &ct.c1);
         self.rotate_hoisted(ct, &digits, step)
     }
 }
@@ -654,9 +723,8 @@ impl Hisa for RnsCkks {
                 let d0 = x.c0.mul(ctx, &y.c0);
                 let mut d1 = x.c0.mul(ctx, &y.c1);
                 d1.add_assign(ctx, &x.c1.mul(ctx, &y.c0));
-                let mut d2 = x.c1.mul(ctx, &y.c1);
+                let d2 = x.c1.mul(ctx, &y.c1);
                 // Relinearize d2·s² back to a degree-1 ciphertext.
-                d2.ntt_inverse(ctx);
                 let (ks0, ks1) = self.switch_key(&d2, &self.relin);
                 let mut c0 = d0;
                 c0.add_assign(ctx, &ks0);
@@ -719,7 +787,7 @@ impl Hisa for RnsCkks {
         if !any {
             return Ok(plans.iter().map(|_| c.clone()).collect());
         }
-        let digits = self.decompose_c1(c);
+        let digits = Self::decompose(&self.ctx, &c.c1);
         let mut out = Vec::with_capacity(steps.len());
         for plan in &plans {
             match plan {
@@ -944,6 +1012,93 @@ mod tests {
         let ptd = h.decrypt(&r);
         let out = h.decode(&ptd);
         assert!((out[0] - 8.0).abs() < 1e-2, "got {}", out[0]);
+    }
+
+    /// A full-basis (chain + special) NTT-form poly at `level` filled by
+    /// `fill(q)` per residue.
+    fn filled(ctx: &RnsContext, level: usize, mut fill: impl FnMut(u64) -> u64) -> RnsPoly {
+        let mut p = RnsPoly::uninit(ctx, level, true, true);
+        let comps = p.data.len();
+        for (k, limb) in p.data.iter_mut().enumerate() {
+            let q = ctx.modulus(if k == comps - 1 { ctx.special_index() } else { k });
+            limb.iter_mut().for_each(|x| *x = fill(q));
+        }
+        p
+    }
+
+    /// The tiled lazy inner product equals a per-term `u128` reference at
+    /// the largest chain the 128-bit security table admits (N = 32768) for
+    /// 30-bit primes (past the `u64` lanes' 16-term budget) and 60-bit
+    /// primes (past the `u128` every-8 budget), with every residue at
+    /// `q − 1` and with random residues through a Galois permutation.
+    #[test]
+    fn tiled_inner_product_matches_per_term_reference_at_max_level() {
+        let budget =
+            chet_hisa::security::max_log_q(32768, chet_hisa::SecurityLevel::Bits128) as usize;
+        let special_bits = EncryptionParams::DEFAULT_SPECIAL_PRIME_BITS as usize;
+        let mut rng = StdRng::seed_from_u64(3);
+        for bits in [30u32, 60] {
+            let level = (budget - special_bits) / bits as usize;
+            assert!(level > if bits == 30 { 16 } else { 8 });
+            let params = EncryptionParams::rns_ckks(1024, bits, level)
+                .with_security(chet_hisa::SecurityLevel::Insecure);
+            let ctx = RnsContext::new(&params);
+            let perm = ctx.auto_perm(5);
+            for random in [false, true] {
+                let mut fill = |q: u64| if random { rng.gen_range(0..q) } else { q - 1 };
+                let digits = KsDigits {
+                    level,
+                    digits: (0..level).map(|_| filled(&ctx, level, &mut fill)).collect(),
+                };
+                let key = KsKey {
+                    rows: (0..level)
+                        .map(|_| (filled(&ctx, level, &mut fill), filled(&ctx, level, &mut fill)))
+                        .collect(),
+                };
+                for perm in [None, Some(perm.as_slice())] {
+                    let (acc0, acc1) = RnsCkks::accumulate(&ctx, &digits, &key, perm);
+                    for k in 0..=level {
+                        let mod_idx = if k == level { ctx.special_index() } else { k };
+                        let q = u128::from(ctx.modulus(mod_idx));
+                        for idx in 0..ctx.degree() {
+                            let src = perm.map_or(idx, |p| p[idx] as usize);
+                            let (mut w0, mut w1) = (0u128, 0u128);
+                            for (i, (r0, r1)) in key.rows.iter().enumerate() {
+                                let d = u128::from(digits.digits[i].data[k][src]);
+                                w0 = (w0 + d * u128::from(r0.data[k][idx])) % q;
+                                w1 = (w1 + d * u128::from(r1.data[k][idx])) % q;
+                            }
+                            assert_eq!(u128::from(acc0.data[k][idx]), w0, "bits={bits} k={k}");
+                            assert_eq!(u128::from(acc1.data[k][idx]), w1, "bits={bits} k={k}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Digit `i` at its own modulus is copied from the source's NTT-form
+    /// limb; it must equal the base conversion plus forward NTT it replaces,
+    /// as must every other digit limb.
+    #[test]
+    fn decomposition_diagonal_copy_matches_recomputed_digits() {
+        let params = EncryptionParams::rns_ckks(1024, 30, 4)
+            .with_security(chet_hisa::SecurityLevel::Insecure);
+        let ctx = RnsContext::new(&params);
+        let mut rng = StdRng::seed_from_u64(11);
+        let src = RnsCkks::sample_uniform_ntt(&ctx, &mut rng, 4, false);
+        let digits = RnsCkks::decompose(&ctx, &src);
+        let mut t = src.clone();
+        t.ntt_inverse(&ctx);
+        for (i, digit) in digits.digits.iter().enumerate() {
+            for (k, limb) in digit.data.iter().enumerate() {
+                let mod_idx = if k == 4 { ctx.special_index() } else { k };
+                let q = ctx.modulus(mod_idx);
+                let mut want: Vec<u64> = t.data[i].iter().map(|&v| v % q).collect();
+                ctx.ntt(mod_idx).forward(&mut want);
+                assert_eq!(limb, &want, "digit {i}, limb {k}");
+            }
+        }
     }
 
     #[test]

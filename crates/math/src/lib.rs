@@ -5,7 +5,11 @@
 //! This crate provides everything the CKKS-family encryption schemes in
 //! [`chet-ckks`] need, implemented from scratch:
 //!
-//! * [`modint`] — 64-bit modular arithmetic with Shoup multiplication.
+//! * [`modint`] — 64-bit modular arithmetic with Shoup multiplication and
+//!   Barrett reduction.
+//! * [`lanes`] — 32-bit-lane kernels for primes below `2^30`, each compiled
+//!   portably and for AVX2 and dispatched once per process on the CPU's
+//!   AVX2 bit.
 //! * [`prime`] — Miller–Rabin primality testing and NTT-friendly prime
 //!   generation (primes `p ≡ 1 mod 2N`).
 //! * [`ntt`] — negacyclic number-theoretic transforms over prime fields,
@@ -40,6 +44,7 @@
 pub mod bigint;
 pub mod crt;
 pub mod fft;
+pub mod lanes;
 pub mod modint;
 pub mod ntt;
 pub mod par;

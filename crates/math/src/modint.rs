@@ -143,6 +143,92 @@ impl ShoupMul {
     }
 }
 
+/// A Barrett reducer for a fixed modulus `q < 2^62`: division-free
+/// reduction of 64- and 128-bit values by multiplying with the precomputed
+/// ratio `⌊2^128 / q⌋` and correcting the quotient estimate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Barrett {
+    q: u64,
+    /// `⌊2^128 / q⌋`; its high word is `⌊2^64 / q⌋`.
+    ratio: u128,
+}
+
+impl Barrett {
+    /// Precomputes the reducer for modulus `q`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q < 2` or `q >= 2^62`.
+    pub fn new(q: u64) -> Self {
+        assert!((2..1u64 << 62).contains(&q), "barrett modulus must be in [2, 2^62)");
+        // ⌊(2^128 − 1) / q⌋ = ⌊2^128 / q⌋ unless q divides 2^128 (q a power
+        // of two), where it is one less — still a valid underestimate.
+        Barrett { q, ratio: u128::MAX / q as u128 }
+    }
+
+    /// The modulus.
+    #[inline(always)]
+    pub fn modulus(&self) -> u64 {
+        self.q
+    }
+
+    /// `x mod q` for any `x: u64`.
+    ///
+    /// The estimate `⌊x·⌊2^64/q⌋ / 2^64⌋` undershoots `⌊x/q⌋` by at most
+    /// one, so one conditional subtraction finishes.
+    #[inline(always)]
+    pub fn reduce(&self, x: u64) -> u64 {
+        let quot = ((x as u128 * (self.ratio >> 64)) >> 64) as u64;
+        let r = x - quot * self.q;
+        if r >= self.q {
+            r - self.q
+        } else {
+            r
+        }
+    }
+
+    /// `x mod q` for any `x: u128`.
+    ///
+    /// Computes the high 128 bits of the 256-bit product `x·ratio` (only its
+    /// low word is needed: the remainder is formed modulo 2^64). The
+    /// estimate undershoots `⌊x/q⌋` by at most two, and `3q < 2^64` keeps
+    /// the pre-correction remainder exact.
+    #[inline(always)]
+    pub fn reduce_u128(&self, x: u128) -> u64 {
+        let (x0, x1) = (x as u64 as u128, (x >> 64) as u64 as u128);
+        let (r0, r1) = (self.ratio as u64 as u128, (self.ratio >> 64) as u64 as u128);
+        let lo_lo = (x0 * r0) >> 64;
+        let lo_hi = x0 * r1;
+        let hi_lo = x1 * r0;
+        // Bits 64..128 of the product, with their carry into bit 128.
+        let mid = lo_lo + (lo_hi as u64 as u128) + (hi_lo as u64 as u128);
+        let quot = ((x1 * r1) as u64)
+            .wrapping_add((lo_hi >> 64) as u64)
+            .wrapping_add((hi_lo >> 64) as u64)
+            .wrapping_add((mid >> 64) as u64);
+        let mut r = (x as u64).wrapping_sub(quot.wrapping_mul(self.q));
+        if r >= self.q {
+            r -= self.q;
+        }
+        if r >= self.q {
+            r -= self.q;
+        }
+        r
+    }
+
+    /// `a·b mod q` for reduced `a, b < q`. Below `q = 2^32` the product
+    /// fits a `u64` and takes the one-word reduction.
+    #[inline(always)]
+    pub fn mul(&self, a: u64, b: u64) -> u64 {
+        debug_assert!(a < self.q && b < self.q);
+        if self.q <= 1 << 32 {
+            self.reduce(a * b)
+        } else {
+            self.reduce_u128(a as u128 * b as u128)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

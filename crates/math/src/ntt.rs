@@ -12,7 +12,27 @@
 //! subtraction pass at the end of each transform restores canonical
 //! residues. This removes two compare-and-subtract reductions per
 //! butterfly and requires `q < 2^62` so `4q` fits in a `u64`.
+//!
+//! # 32-bit lanes for primes below `2^30`
+//!
+//! For `q < 2^30` ([`LANE_MODULUS_LIMIT`](crate::lanes::LANE_MODULUS_LIMIT))
+//! the same lazy invariants bound every value the stages touch below
+//! `4q < 2^32`:
+//!
+//! * forward: stage inputs `< 4q`; `u` is brought below `2q`, the lazy
+//!   product `v < 2q`, and the outputs `u + v`, `u + 2q − v` are `< 4q`;
+//! * inverse: stage inputs `< 2q`; the difference `u + 2q − v < 4q` feeds
+//!   the lazy product, the sum is reduced below `2q`.
+//!
+//! Each Shoup product is then three 32×32→64-bit multiplies, exact in a
+//! 64-bit lane, using the 32-bit Shoup quotient `⌊w·2^32/q⌋` — the top
+//! half of the 64-bit quotient the tables already hold, so no extra
+//! twiddle tables exist. The stage loop iterates slices (no per-index
+//! bounds checks) with branch-free lazy reductions, and is compiled
+//! portably and under AVX2 ([`crate::lanes`]); both builds, and the 64-bit
+//! path, return the same canonical residues.
 
+use crate::lanes::{self, is_lane_modulus};
 use crate::modint::{add_mod, inv_mod, sub_mod, ShoupMul};
 use crate::prime::primitive_root_2n;
 
@@ -109,45 +129,28 @@ impl NttTable {
     /// two-step reduction pass at the end restores canonical `[0, q)`
     /// residues, so callers observe the exact modular transform.
     ///
+    /// Moduli below `2^30` run the 32-bit-lane stage loop (see the module
+    /// docs), on its AVX2 build when the CPU has AVX2.
+    ///
     /// # Panics
     ///
     /// Panics if `a.len() != self.degree()`.
     pub fn forward(&self, a: &mut [u64]) {
+        self.forward_on(a, lanes::avx2());
+    }
+
+    fn forward_on(&self, a: &mut [u64], avx2: bool) {
         assert_eq!(a.len(), self.n, "input length must equal the ring degree");
-        let q = self.q;
-        let two_q = 2 * q;
-        let n = self.n;
-        let mut t = n;
-        let mut m = 1usize;
-        while m < n {
-            t >>= 1;
-            for i in 0..m {
-                let j1 = 2 * i * t;
-                let j2 = j1 + t;
-                let s = self.psi_rev[m + i];
-                for j in j1..j2 {
-                    // Invariant: a[*] < 4q on entry to every stage.
-                    let mut u = a[j];
-                    if u >= two_q {
-                        u -= two_q;
-                    }
-                    let v = s.mul_lazy(a[j + t], q);
-                    a[j] = u + v; // < 2q + 2q = 4q
-                    a[j + t] = u + two_q - v; // < 4q, > 0
-                }
-            }
-            m <<= 1;
+        if !is_lane_modulus(self.q) {
+            return forward_wide(a, &self.psi_rev, self.q);
         }
-        for x in a.iter_mut() {
-            let mut v = *x;
-            if v >= two_q {
-                v -= two_q;
-            }
-            if v >= q {
-                v -= q;
-            }
-            *x = v;
+        #[cfg(target_arch = "x86_64")]
+        if avx2 {
+            // SAFETY: callers pass `avx2 = true` only when the CPU has AVX2.
+            return unsafe { forward_lanes_avx2(a, &self.psi_rev, self.q) };
         }
+        let _ = avx2;
+        forward_lanes(a, &self.psi_rev, self.q);
     }
 
     /// In-place inverse negacyclic NTT (evaluation → coefficient domain).
@@ -156,53 +159,178 @@ impl NttTable {
     /// takes one conditional subtraction of `2q`, the difference is fed
     /// through a lazy Shoup product), the final `n^{-1}` multiplication is
     /// also lazy, and one conditional subtraction per coefficient restores
-    /// canonical residues.
+    /// canonical residues. Moduli below `2^30` run the 32-bit-lane stage
+    /// loop, like [`Self::forward`].
     ///
     /// # Panics
     ///
     /// Panics if `a.len() != self.degree()`.
     pub fn inverse(&self, a: &mut [u64]) {
+        self.inverse_on(a, lanes::avx2());
+    }
+
+    fn inverse_on(&self, a: &mut [u64], avx2: bool) {
         assert_eq!(a.len(), self.n, "input length must equal the ring degree");
-        let q = self.q;
-        let two_q = 2 * q;
-        let n = self.n;
-        let mut t = 1usize;
-        let mut m = n;
-        while m > 1 {
-            let h = m >> 1;
-            let mut j1 = 0usize;
-            for i in 0..h {
-                let j2 = j1 + t;
-                let s = self.psi_inv_rev[h + i];
-                for j in j1..j2 {
-                    // Invariant: a[*] < 2q on entry to every stage.
-                    let u = a[j];
-                    let v = a[j + t];
-                    let mut sum = u + v; // < 4q
-                    if sum >= two_q {
-                        sum -= two_q;
-                    }
-                    a[j] = sum;
-                    a[j + t] = s.mul_lazy(u + two_q - v, q); // < 2q
-                }
-                j1 += 2 * t;
-            }
-            t <<= 1;
-            m = h;
+        if !is_lane_modulus(self.q) {
+            return inverse_wide(a, &self.psi_inv_rev, self.n_inv, self.q);
         }
-        for x in a.iter_mut() {
-            let mut v = self.n_inv.mul_lazy(*x, q);
-            if v >= q {
-                v -= q;
-            }
-            *x = v;
+        #[cfg(target_arch = "x86_64")]
+        if avx2 {
+            // SAFETY: callers pass `avx2 = true` only when the CPU has AVX2.
+            return unsafe { inverse_lanes_avx2(a, &self.psi_inv_rev, self.n_inv, self.q) };
         }
+        let _ = avx2;
+        inverse_lanes(a, &self.psi_inv_rev, self.n_inv, self.q);
     }
 
     /// log2 of the transform length.
     pub fn log_degree(&self) -> u32 {
         self.log_n
     }
+}
+
+/// `x − m` if `x ≥ m`, else `x`.
+#[inline(always)]
+fn reduce_once(x: u64, m: u64) -> u64 {
+    if x >= m {
+        x - m
+    } else {
+        x
+    }
+}
+
+/// Applies `bf(x, y, twiddle)` to every butterfly of one stage whose
+/// blocks pair `t` values with the next `t`; `tw` holds one twiddle per
+/// block. Stages with `t = 1` and `t = 2` run as one flat loop over
+/// fixed-size chunks, so the compiler vectorizes across blocks instead of
+/// leaving a scalar two-element inner loop per block.
+#[inline(always)]
+fn for_each_butterfly(
+    a: &mut [u64],
+    tw: &[ShoupMul],
+    t: usize,
+    mut bf: impl FnMut(&mut u64, &mut u64, &ShoupMul),
+) {
+    match t {
+        1 => {
+            for ([x, y], s) in a.as_chunks_mut::<2>().0.iter_mut().zip(tw) {
+                bf(x, y, s);
+            }
+        }
+        2 => {
+            for ([x0, x1, y0, y1], s) in a.as_chunks_mut::<4>().0.iter_mut().zip(tw) {
+                bf(x0, y0, s);
+                bf(x1, y1, s);
+            }
+        }
+        _ => {
+            for (block, s) in a.chunks_exact_mut(2 * t).zip(tw) {
+                let (lo, hi) = block.split_at_mut(t);
+                for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
+                    bf(x, y, s);
+                }
+            }
+        }
+    }
+}
+
+/// Forward stages for `q < 2^62`: 64×64→128-bit Shoup products.
+fn forward_wide(a: &mut [u64], psi_rev: &[ShoupMul], q: u64) {
+    let two_q = 2 * q;
+    let n = a.len();
+    let mut t = n;
+    let mut m = 1usize;
+    while m < n {
+        t >>= 1;
+        for_each_butterfly(a, &psi_rev[m..2 * m], t, |x, y, s| {
+            // Invariant: a[*] < 4q on entry to every stage.
+            let u = reduce_once(*x, two_q);
+            let v = s.mul_lazy(*y, q);
+            *x = u + v; // < 2q + 2q = 4q
+            *y = u + two_q - v; // < 4q, > 0
+        });
+        m <<= 1;
+    }
+    for x in a.iter_mut() {
+        *x = reduce_once(reduce_once(*x, two_q), q);
+    }
+}
+
+/// Inverse stages for `q < 2^62`: 64×64→128-bit Shoup products.
+fn inverse_wide(a: &mut [u64], psi_inv_rev: &[ShoupMul], n_inv: ShoupMul, q: u64) {
+    let two_q = 2 * q;
+    let mut t = 1usize;
+    let mut m = a.len();
+    while m > 1 {
+        let h = m >> 1;
+        for_each_butterfly(a, &psi_inv_rev[h..m], t, |x, y, s| {
+            // Invariant: a[*] < 2q on entry to every stage.
+            let (u, v) = (*x, *y);
+            *x = reduce_once(u + v, two_q);
+            *y = s.mul_lazy(u + two_q - v, q); // < 2q
+        });
+        t <<= 1;
+        m = h;
+    }
+    for x in a.iter_mut() {
+        *x = reduce_once(n_inv.mul_lazy(*x, q), q);
+    }
+}
+
+/// Forward stages for `q < 2^30`: every lazy value is below `4q < 2^32`,
+/// so each Shoup product is three 32×32→64-bit multiplies.
+#[inline(always)]
+fn forward_lanes(a: &mut [u64], psi_rev: &[ShoupMul], q: u64) {
+    let two_q = 2 * q;
+    let n = a.len();
+    let mut t = n;
+    let mut m = 1usize;
+    while m < n {
+        t >>= 1;
+        for_each_butterfly(a, &psi_rev[m..2 * m], t, |x, y, s| {
+            let u = lanes::reduce_once(*x, two_q);
+            let v = lanes::mul_shoup_lazy(*y, s, q);
+            *x = u + v;
+            *y = u + two_q - v;
+        });
+        m <<= 1;
+    }
+    for x in a.iter_mut() {
+        *x = lanes::reduce_once(lanes::reduce_once(*x, two_q), q);
+    }
+}
+
+/// Inverse stages for `q < 2^30` (see [`forward_lanes`]).
+#[inline(always)]
+fn inverse_lanes(a: &mut [u64], psi_inv_rev: &[ShoupMul], n_inv: ShoupMul, q: u64) {
+    let two_q = 2 * q;
+    let mut t = 1usize;
+    let mut m = a.len();
+    while m > 1 {
+        let h = m >> 1;
+        for_each_butterfly(a, &psi_inv_rev[h..m], t, |x, y, s| {
+            let (u, v) = (*x, *y);
+            *x = lanes::reduce_once(u + v, two_q);
+            *y = lanes::mul_shoup_lazy(u + two_q - v, s, q);
+        });
+        t <<= 1;
+        m = h;
+    }
+    for x in a.iter_mut() {
+        *x = lanes::reduce_once(lanes::mul_shoup_lazy(*x, &n_inv, q), q);
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn forward_lanes_avx2(a: &mut [u64], psi_rev: &[ShoupMul], q: u64) {
+    forward_lanes(a, psi_rev, q);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn inverse_lanes_avx2(a: &mut [u64], psi_inv_rev: &[ShoupMul], n_inv: ShoupMul, q: u64) {
+    inverse_lanes(a, psi_inv_rev, n_inv, q);
 }
 
 /// Reference negacyclic convolution in `O(n^2)`, for testing and tiny sizes.
@@ -389,6 +517,82 @@ mod tests {
                         f.iter().map(|&x| crate::modint::mul_mod(x, x, q)).collect();
                     t.inverse(&mut sq);
                     assert_eq!(sq, expect);
+                }
+            }
+        }
+    }
+
+    /// The largest prime below `2^bits` that is `1 mod 2n`, if one exists
+    /// in the top bit range.
+    fn largest_ntt_prime(bits: u32, n: usize) -> Option<u64> {
+        let m = 2 * n as u64;
+        let top = (1u64 << bits) - 1;
+        let mut c = top - (top - 1) % m;
+        while c >= 1 << (bits - 1) {
+            if crate::prime::is_prime(c) {
+                return Some(c);
+            }
+            c -= m;
+        }
+        None
+    }
+
+    /// Every build of the small-prime stage loop the host can run: the
+    /// portable build always, the AVX2 build when the CPU has AVX2.
+    fn lane_builds() -> Vec<bool> {
+        let mut builds = vec![false];
+        if cfg!(target_arch = "x86_64") && lanes::avx2() {
+            builds.push(true);
+        }
+        builds
+    }
+
+    #[test]
+    fn lane_builds_match_naive_convolution_and_roundtrip() {
+        let mut rng = Lcg(0x1A4E5);
+        let degrees = [2usize, 4, 8, 32, 128, 512, 2048, 16384];
+        for bits in (20u32..=30).rev() {
+            for &n in &degrees {
+                let Some(q) = largest_ntt_prime(bits, n) else { continue };
+                assert!(is_lane_modulus(q));
+                let t = NttTable::new(q, n).unwrap();
+                // Dense random b; a dense for small n, sparse (with the
+                // boundary residues) for large n so the O(n·nnz) naive
+                // reference stays cheap.
+                let b: Vec<u64> = (0..n).map(|_| rng.next() % q).collect();
+                let a: Vec<u64> = if n <= 512 {
+                    (0..n).map(|_| rng.next() % q).collect()
+                } else {
+                    (0..n)
+                        .map(|i| match i % (n / 8) {
+                            0 => q - 1,
+                            1 => rng.next() % q,
+                            _ => 0,
+                        })
+                        .collect()
+                };
+                let want = negacyclic_convolution_naive(&a, &b, q);
+                let patterns = [a.clone(), b.clone(), vec![0; n], vec![q - 1; n]];
+                for avx2 in lane_builds() {
+                    let (mut fa, mut fb) = (a.clone(), b.clone());
+                    t.forward_on(&mut fa, avx2);
+                    t.forward_on(&mut fb, avx2);
+                    let mut fc: Vec<u64> = fa
+                        .iter()
+                        .zip(&fb)
+                        .map(|(&x, &y)| crate::modint::mul_mod(x, y, q))
+                        .collect();
+                    t.inverse_on(&mut fc, avx2);
+                    assert_eq!(fc, want, "convolution: avx2={avx2} q={q} n={n}");
+                    for p in &patterns {
+                        let mut x = p.clone();
+                        t.forward_on(&mut x, avx2);
+                        let mut wide = p.clone();
+                        forward_wide(&mut wide, &t.psi_rev, q);
+                        assert_eq!(x, wide, "forward vs 64-bit path: avx2={avx2} q={q} n={n}");
+                        t.inverse_on(&mut x, avx2);
+                        assert_eq!(&x, p, "roundtrip: avx2={avx2} q={q} n={n}");
+                    }
                 }
             }
         }
