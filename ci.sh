@@ -54,20 +54,34 @@ assert required == CORE, f"Hisa's required methods drifted: {sorted(required)}"
 
 files = sorted(glob.glob("crates/*/src/**/*.rs", recursive=True)
                + glob.glob("src/**/*.rs", recursive=True))
+# Every backend, abstract interpretation and wrapper the repo ships,
+# exactly: adding or deleting an implementation means editing this list,
+# and a scan that stops seeing one fails instead of passing quietly.
+EXPECTED = {
+    ("crates/bench/src/bin/profile_rns_net.rs", "impl Hisa for Timed"),
+    ("crates/ckks/src/big/scheme.rs", "impl Hisa for BigCkks"),
+    ("crates/ckks/src/rns/evaluator.rs", "impl Hisa for RnsEvaluator"),
+    ("crates/ckks/src/rns/scheme.rs", "impl Hisa for RnsCkks"),
+    ("crates/ckks/src/sim.rs", "impl Hisa for SimCkks"),
+    ("crates/core/src/ir/mod.rs", "impl Hisa for TraceInterp"),
+    ("crates/core/src/verify/walker.rs", "impl<D: AbstractDomain> Hisa for VerifyInterp<D>"),
+    ("crates/runtime/src/fault.rs", "impl<H: Hisa> Hisa for FaultInjector<H>"),
+    ("crates/runtime/src/tally.rs", "impl<H: Hisa> Hisa for RunTally<'_, H>"),
+    ("crates/serve/src/chaos.rs", "impl<H: Hisa> Hisa for ChaosInjector<H>"),
+}
 bad = []
-found = 0
+found = set()
 for path in files:
     for header, fns in blocks(path):
-        found += 1
+        found.add((path, header))
         extra = sorted(set(fns) - CORE - OPTIONAL)
         print(f"  {len(fns):>2} methods  {path}: {header}")
         if extra:
             bad.append(f"{path}: {header} overrides adapters {extra}")
+bad += [f"unexpected impl: {p}: {h}" for p, h in sorted(found - EXPECTED)]
+bad += [f"missing impl: {p}: {h}" for p, h in sorted(EXPECTED - found)]
 assert not bad, "\n".join(bad)
-# Every backend, analysis and wrapper the repo ships; a drop means the
-# scan stopped seeing one.
-assert found >= 11, f"only {found} impl Hisa blocks found"
-print(f"Hisa: {len(required)} required methods; {found} impls, none overrides an adapter")
+print(f"Hisa: {len(required)} required methods; {len(found)} impls, none overrides an adapter")
 EOF
 
 echo "=== one error channel gate (kernels and executor propagate HISA failures) ==="
@@ -120,12 +134,6 @@ CHET_THREADS=1 cargo test -q
 echo "=== tests, parallel kernels (CHET_THREADS=4) ==="
 CHET_THREADS=4 cargo test -q
 
-# `cargo test` at the workspace root only runs the root package's suite;
-# the serving crate's robustness tests (chaos soak, store recovery,
-# breaker/watchdog) are tier-1 too.
-echo "=== serving-layer tests (chet-serve) ==="
-cargo test -q -p chet-serve
-
 echo "=== seeded chaos soak (digest bit-stable across CHET_THREADS) ==="
 # Every serve-layer fault class enabled, fixed seed, bounded duration.
 # The binary exits non-zero on any wrong answer or contained panic; the
@@ -157,10 +165,8 @@ echo "=== kill-and-restart crash matrix (journal exactly-once) ==="
 # The digest= line folds the completed (key, digest) ledger; it must be
 # bit-identical across thread counts (and across crash points for a
 # given seed -- every crash recovers to the same answers).
-# (The root `cargo build` only builds the root package's bins; the
-# harness lives in chet-serve.)
 # Each seed's crash-free ledger digest is pinned, like the chaos soak's.
-cargo build --release -q -p chet-serve --bin chet-crash
+# (The release build above covers every workspace crate, chet-crash too.)
 for seed in 11 47; do
     case $seed in
         11) ref="digest=214139cb9483bab8" ;;

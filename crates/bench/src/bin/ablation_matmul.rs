@@ -9,6 +9,8 @@
 use chet_bench::{fmt_dur, print_table};
 use chet_ckks::rns::RnsCkks;
 use chet_ckks::sim::SimCkks;
+use chet_compiler::verify::domain::{RotationDomain, ScaleDomain};
+use chet_compiler::verify::walker::VerifyInterp;
 use chet_hisa::cost::HisaOp;
 use chet_hisa::{EncryptionParams, Hisa, RotationKeyPolicy, SecurityLevel};
 use chet_runtime::ciphertensor::encrypt_tensor;
@@ -16,6 +18,7 @@ use chet_runtime::kernels::matmul::{try_hmatmul, try_hmatmul_bsgs};
 use chet_runtime::kernels::ScaleConfig;
 use chet_runtime::layout::Layout;
 use chet_tensor::Tensor;
+use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
@@ -47,19 +50,18 @@ fn main() {
             let probe =
                 SimCkks::new(&params, &RotationKeyPolicy::PowersOfTwo, 1).without_noise();
             let layout = Layout::dense_vector(inp, probe.slots());
-            // Collect the exact rotation steps by replaying on the analyzer-ish sim.
+            // Collect the exact rotation steps with an abstract walk.
             let steps: std::collections::BTreeSet<usize> = {
-                let mut az = chet_compiler::analysis::Analyzer::new(
-                    probe.slots(),
-                    chet_compiler::analysis::RescaleModel::PowerOfTwo,
-                );
-                let enc = encrypt_tensor(&mut az, &x, &layout, scales.input);
+                let domain =
+                    (ScaleDomain::new(scales.input), RotationDomain::collector(probe.slots()));
+                let mut walk = VerifyInterp::with_domain(probe.slots(), domain, Arc::default());
+                let enc = encrypt_tensor(&mut walk, &x, &layout, scales.input);
                 if bsgs {
-                    try_hmatmul_bsgs(&mut az, &enc, &w, None, &scales).expect("BSGS dense layer");
+                    try_hmatmul_bsgs(&mut walk, &enc, &w, None, &scales).expect("BSGS dense layer");
                 } else {
-                    try_hmatmul(&mut az, &enc, &w, None, &scales).expect("dense layer");
+                    try_hmatmul(&mut walk, &enc, &w, None, &scales).expect("dense layer");
                 }
-                az.rotations.clone()
+                walk.domain.1.used
             };
             let mut h = RnsCkks::new(&params, &RotationKeyPolicy::Exact(steps), 7);
             let enc = encrypt_tensor(&mut h, &x, &layout, scales.input);

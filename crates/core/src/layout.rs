@@ -4,20 +4,15 @@
 //! domain-specific heuristics, prices each with the cost model, and keeps
 //! the cheapest.
 
-use crate::analysis::{Analyzer, RescaleModel};
-use crate::params::{
-    candidate_primes, select_parameters_with_margin, AnalysisOutcome, SelectError,
-};
-use chet_hisa::cost::{CostModel, LevelInfo};
-use chet_hisa::params::SchemeKind;
+use crate::params::{select_and_ledger, AnalysisOutcome, SelectError};
+use crate::verify::domain::LevelFact;
+use chet_hisa::cost::{CostModel, HisaOp, LevelInfo};
+use chet_hisa::params::{EncryptionParams, SchemeKind};
 use chet_hisa::security::SecurityLevel;
-use chet_runtime::exec::{
-    encrypt_input, required_margin_for, try_run_encrypted_with, ExecControl, ExecPlan,
-};
+use chet_runtime::exec::{required_margin_for, ExecPlan};
 use chet_runtime::kernels::ScaleConfig;
 use chet_runtime::layout::LayoutKind;
 use chet_tensor::circuit::{Circuit, Op};
-use chet_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 /// The four pruned layout policies (paper §5.3).
@@ -97,46 +92,28 @@ pub struct LayoutChoice {
     pub estimated_cost: f64,
 }
 
-/// Estimates the cost of executing a circuit under a plan at the given
-/// parameters (paper §5.3's cost-estimation pass).
+/// Estimates the cost of executing a circuit at the chosen parameters
+/// (paper §5.3's cost-estimation pass) by pricing the parameter-selection
+/// walk's ledger: each `(op, operand level)` entry costs the model's
+/// `op_cost` at the modulus remaining there, summed in program order.
 pub fn estimate_cost(
-    circuit: &Circuit,
-    plan: &ExecPlan,
-    outcome: &AnalysisOutcome,
+    ledger: &[(HisaOp, LevelFact)],
+    params: &EncryptionParams,
     cost_model: &CostModel,
 ) -> f64 {
-    let params = &outcome.params;
-    let slots = params.slots();
-    let model = match params.kind() {
-        SchemeKind::Ckks => RescaleModel::PowerOfTwo,
-        SchemeKind::RnsCkks => RescaleModel::Chain(candidate_primes(&plan.scales)),
-    };
-    let initial = LevelInfo {
-        log_q: params.modulus.log_q(),
-        rns_len: params.modulus.chain_len(),
-    };
-    let mut az =
-        Analyzer::new(slots, model).with_cost(cost_model.clone(), params.degree, initial);
-    // Invariant: CircuitBuilder cannot produce an input-free circuit.
-    #[allow(clippy::expect_used)]
-    let input_shape = circuit
-        .ops()
-        .iter()
-        .find_map(|op| match op {
-            Op::Input { shape } => Some(shape.clone()),
-            _ => None,
-        })
-        .expect("circuit has an input");
-    let image = Tensor::zeros(input_shape);
-    let enc = encrypt_input(&mut az, circuit, plan, &image);
-    try_run_encrypted_with(&mut az, circuit, plan, enc, &mut ExecControl::none())
-        .unwrap_or_else(|e| panic!("{e}"));
-    az.total_cost
+    let (log_q, rns_len) = (params.modulus.log_q(), params.modulus.chain_len());
+    ledger.iter().fold(0.0, |total, (op, at)| {
+        let lvl = LevelInfo {
+            log_q: (log_q - at.consumed_log2).max(1.0),
+            rns_len: rns_len.saturating_sub(at.chain_idx).max(1),
+        };
+        total + cost_model.op_cost(*op, params.degree, lvl)
+    })
 }
 
 /// Searches the four layout policies and returns each priced choice,
-/// cheapest first (paper §5.3: two passes per choice — parameter selection
-/// then cost estimation).
+/// cheapest first (paper §5.3). Each choice costs one walk per ring degree
+/// tried; the accepted walk's ledger is priced without walking again.
 ///
 /// # Errors
 ///
@@ -176,7 +153,7 @@ pub fn enumerate_layouts_with_margin(
     let mut choices = Vec::new();
     for policy in ALL_POLICIES {
         let layouts = policy_layouts(circuit, policy);
-        let outcome = match select_parameters_with_margin(
+        let Ok((outcome, ledger)) = select_and_ledger(
             circuit,
             &layouts,
             scales,
@@ -184,12 +161,11 @@ pub fn enumerate_layouts_with_margin(
             security,
             output_precision,
             extra_levels,
-        ) {
-            Ok(o) => o,
-            Err(_) => continue,
+        ) else {
+            continue;
         };
+        let estimated_cost = estimate_cost(&ledger, &outcome.params, cost_model);
         let plan = ExecPlan { layouts, scales: *scales, margin };
-        let estimated_cost = estimate_cost(circuit, &plan, &outcome, cost_model);
         choices.push(LayoutChoice { policy, plan, outcome, estimated_cost });
     }
     if choices.is_empty() {
@@ -256,6 +232,7 @@ mod tests {
     use super::*;
     use chet_tensor::circuit::CircuitBuilder;
     use chet_tensor::ops::Padding;
+    use chet_tensor::Tensor;
 
     fn cnn(channels: usize) -> Circuit {
         let mut b = CircuitBuilder::new();
@@ -285,6 +262,17 @@ mod tests {
         let first_fc = c.ops().iter().position(|op| matches!(op, Op::MatMul { .. })).unwrap();
         assert!(fc[..first_fc].iter().all(|&k| k == LayoutKind::HW));
         assert!(fc[first_fc..].iter().all(|&k| k == LayoutKind::CHW));
+    }
+
+    #[test]
+    fn rns_ops_at_lower_levels_price_cheaper() {
+        let params = EncryptionParams::rns_ckks(8192, 40, 6);
+        let model = CostModel::for_scheme(SchemeKind::RnsCkks);
+        let fresh = LevelFact { consumed_log2: 0.0, chain_idx: 0 };
+        let deep = LevelFact { consumed_log2: 160.0, chain_idx: 4 };
+        let hi = estimate_cost(&[(HisaOp::MulCipher, fresh)], &params, &model);
+        let lo = estimate_cost(&[(HisaOp::MulCipher, deep)], &params, &model);
+        assert!(lo < hi, "ops at lower levels must be cheaper");
     }
 
     #[test]

@@ -6,19 +6,22 @@
 //!
 //! Given a tensor circuit (from `chet-tensor`) the compiler:
 //!
-//! 1. **Selects encryption parameters** (§5.2, [`params`]) by running the
-//!    circuit under a modulus-tracking interpretation of the HISA and
-//!    consulting the HE-standard security table.
-//! 2. **Selects data layouts** (§5.3, [`layout`]) by pricing the four
-//!    pruned layout policies with the Table 1 cost model.
+//! 1. **Selects encryption parameters** (§5.2, [`params`]) by walking the
+//!    circuit over scale, level and rotation domains and consulting the
+//!    HE-standard security table.
+//! 2. **Selects data layouts** (§5.3, [`layout`]) by pricing each of the
+//!    four pruned layout policies' level ledgers with the Table 1 cost
+//!    model.
 //! 3. **Selects rotation keys** (§5.4, [`rotations`]) by recording the
 //!    exact rotation steps the circuit uses.
 //! 4. **Selects fixed-point scales** (§5.5, [`scales`]) with a
 //!    profile-guided round-robin search against an output tolerance.
 //!
-//! All analyses share one mechanism ([`analysis::Analyzer`]): the circuit
-//! executes under a different interpretation of the ciphertext datatype, so
-//! no explicit data-flow graph is ever built (§5.1).
+//! Parameter selection, layout pricing and verification share one abstract
+//! walker ([`verify::walker::VerifyInterp`]): the circuit executes under a
+//! different interpretation of the ciphertext datatype, so no explicit
+//! data-flow graph is ever built (§5.1). Each pass is a product of the
+//! [`verify::domain`] transfer functions.
 //!
 //! # Examples
 //!
@@ -53,7 +56,6 @@
 // invariants use `#[allow]` with a justification at the site.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod analysis;
 pub mod artifact;
 pub mod compiler;
 pub mod equiv;

@@ -1,15 +1,19 @@
 //! Encryption-parameter selection (paper §5.2).
 //!
-//! Runs the circuit under the modulus-tracking interpretation to find the
-//! modulus each variant needs, then picks the smallest ring degree whose
-//! security budget admits it.
+//! Walks the circuit once per candidate ring degree under the verifier's
+//! domains — scales, modulus levels under the open search model, and the
+//! requested rotation steps — to find the modulus each variant needs, then
+//! picks the smallest ring degree whose security budget admits it. The
+//! accepted walk's level ledger is what layout selection prices (§5.3).
 
-use crate::analysis::{Analyzer, RescaleModel};
+use crate::verify::domain::{LevelDomain, LevelFact, RotationDomain, ScaleDomain};
+use crate::verify::walker::VerifyInterp;
 use chet_hisa::cost::HisaOp;
 use chet_hisa::params::{EncryptionParams, ModulusSpec, SchemeKind};
 use chet_hisa::security::{max_log_q, SecurityLevel, DEGREES};
+use chet_hisa::Hisa;
 use chet_math::prime::ntt_primes;
-use chet_runtime::exec::{encrypt_input, try_run_encrypted_with, ExecControl, ExecPlan};
+use chet_runtime::exec::{try_encrypt_input, try_run_encrypted_with, ExecControl, ExecPlan};
 use chet_runtime::kernels::ScaleConfig;
 use chet_runtime::layout::LayoutKind;
 use chet_tensor::circuit::{Circuit, Op};
@@ -94,11 +98,11 @@ impl std::error::Error for SelectError {}
 /// Generates the candidate rescaling primes for the RNS variant, sized to
 /// the working scale (all ≡ 1 mod 2·32768, hence NTT-friendly for every
 /// supported degree).
-pub fn candidate_primes(scales: &ScaleConfig) -> Arc<Vec<u64>> {
+pub fn candidate_primes(scales: &ScaleConfig) -> Vec<u64> {
     // Primes must be ≡ 1 mod 65536; below ~30 bits too few exist, so the
     // candidate size floors there even for smaller working scales.
     let bits = (scales.input.log2().round() as u32).clamp(30, 59);
-    Arc::new(ntt_primes(bits, 32768, 40))
+    ntt_primes(bits, 32768, 40)
 }
 
 /// Quick structural check that a circuit's tensors fit `slots`-wide vectors
@@ -124,32 +128,44 @@ pub fn circuit_fits(circuit: &Circuit, margin: usize, slots: usize) -> bool {
     true
 }
 
-/// Runs the modulus/rotation analysis for a fixed slot count.
-fn analyze(
+/// What one open-search walk measures at a fixed slot count.
+struct Walk {
+    /// The level domain: deepest consumption and the pricing ledger.
+    levels: LevelDomain,
+    /// Normalized rotation steps the circuit requests.
+    rotations: BTreeSet<usize>,
+    /// Scale of the circuit's output ciphertext.
+    output_scale: f64,
+}
+
+/// Walks the circuit at `slots` over scales × levels (open search model) ×
+/// requested rotation steps. `None` when the walk exhausts the candidate
+/// primes or a kernel rejects the shape — either way, no parameters at this
+/// degree.
+fn walk(
     circuit: &Circuit,
-    layouts: &[LayoutKind],
-    scales: &ScaleConfig,
-    margin: usize,
+    plan: &ExecPlan,
     slots: usize,
-    model: RescaleModel,
-) -> Analyzer {
-    let mut az = Analyzer::new(slots, model);
-    let plan = ExecPlan { layouts: layouts.to_vec(), scales: *scales, margin };
-    // Invariant: CircuitBuilder cannot produce an input-free circuit.
-    #[allow(clippy::expect_used)]
-    let input_shape = circuit
-        .ops()
-        .iter()
-        .find_map(|op| match op {
-            Op::Input { shape } => Some(shape.clone()),
-            _ => None,
-        })
-        .expect("circuit has an input");
-    let image = Tensor::zeros(input_shape);
-    let enc = encrypt_input(&mut az, circuit, &plan, &image);
-    try_run_encrypted_with(&mut az, circuit, &plan, enc, &mut ExecControl::none())
-        .unwrap_or_else(|e| panic!("{e}"));
-    az
+    candidates: Option<&[u64]>,
+) -> Option<Walk> {
+    let domain = (
+        (ScaleDomain::new(plan.scales.input), LevelDomain::open(candidates)),
+        RotationDomain::collector(slots),
+    );
+    let mut interp = VerifyInterp::with_domain(slots, domain, Arc::default());
+    let input_shape = circuit.ops().iter().find_map(|op| match op {
+        Op::Input { shape } => Some(shape.clone()),
+        _ => None,
+    })?;
+    let enc = try_encrypt_input(&mut interp, circuit, plan, &Tensor::zeros(input_shape)).ok()?;
+    let (out, _) =
+        try_run_encrypted_with(&mut interp, circuit, plan, enc, &mut ExecControl::none()).ok()?;
+    let output_scale = interp.scale_of(out.cts.last()?);
+    let ((_, levels), rotations) = interp.domain;
+    if levels.exhausted() {
+        return None;
+    }
+    Some(Walk { levels, rotations: rotations.used, output_scale })
 }
 
 /// Selects encryption parameters for a circuit under a layout assignment
@@ -188,7 +204,24 @@ pub fn select_parameters_with_margin(
     output_precision: f64,
     extra_levels: usize,
 ) -> Result<AnalysisOutcome, SelectError> {
+    select_and_ledger(circuit, layouts, scales, kind, security, output_precision, extra_levels)
+        .map(|(outcome, _)| outcome)
+}
+
+/// [`select_parameters_with_margin`], also returning the accepted walk's
+/// program-order `(op, operand level)` ledger for cost estimation.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn select_and_ledger(
+    circuit: &Circuit,
+    layouts: &[LayoutKind],
+    scales: &ScaleConfig,
+    kind: SchemeKind,
+    security: SecurityLevel,
+    output_precision: f64,
+    extra_levels: usize,
+) -> Result<(AnalysisOutcome, Vec<(HisaOp, LevelFact)>), SelectError> {
     let margin = chet_runtime::exec::required_margin_for(circuit);
+    let plan = ExecPlan { layouts: layouts.to_vec(), scales: *scales, margin };
     let candidates = match kind {
         SchemeKind::RnsCkks => Some(candidate_primes(scales)),
         SchemeKind::Ckks => None,
@@ -198,34 +231,27 @@ pub fn select_parameters_with_margin(
         if !circuit_fits(circuit, margin, slots) {
             continue;
         }
-        let model = match &candidates {
-            Some(c) => RescaleModel::Chain(c.clone()),
-            None => RescaleModel::PowerOfTwo,
+        let Some(walk) = walk(circuit, &plan, slots, candidates.as_deref()) else {
+            continue;
         };
-        let az = analyze(circuit, layouts, scales, margin, slots, model);
+        let deepest = walk.levels.deepest;
         // The ciphertext must hold output_value·output_scale plus headroom
         // after consuming `consumed` bits of modulus. The live output scale
         // can exceed the requested precision; budget for the larger.
-        let residual_bits = az.last_scale.log2().max(output_precision.log2());
-        let params = match kind {
-            SchemeKind::Ckks => {
+        let residual_bits = walk.output_scale.log2().max(output_precision.log2());
+        let modulus = match &candidates {
+            None => {
                 let margin_bits = extra_levels as f64 * scales.input.log2().ceil();
-                let log_q = (az.max_consumed_log2 + residual_bits + HEADROOM_BITS + margin_bits)
+                let log_q = (deepest.consumed_log2 + residual_bits + HEADROOM_BITS + margin_bits)
                     .ceil() as u32;
                 if log_q > max_log_q(n, security) {
                     continue;
                 }
-                let mut p = EncryptionParams::ckks(n, log_q);
-                // HEAAN-style relaxed check (documented in DESIGN.md):
-                // skip the Q·P validation by marking the level explicitly.
-                p.security = security;
-                p
+                // HEAAN-style relaxed check (documented in DESIGN.md): only
+                // `log Q` is held to the security table, not Q·P.
+                ModulusSpec::PowerOfTwo { log_q, log_special: log_q }
             }
-            SchemeKind::RnsCkks => {
-                // Invariant: `candidates` is `Some` exactly for RnsCkks —
-                // constructed a few lines above from the same `kind`.
-                #[allow(clippy::expect_used)]
-                let cands = candidates.as_ref().expect("chain candidates");
+            Some(cands) => {
                 // Base primes cover the residual value.
                 let base_bits = 60u32;
                 let base_count =
@@ -235,28 +261,34 @@ pub fn select_parameters_with_margin(
                 // Chain order: rescaling pops from the back, so the first-
                 // consumed candidate goes last.
                 let mut primes = pool;
-                let take = (az.max_chain_idx + extra_levels).min(cands.len());
-                let consumed: Vec<u64> = cands[..take].iter().rev().copied().collect();
-                primes.extend(consumed);
+                let take = (deepest.chain_idx + extra_levels).min(cands.len());
+                primes.extend(cands[..take].iter().rev());
                 let spec = ModulusSpec::PrimeChain { primes, special };
                 if spec.total_log_q() > max_log_q(n, security) as f64 {
                     continue;
                 }
-                EncryptionParams {
-                    degree: n,
-                    modulus: spec,
-                    security,
-                    error_stddev: EncryptionParams::DEFAULT_ERROR_STDDEV,
-                }
+                spec
             }
         };
-        return Ok(AnalysisOutcome {
+        let params = EncryptionParams {
+            degree: n,
+            modulus,
+            security,
+            error_stddev: EncryptionParams::DEFAULT_ERROR_STDDEV,
+        };
+        let ledger = walk.levels.ledger.unwrap_or_default();
+        let mut op_counts = HashMap::new();
+        for (op, _) in &ledger {
+            *op_counts.entry(*op).or_insert(0) += 1;
+        }
+        let outcome = AnalysisOutcome {
             params,
-            rotations: az.rotations,
-            consumed_log2: az.max_consumed_log2,
-            output_scale: az.last_scale,
-            op_counts: az.op_counts,
-        });
+            rotations: walk.rotations,
+            consumed_log2: deepest.consumed_log2,
+            output_scale: walk.output_scale,
+            op_counts,
+        };
+        return Ok((outcome, ledger));
     }
     Err(SelectError::NoParameters {
         detail: format!(
@@ -300,6 +332,27 @@ mod tests {
         assert!(out.params.validate().is_ok(), "{:?}", out.params.validate());
         assert!(out.consumed_log2 > 0.0, "circuit must consume modulus");
         assert!(!out.rotations.is_empty(), "conv/fc must rotate");
+    }
+
+    #[test]
+    fn op_counts_accumulate_the_ledger_per_op() {
+        let c = small_circuit();
+        let layouts = vec![LayoutKind::CHW; c.ops().len()];
+        let (out, ledger) = select_and_ledger(
+            &c,
+            &layouts,
+            &ScaleConfig::default(),
+            SchemeKind::Ckks,
+            SecurityLevel::Bits128,
+            2f64.powi(30),
+            0,
+        )
+        .unwrap();
+        assert_eq!(out.op_counts.values().sum::<u64>(), ledger.len() as u64);
+        for (op, n) in &out.op_counts {
+            assert_eq!(*n, ledger.iter().filter(|(o, _)| o == op).count() as u64, "{op}");
+        }
+        assert!(out.op_counts[&HisaOp::Rotate] >= out.rotations.len() as u64);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! so no fixpoint iteration is needed — one transfer per HISA instruction.
 
 use super::LintCode;
+use chet_hisa::cost::HisaOp;
 use chet_hisa::keys::plan_rotation;
 use chet_hisa::params::ModulusSpec;
 use std::collections::BTreeSet;
@@ -46,6 +47,20 @@ pub enum AbstractOp {
         /// The divisor (`> 1`).
         divisor: f64,
     },
+}
+
+impl AbstractOp {
+    /// The cost-model op this instruction is priced as.
+    pub(crate) fn hisa_op(&self) -> HisaOp {
+        match self {
+            AbstractOp::Add | AbstractOp::AddPlain { .. } | AbstractOp::AddScalar => HisaOp::Add,
+            AbstractOp::Mul => HisaOp::MulCipher,
+            AbstractOp::MulPlain { .. } => HisaOp::MulPlain,
+            AbstractOp::MulScalar { .. } => HisaOp::MulScalar,
+            AbstractOp::Rotate { .. } => HisaOp::Rotate,
+            AbstractOp::Rescale { .. } => HisaOp::Rescale,
+        }
+    }
 }
 
 /// One pluggable fact family. `transfer` is the forward transfer function:
@@ -207,6 +222,9 @@ impl AbstractDomain for ScaleDomain {
     }
 }
 
+/// A freshly encrypted ciphertext's level: nothing consumed.
+const FRESH: LevelFact = LevelFact { consumed_log2: 0.0, chain_idx: 0 };
+
 /// Modulus budget state of one ciphertext.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LevelFact {
@@ -216,16 +234,19 @@ pub struct LevelFact {
     pub chain_idx: usize,
 }
 
-/// Tracks rescale-driven modulus consumption against the artifact's actual
-/// budget (`CHET-E002`).
+/// Tracks rescale-driven modulus consumption against a modulus budget
+/// (`CHET-E002`).
 ///
-/// Divisors are answered *budget-unawarely* (like the parameter-selection
-/// analyzer): a rescale the circuit requires always fires, and the domain
-/// reports the first point where cumulative consumption crosses what the
-/// artifact carries. A live scheme would refuse the rescale there
-/// (`HisaError::LevelExhausted`); the static walk instead records the lint
-/// and keeps going with virtual divisors, so one pass still covers the
+/// Divisors are answered *budget-unawarely*: a rescale the circuit requires
+/// always fires, and the domain reports the first point where cumulative
+/// consumption crosses the budget. A live scheme would refuse the rescale
+/// there (`HisaError::LevelExhausted`); the static walk instead records the
+/// lint and keeps going with virtual divisors, so one pass still covers the
 /// whole circuit.
+///
+/// The verifier checks an artifact's actual modulus ([`LevelDomain::new`]);
+/// parameter selection measures the modulus a circuit needs under the open
+/// search model (`LevelDomain::open`) and prices the walk's ledger.
 #[derive(Debug)]
 pub struct LevelDomain {
     model: LevelModel,
@@ -233,6 +254,13 @@ pub struct LevelDomain {
     /// exhaustion yields a single `CHET-E002` instead of one per
     /// downstream rescale.
     reported: bool,
+    /// The deepest consumption any produced fact reached (component-wise:
+    /// the walk's total modulus and chain-prime requirement).
+    pub(crate) deepest: LevelFact,
+    /// Program-order `(op, operand level)` of every transfer — what the
+    /// cost model prices once parameters are chosen. Kept by the open
+    /// search model only.
+    pub(crate) ledger: Option<Vec<(HisaOp, LevelFact)>>,
 }
 
 #[derive(Debug)]
@@ -261,7 +289,24 @@ impl LevelDomain {
                 LevelModel::Chain { usable: order.len().saturating_sub(1), order }
             }
         };
-        LevelDomain { model, reported: false }
+        LevelDomain { model, reported: false, deepest: FRESH, ledger: None }
+    }
+
+    /// Domain for parameter selection's open search, where the modulus is
+    /// what the walk measures: `Some` candidate primes in consumption
+    /// order, every one usable (only running out of candidates is
+    /// exhaustion), or `None` for an unbounded power-of-two budget.
+    pub(crate) fn open(candidates: Option<&[u64]>) -> Self {
+        let model = match candidates {
+            Some(order) => LevelModel::Chain { order: order.to_vec(), usable: order.len() },
+            None => LevelModel::Pow2 { log_q: f64::INFINITY },
+        };
+        LevelDomain { model, reported: false, deepest: FRESH, ledger: Some(Vec::new()) }
+    }
+
+    /// Whether the walk crossed the budget (the `CHET-E002` it reported).
+    pub(crate) fn exhausted(&self) -> bool {
+        self.reported
     }
 
     fn meet(a: &LevelFact, b: &LevelFact) -> LevelFact {
@@ -276,7 +321,7 @@ impl AbstractDomain for LevelDomain {
     type Fact = LevelFact;
 
     fn fresh(&mut self, _scale: f64, _len: usize) -> LevelFact {
-        LevelFact { consumed_log2: 0.0, chain_idx: 0 }
+        FRESH
     }
 
     fn transfer(
@@ -286,7 +331,10 @@ impl AbstractDomain for LevelDomain {
         b: Option<&LevelFact>,
         emit: &mut dyn FnMut(LintCode, String),
     ) -> LevelFact {
-        match op {
+        if let Some(ledger) = &mut self.ledger {
+            ledger.push((op.hisa_op(), *a));
+        }
+        let out = match op {
             AbstractOp::Add | AbstractOp::Mul => {
                 b.map(|b| Self::meet(a, b)).unwrap_or(*a)
             }
@@ -337,7 +385,9 @@ impl AbstractDomain for LevelDomain {
                 out
             }
             _ => *a,
-        }
+        };
+        self.deepest = Self::meet(&self.deepest, &out);
+        out
     }
 
     fn max_rescale(&self, f: &LevelFact, ub: f64) -> Option<f64> {
@@ -410,22 +460,27 @@ impl AbstractDomain for SlotDomain {
 /// Records every rotation step the trace requests and checks each against
 /// the artifact's key set: unreachable steps are `CHET-E003`, steps served
 /// by composing several keys are `CHET-N001`. The recorded set also feeds
-/// the post-walk `CHET-W002` (unused keys) audit.
+/// the post-walk `CHET-W002` (unused keys) audit, and is the rotation-key
+/// request parameter selection reads (§5.4).
 #[derive(Debug)]
 pub struct RotationDomain {
     slots: usize,
-    keys: BTreeSet<usize>,
-    /// Normalized steps the trace requested.
+    /// The key set steps are checked against; `None` only collects.
+    keys: Option<BTreeSet<usize>>,
+    /// Normalized steps the trace requested (each is diagnosed once, on
+    /// first use).
     pub used: BTreeSet<usize>,
-    /// Steps already checked against the key set (each step is diagnosed
-    /// once, not per occurrence).
-    checked: BTreeSet<usize>,
 }
 
 impl RotationDomain {
     /// Domain for an artifact's key set.
     pub fn new(slots: usize, keys: BTreeSet<usize>) -> Self {
-        RotationDomain { slots, keys, used: BTreeSet::new(), checked: BTreeSet::new() }
+        RotationDomain { slots, keys: Some(keys), used: BTreeSet::new() }
+    }
+
+    /// A domain that only collects the requested steps (no key set yet).
+    pub fn collector(slots: usize) -> Self {
+        RotationDomain { slots, keys: None, used: BTreeSet::new() }
     }
 }
 
@@ -442,17 +497,17 @@ impl AbstractDomain for RotationDomain {
         emit: &mut dyn FnMut(LintCode, String),
     ) {
         if let AbstractOp::Rotate { step } = op {
-            self.used.insert(*step);
-            if !self.checked.insert(*step) {
+            if !self.used.insert(*step) {
                 return;
             }
-            match plan_rotation(*step, &self.keys, self.slots) {
+            let Some(keys) = &self.keys else { return };
+            match plan_rotation(*step, keys, self.slots) {
                 None => emit(
                     LintCode::MissingRotationKey,
                     format!(
                         "rotation by {step} cannot be composed from the {} available \
                          key step(s)",
-                        self.keys.len()
+                        keys.len()
                     ),
                 ),
                 Some(plan) if plan.len() > 1 => emit(
@@ -536,6 +591,37 @@ mod tests {
             hits.push((c, m))
         });
         assert_eq!(hits.len(), 1);
+    }
+
+    #[test]
+    fn level_domain_open_chain_consumes_candidates_in_order() {
+        let primes = chet_math::prime::ntt_primes(40, 65536, 3);
+        let mut d = LevelDomain::open(Some(&primes));
+        let f = d.fresh(1.0, 0);
+        // ub 2^45 fits exactly one ~40-bit candidate; 2^85 the next two.
+        let d1 = d.max_rescale(&f, 2f64.powi(45)).unwrap();
+        assert_eq!(d1, primes[0] as f64);
+        let mut hits = Vec::new();
+        let f = d.transfer(&AbstractOp::Rescale { divisor: d1 }, &f, None, &mut |c, m| {
+            hits.push((c, m))
+        });
+        let d2 = d.max_rescale(&f, 2f64.powi(85)).unwrap();
+        assert_eq!(d2, primes[1] as f64 * primes[2] as f64);
+        let g = d.transfer(&AbstractOp::Rescale { divisor: d2 }, &f, None, &mut no_emit());
+        assert_eq!(g.chain_idx, 3);
+        // Meet keeps the worst consumption of either operand.
+        let m = d.transfer(&AbstractOp::Add, &f, Some(&g), &mut no_emit());
+        assert_eq!(m, g);
+        assert_eq!(d.deepest, g);
+        assert!(hits.is_empty(), "{hits:?}");
+        // Every candidate consumed: the next rescale is exhaustion.
+        let d3 = d.max_rescale(&g, 2f64.powi(45)).unwrap();
+        d.transfer(&AbstractOp::Rescale { divisor: d3 }, &g, None, &mut |c, m| hits.push((c, m)));
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].0, LintCode::LevelExhaustion);
+        assert!(d.exhausted());
+        let ops: Vec<HisaOp> = d.ledger.unwrap().iter().map(|(op, _)| *op).collect();
+        assert_eq!(ops, [HisaOp::Rescale, HisaOp::Rescale, HisaOp::Add, HisaOp::Rescale]);
     }
 
     #[test]

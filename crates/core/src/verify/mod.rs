@@ -4,8 +4,9 @@
 //! *statically decidable* by running the circuit under abstract
 //! interpretations of the ciphertext type: rescale-driven modulus
 //! consumption, rotation-key availability, slot capacity and fixed-point
-//! scale alignment all fall out of the same on-the-fly data-flow mechanism
-//! that powers parameter selection ([`crate::analysis`]).
+//! scale alignment all fall out of the same on-the-fly data-flow mechanism.
+//! Parameter selection and layout pricing ([`crate::params`],
+//! [`crate::layout`]) run on this module's walker and domains too.
 //!
 //! This module turns that mechanism into a verifier:
 //!

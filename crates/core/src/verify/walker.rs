@@ -171,3 +171,28 @@ impl<D: AbstractDomain> Hisa for VerifyInterp<D> {
         self.fact_scale(c)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use chet_hisa::cost::HisaOp;
+
+    #[test]
+    fn open_walk_ledgers_every_transfer_and_normalizes_rotations() {
+        let domain = (LevelDomain::open(None), RotationDomain::collector(64));
+        let mut h = VerifyInterp::with_domain(64, domain, Arc::default());
+        let pt = h.encode(&[], 4.0);
+        let ct = h.encrypt(&pt);
+        h.add(&ct, &ct);
+        h.add(&ct, &ct);
+        h.mul(&ct, &ct);
+        h.rot_left(&ct, 5);
+        h.rot_right(&ct, 3);
+        h.rot_left(&ct, 64); // full turn: no key, no transfer
+        let steps: Vec<usize> = h.domain.1.used.iter().copied().collect();
+        assert_eq!(steps, vec![5, 61]);
+        let ops: Vec<HisaOp> = h.domain.0.ledger.unwrap().iter().map(|(op, _)| *op).collect();
+        use HisaOp::{Add, MulCipher, Rotate};
+        assert_eq!(ops, [Add, Add, MulCipher, Rotate, Rotate]);
+    }
+}

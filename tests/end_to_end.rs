@@ -113,3 +113,22 @@ fn layout_choice_differs_across_schemes_somewhere() {
     }
     assert!(any_differ, "scheme-dependent layout choice (paper Tables 5/6)");
 }
+
+#[test]
+fn circuits_deeper_than_the_prime_candidates_fail_selection_without_panicking() {
+    // Each activation consumes rescaling primes; 30 or 45 of them exhaust
+    // the candidate list, which must reject every degree with an error.
+    for depth in [30, 45] {
+        let mut b = chet::CircuitBuilder::new();
+        let mut node = b.input(vec![1, 4, 4]);
+        for _ in 0..depth {
+            node = b.activation(node, 0.1, 1.0);
+        }
+        let circuit = b.build(node);
+        let compiled = std::panic::catch_unwind(|| {
+            Compiler::new(SchemeKind::RnsCkks).compile(&circuit, &scales())
+        })
+        .unwrap_or_else(|_| panic!("depth {depth}: compile panicked"));
+        assert!(compiled.is_err(), "depth {depth}: compiled past the candidate primes");
+    }
+}
