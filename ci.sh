@@ -129,7 +129,13 @@ cargo build --release
 # threads makes any scheduling-dependent result a test failure, not a
 # production surprise.
 echo "=== tests, single-threaded kernels (CHET_THREADS=1) ==="
-CHET_THREADS=1 cargo test -q
+# `-- --quiet` gives the test binaries the terse output `cargo test -q`
+# gives them, while cargo still names each binary it runs; the timing
+# table at the end of this script reads those names from the log.
+test_log=target/ci-test-times.log
+CHET_THREADS=1 cargo test -- --quiet 2>&1 | tee "$test_log"
+test_status=${PIPESTATUS[0]}
+[ "$test_status" -eq 0 ] || exit "$test_status"
 
 echo "=== tests, parallel kernels (CHET_THREADS=4) ==="
 CHET_THREADS=4 cargo test -q
@@ -355,5 +361,28 @@ assert not bad, f"per-op perf regression > 1.5x in: {', '.join(bad)}"
 print("per-op perf gate passed")
 EOF
 fi
+
+echo "=== per-binary test times (CHET_THREADS=1 run, slowest first) ==="
+python3 - "$test_log" <<'EOF'
+import re, sys
+
+rows, name = [], None
+for line in open(sys.argv[1]):
+    running = re.match(r"\s+Running (.+) \((.+)\)$", line)
+    doc = re.match(r"\s+Doc-tests (\S+)$", line)
+    result = re.match(r"test result: .* finished in ([0-9.]+)s$", line)
+    if running:
+        binary = re.sub(r"-[0-9a-f]+$", "", running.group(2).rsplit("/", 1)[-1])
+        name = f"{binary} ({running.group(1)})"
+    elif doc:
+        name = f"doc-tests {doc.group(1)}"
+    elif result and name:
+        rows.append((float(result.group(1)), name))
+        name = None
+assert rows, f"no test binaries found in {sys.argv[1]}"
+for secs, binary in sorted(rows, reverse=True):
+    print(f"  {secs:>8.2f} s  {binary}")
+print(f"  {sum(s for s, _ in rows):>8.2f} s  total over {len(rows)} binaries")
+EOF
 
 echo "CI gate passed."

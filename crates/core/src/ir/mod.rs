@@ -36,7 +36,6 @@ use crate::compiler::CompiledCircuit;
 use crate::verify::OpSpan;
 use chet_hisa::keys::plan_rotation;
 use chet_hisa::params::{ModulusSpec, SchemeKind};
-use chet_hisa::serial::fnv1a64;
 use chet_hisa::{Hisa, HisaError, Instr, LevelInfo, RotDir};
 use chet_runtime::ciphertensor::{decrypt_tensor, try_encrypt_tensor, CipherTensor};
 use chet_runtime::exec::{
@@ -146,10 +145,11 @@ pub struct IrNode {
     pub level: LevelInfo,
 }
 
-/// An interned encoded plaintext. The pool is deduplicated by content hash,
-/// so repeated weight encodings share one entry; [`IrGraph::encodes`]
-/// separately records every *encode call* (each call costs, even when the
-/// resulting plaintext is a duplicate).
+/// An interned encoded plaintext. The pool is deduplicated by content
+/// (value bit patterns, scale bits, length), so repeated weight encodings
+/// share one entry; [`IrGraph::encodes`] separately records every *encode
+/// call* (each call costs, even when the resulting plaintext is a
+/// duplicate).
 #[derive(Debug, Clone, PartialEq)]
 pub struct IrPlain {
     /// The encoded values ([`ExtractMode::Metadata`] drops them).
@@ -158,7 +158,17 @@ pub struct IrPlain {
     pub scale: f64,
     /// Number of values encoded.
     pub len: usize,
-    /// FNV-1a over the value bit patterns and the scale (the dedup key).
+    /// Word hash of the content: each value's `f64::to_bits()` word feeds
+    /// one of four independent multiply-rotate lanes, and the lanes, the
+    /// scale bits and the length fold into one key.
+    ///
+    /// The key only selects candidates. In [`ExtractMode::Full`] a pid is
+    /// shared only when scale, length and every value bit pattern compare
+    /// equal, so a key collision costs a second pool entry, never a wrong
+    /// plaintext in [`try_replay_ir`]. [`ExtractMode::Metadata`] keeps no
+    /// values to compare and assumes that equal (key, scale, length) means
+    /// equal content; a 64-bit collision there would merge two plaintexts'
+    /// CSE value numbers in the advisory `CHET-P` lints and nothing else.
     pub hash: u64,
 }
 
@@ -313,6 +323,89 @@ enum Phase {
     Body,
 }
 
+/// Independent hash lanes in [`plain_key`]: enough to hide the multiply
+/// latency, so hashing runs at multiply throughput instead of one
+/// dependent multiply per word.
+const PLAIN_LANES: usize = 4;
+
+/// Odd per-lane multipliers (each step is then a bijection of the lane).
+const LANE_MUL: [u64; PLAIN_LANES] =
+    [0x9E37_79B9_7F4A_7C15, 0xC2B2_AE3D_27D4_EB4F, 0x1656_67B1_9E37_79F9, 0x27D4_EB2F_1656_67C5];
+
+/// One multiply-rotate step: absorbs `word` into `acc`.
+#[inline(always)]
+fn mix(acc: u64, word: u64, mul: u64) -> u64 {
+    (acc ^ word).wrapping_mul(mul).rotate_left(31)
+}
+
+/// The [`IrPlain::hash`] dedup key of one encode call's content.
+///
+/// Word `i` goes to lane `i % PLAIN_LANES`; the lanes fold in order, then
+/// the scale bits and the length. Every step is a bijection of its
+/// accumulator, so changing any single word (a value, the scale or the
+/// length) always changes the key.
+fn plain_key(values: &[f64], scale: f64) -> u64 {
+    let mut lanes = LANE_MUL;
+    let mut chunks = values.chunks_exact(PLAIN_LANES);
+    for chunk in &mut chunks {
+        for i in 0..PLAIN_LANES {
+            lanes[i] = mix(lanes[i], chunk[i].to_bits(), LANE_MUL[i]);
+        }
+    }
+    for (i, v) in chunks.remainder().iter().enumerate() {
+        lanes[i] = mix(lanes[i], v.to_bits(), LANE_MUL[i]);
+    }
+    let key = lanes.iter().fold(0, |h, &lane| mix(h, lane, LANE_MUL[0]));
+    mix(mix(key, scale.to_bits(), LANE_MUL[0]), values.len() as u64, LANE_MUL[0])
+}
+
+/// The deduplicated encoded-plaintext pool behind [`IrGraph::plains`].
+struct PlainPool {
+    mode: ExtractMode,
+    plains: Vec<IrPlain>,
+    buckets: HashMap<u64, Vec<usize>>,
+}
+
+impl PlainPool {
+    fn new(mode: ExtractMode) -> Self {
+        PlainPool { mode, plains: Vec::new(), buckets: HashMap::new() }
+    }
+
+    /// The pid of `values` at `scale`, adding a pool entry for new content.
+    fn intern(&mut self, values: &[f64], scale: f64) -> usize {
+        self.intern_keyed(values, scale, plain_key(values, scale))
+    }
+
+    /// [`Self::intern`] under a given key (the rule in [`IrPlain::hash`]).
+    fn intern_keyed(&mut self, values: &[f64], scale: f64, key: u64) -> usize {
+        if let Some(bucket) = self.buckets.get(&key) {
+            for &pid in bucket {
+                let p = &self.plains[pid];
+                let same = p.scale.to_bits() == scale.to_bits()
+                    && p.len == values.len()
+                    && p.values.as_deref().is_none_or(|v| {
+                        v.iter().zip(values).all(|(a, b)| a.to_bits() == b.to_bits())
+                    });
+                if same {
+                    return pid;
+                }
+            }
+        }
+        let pid = self.plains.len();
+        self.plains.push(IrPlain {
+            values: match self.mode {
+                ExtractMode::Full => Some(values.to_vec()),
+                ExtractMode::Metadata => None,
+            },
+            scale,
+            len: values.len(),
+            hash: key,
+        });
+        self.buckets.entry(key).or_default().push(pid);
+        pid
+    }
+}
+
 /// The recording [`Hisa`] interpretation. Create via [`TraceInterp::new`],
 /// run the standard executor over it, then [`TraceInterp::finish`].
 ///
@@ -330,11 +423,9 @@ pub struct TraceInterp {
     keys: BTreeSet<usize>,
     phase: Phase,
     span: Arc<Mutex<Option<OpSpan>>>,
-    mode: ExtractMode,
     nodes: Vec<IrNode>,
     inputs: Vec<usize>,
-    plains: Vec<IrPlain>,
-    plain_buckets: HashMap<u64, Vec<usize>>,
+    plains: PlainPool,
     encodes: Vec<EncodeEvent>,
 }
 
@@ -362,11 +453,9 @@ impl TraceInterp {
             keys: compiled.rotation_keys.steps(slots),
             phase: Phase::Input,
             span: Arc::new(Mutex::new(None)),
-            mode,
             nodes: Vec::new(),
             inputs: Vec::new(),
-            plains: Vec::new(),
-            plain_buckets: HashMap::new(),
+            plains: PlainPool::new(mode),
             encodes: Vec::new(),
         }
     }
@@ -426,36 +515,6 @@ impl TraceInterp {
             level: self.level_info(operand_level),
         });
         TraceCt { id, scale, level: result_level }
-    }
-
-    fn intern_plain(&mut self, values: &[f64], scale: f64) -> usize {
-        let mut bytes = Vec::with_capacity(values.len() * 8 + 8);
-        for v in values {
-            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        bytes.extend_from_slice(&scale.to_bits().to_le_bytes());
-        let hash = fnv1a64(&bytes);
-        if let Some(bucket) = self.plain_buckets.get(&hash) {
-            for &pid in bucket {
-                let p = &self.plains[pid];
-                if p.scale.to_bits() == scale.to_bits() && p.len == values.len() && p.hash == hash
-                {
-                    return pid;
-                }
-            }
-        }
-        let pid = self.plains.len();
-        self.plains.push(IrPlain {
-            values: match self.mode {
-                ExtractMode::Full => Some(values.to_vec()),
-                ExtractMode::Metadata => None,
-            },
-            scale,
-            len: values.len(),
-            hash,
-        });
-        self.plain_buckets.entry(hash).or_default().push(pid);
-        pid
     }
 
     fn check_scales(a: f64, b: f64) -> Result<(), HisaError> {
@@ -527,7 +586,7 @@ impl TraceInterp {
             nodes: self.nodes,
             inputs: self.inputs,
             outputs,
-            plains: self.plains,
+            plains: self.plains.plains,
             encodes: self.encodes,
         }
     }
@@ -548,7 +607,7 @@ impl Hisa for TraceInterp {
         let pid = match self.phase {
             Phase::Input => INPUT_PT,
             Phase::Body => {
-                let pid = self.intern_plain(values, scale);
+                let pid = self.plains.intern(values, scale);
                 let span = self.current_span();
                 self.encodes.push(EncodeEvent { pt: pid, span });
                 pid
@@ -911,5 +970,78 @@ pub fn try_replay_ir<H: Hisa>(
         Ok(dec.reshape(ir.output_shape.clone()))
     } else {
         Ok(dec)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// 11 values: two full chunks of `PLAIN_LANES` plus a remainder of 3.
+    fn sample() -> Vec<f64> {
+        (0..2 * PLAIN_LANES + 3).map(|i| 0.25 * i as f64 - 1.0).collect()
+    }
+
+    #[test]
+    fn equal_content_shares_a_pid() {
+        for mode in [ExtractMode::Full, ExtractMode::Metadata] {
+            let mut pool = PlainPool::new(mode);
+            let a = pool.intern(&sample(), 4096.0);
+            let b = pool.intern(&sample(), 4096.0);
+            assert_eq!(a, b, "{mode:?}");
+            assert_eq!(pool.plains.len(), 1, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_changes_the_key() {
+        let values = sample();
+        let scale = 4096.0;
+        let base = plain_key(&values, scale);
+        // First lane, a middle lane, the last lane (second chunk) and the
+        // `chunks_exact` remainder; every bit of each word.
+        let words = [0, PLAIN_LANES / 2, 2 * PLAIN_LANES - 1, 2 * PLAIN_LANES + 1];
+        for i in words {
+            for bit in 0..64 {
+                let mut flipped = values.clone();
+                flipped[i] = f64::from_bits(values[i].to_bits() ^ (1 << bit));
+                assert_ne!(plain_key(&flipped, scale), base, "word {i} bit {bit}");
+            }
+        }
+        for bit in 0..64 {
+            let flipped = f64::from_bits(scale.to_bits() ^ (1 << bit));
+            assert_ne!(plain_key(&values, flipped), base, "scale bit {bit}");
+        }
+    }
+
+    #[test]
+    fn signed_zero_and_a_trailing_zero_change_the_key() {
+        let values = sample();
+        let mut negative = values.clone();
+        let mut positive = values.clone();
+        negative[1] = -0.0;
+        positive[1] = 0.0;
+        assert_ne!(plain_key(&negative, 1.0), plain_key(&positive, 1.0));
+        let mut longer = values.clone();
+        longer.push(0.0);
+        assert_ne!(plain_key(&longer, 1.0), plain_key(&values, 1.0));
+        assert_ne!(plain_key(&[], 1.0), plain_key(&[0.0], 1.0));
+    }
+
+    #[test]
+    fn full_mode_never_merges_different_content_under_one_key() {
+        let a = sample();
+        let mut b = sample();
+        b[3] = 7.5;
+        let mut full = PlainPool::new(ExtractMode::Full);
+        let pa = full.intern_keyed(&a, 1.0, 42);
+        let pb = full.intern_keyed(&b, 1.0, 42);
+        assert_ne!(pa, pb);
+        assert_eq!(full.intern_keyed(&a, 1.0, 42), pa);
+        assert_eq!(full.intern_keyed(&b, 1.0, 42), pb);
+        assert_eq!(full.plains[pb].values.as_deref(), Some(&b[..]));
+        // Metadata mode keeps nothing to compare: the key decides.
+        let mut meta = PlainPool::new(ExtractMode::Metadata);
+        assert_eq!(meta.intern_keyed(&a, 1.0, 42), meta.intern_keyed(&b, 1.0, 42));
     }
 }
