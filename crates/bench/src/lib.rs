@@ -3,7 +3,13 @@
 //! Shared harness for the experiment binaries that regenerate every table
 //! and figure of the CHET paper's evaluation (see DESIGN.md §4 for the
 //! index). Each `src/bin/table*`/`src/bin/fig*` binary prints the
-//! reproduction next to the paper's reported shape.
+//! reproduction next to the paper's reported shape, and the
+//! `src/bin/ablation_*` binaries the matmul and masking ablations.
+//! Two binaries write committed records that `ci.sh` checks:
+//! `bench_rns_ops` calibrates the cost model (`BENCH_rns_ops.json`) and
+//! `bench_journal` measures the serving journal (`BENCH_journal.json`).
+//! End-to-end latency, throughput and thread scaling are measured by
+//! `chet-benchmark` (`crates/benchmark`), not here.
 //!
 //! Conventions:
 //!
@@ -65,32 +71,30 @@ pub struct HarnessArgs {
 }
 
 impl HarnessArgs {
-    /// Parses `--full`, `--sim` and `--images N` from `std::env::args`.
+    /// Parses `--full`, `--sim`, `--images N` and `--nets N` from
+    /// `std::env::args`; on a bad argument, prints it with the usage line
+    /// and exits with status 2.
     pub fn parse() -> Self {
-        let mut args = HarnessArgs { full: false, sim: false, images: 1, nets: 5 };
-        let mut iter = std::env::args().skip(1);
-        while let Some(a) = iter.next() {
+        Self::from_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("{e}\n{HARNESS_USAGE}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parses the harness options from `args` (program name already
+    /// skipped). `--images` and `--nets` take a count of at least 1.
+    pub fn from_args(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
+        let mut parsed = HarnessArgs { full: false, sim: false, images: 1, nets: 5 };
+        while let Some(a) = args.next() {
             match a.as_str() {
-                "--full" => args.full = true,
-                "--sim" => args.sim = true,
-                "--images" => {
-                    args.images = iter
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--images takes a number");
-                }
-                "--nets" => {
-                    args.nets = iter
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--nets takes a number");
-                }
-                other => {
-                    panic!("unknown argument {other} (expected --full/--sim/--images N/--nets N)")
-                }
+                "--full" => parsed.full = true,
+                "--sim" => parsed.sim = true,
+                "--images" => parsed.images = positive_count("--images", args.next())?,
+                "--nets" => parsed.nets = positive_count("--nets", args.next())?,
+                other => return Err(format!("unknown argument {other}")),
             }
         }
-        args
+        Ok(parsed)
     }
 
     /// The evaluation networks under these options.
@@ -103,8 +107,18 @@ impl HarnessArgs {
                 .filter_map(|n| chet_networks::try_reduced(n).ok())
                 .collect()
         };
-        nets.truncate(self.nets.max(1));
+        nets.truncate(self.nets);
         nets
+    }
+}
+
+const HARNESS_USAGE: &str = "usage: [--full] [--sim] [--images N] [--nets N] (N >= 1)";
+
+fn positive_count(flag: &str, value: Option<String>) -> Result<usize, String> {
+    let value = value.unwrap_or_default();
+    match value.parse() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!("{flag} takes a count of at least 1, got {value:?}")),
     }
 }
 
@@ -151,28 +165,6 @@ pub fn time_inference(
             (out, t0.elapsed())
         }
     }
-}
-
-/// Times key generation alone (relevant to the rotation-key experiments).
-pub fn time_keygen(
-    backend: BackendChoice,
-    params: &EncryptionParams,
-    keys: &RotationKeyPolicy,
-    seed: u64,
-) -> Duration {
-    let t0 = Instant::now();
-    match backend {
-        BackendChoice::Rns => {
-            let _ = RnsCkks::new(params, keys, seed);
-        }
-        BackendChoice::Big => {
-            let _ = BigCkks::new(params, keys, seed);
-        }
-        BackendChoice::Sim => {
-            let _ = SimCkks::new(params, keys, seed);
-        }
-    }
-    t0.elapsed()
 }
 
 /// Average latency over `n` images (fresh backend per image, as in the
@@ -360,6 +352,22 @@ mod tests {
         assert!(fmt_dur(Duration::from_millis(12)).ends_with("ms"));
         assert!(fmt_dur(Duration::from_secs(5)).ends_with('s'));
         assert!(fmt_dur(Duration::from_secs(300)).ends_with("min"));
+    }
+
+    #[test]
+    fn harness_args_reject_zero_counts() {
+        let parse = |args: &[&str]| HarnessArgs::from_args(args.iter().map(|a| a.to_string()));
+        let args = parse(&["--sim", "--images", "3", "--nets", "2"]).expect("valid");
+        assert_eq!((args.full, args.sim, args.images, args.nets), (false, true, 3, 2));
+        for bad in [
+            &["--images", "0"][..],
+            &["--nets", "0"],
+            &["--images"],
+            &["--nets", "x"],
+            &["--frobnicate"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} accepted");
+        }
     }
 
     #[test]

@@ -28,5 +28,4 @@ run table5_layouts_seal  11m --nets 2
 run table6_layouts_heaan 6m --nets 1
 run fig5_latency         7m --nets 1
 run fig6_cost_model      6m --nets 1
-run bench_parallel       20m
 echo "all experiments done"

@@ -52,7 +52,7 @@ fn outputs_bit_identical_across_thread_counts() {
     for name in NETWORKS {
         for kind in [LayoutKind::HW, LayoutKind::CHW] {
             let one = run_once(name, kind, 1);
-            for threads in [2, 4] {
+            for threads in [2, 4, 8] {
                 let many = run_once(name, kind, threads);
                 assert_eq!(
                     one.data(),

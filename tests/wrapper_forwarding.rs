@@ -14,8 +14,8 @@
 //! * an active plan splits batches on exactly the single-rotation
 //!   schedule, so seeded fault campaigns replay unchanged;
 //! * both `chet-serve` worker paths (solo and cohort) hand batches to the
-//!   backend when chaos is off, and the solo path's stream is the direct
-//!   run's.
+//!   backend when chaos is off, and each path's stream — a whole
+//!   four-member cohort's included — is one direct solo run's.
 
 use chet::ckks::sim::SimCkks;
 use chet::compiler::Compiler;
@@ -444,4 +444,7 @@ fn served_requests_reach_the_backend_as_rotation_batches() {
     let (stats, calls) = serve(cohort, 4);
     assert_eq!((stats.completed_ok, stats.batched_requests), (4, 4), "{stats:?}");
     assert!(has_multi_step_batch(&calls), "cohort path split the batches: {calls:?}");
+    // Batch amortisation: the whole cohort costs the backend exactly one
+    // solo request's call stream.
+    assert_eq!(calls, direct, "cohort stream must equal one direct solo run's");
 }
