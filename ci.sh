@@ -62,7 +62,6 @@ EXPECTED = {
     ("crates/ckks/src/rns/evaluator.rs", "impl Hisa for RnsEvaluator"),
     ("crates/ckks/src/rns/scheme.rs", "impl Hisa for RnsCkks"),
     ("crates/ckks/src/sim.rs", "impl Hisa for SimCkks"),
-    ("crates/core/src/ir/mod.rs", "impl Hisa for TraceInterp"),
     ("crates/core/src/verify/walker.rs", "impl<D: AbstractDomain> Hisa for VerifyInterp<D>"),
     ("crates/runtime/src/fault.rs", "impl<H: Hisa> Hisa for FaultInjector<H>"),
     ("crates/runtime/src/tally.rs", "impl<H: Hisa> Hisa for RunTally<'_, H>"),
@@ -195,14 +194,25 @@ done
 echo "=== served overhead gate (wrappers keep hoisted rotations) ==="
 # A served LeNet request must cost what the runtime below it costs. A
 # backend wrapper that drops a capability (batched rotations split into
-# singles) shows up here as serve overhead, end to end.
-overhead=$(cargo run --release -q -p chet-benchmark -- --workload lenet-rns-closed --seed 1 --trace 1 \
-    | awk '$1 == "serve.overhead_pct" { print $2 }')
-if [ -z "$overhead" ] || awk -v o="$overhead" 'BEGIN { exit !(o > 10) }'; then
-    echo "served overhead gate: serve.overhead_pct='$overhead' (limit 10)" >&2
+# singles) shows up here as serve overhead, end to end. One traced sample
+# is noisy (unchanged code has read anywhere from -2 to 19), so the gate
+# takes the median of three seeds.
+samples=""
+for seed in 1 2 3; do
+    o=$(cargo run --release -q -p chet-benchmark -- --workload lenet-rns-closed --seed "$seed" --trace 1 \
+        | awk '$1 == "serve.overhead_pct" { print $2 }')
+    if [ -z "$o" ]; then
+        echo "served overhead gate: no serve.overhead_pct at seed $seed" >&2
+        exit 1
+    fi
+    samples="$samples $o"
+done
+overhead=$(printf '%s\n' $samples | sort -g | sed -n 2p)
+if awk -v o="$overhead" 'BEGIN { exit !(o > 10) }'; then
+    echo "served overhead gate: median serve.overhead_pct=$overhead of [$samples ] (limit 10)" >&2
     exit 1
 fi
-echo "served overhead gate ok: serve.overhead_pct=$overhead"
+echo "served overhead gate ok: median serve.overhead_pct=$overhead of [$samples ]"
 
 echo "=== failure-model lint (no unwrap/expect in runtime/compiler/serve/math) ==="
 # chet-math hosts the thread pool (`par`), which must stay panic-free for

@@ -42,12 +42,24 @@ fn put_scales(w: &mut Writer, s: &ScaleConfig) {
     w.put_f64(s.mask);
 }
 
+/// One fixed-point scale: every backend asserts an encoding scale is finite
+/// and at least 1, so decoding refuses anything else.
+fn get_scale(r: &mut Reader<'_>, what: &'static str) -> Result<f64, CodecError> {
+    let at = r.position();
+    let scale = r.get_f64(what)?;
+    if scale.is_finite() && scale >= 1.0 {
+        Ok(scale)
+    } else {
+        Err(CodecError::OutOfRange { at, what, bits: scale.to_bits() })
+    }
+}
+
 fn get_scales(r: &mut Reader<'_>) -> Result<ScaleConfig, CodecError> {
     Ok(ScaleConfig {
-        input: r.get_f64("ScaleConfig.input")?,
-        weight_plain: r.get_f64("ScaleConfig.weight_plain")?,
-        weight_scalar: r.get_f64("ScaleConfig.weight_scalar")?,
-        mask: r.get_f64("ScaleConfig.mask")?,
+        input: get_scale(r, "ScaleConfig.input")?,
+        weight_plain: get_scale(r, "ScaleConfig.weight_plain")?,
+        weight_scalar: get_scale(r, "ScaleConfig.weight_scalar")?,
+        mask: get_scale(r, "ScaleConfig.mask")?,
     })
 }
 
@@ -312,5 +324,29 @@ mod tests {
         let mut bytes = encode_compiled(&compiled());
         bytes.push(0);
         assert!(matches!(decode_compiled(&bytes), Err(CodecError::TrailingBytes { .. })));
+    }
+
+    #[test]
+    fn non_finite_and_sub_unit_scales_fail_to_decode() {
+        for bad in [0.5, f64::NAN, f64::INFINITY] {
+            for field in 0..4 {
+                let mut s = ScaleConfig::from_log2(25, 12, 12, 10);
+                *[&mut s.input, &mut s.weight_plain, &mut s.weight_scalar, &mut s.mask][field] =
+                    bad;
+                let err = decode_scales(&encode_scales(&s)).expect_err("bad scale decoded");
+                assert!(matches!(err, CodecError::OutOfRange { at, .. } if at == 8 * field));
+            }
+        }
+    }
+
+    #[test]
+    fn artifact_with_a_sub_unit_scalar_scale_fails_to_decode() {
+        let mut c = compiled();
+        c.plan.scales.weight_scalar = 0.5;
+        let err = decode_compiled(&encode_compiled(&c)).expect_err("bad artifact decoded");
+        assert!(
+            matches!(err, CodecError::OutOfRange { what: "ScaleConfig.weight_scalar", .. }),
+            "{err}"
+        );
     }
 }

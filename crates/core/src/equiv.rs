@@ -17,7 +17,7 @@ use crate::ir::{extract_ir, try_replay_ir, ExtractError, ExtractMode, IrGraph, R
 use chet_ckks::sim::SimCkks;
 use chet_hisa::serial::fnv1a64;
 use chet_runtime::exec::{try_infer, ExecError};
-use chet_tensor::circuit::{Circuit, Op};
+use chet_tensor::circuit::Circuit;
 use chet_tensor::Tensor;
 use std::fmt;
 
@@ -132,17 +132,6 @@ impl fmt::Display for EquivError {
 
 impl std::error::Error for EquivError {}
 
-fn input_shape(circuit: &Circuit) -> Result<Vec<usize>, EquivError> {
-    circuit
-        .ops()
-        .iter()
-        .find_map(|op| match op {
-            Op::Input { shape } => Some(shape.clone()),
-            _ => None,
-        })
-        .ok_or(EquivError::NoInput)
-}
-
 fn fresh_sim(compiled: &CompiledCircuit, seed: u64) -> SimCkks {
     // Noise off: the validator asserts *semantic* identity; encryption
     // noise would smear both sides without changing the verdict logic but
@@ -172,10 +161,10 @@ pub fn validate_ir(
     ir: &IrGraph,
     seeds: &[u64],
 ) -> Result<EquivReport, EquivError> {
-    let shape = input_shape(circuit)?;
+    let shape = circuit.input_shape().ok_or(EquivError::NoInput)?;
     let mut checks = Vec::with_capacity(seeds.len());
     for &seed in seeds {
-        let image = Tensor::random(shape.clone(), 1.0, seed);
+        let image = Tensor::random(shape.to_vec(), 1.0, seed);
         // Both sides run on identically-seeded fresh simulators, so even
         // the (disabled) RNG state matches.
         let mut direct_sim = fresh_sim(compiled, seed);

@@ -6,11 +6,13 @@
 //! whole-program structure — duplicate rotations across kernels, common
 //! subexpressions, dead computation — and cannot *predict* latency. This
 //! module adds the missing substrate without giving up the §5.1 mechanism:
-//! the IR is extracted *by* an interpretation. [`TraceInterp`] implements
-//! [`Hisa`] with symbolic ciphertexts (an SSA id plus the scale/level fact
-//! the simulator would carry) and records every instruction the standard
-//! executor and kernels issue, producing an [`IrGraph`] — the exact HISA
-//! instruction stream of one inference, in program order.
+//! the IR is extracted *by* an interpretation. [`extract_ir`] walks the
+//! verifier's [`VerifyInterp`] (the same interpretation `verify_compiled`
+//! and parameter selection walk) with a recorder attached: each
+//! ciphertext carries its SSA node id, each domain transfer appends one
+//! node, and server-side encodes are interned in a plaintext pool. The
+//! result is an [`IrGraph`] — the exact HISA instruction stream of one
+//! inference, in program order.
 //!
 //! Three consumers ride on the graph:
 //!
@@ -22,27 +24,27 @@
 //!   a backend reproduces the original execution bit-for-bit (the property
 //!   [`crate::equiv`] turns into a translation validator).
 //!
-//! Fidelity contract: [`TraceInterp`] mirrors the `SimCkks` reference
-//! backend's *decision surface* exactly — `scale_of`, `max_rescale`, the
-//! rescale chain-pop loop, rotation normalization/planning, and every error
-//! condition. Kernels branch only on that surface (never on slot values),
-//! so the recorded instruction stream is the one any value-level backend
-//! executes, and replay is bit-identical to direct inference.
+//! Fidelity contract: on an artifact the verifier passes, the walker's
+//! domains answer the `SimCkks` reference backend's *decision surface*
+//! exactly — `scale_of`, `max_rescale`, the rescale chain pop and rotation
+//! planning (DESIGN.md §15.1). Kernels branch only on that surface (never
+//! on slot values), so the recorded stream is the one any value-level
+//! backend executes, and replay is bit-identical to direct inference. An
+//! artifact the walk denies is not extracted ([`ExtractError::Deny`]).
 
 pub mod analyze;
 pub mod cost;
 
 use crate::compiler::CompiledCircuit;
-use crate::verify::OpSpan;
-use chet_hisa::keys::plan_rotation;
+use crate::verify::domain::LevelFact;
+use crate::verify::walker::{walk, VCt, VPt, VerifyInterp};
+use crate::verify::{DiagSink, Diagnostic, OpSpan, Severity};
 use chet_hisa::params::{ModulusSpec, SchemeKind};
-use chet_hisa::{Hisa, HisaError, Instr, LevelInfo, RotDir};
+use chet_hisa::{Hisa, HisaError, Instr, LevelInfo};
 use chet_runtime::ciphertensor::{decrypt_tensor, try_encrypt_tensor, CipherTensor};
-use chet_runtime::exec::{
-    try_encrypt_input, try_run_encrypted_with, ExecControl, ExecError, ExecObserver,
-};
+use chet_runtime::exec::ExecError;
 use chet_runtime::layout::Layout;
-use chet_tensor::circuit::{Circuit, Op};
+use chet_tensor::circuit::Circuit;
 use chet_tensor::Tensor;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -291,38 +293,6 @@ impl IrGraph {
     }
 }
 
-/// Modulus state of a symbolic ciphertext — the reference backend's
-/// `Remaining` model, verbatim.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Level {
-    Pow2 { log_q: f64 },
-    Chain { level: usize },
-}
-
-/// Symbolic ciphertext: SSA id plus the decision-surface facts.
-#[derive(Debug, Clone)]
-pub struct TraceCt {
-    id: usize,
-    scale: f64,
-    level: Level,
-}
-
-/// Symbolic plaintext: pool id plus encoding metadata.
-#[derive(Debug, Clone)]
-pub struct TracePt {
-    pid: usize,
-    scale: f64,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Client-side input encryption: encodes are not circuit work and
-    /// encrypts become [`IrOp::Input`] nodes.
-    Input,
-    /// Server-side circuit execution: everything is recorded.
-    Body,
-}
-
 /// Independent hash lanes in [`plain_key`]: enough to hide the multiply
 /// latency, so hashing runs at multiply throughput instead of one
 /// dependent multiply per word.
@@ -406,53 +376,47 @@ impl PlainPool {
     }
 }
 
-/// The recording [`Hisa`] interpretation. Create via [`TraceInterp::new`],
-/// run the standard executor over it, then [`TraceInterp::finish`].
+/// The IR recorder `extract_ir` attaches to the verifier's walker
+/// ([`VerifyInterp`]): every transfer the walk makes appends one
+/// [`IrNode`], and every server-side encode is interned in the plaintext
+/// pool.
 ///
-/// The interpretation never forks (`fork() → None`), so kernel fan-out runs
-/// sequentially on `self` in job order and the recorded stream is the
-/// deterministic program-order trace — the same order every thread count
-/// produces values in (the PR 4 determinism contract).
-pub struct TraceInterp {
-    slots: usize,
-    chain: Vec<u64>,
-    /// Prefix sums of `log2(chain[..i])` for [`LevelInfo`] conversion.
+/// The walker never forks (`fork() → None`), so kernel fan-out runs
+/// sequentially in job order and the recorded stream is the deterministic
+/// program-order trace, the same order every thread count produces values
+/// in (DESIGN.md §12).
+pub(crate) struct Recorder {
+    /// CKKS: the artifact's total modulus bits; `None` for RNS-CKKS.
+    pow2_log_q: Option<f64>,
+    /// RNS-CKKS: prefix sums of `log2(chain[..i])` in artifact order.
     chain_log2: Vec<f64>,
-    pow2_log_q: f64,
-    rns: bool,
-    keys: BTreeSet<usize>,
-    phase: Phase,
-    span: Arc<Mutex<Option<OpSpan>>>,
+    /// Set once the input is encrypted: client-side encodes are not
+    /// circuit work and are not interned.
+    body: bool,
     nodes: Vec<IrNode>,
     inputs: Vec<usize>,
     plains: PlainPool,
     encodes: Vec<EncodeEvent>,
 }
 
-impl TraceInterp {
-    /// A recorder for a compiled artifact's parameters and key set.
-    pub fn new(compiled: &CompiledCircuit, mode: ExtractMode) -> Self {
-        let slots = compiled.params.slots();
-        let (chain, pow2_log_q, rns) = match &compiled.params.modulus {
-            ModulusSpec::PrimeChain { primes, .. } => (primes.clone(), 0.0, true),
-            ModulusSpec::PowerOfTwo { log_q, .. } => (Vec::new(), *log_q as f64, false),
+impl Recorder {
+    /// A recorder for a compiled artifact's modulus.
+    pub(crate) fn new(compiled: &CompiledCircuit, mode: ExtractMode) -> Self {
+        let (pow2_log_q, chain_log2) = match &compiled.params.modulus {
+            ModulusSpec::PowerOfTwo { log_q, .. } => (Some(*log_q as f64), Vec::new()),
+            ModulusSpec::PrimeChain { primes, .. } => {
+                let mut acc = 0.0;
+                let prefix = primes.iter().map(|&p| {
+                    acc += (p as f64).log2();
+                    acc
+                });
+                (None, std::iter::once(0.0).chain(prefix).collect())
+            }
         };
-        let mut chain_log2 = Vec::with_capacity(chain.len() + 1);
-        let mut acc = 0.0;
-        chain_log2.push(acc);
-        for &p in &chain {
-            acc += (p as f64).log2();
-            chain_log2.push(acc);
-        }
-        TraceInterp {
-            slots,
-            chain,
-            chain_log2,
+        Recorder {
             pow2_log_q,
-            rns,
-            keys: compiled.rotation_keys.steps(slots),
-            phase: Phase::Input,
-            span: Arc::new(Mutex::new(None)),
+            chain_log2,
+            body: false,
             nodes: Vec::new(),
             inputs: Vec::new(),
             plains: PlainPool::new(mode),
@@ -460,125 +424,79 @@ impl TraceInterp {
         }
     }
 
-    /// Switches from input capture to circuit recording (call after the
-    /// input tensor is encrypted).
-    pub fn begin_body(&mut self) {
-        self.phase = Phase::Body;
+    /// Switches from input capture to circuit recording.
+    pub(crate) fn begin_body(&mut self) {
+        self.body = true;
     }
 
-    /// The span cell the executor observer writes into.
-    fn span_cell(&self) -> Arc<Mutex<Option<OpSpan>>> {
-        Arc::clone(&self.span)
-    }
-
-    fn fresh_level(&self) -> Level {
-        if self.rns {
-            Level::Chain { level: self.chain.len() }
-        } else {
-            Level::Pow2 { log_q: self.pow2_log_q }
-        }
-    }
-
-    fn level_info(&self, level: Level) -> LevelInfo {
-        match level {
-            Level::Pow2 { log_q } => LevelInfo { log_q, rns_len: 1 },
-            Level::Chain { level } => LevelInfo {
-                log_q: self.chain_log2.get(level).copied().unwrap_or(0.0),
-                rns_len: level,
-            },
-        }
-    }
-
-    fn meet(a: Level, b: Level) -> Level {
-        match (a, b) {
-            (Level::Pow2 { log_q: x }, Level::Pow2 { log_q: y }) => {
-                Level::Pow2 { log_q: x.min(y) }
+    /// The modulus state a level fact stands for: RNS keeps the chain's
+    /// first `len − chain_idx` primes (rescaling pops from the back).
+    fn level_info(&self, at: LevelFact) -> LevelInfo {
+        match self.pow2_log_q {
+            Some(log_q) => LevelInfo { log_q: log_q - at.consumed_log2, rns_len: 1 },
+            None => {
+                let rns_len = (self.chain_log2.len() - 1).saturating_sub(at.chain_idx);
+                LevelInfo { log_q: self.chain_log2[rns_len], rns_len }
             }
-            (Level::Chain { level: x }, Level::Chain { level: y }) => {
-                Level::Chain { level: x.min(y) }
-            }
-            // One modulus model per artifact — unreachable by construction.
-            _ => a,
         }
     }
 
-    fn current_span(&self) -> Option<OpSpan> {
-        self.span.lock().unwrap_or_else(|e| e.into_inner()).clone()
+    /// The pool id of one encode call: interned (and logged as an
+    /// [`EncodeEvent`]) in the body, [`INPUT_PT`] for the client's input.
+    pub(crate) fn encode(&mut self, values: &[f64], scale: f64, span: Option<OpSpan>) -> usize {
+        if !self.body {
+            return INPUT_PT;
+        }
+        let pt = self.plains.intern(values, scale);
+        self.encodes.push(EncodeEvent { pt, span });
+        pt
     }
 
-    fn record(&mut self, op: IrOp, scale: f64, operand_level: Level, result_level: Level) -> TraceCt {
+    /// Appends one node and returns its id. `at` is the operand's level.
+    pub(crate) fn node(
+        &mut self,
+        op: IrOp,
+        span: Option<OpSpan>,
+        scale: f64,
+        at: LevelFact,
+    ) -> usize {
         let id = self.nodes.len();
-        self.nodes.push(IrNode {
-            op,
-            span: self.current_span(),
-            scale,
-            level: self.level_info(operand_level),
-        });
-        TraceCt { id, scale, level: result_level }
-    }
-
-    fn check_scales(a: f64, b: f64) -> Result<(), HisaError> {
-        if (a / b - 1.0).abs() < 1e-6 {
-            Ok(())
-        } else {
-            Err(HisaError::ScaleMismatch { left: a, right: b })
+        if let IrOp::Input { .. } = op {
+            self.inputs.push(id);
         }
+        let level = self.level_info(at);
+        self.nodes.push(IrNode { op, span, scale, level });
+        id
     }
 
-    /// The modulus state left after dividing by `divisor` (> 1) — the
-    /// reference backend's chain-pop loop.
-    fn rescaled(&self, level: Level, divisor: f64) -> Result<Level, HisaError> {
-        Ok(match level {
-            Level::Pow2 { log_q } => {
-                let consumed = divisor.log2();
-                let left = log_q - consumed;
-                if left < 1.0 {
-                    return Err(HisaError::LevelExhausted {
-                        remaining: log_q - 1.0,
-                        requested: consumed,
-                    });
-                }
-                Level::Pow2 { log_q: left }
-            }
-            Level::Chain { level } => {
-                let mut lvl = level;
-                let mut d = divisor;
-                while d > 1.5 {
-                    if lvl <= 1 {
-                        return Err(HisaError::LevelExhausted {
-                            remaining: (level - 1) as f64,
-                            requested: (level - lvl + 1) as f64,
-                        });
-                    }
-                    lvl -= 1;
-                    d /= self.chain[lvl] as f64;
-                }
-                Level::Chain { level: lvl }
-            }
-        })
+    /// The next [`IrOp::Input`] node (a freshly encrypted ciphertext).
+    pub(crate) fn next_input(&self) -> IrOp {
+        IrOp::Input { ct: self.inputs.len() }
     }
 
-    /// Consumes the recorder into a graph. `outputs` / `output_layout` come
-    /// from the traced output tensor; the circuit metadata from the caller.
+    /// Consumes the recorder into a graph.
     fn finish(
         self,
         compiled: &CompiledCircuit,
         input_layout: Layout,
         output_layout: Layout,
-        output_shape: Vec<usize>,
         outputs: Vec<usize>,
+        output_shape: Vec<usize>,
     ) -> IrGraph {
+        let slots = compiled.params.slots();
+        let (chain, log_q) = match &compiled.params.modulus {
+            ModulusSpec::PrimeChain { primes, .. } => {
+                (primes.clone(), self.chain_log2.last().copied().unwrap_or(0.0))
+            }
+            ModulusSpec::PowerOfTwo { .. } => (Vec::new(), self.pow2_log_q.unwrap_or(0.0)),
+        };
         IrGraph {
             scheme: compiled.params.kind(),
             degree: compiled.params.degree,
-            slots: self.slots,
-            log_q: if self.rns {
-                self.chain_log2.last().copied().unwrap_or(0.0)
-            } else {
-                self.pow2_log_q
-            },
-            chain: self.chain,
-            keyed_steps: self.keys,
+            slots,
+            chain,
+            log_q,
+            keyed_steps: compiled.rotation_keys.steps(slots),
             input_scale: compiled.plan.scales.input,
             input_layout,
             output_layout,
@@ -592,212 +510,82 @@ impl TraceInterp {
     }
 }
 
-impl Hisa for TraceInterp {
-    type Ct = TraceCt;
-    type Pt = TracePt;
-
-    fn slots(&self) -> usize {
-        self.slots
-    }
-
-    fn try_encode(&mut self, values: &[f64], scale: f64) -> Result<TracePt, HisaError> {
-        if values.len() > self.slots {
-            return Err(HisaError::SlotOverflow { len: values.len(), slots: self.slots });
+impl IrOp {
+    /// The node one walked instruction records (subtraction of a scalar is
+    /// recorded as addition of its negation, as the reference backend
+    /// computes it).
+    pub(crate) fn of_instr<F>(instr: &Instr<'_, VCt<F>, VPt>) -> IrOp {
+        match *instr {
+            Instr::Add(a, b) => IrOp::Add { a: a.id, b: b.id },
+            Instr::Sub(a, b) => IrOp::Sub { a: a.id, b: b.id },
+            Instr::Mul(a, b) => IrOp::Mul { a: a.id, b: b.id },
+            Instr::AddPlain(a, p) => IrOp::AddPlain { a: a.id, pt: p.pid },
+            Instr::SubPlain(a, p) => IrOp::SubPlain { a: a.id, pt: p.pid },
+            Instr::MulPlain(a, p) => IrOp::MulPlain { a: a.id, pt: p.pid },
+            Instr::AddScalar(a, x) => IrOp::AddScalar { a: a.id, x },
+            Instr::SubScalar(a, x) => IrOp::AddScalar { a: a.id, x: -x },
+            Instr::MulScalar(a, x, scale) => IrOp::MulScalar { a: a.id, x, scale },
+            Instr::Rescale(a, divisor) => IrOp::Rescale { a: a.id, divisor },
         }
-        let pid = match self.phase {
-            Phase::Input => INPUT_PT,
-            Phase::Body => {
-                let pid = self.plains.intern(values, scale);
-                let span = self.current_span();
-                self.encodes.push(EncodeEvent { pt: pid, span });
-                pid
-            }
-        };
-        Ok(TracePt { pid, scale })
-    }
-
-    fn decode(&mut self, _p: &TracePt) -> Vec<f64> {
-        vec![0.0; self.slots]
-    }
-
-    fn encrypt(&mut self, p: &TracePt) -> TraceCt {
-        let ct = self.inputs.len();
-        let level = self.fresh_level();
-        let node = self.record(IrOp::Input { ct }, p.scale, level, level);
-        self.inputs.push(node.id);
-        node
-    }
-
-    fn decrypt(&mut self, c: &TraceCt) -> TracePt {
-        TracePt { pid: INPUT_PT, scale: c.scale }
-    }
-
-    fn try_exec(&mut self, instr: Instr<'_, TraceCt, TracePt>) -> Result<TraceCt, HisaError> {
-        let a = instr.lhs();
-        let same = a.level;
-        Ok(match instr {
-            Instr::Add(_, b) | Instr::Sub(_, b) => {
-                Self::check_scales(a.scale, b.scale)?;
-                let level = Self::meet(a.level, b.level);
-                let op = if let Instr::Add(..) = instr {
-                    IrOp::Add { a: a.id, b: b.id }
-                } else {
-                    IrOp::Sub { a: a.id, b: b.id }
-                };
-                self.record(op, a.scale, level, level)
-            }
-            Instr::AddPlain(_, p) | Instr::SubPlain(_, p) => {
-                Self::check_scales(a.scale, p.scale)?;
-                let op = if let Instr::AddPlain(..) = instr {
-                    IrOp::AddPlain { a: a.id, pt: p.pid }
-                } else {
-                    IrOp::SubPlain { a: a.id, pt: p.pid }
-                };
-                self.record(op, a.scale, same, same)
-            }
-            // The reference backend computes sub_scalar as add_scalar(−x).
-            Instr::AddScalar(_, x) => {
-                self.record(IrOp::AddScalar { a: a.id, x }, a.scale, same, same)
-            }
-            Instr::SubScalar(_, x) => {
-                self.record(IrOp::AddScalar { a: a.id, x: -x }, a.scale, same, same)
-            }
-            Instr::Mul(_, b) => {
-                let level = Self::meet(a.level, b.level);
-                self.record(IrOp::Mul { a: a.id, b: b.id }, a.scale * b.scale, level, level)
-            }
-            Instr::MulPlain(_, p) => {
-                self.record(IrOp::MulPlain { a: a.id, pt: p.pid }, a.scale * p.scale, same, same)
-            }
-            Instr::MulScalar(_, x, scale) => {
-                assert!(scale >= 1.0, "scalar scale must be >= 1");
-                self.record(IrOp::MulScalar { a: a.id, x, scale }, a.scale * scale, same, same)
-            }
-            Instr::Rescale(_, divisor) if divisor <= 1.0 => a.clone(),
-            Instr::Rescale(_, divisor) => {
-                let result = self.rescaled(a.level, divisor)?;
-                self.record(IrOp::Rescale { a: a.id, divisor }, a.scale / divisor, same, result)
-            }
-        })
-    }
-
-    fn try_rotate(
-        &mut self,
-        c: &TraceCt,
-        dir: RotDir,
-        steps: &[usize],
-    ) -> Result<Vec<TraceCt>, HisaError> {
-        let mut out = Vec::with_capacity(steps.len());
-        for &x in steps {
-            let step = dir.normalize(x, self.slots);
-            if step == 0 {
-                out.push(c.clone());
-                continue;
-            }
-            if plan_rotation(step, &self.keys, self.slots).is_none() {
-                return Err(HisaError::MissingRotationKey {
-                    step,
-                    available: self.keys.iter().copied().collect(),
-                });
-            }
-            out.push(self.record(IrOp::RotLeft { a: c.id, step }, c.scale, c.level, c.level));
-        }
-        Ok(out)
-    }
-
-    fn max_rescale(&mut self, c: &TraceCt, ub: f64) -> f64 {
-        if ub < 2.0 {
-            return 1.0;
-        }
-        match c.level {
-            Level::Pow2 { log_q } => {
-                let k = ub.log2().floor().min(log_q - 1.0);
-                if k < 1.0 {
-                    1.0
-                } else {
-                    2f64.powi(k as i32)
-                }
-            }
-            Level::Chain { level } => {
-                let mut prod = 1.0f64;
-                let mut lvl = level;
-                while lvl > 1 {
-                    let p = self.chain[lvl - 1] as f64;
-                    if prod * p > ub {
-                        break;
-                    }
-                    prod *= p;
-                    lvl -= 1;
-                }
-                prod
-            }
-        }
-    }
-
-    fn scale_of(&self, c: &TraceCt) -> f64 {
-        c.scale
     }
 }
 
-/// Why extraction failed: the traced execution itself rejected the
-/// artifact (the same failures a real run would surface).
+/// Why extraction failed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExtractError {
-    /// The executor failed while walking the circuit under the recorder.
+    /// The executor failed while walking the circuit (an unsupported shape
+    /// or kernel contract).
     Exec(ExecError),
+    /// The walk denied the artifact; this is its first deny diagnostic
+    /// (code, span and message), the one `verify_compiled` reports first
+    /// among the walked findings.
+    Deny(Diagnostic),
 }
 
 impl fmt::Display for ExtractError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ExtractError::Exec(e) => write!(f, "IR extraction failed: {e}"),
+            ExtractError::Deny(d) => write!(f, "IR extraction failed: {d}"),
         }
     }
 }
 
 impl std::error::Error for ExtractError {}
 
-/// Stamps the recorder's span cell with the executing circuit node.
-struct SpanTracker(Arc<Mutex<Option<OpSpan>>>);
-
-impl ExecObserver for SpanTracker {
-    fn on_op(&mut self, op_index: usize, op: &str) {
-        *self.0.lock().unwrap_or_else(|e| e.into_inner()) = Some(OpSpan::new(op_index, op));
-    }
-}
-
 /// Extracts the HISA dataflow graph of one inference of `circuit` under
-/// `compiled`, by running the standard executor over [`TraceInterp`] with a
-/// zero input image (the instruction stream is input-independent — kernels
-/// branch on metadata and the decision surface, never on slot values).
+/// `compiled` by walking the verifier's [`VerifyInterp`] with a recorder
+/// attached (the instruction stream is input-independent: kernels branch
+/// on metadata and the decision surface, never on slot values).
+///
+/// # Errors
+///
+/// [`ExtractError::Deny`] exactly when the walk emits a deny diagnostic,
+/// [`ExtractError::Exec`] when the executor rejects the circuit.
 pub fn extract_ir(
     circuit: &Circuit,
     compiled: &CompiledCircuit,
     mode: ExtractMode,
 ) -> Result<IrGraph, ExtractError> {
-    let Some(input_shape) = circuit.ops().iter().find_map(|op| match op {
-        Op::Input { shape } => Some(shape.clone()),
-        _ => None,
-    }) else {
-        return Err(ExtractError::Exec(ExecError::UnsupportedCircuit {
-            reason: "circuit has no encrypted input".into(),
-        }));
-    };
-    let mut interp = TraceInterp::new(compiled, mode);
-    let image = Tensor::zeros(input_shape);
-    let enc = try_encrypt_input(&mut interp, circuit, &compiled.plan, &image)
-        .map_err(ExtractError::Exec)?;
-    let input_layout = enc.layout.clone();
-    interp.begin_body();
-    let mut observer = SpanTracker(interp.span_cell());
-    let mut ctrl = ExecControl { cancel: None, observer: Some(&mut observer) };
-    let (out, _report) =
-        try_run_encrypted_with(&mut interp, circuit, &compiled.plan, enc, &mut ctrl)
-            .map_err(ExtractError::Exec)?;
-    let outputs: Vec<usize> = out.cts.iter().map(|c| c.id).collect();
-    let output_layout = out.layout.clone();
+    let sink = Arc::new(Mutex::new(DiagSink::default()));
+    let recorder = Recorder::new(compiled, mode);
+    let mut interp = VerifyInterp::recording(compiled, Arc::clone(&sink), recorder);
+    let walked = walk(&mut interp, circuit, &compiled.plan).map_err(ExtractError::Exec)?;
+    let deny = sink
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .diagnostics()
+        .iter()
+        .find(|d| d.severity() == Severity::Deny)
+        .cloned();
+    if let Some(d) = deny {
+        return Err(ExtractError::Deny(d));
+    }
+    let outputs = walked.output.cts.iter().map(|c| c.id).collect();
     let output_shape = circuit.shapes()[circuit.output()].clone();
-    Ok(interp.finish(compiled, input_layout, output_layout, output_shape, outputs))
+    #[allow(clippy::expect_used)] // attached by `VerifyInterp::recording` above
+    let recorder = interp.into_recorder().expect("recording walker");
+    Ok(recorder.finish(compiled, walked.input_layout, walked.output.layout, outputs, output_shape))
 }
 
 /// Why an IR replay failed.

@@ -17,11 +17,12 @@
 //! 4. **Selects fixed-point scales** (§5.5, [`scales`]) with a
 //!    profile-guided round-robin search against an output tolerance.
 //!
-//! Parameter selection, layout pricing and verification share one abstract
-//! walker ([`verify::walker::VerifyInterp`]): the circuit executes under a
-//! different interpretation of the ciphertext datatype, so no explicit
-//! data-flow graph is ever built (§5.1). Each pass is a product of the
-//! [`verify::domain`] transfer functions.
+//! Parameter selection, layout pricing, verification and IR extraction
+//! share one abstract walker ([`verify::walker::VerifyInterp`]): the
+//! circuit executes under a different interpretation of the ciphertext
+//! datatype (§5.1). Each pass is a product of the [`verify::domain`]
+//! transfer functions; [`ir::extract_ir`] additionally records the walk as
+//! an explicit HISA dataflow graph for the whole-circuit analyses.
 //!
 //! # Examples
 //!

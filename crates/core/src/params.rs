@@ -7,17 +7,16 @@
 //! accepted walk's level ledger is what layout selection prices (§5.3).
 
 use crate::verify::domain::{LevelDomain, LevelFact, RotationDomain, ScaleDomain};
-use crate::verify::walker::VerifyInterp;
+use crate::verify::walker::{self, VerifyInterp};
 use chet_hisa::cost::HisaOp;
 use chet_hisa::params::{EncryptionParams, ModulusSpec, SchemeKind};
 use chet_hisa::security::{max_log_q, SecurityLevel, DEGREES};
 use chet_hisa::Hisa;
 use chet_math::prime::ntt_primes;
-use chet_runtime::exec::{try_encrypt_input, try_run_encrypted_with, ExecControl, ExecPlan};
+use chet_runtime::exec::ExecPlan;
 use chet_runtime::kernels::ScaleConfig;
 use chet_runtime::layout::LayoutKind;
 use chet_tensor::circuit::{Circuit, Op};
-use chet_tensor::Tensor;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -153,14 +152,8 @@ fn walk(
         RotationDomain::collector(slots),
     );
     let mut interp = VerifyInterp::with_domain(slots, domain, Arc::default());
-    let input_shape = circuit.ops().iter().find_map(|op| match op {
-        Op::Input { shape } => Some(shape.clone()),
-        _ => None,
-    })?;
-    let enc = try_encrypt_input(&mut interp, circuit, plan, &Tensor::zeros(input_shape)).ok()?;
-    let (out, _) =
-        try_run_encrypted_with(&mut interp, circuit, plan, enc, &mut ExecControl::none()).ok()?;
-    let output_scale = interp.scale_of(out.cts.last()?);
+    let walked = walker::walk(&mut interp, circuit, plan).ok()?;
+    let output_scale = interp.scale_of(walked.output.cts.last()?);
     let ((_, levels), rotations) = interp.domain;
     if levels.exhausted() {
         return None;
@@ -302,6 +295,7 @@ mod tests {
     use super::*;
     use chet_tensor::circuit::CircuitBuilder;
     use chet_tensor::ops::Padding;
+    use chet_tensor::Tensor;
 
     fn small_circuit() -> Circuit {
         let mut b = CircuitBuilder::new();

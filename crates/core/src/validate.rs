@@ -16,7 +16,7 @@ use crate::verify::OpSpan;
 use chet_ckks::sim::SimCkks;
 use chet_hisa::HisaError;
 use chet_runtime::exec::{try_infer, ExecError};
-use chet_tensor::circuit::{Circuit, Op};
+use chet_tensor::circuit::Circuit;
 use chet_tensor::Tensor;
 
 /// Seed for the deterministic probe image and the simulator's noise RNG —
@@ -102,18 +102,11 @@ pub fn validate_compiled(
     if let Err(e) = compiled.params.validate() {
         return Err(ProbeFailure::Execution { detail: e.to_string(), span: None });
     }
-    let input_shape = circuit
-        .ops()
-        .iter()
-        .find_map(|op| match op {
-            Op::Input { shape } => Some(shape.clone()),
-            _ => None,
-        })
-        .ok_or_else(|| ProbeFailure::Execution {
-            detail: "circuit has no encrypted input".into(),
-            span: None,
-        })?;
-    let image = Tensor::random(input_shape, 1.0, PROBE_SEED);
+    let input_shape = circuit.input_shape().ok_or_else(|| ProbeFailure::Execution {
+        detail: "circuit has no encrypted input".into(),
+        span: None,
+    })?;
+    let image = Tensor::random(input_shape.to_vec(), 1.0, PROBE_SEED);
     let reference = circuit.eval(&[image.clone()]);
     let mut sim = SimCkks::new(&compiled.params, &compiled.rotation_keys, PROBE_SEED);
     match try_infer(&mut sim, circuit, &compiled.plan, &image) {

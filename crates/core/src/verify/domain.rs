@@ -97,6 +97,11 @@ pub trait AbstractDomain: Send {
     fn max_rescale(&self, _f: &Self::Fact, _ub: f64) -> Option<f64> {
         None
     }
+
+    /// The modulus consumption this domain tracks for a fact, if it does.
+    fn level_of(&self, _f: &Self::Fact) -> Option<LevelFact> {
+        None
+    }
 }
 
 /// Product combinator: runs two domains side by side over shared traces.
@@ -127,6 +132,10 @@ impl<A: AbstractDomain, B: AbstractDomain> AbstractDomain for (A, B) {
 
     fn max_rescale(&self, f: &Self::Fact, ub: f64) -> Option<f64> {
         self.0.max_rescale(&f.0, ub).or_else(|| self.1.max_rescale(&f.1, ub))
+    }
+
+    fn level_of(&self, f: &Self::Fact) -> Option<LevelFact> {
+        self.0.level_of(&f.0).or_else(|| self.1.level_of(&f.1))
     }
 }
 
@@ -225,8 +234,9 @@ impl AbstractDomain for ScaleDomain {
 /// A freshly encrypted ciphertext's level: nothing consumed.
 const FRESH: LevelFact = LevelFact { consumed_log2: 0.0, chain_idx: 0 };
 
-/// Modulus budget state of one ciphertext.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Modulus budget state of one ciphertext (the default is a fresh one:
+/// nothing consumed).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LevelFact {
     /// log2 of the modulus consumed on this value's path.
     pub consumed_log2: f64,
@@ -413,6 +423,10 @@ impl AbstractDomain for LevelDomain {
             }
         };
         Some(d)
+    }
+
+    fn level_of(&self, f: &LevelFact) -> Option<LevelFact> {
+        Some(*f)
     }
 }
 

@@ -6,7 +6,9 @@
 //! consumption, rotation-key availability, slot capacity and fixed-point
 //! scale alignment all fall out of the same on-the-fly data-flow mechanism.
 //! Parameter selection and layout pricing ([`crate::params`],
-//! [`crate::layout`]) run on this module's walker and domains too.
+//! [`crate::layout`]) run on this module's walker and domains too, and IR
+//! extraction ([`crate::ir::extract_ir`]) is the same walk with a recorder
+//! attached.
 //!
 //! This module turns that mechanism into a verifier:
 //!
@@ -16,7 +18,8 @@
 //! * [`walker`] — [`VerifyInterp`](walker::VerifyInterp), a fixpoint-free
 //!   forward walker: a [`chet_hisa::Hisa`] interpretation whose ciphertexts
 //!   carry domain facts and which *never fails*, so one pass over the HISA
-//!   trace collects every diagnostic.
+//!   trace collects every diagnostic; and the one walk function that
+//!   drives it through the executor for every static pass.
 //! * This module — the [`Diagnostic`] model (severity, stable lint codes,
 //!   per-op provenance, text + machine rendering) and the
 //!   [`verify_compiled`] entry point that `Compiler::compile_checked` and
@@ -31,11 +34,8 @@ pub mod walker;
 
 use crate::compiler::CompiledCircuit;
 use crate::params::circuit_fits;
-use chet_runtime::exec::{
-    try_encrypt_input, try_run_encrypted_with, ExecControl, ExecError, ExecObserver,
-};
-use chet_tensor::circuit::{Circuit, Op};
-use chet_tensor::Tensor;
+use chet_runtime::exec::{op_name, ExecError};
+use chet_tensor::circuit::Circuit;
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 use chet_hisa::json::Json;
@@ -492,6 +492,11 @@ impl DiagSink {
         self.current = Some(OpSpan::new(op_index, kernel));
     }
 
+    /// The span subsequent findings are attributed to.
+    fn current_span(&self) -> Option<OpSpan> {
+        self.current.clone()
+    }
+
     /// Clears the current span (post-walk audits attach explicit spans).
     pub fn clear_span(&mut self) {
         self.current = None;
@@ -522,15 +527,6 @@ impl DiagSink {
     }
 }
 
-/// Stamps the walker's diagnostics with the executing node's span.
-struct SpanObserver(Arc<Mutex<DiagSink>>);
-
-impl ExecObserver for SpanObserver {
-    fn on_op(&mut self, op_index: usize, op: &str) {
-        self.0.lock().unwrap_or_else(|e| e.into_inner()).set_span(op_index, op);
-    }
-}
-
 /// Circuit nodes unreachable from the output (candidates for `CHET-W003`).
 fn dead_ops(circuit: &Circuit) -> Vec<usize> {
     let ops = circuit.ops();
@@ -546,21 +542,6 @@ fn dead_ops(circuit: &Circuit) -> Vec<usize> {
     live.iter().enumerate().filter(|(_, &l)| !l).map(|(i, _)| i).collect()
 }
 
-/// Display name of a circuit op, mirroring the executor's attribution.
-fn op_name(op: &Op) -> &'static str {
-    match op {
-        Op::Input { .. } => "input",
-        Op::Conv2d { .. } => "conv2d",
-        Op::MatMul { .. } => "matmul",
-        Op::AvgPool2d { .. } => "avg_pool2d",
-        Op::GlobalAvgPool { .. } => "global_avg_pool",
-        Op::Activation { .. } => "activation",
-        Op::BatchNorm { .. } => "batch_norm",
-        Op::Concat { .. } => "concat",
-        Op::Flatten { .. } => "flatten",
-    }
-}
-
 /// Statically verifies a compiled artifact against its circuit: structural
 /// passes (parameters, dead code, slot capacity) followed by one abstract
 /// trace walk under the full domain product. Never executes ciphertext
@@ -568,82 +549,54 @@ fn op_name(op: &Op) -> &'static str {
 /// the returned report.
 pub fn verify_compiled(circuit: &Circuit, compiled: &CompiledCircuit) -> DiagnosticReport {
     let sink = Arc::new(Mutex::new(DiagSink::default()));
+    let emit_at = |code: LintCode, span: Option<OpSpan>, message: String| {
+        sink.lock().unwrap_or_else(|e| e.into_inner()).emit_at(code, span, message)
+    };
+    let node_span = |i: usize| Some(OpSpan::new(i, op_name(&circuit.ops()[i])));
     let slots = compiled.params.slots();
 
     // Structural pass 1: parameters (CHET-E006).
     if let Err(e) = compiled.params.validate() {
-        sink.lock().unwrap_or_else(|e| e.into_inner()).emit_at(LintCode::InvalidParams, None, e.to_string());
+        emit_at(LintCode::InvalidParams, None, e.to_string());
     }
 
     // Structural pass 2: dead nodes (CHET-W003).
     for i in dead_ops(circuit) {
-        let span = OpSpan::new(i, op_name(&circuit.ops()[i]));
-        sink.lock().unwrap_or_else(|e| e.into_inner()).emit_at(
-            LintCode::DeadOp,
-            Some(span),
-            "node is unreachable from the circuit output".into(),
-        );
+        let message = "node is unreachable from the circuit output".to_string();
+        emit_at(LintCode::DeadOp, node_span(i), message);
     }
 
     // Structural pass 3: slot capacity (CHET-E004). An unfit circuit would
     // break layout construction, so the trace walk is skipped.
     if slots == 0 || !circuit_fits(circuit, compiled.plan.margin, slots) {
-        sink.lock().unwrap_or_else(|e| e.into_inner()).emit_at(
-            LintCode::SlotOverflow,
-            None,
-            format!(
-                "circuit tensors do not fit {slots} slots under margin {}",
-                compiled.plan.margin
-            ),
-        );
+        let margin = compiled.plan.margin;
+        let message = format!("circuit tensors do not fit {slots} slots under margin {margin}");
+        emit_at(LintCode::SlotOverflow, None, message);
         return finish_report(sink, 0);
     }
-
-    let Some(input_shape) = circuit.ops().iter().find_map(|op| match op {
-        Op::Input { shape } => Some(shape.clone()),
-        _ => None,
-    }) else {
-        sink.lock().unwrap_or_else(|e| e.into_inner()).emit_at(
-            LintCode::UnsupportedOp,
-            None,
-            "circuit has no encrypted input".into(),
-        );
-        return finish_report(sink, 0);
-    };
 
     // The abstract trace walk: the circuit executes under VerifyInterp
     // (scale × level × slot × rotation product domain) through the standard
     // executor, with an observer stamping op provenance on every finding.
     let mut interp = walker::VerifyInterp::new(compiled, Arc::clone(&sink));
-    let image = Tensor::zeros(input_shape);
-    let mut checked_ops = 0usize;
-    let walk = try_encrypt_input(&mut interp, circuit, &compiled.plan, &image).and_then(|enc| {
-        let mut observer = SpanObserver(Arc::clone(&sink));
-        let mut ctrl = ExecControl { cancel: None, observer: Some(&mut observer) };
-        try_run_encrypted_with(&mut interp, circuit, &compiled.plan, enc, &mut ctrl)
-    });
-    match walk {
-        Ok((out, _report)) => {
-            checked_ops = circuit.ops().len();
+    let checked_ops = match walker::walk(&mut interp, circuit, &compiled.plan) {
+        Ok(walked) => {
             // Post-walk audit: output precision (CHET-W004).
-            let out_scale = out
+            let out_scale = walked
+                .output
                 .cts
                 .first()
                 .map(|ct| interp.fact_scale(ct))
                 .unwrap_or(compiled.outcome.output_scale);
             if out_scale * (1.0 + 1e-9) < compiled.output_precision {
-                let out_idx = circuit.output();
-                let span = OpSpan::new(out_idx, op_name(&circuit.ops()[out_idx]));
-                sink.lock().unwrap_or_else(|e| e.into_inner()).emit_at(
-                    LintCode::PrecisionBudget,
-                    Some(span),
-                    format!(
-                        "output scale 2^{:.1} is below the requested precision 2^{:.1}",
-                        out_scale.log2(),
-                        compiled.output_precision.log2()
-                    ),
+                let message = format!(
+                    "output scale 2^{:.1} is below the requested precision 2^{:.1}",
+                    out_scale.log2(),
+                    compiled.output_precision.log2()
                 );
+                emit_at(LintCode::PrecisionBudget, node_span(circuit.output()), message);
             }
+            circuit.ops().len()
         }
         Err(e) => {
             // The walker itself is infallible, so a walk error is a kernel
@@ -654,10 +607,10 @@ pub fn verify_compiled(circuit: &Circuit, compiled: &CompiledCircuit) -> Diagnos
                 }
                 _ => LintCode::UnsupportedOp,
             };
-            let span = OpSpan::from_exec_error(&e);
-            sink.lock().unwrap_or_else(|e| e.into_inner()).emit_at(code, span, e.to_string());
+            emit_at(code, OpSpan::from_exec_error(&e), e.to_string());
+            0
         }
-    }
+    };
 
     // Post-walk audit: rotation-key coverage (CHET-W002). E003/N001 were
     // emitted per rotation site during the walk; here the *key set* is
@@ -667,29 +620,23 @@ pub fn verify_compiled(circuit: &Circuit, compiled: &CompiledCircuit) -> Diagnos
     let keyed = compiled.rotation_keys.steps(slots);
     let unused: Vec<usize> = keyed.difference(&used).copied().collect();
     if !unused.is_empty() {
-        sink.lock().unwrap_or_else(|e| e.into_inner()).emit_at(
-            LintCode::UnusedRotationKey,
-            None,
-            format!(
-                "{} rotation key(s) generated for steps the circuit never uses: {unused:?}",
-                unused.len()
-            ),
+        let message = format!(
+            "{} rotation key(s) generated for steps the circuit never uses: {unused:?}",
+            unused.len()
         );
+        emit_at(LintCode::UnusedRotationKey, None, message);
     }
 
     // Post-walk audit: pruned keys (CHET-N002). Compiler-produced artifacts
     // never record any (pruning is a no-op for outcome-derived key sets),
     // so this only fires on artifacts whose key request was trimmed.
-    if !compiled.pruned_rotations.is_empty() {
-        sink.lock().unwrap_or_else(|e| e.into_inner()).emit_at(
-            LintCode::PrunedRotationKey,
-            None,
-            format!(
-                "key pruning dropped {} provisionally requested rotation step(s): {:?}",
-                compiled.pruned_rotations.len(),
-                compiled.pruned_rotations
-            ),
+    let pruned = &compiled.pruned_rotations;
+    if !pruned.is_empty() {
+        let message = format!(
+            "key pruning dropped {} provisionally requested rotation step(s): {pruned:?}",
+            pruned.len()
         );
+        emit_at(LintCode::PrunedRotationKey, None, message);
     }
 
     finish_report(sink, checked_ops)

@@ -8,13 +8,26 @@
 //! diagnostics in the shared [`DiagSink`], stamped with the executing
 //! node's span by the executor observer — so one walk covers the whole
 //! circuit no matter how broken the artifact is.
+//!
+//! `walk` is the one entry point: the verifier, parameter selection (over the
+//! open search model) and IR extraction all call it. Extraction attaches an
+//! IR recorder ([`crate::ir::extract_ir`]); every other walk records
+//! nothing and pays nothing for it.
 
 use super::domain::{
     AbstractDomain, AbstractOp, LevelDomain, RotationDomain, ScaleDomain, SlotDomain,
 };
 use super::{DiagSink, LintCode};
 use crate::compiler::CompiledCircuit;
+use crate::ir::{IrOp, Recorder};
 use chet_hisa::{Hisa, HisaError, Instr, RotDir};
+use chet_runtime::ciphertensor::CipherTensor;
+use chet_runtime::exec::{
+    try_encrypt_input, try_run_encrypted_with, ExecControl, ExecError, ExecObserver, ExecPlan,
+};
+use chet_runtime::layout::Layout;
+use chet_tensor::circuit::Circuit;
+use chet_tensor::Tensor;
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
@@ -23,6 +36,9 @@ use std::sync::{Arc, Mutex};
 pub struct VCt<F> {
     /// The domain fact for this value.
     pub fact: F,
+    /// SSA id of the IR node that defined this value (`0` when the walk
+    /// records nothing).
+    pub(crate) id: usize,
 }
 
 /// Abstract plaintext: encoding scale + encoded length.
@@ -32,6 +48,9 @@ pub struct VPt {
     pub scale: f64,
     /// Number of values encoded.
     pub len: usize,
+    /// Plaintext pool id in the recorded IR (`0` when the walk records
+    /// nothing).
+    pub(crate) pid: usize,
 }
 
 /// The verifier's domain stack: scales × levels × slots × rotations.
@@ -44,6 +63,8 @@ pub struct VerifyInterp<D: AbstractDomain> {
     /// accumulated facts after the walk).
     pub domain: D,
     sink: Arc<Mutex<DiagSink>>,
+    /// The IR recorder; only `extract_ir` attaches one.
+    recorder: Option<Recorder>,
 }
 
 impl VerifyInterp<StandardDomain> {
@@ -60,7 +81,16 @@ impl VerifyInterp<StandardDomain> {
                 RotationDomain::new(slots, compiled.rotation_keys.steps(slots)),
             ),
         );
-        VerifyInterp { slots, domain, sink }
+        VerifyInterp::with_domain(slots, domain, sink)
+    }
+
+    /// The standard stack with an IR recorder attached.
+    pub(crate) fn recording(
+        compiled: &CompiledCircuit,
+        sink: Arc<Mutex<DiagSink>>,
+        recorder: Recorder,
+    ) -> Self {
+        VerifyInterp { recorder: Some(recorder), ..VerifyInterp::new(compiled, sink) }
     }
 
     /// Rotation steps the walked trace requested (feeds the `CHET-W002`
@@ -73,7 +103,7 @@ impl VerifyInterp<StandardDomain> {
 impl<D: AbstractDomain> VerifyInterp<D> {
     /// A custom-domain walker (for tests or additional lint stacks).
     pub fn with_domain(slots: usize, domain: D, sink: Arc<Mutex<DiagSink>>) -> Self {
-        VerifyInterp { slots, domain, sink }
+        VerifyInterp { slots, domain, sink, recorder: None }
     }
 
     /// The scale the domain tracks for a ciphertext (`1.0` when no domain
@@ -82,21 +112,55 @@ impl<D: AbstractDomain> VerifyInterp<D> {
         self.domain.scale_of(&c.fact).unwrap_or(1.0)
     }
 
-    fn step(&mut self, op: AbstractOp, a: &VCt<D::Fact>, b: Option<&VCt<D::Fact>>) -> VCt<D::Fact> {
+    /// Detaches the recorder after the walk.
+    pub(crate) fn into_recorder(self) -> Option<Recorder> {
+        self.recorder
+    }
+
+    /// With a recorder attached, appends the node `ir` builds for a value
+    /// with fact `fact` whose operand has fact `at`, and returns its id.
+    fn record(
+        &mut self,
+        fact: &D::Fact,
+        at: &D::Fact,
+        ir: impl FnOnce(&Recorder) -> IrOp,
+    ) -> usize {
+        let Some(r) = &self.recorder else { return 0 };
+        let op = ir(r);
+        let at = self.domain.level_of(at).unwrap_or_default();
+        let scale = self.domain.scale_of(fact).unwrap_or(1.0);
+        let span = self.sink.lock().unwrap_or_else(|e| e.into_inner()).current_span();
+        self.recorder.as_mut().map_or(0, |r| r.node(op, span, scale, at))
+    }
+
+    /// One transfer (plus, when recording, the IR node `ir` builds).
+    fn step(
+        &mut self,
+        op: AbstractOp,
+        a: &VCt<D::Fact>,
+        b: Option<&VCt<D::Fact>>,
+        ir: impl FnOnce() -> IrOp,
+    ) -> VCt<D::Fact> {
         // Disjoint field borrows: the domain mutates while emitting into
         // the shared sink (which the executor observer stamps with spans).
         let sink = &self.sink;
         let mut emit = |code: LintCode, msg: String| {
             sink.lock().unwrap_or_else(|e| e.into_inner()).emit(code, msg)
         };
-        VCt { fact: self.domain.transfer(&op, &a.fact, b.map(|x| &x.fact), &mut emit) }
+        let fact = self.domain.transfer(&op, &a.fact, b.map(|x| &x.fact), &mut emit);
+        // A node carries its operand's level: a rescale's is the level
+        // before the pop; every other op keeps the level (binary ones meet
+        // their operands), so the result's is the operand's.
+        let at = if let AbstractOp::Rescale { .. } = op { &a.fact } else { &fact };
+        let id = self.record(&fact, at, |_| ir());
+        VCt { fact, id }
     }
 
     fn rotate(&mut self, c: &VCt<D::Fact>, step: usize) -> VCt<D::Fact> {
         if step == 0 {
             return c.clone();
         }
-        self.step(AbstractOp::Rotate { step }, c, None)
+        self.step(AbstractOp::Rotate { step }, c, None, || IrOp::RotLeft { a: c.id, step })
     }
 }
 
@@ -115,7 +179,12 @@ impl<D: AbstractDomain> Hisa for VerifyInterp<D> {
                 format!("encoding {} values into {} slots", values.len(), self.slots),
             );
         }
-        Ok(VPt { scale, len: values.len().min(self.slots) })
+        let mut pid = 0;
+        if let Some(r) = &mut self.recorder {
+            let span = self.sink.lock().unwrap_or_else(|e| e.into_inner()).current_span();
+            pid = r.encode(values, scale, span);
+        }
+        Ok(VPt { scale, len: values.len().min(self.slots), pid })
     }
 
     fn decode(&mut self, _p: &VPt) -> Vec<f64> {
@@ -123,30 +192,31 @@ impl<D: AbstractDomain> Hisa for VerifyInterp<D> {
     }
 
     fn encrypt(&mut self, p: &VPt) -> Self::Ct {
-        VCt { fact: self.domain.fresh(p.scale, p.len) }
+        let fact = self.domain.fresh(p.scale, p.len);
+        let id = self.record(&fact, &fact, Recorder::next_input);
+        VCt { fact, id }
     }
 
     fn decrypt(&mut self, c: &Self::Ct) -> VPt {
-        VPt { scale: self.fact_scale(c), len: self.slots }
+        VPt { scale: self.fact_scale(c), len: self.slots, pid: 0 }
     }
 
     /// Infallible: violations are diagnostics, not errors.
     fn try_exec(&mut self, instr: Instr<'_, Self::Ct, VPt>) -> Result<Self::Ct, HisaError> {
         let a = instr.lhs();
-        Ok(match instr {
-            Instr::Add(_, b) | Instr::Sub(_, b) => self.step(AbstractOp::Add, a, Some(b)),
+        let (op, b) = match instr {
+            Instr::Add(_, b) | Instr::Sub(_, b) => (AbstractOp::Add, Some(b)),
             Instr::AddPlain(_, p) | Instr::SubPlain(_, p) => {
-                self.step(AbstractOp::AddPlain { scale: p.scale }, a, None)
+                (AbstractOp::AddPlain { scale: p.scale }, None)
             }
-            Instr::AddScalar(..) | Instr::SubScalar(..) => {
-                self.step(AbstractOp::AddScalar, a, None)
-            }
-            Instr::Mul(_, b) => self.step(AbstractOp::Mul, a, Some(b)),
-            Instr::MulPlain(_, p) => self.step(AbstractOp::MulPlain { scale: p.scale }, a, None),
-            Instr::MulScalar(_, _, scale) => self.step(AbstractOp::MulScalar { scale }, a, None),
-            Instr::Rescale(_, divisor) if divisor <= 1.0 => a.clone(),
-            Instr::Rescale(_, divisor) => self.step(AbstractOp::Rescale { divisor }, a, None),
-        })
+            Instr::AddScalar(..) | Instr::SubScalar(..) => (AbstractOp::AddScalar, None),
+            Instr::Mul(_, b) => (AbstractOp::Mul, Some(b)),
+            Instr::MulPlain(_, p) => (AbstractOp::MulPlain { scale: p.scale }, None),
+            Instr::MulScalar(_, _, scale) => (AbstractOp::MulScalar { scale }, None),
+            Instr::Rescale(_, divisor) if divisor <= 1.0 => return Ok(a.clone()),
+            Instr::Rescale(_, divisor) => (AbstractOp::Rescale { divisor }, None),
+        };
+        Ok(self.step(op, a, b, || IrOp::of_instr(&instr)))
     }
 
     fn try_rotate(
@@ -170,6 +240,47 @@ impl<D: AbstractDomain> Hisa for VerifyInterp<D> {
     fn scale_of(&self, c: &Self::Ct) -> f64 {
         self.fact_scale(c)
     }
+}
+
+/// Stamps the executing circuit node's span on the walk's [`DiagSink`]:
+/// findings are attributed to it, and the IR recorder reads it for every
+/// node and encode.
+struct SpanObserver(Arc<Mutex<DiagSink>>);
+
+impl ExecObserver for SpanObserver {
+    fn on_op(&mut self, op_index: usize, op: &str) {
+        self.0.lock().unwrap_or_else(|e| e.into_inner()).set_span(op_index, op);
+    }
+}
+
+/// One walked inference: the layout the input was encrypted under and the
+/// abstract output tensor.
+pub(crate) struct Walked<F> {
+    pub(crate) input_layout: Layout,
+    pub(crate) output: CipherTensor<VCt<F>>,
+}
+
+/// Walks one inference of `circuit` under `plan`: encrypts a zero image of
+/// the input shape (the walk is input-independent), then runs the standard
+/// executor with the span observer attached. The verifier, parameter
+/// selection and IR extraction all walk through here.
+pub(crate) fn walk<D: AbstractDomain>(
+    interp: &mut VerifyInterp<D>,
+    circuit: &Circuit,
+    plan: &ExecPlan,
+) -> Result<Walked<D::Fact>, ExecError> {
+    let input_shape = circuit.input_shape().ok_or_else(|| ExecError::UnsupportedCircuit {
+        reason: "circuit has no encrypted input".into(),
+    })?;
+    let enc = try_encrypt_input(interp, circuit, plan, &Tensor::zeros(input_shape.to_vec()))?;
+    let input_layout = enc.layout.clone();
+    if let Some(r) = &mut interp.recorder {
+        r.begin_body();
+    }
+    let mut observer = SpanObserver(Arc::clone(&interp.sink));
+    let mut ctrl = ExecControl { cancel: None, observer: Some(&mut observer) };
+    let (output, _report) = try_run_encrypted_with(interp, circuit, plan, enc, &mut ctrl)?;
+    Ok(Walked { input_layout, output })
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@
 //! | concat(input, conv(input)) under RNS     | CHET-E001 (deny)    |
 //! | modulus chain swapped for a 2-prime one  | CHET-E002 (deny)    |
 //! | all rotation keys stripped               | CHET-E003 (deny)    |
+//! | base prime removed from the chain        | CHET-E002 (deny)    |
 //! | slot count shrunk below the tensor size  | CHET-E004 (deny)    |
 //! | ring degree made non-power-of-two        | CHET-E006 (deny)    |
 //! | unreachable conv node                    | CHET-W003 (warn)    |
@@ -18,11 +19,11 @@
 //! Deny** diagnostics passes the dynamic SimCkks probe.
 
 use chet_compiler::{
-    validate_compiled, verify_compiled, CompiledCircuit, Compiler, LayoutPolicy, LintCode,
-    SelectError, Severity,
+    extract_ir, validate_compiled, verify_compiled, CompiledCircuit, Compiler, ExtractMode,
+    LayoutPolicy, LintCode, SelectError, Severity,
 };
 use chet_hisa::keys::RotationKeyPolicy;
-use chet_hisa::params::{EncryptionParams, SchemeKind};
+use chet_hisa::params::{EncryptionParams, ModulusSpec, SchemeKind};
 use chet_runtime::kernels::ScaleConfig;
 use chet_tensor::circuit::{Circuit, CircuitBuilder};
 use chet_tensor::ops::Padding;
@@ -139,6 +140,38 @@ fn stripped_rotation_keys_are_rejected_with_span() {
     assert_eq!(span.kernel, "conv2d", "the conv is the first kernel that rotates");
     // An empty key set has nothing unused: W002 must not fire.
     assert!(!report.has(LintCode::UnusedRotationKey), "{}", report.render_text());
+}
+
+/// IR extraction refuses the artifacts the verifier denies, without
+/// panicking, and its error names the first deny's lint code and circuit op.
+#[test]
+fn extraction_fails_on_denied_artifacts_with_code_and_op() {
+    let circuit = healthy();
+    let mut keyless = compile(&circuit);
+    keyless.rotation_keys = RotationKeyPolicy::Exact(BTreeSet::new());
+    // Dropping the base prime leaves the last rescale prime as the
+    // non-consumable anchor, so the activation's rescale exhausts the chain.
+    let mut starved = compile(&circuit);
+    let ModulusSpec::PrimeChain { primes, .. } = &mut starved.params.modulus else {
+        panic!("an RNS artifact carries a prime chain");
+    };
+    primes.remove(0);
+    for (what, compiled, code, op) in [
+        ("no rotation keys", keyless, LintCode::MissingRotationKey, 1),
+        ("base prime removed", starved, LintCode::LevelExhaustion, 2),
+    ] {
+        let report = verify_compiled(&circuit, &compiled);
+        let deny = report.first_deny().unwrap_or_else(|| panic!("{what}: verifier passed"));
+        assert_eq!((deny.code, deny.span.as_ref().map(|s| s.op_index)), (code, Some(op)));
+        let extracted = std::panic::catch_unwind(|| {
+            extract_ir(&circuit, &compiled, ExtractMode::Metadata)
+        })
+        .unwrap_or_else(|_| panic!("{what}: extraction panicked"));
+        let err = extracted.err().unwrap_or_else(|| panic!("{what}: extraction succeeded"));
+        let msg = err.to_string();
+        assert!(msg.contains(&format!("op #{op} ")), "{what}: want op #{op} in: {msg}");
+        assert!(msg.contains(code.code()), "{what}: want {code} in: {msg}");
+    }
 }
 
 #[test]

@@ -56,6 +56,16 @@ pub enum CodecError {
         /// Number of unconsumed bytes.
         extra: usize,
     },
+    /// A number decoded intact but lies outside the range its field
+    /// allows.
+    OutOfRange {
+        /// Byte offset of the value.
+        at: usize,
+        /// Which field was being read.
+        what: &'static str,
+        /// The value's IEEE-754 bit pattern.
+        bits: u64,
+    },
 }
 
 impl fmt::Display for CodecError {
@@ -72,6 +82,9 @@ impl fmt::Display for CodecError {
             }
             CodecError::TrailingBytes { extra } => {
                 write!(f, "{extra} trailing byte(s) after value")
+            }
+            CodecError::OutOfRange { at, what, bits } => {
+                write!(f, "{what} = {} at byte {at} is out of range", f64::from_bits(*bits))
             }
         }
     }

@@ -195,8 +195,9 @@ impl<'a> ExecControl<'a> {
     }
 }
 
-/// Display name of a circuit operation, for error attribution.
-fn op_name(op: &Op) -> &'static str {
+/// Display name of a circuit operation: the kernel name errors, observers
+/// and static diagnostics attribute a node to.
+pub fn op_name(op: &Op) -> &'static str {
     match op {
         Op::Input { .. } => "input",
         Op::Conv2d { .. } => "conv2d",

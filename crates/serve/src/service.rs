@@ -51,7 +51,7 @@ use chet_runtime::exec::{
     ExecObserver, ExecReport,
 };
 use chet_runtime::kernels::ScaleConfig;
-use chet_tensor::circuit::{Circuit, Op};
+use chet_tensor::circuit::Circuit;
 use chet_tensor::ops::ShapeError;
 use chet_tensor::Tensor;
 use std::collections::HashMap;
@@ -378,9 +378,10 @@ pub fn vet_artifact_with_budget(
 ) -> Result<(), ServeError> {
     vet_artifact(circuit, compiled)?;
     let Some(budget_us) = budget_us else { return Ok(()) };
-    // The verifier above proved the artifact executable, so extraction
-    // (which runs the same executor) cannot realistically fail; if it ever
-    // does, an unpriceable artifact should not be refused on cost grounds.
+    // Extraction walks the verifier's own interpretation and fails only on
+    // a deny diagnostic, which `vet_artifact` above has already refused; if
+    // it ever fails anyway, an unpriceable artifact should not be refused
+    // on cost grounds.
     let Ok(ir) = extract_ir(circuit, compiled, ExtractMode::Metadata) else {
         return Ok(());
     };
@@ -593,11 +594,7 @@ impl ServiceCore {
 /// the only acceptable request shape, and a mismatch is the client's fault
 /// — a structured, non-retryable refusal, not a worker panic.
 fn validate_input_shape(circuit: &Circuit, image: &Tensor) -> Result<(), ShapeError> {
-    let expected = circuit.ops().iter().find_map(|op| match op {
-        Op::Input { shape } => Some(shape.as_slice()),
-        _ => None,
-    });
-    match expected {
+    match circuit.input_shape() {
         Some(shape) if image.shape() != shape => Err(ShapeError {
             op: "submit",
             reason: format!(

@@ -138,6 +138,14 @@ impl Circuit {
         self.output
     }
 
+    /// Shape of the encrypted input: the first [`Op::Input`]'s, if any.
+    pub fn input_shape(&self) -> Option<&[usize]> {
+        self.ops.iter().find_map(|op| match op {
+            Op::Input { shape } => Some(shape.as_slice()),
+            _ => None,
+        })
+    }
+
     /// Infers the shape of every node.
     ///
     /// # Panics
