@@ -37,7 +37,6 @@
 // Vectorized limb kernels live behind safe functions in `chet-math`.
 #![forbid(unsafe_code)]
 
-pub mod batch;
 pub mod big;
 pub mod encoding;
 pub mod rns;

@@ -1,7 +1,6 @@
 //! SEAL v3.1-style RNS-CKKS backend.
 
 pub mod context;
-pub mod evaluator;
 pub mod poly;
 pub mod pool;
 pub mod scheme;
@@ -9,5 +8,4 @@ pub mod wire;
 
 pub use context::RnsContext;
 pub use poly::RnsPoly;
-pub use evaluator::RnsEvaluator;
 pub use scheme::{RnsCiphertext, RnsCkks, RnsPlaintext};

@@ -215,30 +215,6 @@ impl RnsCkks {
         &self.ctx
     }
 
-    /// Clones the scheme with the secret key replaced by an unrelated
-    /// fresh secret (used by [`super::evaluator::RnsEvaluator`]): the
-    /// public/evaluation keys still reference the original secret, so the
-    /// clone can encrypt and evaluate but cannot recover plaintexts.
-    pub(crate) fn clone_public_material(&self) -> RnsCkks {
-        let mut rng = StdRng::seed_from_u64(0xE7A1);
-        let fresh_coeffs = crate::sampling::ternary(&mut rng, self.ctx.degree());
-        let mut fresh_sk =
-            RnsPoly::from_signed(&self.ctx, &fresh_coeffs, self.ctx.max_level(), true);
-        fresh_sk.ntt_forward(&self.ctx);
-        RnsCkks {
-            ctx: self.ctx.clone(),
-            sk_coeffs: fresh_coeffs,
-            sk: fresh_sk,
-            pk: self.pk.clone(),
-            relin: self.relin.clone(),
-            galois: self.galois.clone(),
-            key_steps: self.key_steps.clone(),
-            error_stddev: self.error_stddev,
-            rng,
-            crt_cache: HashMap::new(),
-        }
-    }
-
     /// The rotation steps for which keys exist.
     pub fn rotation_key_steps(&self) -> &BTreeSet<usize> {
         &self.key_steps

@@ -15,9 +15,7 @@
 //! failing instruction.
 
 use crate::cancel::{CancelReason, CancelToken};
-use crate::ciphertensor::{
-    decrypt_batch, decrypt_tensor, try_encrypt_batch, try_encrypt_tensor, CipherTensor,
-};
+use crate::ciphertensor::{decrypt_batch, decrypt_tensor, try_encrypt_batch, CipherTensor};
 use crate::kernels::concat::try_hconcat;
 use crate::kernels::conv::{conv_output_layout, try_hconv2d_with_mask};
 use crate::kernels::convert::try_convert_layout;
@@ -539,13 +537,25 @@ pub fn try_encrypt_input<H: Hisa>(
     plan: &ExecPlan,
     image: &Tensor,
 ) -> Result<CipherTensor<H::Ct>, ExecError> {
-    let layout = member_layout(circuit, plan, h.slots())?;
+    try_encrypt_members(h, circuit, plan, &[image], 1)
+}
+
+/// Encodes and encrypts `images` as the members of one batch of `batch`
+/// (see `crate::ciphertensor::pack_batch`); a solo input is a batch of one.
+fn try_encrypt_members<H: Hisa>(
+    h: &mut H,
+    circuit: &Circuit,
+    plan: &ExecPlan,
+    images: &[&Tensor],
+    batch: usize,
+) -> Result<CipherTensor<H::Ct>, ExecError> {
+    let layout = member_layout(circuit, plan, h.slots() / batch)?.with_batch(batch);
     let op_index = circuit
         .ops()
         .iter()
         .position(|op| matches!(op, Op::Input { .. }))
         .unwrap_or(0);
-    try_encrypt_tensor(h, image, &layout, plan.scales.input)
+    try_encrypt_batch(h, images, &layout, plan.scales.input)
         .map_err(|source| ExecError::Hisa { op_index, op: "input".into(), source })
 }
 
@@ -744,8 +754,8 @@ pub fn try_infer<H: Hisa>(
 
 /// [`try_infer`] under an [`ExecControl`], plus the [`ExecReport`]
 /// (degraded-rotation log): cooperative cancellation (deadlines) and
-/// per-op observation — the full fallible surface the serving layer runs
-/// requests through.
+/// per-op observation. A solo run is a batch of one
+/// ([`try_infer_batch_with_control`] at `batch = 1`).
 pub fn try_infer_with_control<H: Hisa>(
     h: &mut H,
     circuit: &Circuit,
@@ -753,24 +763,19 @@ pub fn try_infer_with_control<H: Hisa>(
     image: &Tensor,
     ctrl: &mut ExecControl<'_>,
 ) -> Result<(Tensor, ExecReport), ExecError> {
-    let enc = try_encrypt_input(h, circuit, plan, image)?;
-    let (out, report) = try_run_encrypted_with(h, circuit, plan, enc, ctrl)?;
-    let dec = decrypt_tensor(h, &out);
-    if dec.data().iter().any(|v| !v.is_finite()) {
-        let out_idx = circuit.output();
-        return Err(ExecError::PrecisionLoss {
-            op_index: out_idx,
-            op: op_name(&circuit.ops()[out_idx]).into(),
-            detail: "decrypted output contains non-finite slots".into(),
-        });
-    }
-    Ok((reshape_output(circuit, dec), report))
+    let (mut outputs, report) = try_infer_batch_with_control(h, circuit, plan, &[image], 1, ctrl)?;
+    let output = outputs.pop().ok_or_else(|| ExecError::UnsupportedCircuit {
+        reason: "a batch of one decoded no output".into(),
+    })?;
+    Ok((output, report))
 }
 
 /// Batched [`try_infer_with_control`]: packs up to `batch` images along the
 /// slot axis of one ciphertext set (the paper's `slots / ciphertext_size`
 /// batch dimension), runs the circuit **once**, and returns one prediction
-/// per supplied image, in order.
+/// per supplied image, in order — the full fallible surface the serving
+/// layer runs every cohort through. Non-finite output slots (NaN/∞)
+/// surface as [`ExecError::PrecisionLoss`].
 ///
 /// `batch` must be a power of two within [`batch_capacity`]; a partial
 /// batch (`images.len() < batch`) leaves the trailing members zero. Because
@@ -798,14 +803,7 @@ pub fn try_infer_batch_with_control<H: Hisa>(
             ),
         });
     }
-    let layout = member_layout(circuit, plan, h.slots() / batch)?.with_batch(batch);
-    let op_index = circuit
-        .ops()
-        .iter()
-        .position(|op| matches!(op, Op::Input { .. }))
-        .unwrap_or(0);
-    let enc = try_encrypt_batch(h, images, &layout, plan.scales.input)
-        .map_err(|source| ExecError::Hisa { op_index, op: "input".into(), source })?;
+    let enc = try_encrypt_members(h, circuit, plan, images, batch)?;
     let (out, report) = try_run_encrypted_with(h, circuit, plan, enc, ctrl)?;
     let members = decrypt_batch(h, &out);
     let out_idx = circuit.output();
@@ -815,7 +813,7 @@ pub fn try_infer_batch_with_control<H: Hisa>(
             return Err(ExecError::PrecisionLoss {
                 op_index: out_idx,
                 op: op_name(&circuit.ops()[out_idx]).into(),
-                detail: "decrypted batched output contains non-finite slots".into(),
+                detail: "decrypted output contains non-finite slots".into(),
             });
         }
         results.push(reshape_output(circuit, dec));

@@ -7,20 +7,27 @@
 //! full queue sheds the request immediately with
 //! [`ServeError::Overloaded`] rather than blocking the caller (FHE
 //! latencies are so long that an unbounded queue just converts overload
-//! into timeout storms). A worker thread picks the job up, consults the
-//! per-backend [`CircuitBreaker`] and runs it:
+//! into timeout storms). A worker thread dequeues up to
+//! [`ServeConfig::max_batch`] compatible jobs as one **cohort** — a solo
+//! request is a cohort of one — consults the per-backend
+//! [`CircuitBreaker`] and runs it:
 //!
-//! * **Primary route** — the request executes on the backend built by the
-//!   service's factory, under the request's [`CancelToken`] (deadline) and
-//!   an op-counting observer. Transient HISA failures are retried with
-//!   deterministic exponential backoff; `LevelExhausted` and
-//!   `PrecisionLoss` additionally escalate into the compiler's
-//!   [`Compiler::compile_checked`] repair path, recompiling the shared
-//!   artifact with one more margin level before the retry.
+//! * **Primary route** — the cohort's live members execute together,
+//!   packed along the slot axis, on the backend built by the service's
+//!   factory, under a cohort [`CancelToken`] and an op-counting observer.
+//!   A cohort of one runs under its request's own token (deadline); a
+//!   larger cohort's token trips only once every member has cancelled.
+//!   Transient HISA failures are retried with deterministic exponential
+//!   backoff; `LevelExhausted` and `PrecisionLoss` additionally escalate
+//!   into the compiler's [`Compiler::compile_checked`] repair path,
+//!   recompiling the shared artifact with one more margin level before
+//!   the retry.
 //! * **Degraded route** — when the breaker is open or primary attempts
-//!   are exhausted, the request runs on the plaintext simulator
+//!   are exhausted, a cohort of one runs on the plaintext simulator
 //!   ([`SimCkks`]) built from the same compiled parameters, and the
-//!   response is flagged [`InferResponse::degraded`].
+//!   response is flagged [`InferResponse::degraded`]. A larger cohort
+//!   hands each member it cannot resolve back to run alone, as a cohort
+//!   of one.
 //!
 //! Worker panics are caught ([`std::panic::catch_unwind`]), counted, and
 //! treated as backend failures: the worker rebuilds its backend and the
@@ -128,8 +135,8 @@ pub struct ServeConfig {
     /// `BENCH_rns_ops.json` fits here.
     pub cost_model: Option<CostModel>,
     /// Maximum requests coalesced into one encrypted batch (slot-axis
-    /// packing). `1` (the default) disables coalescing entirely — every
-    /// request executes exactly as it did before batching existed. Values
+    /// packing). `1` (the default) disables coalescing: every request runs
+    /// as a cohort of one, under its own token, with no linger. Values
     /// above the circuit's slot-axis capacity are clamped to it.
     pub max_batch: usize,
     /// How long a dequeuing worker lingers for stragglers when its batch
@@ -646,18 +653,28 @@ fn classify(e: &ExecError) -> Disposition {
     }
 }
 
-/// Counts circuit nodes executed (for [`InferResponse::ops_executed`])
-/// and bumps the worker's watchdog heartbeat: progress the monitor can
-/// see even while the cooperative token goes unchecked.
-struct WorkerObserver<'a> {
+/// Counts circuit nodes executed (for [`InferResponse::ops_executed`]),
+/// bumps the worker's watchdog heartbeat — progress the monitor can see
+/// even while the cooperative token goes unchecked — and enforces the
+/// cohort rule: the executor watches the `cohort` token, which this
+/// observer trips only once **every** member has cancelled, so one
+/// member's deadline or explicit cancel never aborts the ciphertext work
+/// its cohort is still waiting on. `members` is empty when the run is
+/// under a single request's own token.
+struct CohortObserver<'a> {
     ops: usize,
     slot: &'a WorkerSlot,
+    members: &'a [&'a Job],
+    cohort: &'a CancelToken,
 }
 
-impl ExecObserver for WorkerObserver<'_> {
+impl ExecObserver for CohortObserver<'_> {
     fn on_op(&mut self, _op_index: usize, _op: &str) {
         self.ops += 1;
         self.slot.beat();
+        if !self.members.is_empty() && self.members.iter().all(|job| job.token.is_cancelled()) {
+            self.cohort.cancel();
+        }
     }
 }
 
@@ -1371,7 +1388,7 @@ fn worker_loop<H, F>(
         }
         let target = core.batch_target();
         let linger = if target > 1 { core.config.max_linger } else { Duration::ZERO };
-        let Some(mut jobs) =
+        let Some(jobs) =
             queue.pop_batch(target, linger, |a, b| a.image.shape() == b.image.shape())
         else {
             return; // queue closed and drained: shutdown
@@ -1387,32 +1404,24 @@ fn worker_loop<H, F>(
                 let _ = j.append(&JournalRecord::Started { request_id: job.id });
             }
         }
-        if jobs.len() == 1 {
-            if let Some(job) = jobs.pop() {
-                slot.begin(job.id, &job.token);
-                let result = handle_job(core, factory, worker_id, &mut cached, &job, slot);
-                finish_job(core, &job, result);
-                slot.finish();
-                Counters::drop_one(&core.counters.in_flight);
-            }
-        } else {
+        if jobs.len() > 1 {
             Counters::bump(&core.counters.batches_formed);
             Counters::add(&core.counters.batched_requests, jobs.len() as u64);
-            let results = handle_batch(core, factory, worker_id, &mut cached, &jobs, slot);
-            for (job, result) in jobs.iter().zip(results) {
-                finish_job(core, job, result);
-                Counters::drop_one(&core.counters.in_flight);
-            }
-            slot.finish();
         }
+        let cohort: Vec<&Job> = jobs.iter().collect();
+        let results = run_cohort(core, factory, worker_id, &mut cached, &cohort, slot);
+        for (job, result) in jobs.iter().zip(results) {
+            finish_job(core, job, result);
+            Counters::drop_one(&core.counters.in_flight);
+        }
+        slot.finish();
     }
 }
 
 /// Everything that happens to one request after its result is decided:
 /// output quantization, latency/outcome accounting, durable journal
 /// close-out, the (chaos-droppable) reply, and pending-state cleanup.
-/// Shared verbatim between the solo path and each coalesced-batch member,
-/// so batching cannot drift from the solo path's semantics.
+/// Each cohort member goes through it alone, whatever the cohort's size.
 fn finish_job(core: &ServiceCore, job: &Job, result: Result<InferResponse, ServeError>) {
     core.latency.record(job.submitted.elapsed());
     match &result {
@@ -1482,75 +1491,106 @@ fn finish_job(core: &ServiceCore, job: &Job, result: Result<InferResponse, Serve
     }
 }
 
-fn handle_job<H, F>(
+/// Resolves a dequeue as one cohort, results in `jobs` order. Members
+/// already cancelled (deadline expired while queued or in the linger
+/// window) resolve at once; the live ones run together on the primary
+/// route ([`run_primary`]). A cohort of one that the primary route gives
+/// up on ends as a lone request does: the strict-mode error or the
+/// degraded simulator route. A larger cohort hands those members back here
+/// one at a time, which re-applies breaker routing, retries and the
+/// degraded route exactly as an unbatched request would see them.
+fn run_cohort<H, F>(
     core: &ServiceCore,
     factory: &F,
     worker_id: usize,
     cached: &mut Option<(u64, ChaosInjector<H>)>,
-    job: &Job,
+    jobs: &[&Job],
     slot: &WorkerSlot,
-) -> Result<InferResponse, ServeError>
+) -> Vec<Result<InferResponse, ServeError>>
 where
     H: Hisa,
     F: Fn(usize, &CompiledCircuit) -> H,
 {
-    if let Err(reason) = job.token.check() {
-        return Err(ServeError::Cancelled(reason));
-    }
-    let route = core.breaker.route();
-    let mut attempts = 0usize;
-    let mut last_error = None;
-    if route != Route::Degraded {
-        match run_primary(core, factory, worker_id, cached, job, route == Route::Probe, slot) {
-            PrimaryOutcome::Done(result) => return result,
-            PrimaryOutcome::Degrade { attempts_spent, error } => {
-                attempts = attempts_spent;
-                last_error = error;
+    let results: Vec<Option<Result<InferResponse, ServeError>>> = jobs
+        .iter()
+        .map(|job| job.token.check().err().map(|reason| Err(ServeError::Cancelled(reason))))
+        .collect();
+    let live: Vec<&Job> =
+        jobs.iter().zip(&results).filter(|(_, r)| r.is_none()).map(|(job, _)| *job).collect();
+    let resolved = match live.first() {
+        None => Vec::new(),
+        Some(head) => match run_primary(core, factory, worker_id, cached, &live, slot) {
+            Ok(resolved) => resolved,
+            Err(_) if live.len() > 1 => live
+                .iter()
+                .flat_map(|job| run_cohort(core, factory, worker_id, cached, &[*job], slot))
+                .collect(),
+            Err(GaveUp { attempts, .. }) if core.config.degraded_fallback => {
+                vec![run_degraded(core, head, attempts, slot)]
             }
-        }
-    }
-    if !core.config.degraded_fallback {
-        // Strict mode: no simulator fallback. A request the breaker
-        // refused to admit to the primary is shed (it lost the half-open
-        // race, or arrived during cooldown); one whose attempts were
-        // exhausted fails with the last primary error.
-        return match last_error {
-            Some(error) => Err(ServeError::Failed { attempts, error }),
-            None if attempts > 0 => Err(ServeError::WorkerLost),
-            None => Err(ServeError::Overloaded { capacity: core.config.queue_capacity }),
-        };
-    }
-    run_degraded(core, job, attempts, slot)
+            // Strict mode: no simulator fallback. A request the breaker
+            // refused to admit to the primary is shed (it lost the
+            // half-open race, or arrived during cooldown); one whose
+            // attempts were exhausted fails with the last primary error.
+            Err(GaveUp { attempts, error: Some(error) }) => {
+                vec![Err(ServeError::Failed { attempts, error })]
+            }
+            Err(GaveUp { attempts: 0, .. }) => {
+                vec![Err(ServeError::Overloaded { capacity: core.config.queue_capacity })]
+            }
+            Err(GaveUp { .. }) => vec![Err(ServeError::WorkerLost)],
+        },
+    };
+    let mut resolved = resolved.into_iter();
+    results
+        .into_iter()
+        .map(|r| r.or_else(|| resolved.next()).unwrap_or(Err(ServeError::WorkerLost)))
+        .collect()
 }
 
-/// How the primary-attempt loop ended.
-enum PrimaryOutcome {
-    /// The request resolved (success, cancellation or permanent failure).
-    Done(Result<InferResponse, ServeError>),
-    /// Primary gave up; fall through to the degraded route.
-    Degrade {
-        /// Attempts spent before giving up (reported in the response).
-        attempts_spent: usize,
-        /// Last primary error, when one was observed (`None` when the
-        /// loop ran zero attempts or every attempt panicked).
-        error: Option<ExecError>,
-    },
+/// How the primary route gave up on a cohort it could not resolve.
+struct GaveUp {
+    /// Primary attempts spent (0 when the breaker skipped the primary).
+    attempts: usize,
+    /// The last primary error (`None` when no attempt ran, or every
+    /// attempt panicked).
+    error: Option<ExecError>,
 }
 
-#[allow(clippy::too_many_arguments)] // internal control loop, one caller
+/// Runs a cohort of live members through the primary route, retrying and
+/// repairing it as a unit at `batch_n = cohort.len().next_power_of_two()`.
+/// Returns one resolution per member, in order, or [`GaveUp`] when the
+/// breaker skipped the primary, a probe failed, the attempts ran out or —
+/// for a larger cohort — a member must finish alone (a permanent error, a
+/// tripped cohort token).
 fn run_primary<H, F>(
     core: &ServiceCore,
     factory: &F,
     worker_id: usize,
     cached: &mut Option<(u64, ChaosInjector<H>)>,
-    job: &Job,
-    probe: bool,
+    cohort: &[&Job],
     slot: &WorkerSlot,
-) -> PrimaryOutcome
+) -> Result<Vec<Result<InferResponse, ServeError>>, GaveUp>
 where
     H: Hisa,
     F: Fn(usize, &CompiledCircuit) -> H,
 {
+    let solo = cohort.len() == 1;
+    let head = cohort.first().ok_or(GaveUp { attempts: 0, error: None })?;
+    // A cohort of one runs under its member's own token, so a watchdog
+    // cancel resolves it `Cancelled`. A larger cohort runs under a fresh
+    // token that its observer trips once every member has cancelled, and
+    // that the watchdog cancels if the cohort wedges.
+    let token = if solo { head.token.clone() } else { CancelToken::new() };
+    let members: &[&Job] = if solo { &[] } else { cohort };
+    slot.begin(head.id, &token);
+    let route = core.breaker.route();
+    if route == Route::Degraded {
+        return Err(GaveUp { attempts: 0, error: None });
+    }
+    let probe = route == Route::Probe;
+    let images: Vec<&Tensor> = cohort.iter().map(|job| &job.image).collect();
+    let batch_n = cohort.len().next_power_of_two();
     let mut attempt = 1usize;
     let mut last_error: Option<ExecError> = None;
     while core.config.retry.allows(attempt) {
@@ -1562,274 +1602,14 @@ where
             ));
         }
         let Some((_, backend)) = cached.as_mut() else {
-            return PrimaryOutcome::Done(Err(ServeError::WorkerLost));
+            return Ok(cohort.iter().map(|_| Err(ServeError::WorkerLost)).collect());
         };
-        // (Re)key the chaos stream for this request: faults are a pure
-        // function of (seed, request id, op index), never of which worker
-        // picked the job up or how many exist.
-        backend.begin_request(job.id);
-        let mut counter = WorkerObserver { ops: 0, slot };
-        let mut ctrl = ExecControl { cancel: Some(&job.token), observer: Some(&mut counter) };
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            try_infer_with_control(backend, &core.circuit, &compiled.plan, &job.image, &mut ctrl)
-        }));
-        let ops_executed = counter.ops;
-        match outcome {
-            Ok(Ok((output, report))) => {
-                core.breaker.record_success(probe);
-                return PrimaryOutcome::Done(Ok(InferResponse {
-                    id: job.id,
-                    output,
-                    degraded: false,
-                    attempts: attempt,
-                    artifact_version: version,
-                    ops_executed,
-                    report,
-                    latency: Duration::ZERO, // the worker loop fills this in
-                }));
-            }
-            Ok(Err(e)) => match classify(&e) {
-                Disposition::Cancelled(reason) => {
-                    return PrimaryOutcome::Done(Err(ServeError::Cancelled(reason)));
-                }
-                Disposition::Permanent => {
-                    // A malformed circuit is the client's fault, not the
-                    // backend's: don't charge the breaker.
-                    return PrimaryOutcome::Done(Err(ServeError::Failed {
-                        attempts: attempt,
-                        error: e,
-                    }));
-                }
-                Disposition::Repair => {
-                    core.breaker.record_failure(probe);
-                    core.repair(version);
-                    last_error = Some(e);
-                }
-                Disposition::Retry => {
-                    core.breaker.record_failure(probe);
-                    last_error = Some(e);
-                }
-            },
-            Err(_panic) => {
-                // The backend is in an unknown state: drop it; the next
-                // attempt (on any request) rebuilds from the factory.
-                *cached = None;
-                Counters::bump(&core.counters.panics_caught);
-                core.breaker.record_failure(probe);
-            }
-        }
-        // A failed probe never gets a second chance: the breaker reopened.
-        if probe {
-            return PrimaryOutcome::Degrade { attempts_spent: attempt, error: last_error };
-        }
-        attempt += 1;
-        if !core.config.retry.allows(attempt) {
-            break;
-        }
-        Counters::bump(&core.counters.retries);
-        let mut pause = core.config.retry.backoff(job.id, attempt.saturating_sub(1) as u32);
-        if let Some(remaining) = job.token.remaining() {
-            pause = pause.min(remaining);
-        }
-        if !pause.is_zero() {
-            thread::sleep(pause);
-        }
-        if let Err(reason) = job.token.check() {
-            return PrimaryOutcome::Done(Err(ServeError::Cancelled(reason)));
-        }
-    }
-    // Retries exhausted. If the failure was permanent in nature we'd have
-    // returned above; pass the last error along for strict mode, where
-    // there is no degraded route to produce the definitive result.
-    Counters::bump(&core.counters.retries_exhausted);
-    PrimaryOutcome::Degrade {
-        attempts_spent: attempt.min(core.config.retry.max_attempts.max(1)),
-        error: last_error,
-    }
-}
-
-fn run_degraded(
-    core: &ServiceCore,
-    job: &Job,
-    attempts: usize,
-    slot: &WorkerSlot,
-) -> Result<InferResponse, ServeError> {
-    if let Err(reason) = job.token.check() {
-        return Err(ServeError::Cancelled(reason));
-    }
-    let (version, compiled) = core.artifact_snapshot();
-    let mut sim = SimCkks::new(&compiled.params, &compiled.rotation_keys, core.config.degraded_seed)
-        .without_noise();
-    let mut counter = WorkerObserver { ops: 0, slot };
-    let mut ctrl = ExecControl { cancel: Some(&job.token), observer: Some(&mut counter) };
-    match try_infer_with_control(&mut sim, &core.circuit, &compiled.plan, &job.image, &mut ctrl) {
-        Ok((output, report)) => Ok(InferResponse {
-            id: job.id,
-            output,
-            degraded: true,
-            attempts,
-            artifact_version: version,
-            ops_executed: counter.ops,
-            report,
-            latency: Duration::ZERO, // the worker loop fills this in
-        }),
-        Err(ExecError::Cancelled { reason, .. }) => Err(ServeError::Cancelled(reason)),
-        Err(e) => Err(ServeError::Failed { attempts, error: e }),
-    }
-}
-
-/// The batched analogue of [`WorkerObserver`]: counts ops, beats the
-/// watchdog — and enforces the cohort rule. The executor watches the
-/// *batch* token, which this observer trips only once **every** member
-/// has cancelled: one member's deadline or explicit cancel never aborts
-/// the ciphertext work its cohort is still waiting on.
-struct BatchObserver<'a> {
-    ops: usize,
-    slot: &'a WorkerSlot,
-    members: Vec<CancelToken>,
-    batch: CancelToken,
-}
-
-impl ExecObserver for BatchObserver<'_> {
-    fn on_op(&mut self, _op_index: usize, _op: &str) {
-        self.ops += 1;
-        self.slot.beat();
-        if !self.members.is_empty() && self.members.iter().all(CancelToken::is_cancelled) {
-            self.batch.cancel();
-        }
-    }
-}
-
-/// Resolves a coalesced batch. Members run together through the batched
-/// primary path; anything that path cannot resolve (breaker open,
-/// permanent error, capacity shrunk by a repair, retries exhausted, a
-/// watchdog-cancelled batch) falls back to the solo path one member at a
-/// time — which re-applies breaker routing, retries and the degraded
-/// route exactly as an unbatched request would see them.
-fn handle_batch<H, F>(
-    core: &ServiceCore,
-    factory: &F,
-    worker_id: usize,
-    cached: &mut Option<(u64, ChaosInjector<H>)>,
-    jobs: &[Job],
-    slot: &WorkerSlot,
-) -> Vec<Result<InferResponse, ServeError>>
-where
-    H: Hisa,
-    F: Fn(usize, &CompiledCircuit) -> H,
-{
-    let mut results: Vec<Option<Result<InferResponse, ServeError>>> =
-        (0..jobs.len()).map(|_| None).collect();
-    // Members already cancelled (deadline expired while queued or during
-    // the linger window) resolve immediately; the cohort is unaffected.
-    let mut live: Vec<usize> = Vec::new();
-    for (i, job) in jobs.iter().enumerate() {
-        match job.token.check() {
-            Err(reason) => {
-                if let Some(r) = results.get_mut(i) {
-                    *r = Some(Err(ServeError::Cancelled(reason)));
-                }
-            }
-            Ok(()) => live.push(i),
-        }
-    }
-    // The executor watches the batch token, not any single member's (see
-    // [`BatchObserver`]); the watchdog cancels it too if the batch wedges.
-    let batch_token = CancelToken::new();
-    if let Some(&head) = live.first() {
-        slot.begin(jobs[head].id, &batch_token);
-    }
-    if live.len() >= 2 {
-        let route = core.breaker.route();
-        if route != Route::Degraded {
-            let (resolved, fallback) = run_primary_batch(
-                core,
-                factory,
-                worker_id,
-                cached,
-                jobs,
-                &live,
-                &batch_token,
-                route == Route::Probe,
-                slot,
-            );
-            for (i, r) in resolved {
-                if let Some(slot_r) = results.get_mut(i) {
-                    *slot_r = Some(r);
-                }
-            }
-            live = fallback;
-        }
-        // Breaker open: every member takes the solo path below, which
-        // routes each to the degraded simulator individually.
-    }
-    for &i in &live {
-        if let Some(job) = jobs.get(i) {
-            slot.begin(job.id, &job.token);
-            if let Some(r) = results.get_mut(i) {
-                *r = Some(handle_job(core, factory, worker_id, cached, job, slot));
-            }
-        }
-    }
-    results.into_iter().map(|r| r.unwrap_or(Err(ServeError::WorkerLost))).collect()
-}
-
-/// Per-member resolutions by batch index, plus the members the solo path
-/// must finish.
-type BatchResolution = (Vec<(usize, Result<InferResponse, ServeError>)>, Vec<usize>);
-
-/// The batched analogue of [`run_primary`]: retries/repairs the whole
-/// cohort as a unit. Returns `(resolved, fallback)` — per-member
-/// resolutions, plus the members the solo path must finish.
-#[allow(clippy::too_many_arguments)] // internal control loop, one caller
-fn run_primary_batch<H, F>(
-    core: &ServiceCore,
-    factory: &F,
-    worker_id: usize,
-    cached: &mut Option<(u64, ChaosInjector<H>)>,
-    jobs: &[Job],
-    live: &[usize],
-    batch_token: &CancelToken,
-    probe: bool,
-    slot: &WorkerSlot,
-) -> BatchResolution
-where
-    H: Hisa,
-    F: Fn(usize, &CompiledCircuit) -> H,
-{
-    let Some(&head_idx) = live.first() else {
-        return (Vec::new(), Vec::new());
-    };
-    let head_id = jobs[head_idx].id;
-    let mut attempt = 1usize;
-    while core.config.retry.allows(attempt) {
-        let (version, compiled) = core.artifact_snapshot();
-        if !matches!(cached, Some((v, _)) if *v == version) {
-            *cached = Some((
-                version,
-                ChaosInjector::new(factory(worker_id, &compiled), core.config.chaos.clone()),
-            ));
-        }
-        let Some((_, backend)) = cached.as_mut() else {
-            let resolved = live.iter().map(|&i| (i, Err(ServeError::WorkerLost))).collect();
-            return (resolved, Vec::new());
-        };
-        // A repair may have grown the member width past what this batch
-        // fits into; re-run the members solo rather than fail them.
-        let batch_n = live.len().next_power_of_two();
-        let cap = batch_capacity(&core.circuit, &compiled.plan, compiled.params.slots());
-        if batch_n > cap {
-            return (Vec::new(), live.to_vec());
-        }
-        backend.begin_request(head_id);
-        let images: Vec<&Tensor> = live.iter().map(|&i| &jobs[i].image).collect();
-        let mut observer = BatchObserver {
-            ops: 0,
-            slot,
-            members: live.iter().map(|&i| jobs[i].token.clone()).collect(),
-            batch: batch_token.clone(),
-        };
-        let mut ctrl = ExecControl { cancel: Some(batch_token), observer: Some(&mut observer) };
+        // (Re)key the chaos stream for this run: faults are a pure
+        // function of (seed, head request id, op index), never of which
+        // worker picked the cohort up or how many exist.
+        backend.begin_request(head.id);
+        let mut observer = CohortObserver { ops: 0, slot, members, cohort: &token };
+        let mut ctrl = ExecControl { cancel: Some(&token), observer: Some(&mut observer) };
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             try_infer_batch_with_control(
                 backend,
@@ -1844,56 +1624,49 @@ where
         match outcome {
             Ok(Ok((outputs, report))) => {
                 core.breaker.record_success(probe);
-                let mut resolved = Vec::with_capacity(live.len());
-                for (k, &i) in live.iter().enumerate() {
-                    // A member whose own token tripped mid-batch resolves
-                    // `Cancelled` even though the cohort's result exists:
-                    // the caller gave up, and must see the same outcome it
-                    // would have seen unbatched.
-                    let r = match jobs[i].token.check() {
-                        Err(reason) => Err(ServeError::Cancelled(reason)),
-                        Ok(()) => Ok(InferResponse {
-                            id: jobs[i].id,
-                            output: outputs[k].clone(),
-                            degraded: false,
-                            attempts: attempt,
-                            artifact_version: version,
-                            ops_executed,
-                            report,
-                            latency: Duration::ZERO, // finish_job fills this in
-                        }),
-                    };
-                    resolved.push((i, r));
-                }
-                return (resolved, Vec::new());
+                let resolve = |(job, output): (&&Job, Tensor)| match job.token.check() {
+                    // A member whose own token tripped while its cohort
+                    // ran on resolves `Cancelled`: the caller gave up, and
+                    // sees the outcome it would have seen alone.
+                    Err(reason) if !solo => Err(ServeError::Cancelled(reason)),
+                    _ => Ok(InferResponse {
+                        id: job.id,
+                        output,
+                        degraded: false,
+                        attempts: attempt,
+                        artifact_version: version,
+                        ops_executed,
+                        report,
+                        latency: Duration::ZERO, // finish_job fills this in
+                    }),
+                };
+                return Ok(cohort.iter().zip(outputs).map(resolve).collect());
             }
             Ok(Err(e)) => match classify(&e) {
-                Disposition::Cancelled(_) => {
-                    // The batch token tripped: every member cancelled, or
-                    // the watchdog cancelled a wedged batch. Members whose
-                    // own tokens tripped are cancelled; survivors (if any)
-                    // re-run solo.
-                    let mut resolved = Vec::new();
-                    let mut fallback = Vec::new();
-                    for &i in live {
-                        match jobs[i].token.check() {
-                            Err(reason) => resolved.push((i, Err(ServeError::Cancelled(reason)))),
-                            Ok(()) => fallback.push(i),
-                        }
-                    }
-                    return (resolved, fallback);
+                Disposition::Cancelled(reason) if solo => {
+                    return Ok(vec![Err(ServeError::Cancelled(reason))]);
                 }
-                Disposition::Permanent => {
-                    // Let each member resolve on its own terms: the solo
-                    // path reports the precise per-request error.
-                    return (Vec::new(), live.to_vec());
+                Disposition::Permanent if solo => {
+                    // A malformed circuit is the client's fault, not the
+                    // backend's: don't charge the breaker.
+                    return Ok(vec![Err(ServeError::Failed { attempts: attempt, error: e })]);
+                }
+                // The cohort token tripped (every member cancelled, or the
+                // watchdog cancelled a wedged cohort), or the error is
+                // permanent — including the executor refusing a cohort a
+                // repair has grown past the slot-axis capacity. Each member
+                // resolves alone, on its own terms.
+                Disposition::Cancelled(_) | Disposition::Permanent => {
+                    return Err(GaveUp { attempts: attempt, error: Some(e) });
                 }
                 Disposition::Repair => {
                     core.breaker.record_failure(probe);
                     core.repair(version);
+                    last_error = Some(e);
                 }
                 Disposition::Retry => {
                     core.breaker.record_failure(probe);
+                    last_error = Some(e);
                 }
             },
             Err(_panic) => {
@@ -1906,34 +1679,60 @@ where
         }
         // A failed probe never gets a second chance: the breaker reopened.
         if probe {
-            return (Vec::new(), live.to_vec());
+            return Err(GaveUp { attempts: attempt, error: last_error });
         }
         attempt += 1;
         if !core.config.retry.allows(attempt) {
             break;
         }
         Counters::bump(&core.counters.retries);
-        let mut pause = core.config.retry.backoff(head_id, attempt.saturating_sub(1) as u32);
-        if let Some(soonest) = live.iter().filter_map(|&i| jobs[i].token.remaining()).min() {
+        let mut pause = core.config.retry.backoff(head.id, attempt.saturating_sub(1) as u32);
+        if let Some(soonest) = cohort.iter().filter_map(|job| job.token.remaining()).min() {
             pause = pause.min(soonest);
         }
         if !pause.is_zero() {
             thread::sleep(pause);
         }
-        if live.iter().all(|&i| jobs[i].token.check().is_err()) {
-            let resolved = live
-                .iter()
-                .map(|&i| {
-                    let reason =
-                        jobs[i].token.check().err().unwrap_or(CancelReason::Cancelled);
-                    (i, Err(ServeError::Cancelled(reason)))
-                })
-                .collect();
-            return (resolved, Vec::new());
+        let reasons: Vec<CancelReason> =
+            cohort.iter().filter_map(|job| job.token.check().err()).collect();
+        if reasons.len() == cohort.len() {
+            return Ok(reasons.into_iter().map(|r| Err(ServeError::Cancelled(r))).collect());
         }
     }
-    // Retries exhausted: the solo path decides each member's fate (strict
-    // mode failure or the degraded route).
-    Counters::bump(&core.counters.retries_exhausted);
-    (Vec::new(), live.to_vec())
+    // Retries exhausted. A request's own primary route ends only here in a
+    // cohort of one; a larger cohort's members each get theirs alone.
+    if solo {
+        Counters::bump(&core.counters.retries_exhausted);
+    }
+    Err(GaveUp { attempts: attempt.min(core.config.retry.max_attempts.max(1)), error: last_error })
+}
+
+fn run_degraded(
+    core: &ServiceCore,
+    job: &Job,
+    attempts: usize,
+    slot: &WorkerSlot,
+) -> Result<InferResponse, ServeError> {
+    if let Err(reason) = job.token.check() {
+        return Err(ServeError::Cancelled(reason));
+    }
+    let (version, compiled) = core.artifact_snapshot();
+    let mut sim = SimCkks::new(&compiled.params, &compiled.rotation_keys, core.config.degraded_seed)
+        .without_noise();
+    let mut observer = CohortObserver { ops: 0, slot, members: &[], cohort: &job.token };
+    let mut ctrl = ExecControl { cancel: Some(&job.token), observer: Some(&mut observer) };
+    match try_infer_with_control(&mut sim, &core.circuit, &compiled.plan, &job.image, &mut ctrl) {
+        Ok((output, report)) => Ok(InferResponse {
+            id: job.id,
+            output,
+            degraded: true,
+            attempts,
+            artifact_version: version,
+            ops_executed: observer.ops,
+            report,
+            latency: Duration::ZERO, // finish_job fills this in
+        }),
+        Err(ExecError::Cancelled { reason, .. }) => Err(ServeError::Cancelled(reason)),
+        Err(e) => Err(ServeError::Failed { attempts, error: e }),
+    }
 }

@@ -16,9 +16,11 @@ use chet_ckks::sim::SimCkks;
 use chet_compiler::Compiler;
 use chet_hisa::params::SchemeKind;
 use chet_runtime::cancel::{CancelReason, CancelToken};
+use chet_runtime::fault::{FaultInjector, FaultPlan};
 use chet_runtime::kernels::ScaleConfig;
 use chet_serve::{
-    response_digest, InferenceService, JournalConfig, ServeConfig, ServeError, Submission,
+    response_digest, BreakerConfig, InferenceService, JournalConfig, RetryPolicy, ServeConfig,
+    ServeError, Submission,
 };
 use chet_tensor::circuit::{Circuit, CircuitBuilder};
 use chet_tensor::ops::Padding;
@@ -113,6 +115,95 @@ fn coalesced_batch_is_bit_identical_to_solo() {
     assert!(stats.batched_requests >= 2);
     assert_eq!(stats.completed_ok, 4);
     assert_eq!(stats.failed, 0);
+}
+
+/// Simulator factory whose backend drops rotation keys at `rate`; with
+/// `transient` set, the faults clear after that many rotations.
+fn faulty_factory(
+    rate: f64,
+    transient: Option<u64>,
+) -> impl Fn(usize, &chet_compiler::CompiledCircuit) -> FaultInjector<SimCkks> + Send + Sync + 'static
+{
+    move |_, compiled| {
+        let plan = FaultPlan::none(rate).with_dropped_rotation_keys();
+        let plan = match transient {
+            Some(n) => plan.transient(n),
+            None => plan,
+        };
+        FaultInjector::new(
+            SimCkks::new(&compiled.params, &compiled.rotation_keys, 42).without_noise(),
+            plan,
+            7,
+        )
+    }
+}
+
+/// Submits `images` to one 1-worker service and waits for every response.
+fn serve_all<H, F>(
+    config: ServeConfig,
+    factory: F,
+    images: &[Tensor],
+) -> (Vec<Result<chet_serve::InferResponse, ServeError>>, chet_serve::ServiceStats)
+where
+    H: chet_hisa::Hisa + 'static,
+    F: Fn(usize, &chet_compiler::CompiledCircuit) -> H + Send + Sync + 'static,
+{
+    let svc =
+        InferenceService::start_with_compiler(compiler(), small_cnn(), scales(), config, factory)
+            .unwrap();
+    let tickets: Vec<_> = images.iter().map(|img| svc.submit(img.clone()).unwrap()).collect();
+    let results = tickets.into_iter().map(|t| t.wait()).collect();
+    (results, svc.shutdown())
+}
+
+#[test]
+fn cohort_retries_as_a_unit_after_a_transient_fault() {
+    let images: Vec<Tensor> = (0..4).map(|i| image(300 + i)).collect();
+    let (solo, _) =
+        serve_all(ServeConfig { workers: 1, ..ServeConfig::default() }, sim_factory(), &images);
+    // The first rotation of the cohort's first attempt fails; the retry
+    // runs the whole cohort again on the healed backend.
+    let (results, stats) = serve_all(
+        batching_config(4, Duration::from_millis(300)),
+        faulty_factory(1.0, Some(1)),
+        &images,
+    );
+    for (r, want) in results.iter().zip(&solo) {
+        let resp = r.as_ref().expect("member must succeed on the retry");
+        assert!(!resp.degraded);
+        assert_eq!(resp.attempts, 2);
+        let want = want.as_ref().expect("solo run succeeds");
+        assert_eq!(resp.output.data(), want.output.data(), "retried cohort must match solo");
+    }
+    // One retry for the whole cohort, which stays one cohort throughout.
+    assert_eq!(
+        (stats.retries, stats.batches_formed, stats.batched_requests),
+        (1, 1, 4),
+        "{stats:?}"
+    );
+}
+
+#[test]
+fn exhausted_cohort_counts_each_request_once() {
+    let images: Vec<Tensor> = (0..4).map(|i| image(400 + i)).collect();
+    let config = ServeConfig {
+        retry: RetryPolicy { max_attempts: 2, ..RetryPolicy::default() },
+        // Ten primary failures (two cohort attempts, then two per member
+        // run alone) stay below the threshold: the breaker never opens.
+        breaker: BreakerConfig { failure_threshold: 100, ..BreakerConfig::default() },
+        ..batching_config(4, Duration::from_millis(300))
+    };
+    let (results, stats) = serve_all(config, faulty_factory(1.0, None), &images);
+    for r in &results {
+        let resp = r.as_ref().expect("degraded fallback answers every member");
+        assert!(resp.degraded);
+        assert_eq!(resp.attempts, 2);
+    }
+    assert_eq!(stats.batches_formed, 1, "{stats:?}");
+    assert_eq!(stats.retries_exhausted, 4, "one exhaustion per request: {stats:?}");
+    // A cohort attempt counts as one attempt: one cohort retry, then one
+    // per member run alone.
+    assert_eq!(stats.retries, 5, "{stats:?}");
 }
 
 #[test]

@@ -224,6 +224,9 @@ fn seeded_chaos_soak_is_safe_and_reproducible() {
     // Reproducibility: the same seed yields the same digest…
     let (digest_b, _) = run_soak(1, SEED, REQUESTS);
     assert_eq!(digest_a, digest_b, "chaos soak must be reproducible from its seed");
+    // …and pinned, so a change to the serving path that moves any outcome
+    // (an attempt count, a degraded flag, an error class) shows up here.
+    assert_eq!(digest_a, 0x4BE2_AAF8_D4AD_0D49, "chaos soak trajectory moved");
 
     // …independent of worker-pool size…
     let (digest_c, _) = run_soak(3, SEED, REQUESTS);

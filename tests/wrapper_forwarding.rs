@@ -416,7 +416,7 @@ fn serve_scales() -> ScaleConfig {
 
 #[test]
 fn served_requests_reach_the_backend_as_rotation_batches() {
-    // Solo path (`run_primary`).
+    // A solo request: a cohort of one.
     let solo = ServeConfig { workers: 1, max_batch: 1, ..ServeConfig::default() };
     let (stats, calls) = serve(solo, 1);
     assert_eq!((stats.completed_ok, stats.batches_formed), (1, 0));
@@ -429,8 +429,8 @@ fn served_requests_reach_the_backend_as_rotation_batches() {
     });
     assert_eq!(calls, direct, "solo served stream must equal the direct run's");
 
-    // Cohort path (`run_batch`): all four members fit one batch, and the
-    // linger holds the worker until they have all arrived.
+    // A cohort of four: all four members fit one batch, and the linger
+    // holds the worker until they have all arrived.
     let compiled = compiler().compile(&small_cnn(), &serve_scales()).unwrap();
     let cap = batch_capacity(&small_cnn(), &compiled.plan, compiled.params.slots());
     assert!(cap >= 4, "capacity {cap}");
