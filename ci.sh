@@ -146,8 +146,20 @@ CHAOS_ARGS="--seed 322420973 --requests 208 --workers 2"
 # Pinned, not merely compared across thread counts: a refactor that
 # shifts every seeded schedule the same way at both counts must fail too.
 CHAOS_DIGEST="digest=0x700AAEC19C32A816"
-d1=$(CHET_THREADS=1 ./target/release/chet-chaos $CHAOS_ARGS | tee /dev/stderr | grep '^digest=')
-d4=$(CHET_THREADS=4 ./target/release/chet-chaos $CHAOS_ARGS | grep '^digest=')
+# Capture each report, then echo it: a `tee /dev/stderr` would reopen a
+# redirected log with O_TRUNC and wipe it, and a pipeline's status is its
+# last command's, which would hide chet-chaos's own exit code.
+for t in 1 4; do
+    status=0
+    out=$(CHET_THREADS=$t ./target/release/chet-chaos $CHAOS_ARGS) || status=$?
+    printf '%s\n' "$out" >&2
+    if [ "$status" -ne 0 ]; then
+        echo "chet-chaos at CHET_THREADS=$t exited $status" >&2
+        exit 1
+    fi
+    d=$(printf '%s\n' "$out" | grep '^digest=' || true)
+    if [ "$t" = 1 ]; then d1=$d; else d4=$d; fi
+done
 if [ "$d1" != "$CHAOS_DIGEST" ] || [ "$d4" != "$CHAOS_DIGEST" ]; then
     echo "chaos soak digest: CHET_THREADS=1 $d1, CHET_THREADS=4 $d4, pinned $CHAOS_DIGEST" >&2
     exit 1

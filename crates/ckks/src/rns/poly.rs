@@ -86,10 +86,14 @@ impl RnsPoly {
         let mut poly = RnsPoly::uninit(ctx, level, special, false);
         let comps = poly.data.len();
         par::par_iter_mut(&mut poly.data, |k, comp| {
-            let q = ctx.modulus(mod_index_of(special, comps, ctx, k));
+            let br = ctx.barrett(mod_index_of(special, comps, ctx, k));
+            let q = br.modulus();
             for (c, &v) in comp.iter_mut().zip(coeffs) {
-                let r = v % q as i64;
-                *c = if r < 0 { (r + q as i64) as u64 } else { r as u64 };
+                // Both candidates, then a select: signs are random, so a
+                // branch on them mispredicts half the time.
+                let r = br.reduce(v.unsigned_abs());
+                let neg = if r == 0 { 0 } else { q - r };
+                *c = if v < 0 { neg } else { r };
             }
         });
         poly
@@ -353,6 +357,21 @@ mod tests {
         p.ntt_inverse(&c);
         for k in 0..p.data.len() {
             assert_eq!(p.data[k], before.data[k]);
+        }
+    }
+
+    #[test]
+    fn from_signed_matches_euclidean_remainder() {
+        let c = ctx();
+        let q0 = c.modulus(0) as i64;
+        let mut coeffs: Vec<i64> = vec![0, 1, -1, q0, -q0, q0 - 1, 1 - q0, 3 * q0 + 2];
+        coeffs.extend([i64::MIN, i64::MIN + 1, i64::MAX, -3 * q0 - 2]);
+        coeffs.resize(1024, -7);
+        let p = RnsPoly::from_signed(&c, &coeffs, 3, true);
+        for (k, limb) in p.data.iter().enumerate() {
+            let q = c.modulus(if k == 3 { c.special_index() } else { k }) as i64;
+            let want: Vec<u64> = coeffs.iter().map(|v| v.rem_euclid(q) as u64).collect();
+            assert_eq!(limb, &want, "limb {k}");
         }
     }
 

@@ -16,12 +16,12 @@ use chet_hisa::params::EncryptionParams;
 use chet_hisa::{Hisa, HisaError, Instr, RotDir};
 use chet_math::crt::CrtBasis;
 use chet_math::lanes;
-use chet_math::modint::{add_mod, sub_mod, ShoupMul};
+use chet_math::modint::{add_mod, neg_mod, sub_mod, ShoupMul};
 use chet_math::par;
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{RngCore, SeedableRng};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Coefficients per tile of the key-switch inner product
 /// ([`RnsCkks::accumulate`]): the gathered digit and both accumulators of
@@ -89,11 +89,58 @@ pub struct RnsPlaintext {
     coeffs: Vec<f64>,
 }
 
-/// A key-switching key: one row per chain prime, each a pair of full-basis
-/// (chain + special) NTT polynomials.
-#[derive(Debug, Clone)]
+/// A key-switching key at level `l`: one row `(b_i, a_i)` per chain prime
+/// `i < l`, each polynomial `l + 1` NTT-form limbs (chain primes `0..l`,
+/// then the special prime).
+///
+/// The limbs are plain allocations, never drawn from or returned to
+/// [`pool`]: keys are permanent, and a pooled key limb would either take a
+/// buffer the evaluator's working set counts on or park key-sized memory
+/// in the free-lists when the key is dropped.
+#[derive(Debug)]
 struct KsKey {
-    rows: Vec<(RnsPoly, RnsPoly)>,
+    rows: Vec<(Limbs, Limbs)>,
+}
+
+/// A polynomial's residue vectors, one per modulus.
+type Limbs = Vec<Vec<u64>>;
+
+impl KsKey {
+    /// Chain primes served: the number of rows, and the position of the
+    /// special limb in each row polynomial.
+    fn level(&self) -> usize {
+        self.rows.len()
+    }
+}
+
+/// The secret a key-switching key switches from.
+#[derive(Debug, Clone, Copy)]
+enum KeySource {
+    /// `s²`: relinearization.
+    Square,
+    /// `s(X^g)`: the rotation with Galois element `g`.
+    Galois(usize),
+}
+
+/// One key-switching key, built on first use at the level it is used.
+///
+/// `rng` is the scheme RNG's state at the key's first draw; replaying it
+/// regenerates any prefix of the full-basis key residue for residue, so a
+/// key is built at first use and rebuilt at a higher level when a later
+/// use needs more rows than it holds.
+struct KeySlot {
+    source: KeySource,
+    rng: StdRng,
+    /// The key at its highest level used so far. Ops clone the [`Arc`], so
+    /// a rebuild never invalidates a key an op is reading.
+    key: Mutex<Option<Arc<KsKey>>>,
+}
+
+/// The scheme's key-switching keys, shared by [`Hisa::fork`] children: a
+/// key any of them builds serves them all.
+struct KeySet {
+    relin: KeySlot,
+    galois: HashMap<usize, KeySlot>,
 }
 
 /// The hoistable half of a key switch: the gadget digits of a polynomial,
@@ -126,10 +173,7 @@ pub struct RnsCkks {
     sk: RnsPoly,
     /// Public encryption key (full chain level, no special prime).
     pk: (RnsPoly, RnsPoly),
-    /// Relinearization key behind an [`Arc`]: ops and [`Hisa::fork`] share
-    /// it without deep-copying the per-prime rows.
-    relin: Arc<KsKey>,
-    galois: HashMap<usize, Arc<KsKey>>,
+    keys: Arc<KeySet>,
     key_steps: BTreeSet<usize>,
     error_stddev: f64,
     rng: StdRng,
@@ -147,8 +191,15 @@ impl std::fmt::Debug for RnsCkks {
 }
 
 impl RnsCkks {
-    /// Generates a full key set for the given parameters and rotation-key
-    /// policy, seeded for reproducibility.
+    /// Generates the secret and public keys for the given parameters and
+    /// schedules a key-switching key for relinearization and for each step
+    /// of the rotation-key policy, seeded for reproducibility.
+    ///
+    /// Scheduling stores the RNG state at a key's first draw and advances
+    /// past the draws the full-basis key takes; the key itself is built on
+    /// first use, at the level of that use (see `key_at`). The RNG ends
+    /// where generating every key would leave it, so encryptions and forks
+    /// draw the same randomness either way.
     ///
     /// # Panics
     ///
@@ -168,46 +219,36 @@ impl RnsCkks {
         let (pk0, pk1) = {
             let a = Self::sample_uniform_ntt(&ctx, &mut rng, r, false);
             let e = Self::sample_error_ntt(&ctx, &mut rng, stddev, r, false);
-            let mut sk_chain = sk.clone();
-            sk_chain.special = false;
-            if let Some(limb) = sk_chain.pop_component() {
-                pool::release(limb);
-            }
-            let mut b = a.mul(&ctx, &sk_chain);
+            let mut b = a.mul(&ctx, &Self::chain_secret(&sk, r));
             b.add_assign(&ctx, &e);
             b.neg_assign(&ctx);
             (b, a)
         };
 
-        let mut scheme = RnsCkks {
+        // Relinearization (s² to s), then the policy's rotation keys.
+        let mut schedule = |source| {
+            let slot = KeySlot { source, rng: rng.clone(), key: Mutex::new(None) };
+            Self::skip_key(&ctx, &mut rng, stddev);
+            slot
+        };
+        let relin = schedule(KeySource::Square);
+        let key_steps = policy.steps(ctx.slots());
+        let galois = key_steps
+            .iter()
+            .map(|&step| (step, schedule(KeySource::Galois(ctx.encoder().galois_element(step)))))
+            .collect();
+
+        RnsCkks {
             ctx,
             sk_coeffs,
             sk,
             pk: (pk0, pk1),
-            relin: Arc::new(KsKey { rows: Vec::new() }),
-            galois: HashMap::new(),
-            key_steps: BTreeSet::new(),
+            keys: Arc::new(KeySet { relin, galois }),
+            key_steps,
             error_stddev: stddev,
             rng,
             crt_cache: HashMap::new(),
-        };
-
-        // Relinearization key: switch from s² to s.
-        let s_sq = scheme.sk.mul(&scheme.ctx, &scheme.sk);
-        scheme.relin = Arc::new(scheme.gen_ks_key(&s_sq));
-
-        // Rotation keys for the policy's steps.
-        let steps = policy.steps(scheme.ctx.slots());
-        for &step in &steps {
-            let g = scheme.ctx.encoder().galois_element(step);
-            let mut s_rot = RnsPoly::from_signed(&scheme.ctx, &scheme.sk_coeffs, r, true)
-                .automorphism(&scheme.ctx, g);
-            s_rot.ntt_forward(&scheme.ctx);
-            let key = scheme.gen_ks_key(&s_rot);
-            scheme.galois.insert(step, Arc::new(key));
         }
-        scheme.key_steps = steps;
-        scheme
     }
 
     /// Scheme context (degree, moduli, encoder).
@@ -220,22 +261,39 @@ impl RnsCkks {
         &self.key_steps
     }
 
+    /// The secret key over chain primes `0..level` (no special prime),
+    /// NTT form.
+    fn chain_secret(sk: &RnsPoly, level: usize) -> RnsPoly {
+        let mut s = sk.clone();
+        s.special = false;
+        if let Some(limb) = s.pop_component() {
+            pool::release(limb);
+        }
+        s.drop_to_level(level);
+        s
+    }
+
+    /// Fills `limb` with residues uniform modulo `ctx.modulus(idx)`, one
+    /// RNG word per residue (Barrett-reduced).
+    fn fill_uniform(ctx: &RnsContext, rng: &mut StdRng, idx: usize, limb: &mut [u64]) {
+        let br = ctx.barrett(idx);
+        for c in limb {
+            *c = br.reduce(rng.next_u64());
+        }
+    }
+
     fn sample_uniform_ntt(
         ctx: &RnsContext,
         rng: &mut StdRng,
         level: usize,
         special: bool,
     ) -> RnsPoly {
-        // Fill pooled limbs in place (same draw order as
-        // `sampling::uniform_mod`: component-major, coefficient-minor).
+        // Fill pooled limbs in place, component-major, coefficient-minor.
         let mut p = RnsPoly::uninit(ctx, level, special, true);
         let comps = p.data.len();
-        for k in 0..comps {
+        for (k, limb) in p.data.iter_mut().enumerate() {
             let idx = if special && k == comps - 1 { ctx.special_index() } else { k };
-            let q = ctx.modulus(idx);
-            for c in p.data[k].iter_mut() {
-                *c = rng.gen_range(0..q);
-            }
+            Self::fill_uniform(ctx, rng, idx, limb);
         }
         p
     }
@@ -253,25 +311,97 @@ impl RnsCkks {
         p
     }
 
-    /// Generates a key-switching key from secret `s_from` (full-basis NTT)
-    /// to the scheme secret `s`.
-    fn gen_ks_key(&mut self, s_from: &RnsPoly) -> KsKey {
-        // Disjoint field borrows: the context is read while the RNG mutates.
-        let RnsCkks { ctx, rng, sk, error_stddev, .. } = self;
-        let r = ctx.max_level();
-        let mut rows = Vec::with_capacity(r);
-        for i in 0..r {
-            let a = Self::sample_uniform_ntt(ctx, rng, r, true);
-            let e = Self::sample_error_ntt(ctx, rng, *error_stddev, r, true);
-            let mut b = a.mul(ctx, sk);
-            b.add_assign(ctx, &e);
-            b.neg_assign(ctx);
-            // Gadget: add (p mod q_i)·s_from on component i only.
-            let q_i = ctx.modulus(i);
-            let p_mod = ShoupMul::new(ctx.special() % q_i, q_i);
-            for (dst, &src) in b.data[i].iter_mut().zip(&s_from.data[i]) {
-                *dst = add_mod(*dst, p_mod.mul(src, q_i), q_i);
+    /// Advances `rng` past the draws of one full-basis key: per row (one
+    /// per chain prime), `r + 1` uniform limbs of `N` words, then `N`
+    /// Gaussian error coefficients — the sequence [`Self::build_key`]
+    /// replays.
+    fn skip_key(ctx: &RnsContext, rng: &mut StdRng, stddev: f64) {
+        let (r, n) = (ctx.max_level(), ctx.degree());
+        for _ in 0..r {
+            Self::skip_words(rng, (r + 1) * n);
+            crate::sampling::gaussian(rng, n, stddev);
+        }
+    }
+
+    fn skip_words(rng: &mut StdRng, count: usize) {
+        for _ in 0..count {
+            rng.next_u64();
+        }
+    }
+
+    /// The key in `slot` with at least `level` rows: built, or rebuilt at
+    /// `level` when it holds fewer rows, under the slot's lock. Forks
+    /// racing on one key build it once, and which of them builds it does
+    /// not change a residue.
+    fn key_at(&self, slot: &KeySlot, level: usize) -> Arc<KsKey> {
+        // The slot only ever holds a complete key, so a poisoned lock
+        // guards consistent data.
+        let mut key = slot.key.lock().unwrap_or_else(PoisonError::into_inner);
+        match &*key {
+            Some(k) if k.level() >= level => Arc::clone(k),
+            _ => {
+                let k = Arc::new(self.build_key(slot, level));
+                *key = Some(Arc::clone(&k));
+                k
             }
+        }
+    }
+
+    /// Builds the first `level` rows of `slot`'s key over chain primes
+    /// `0..level` plus the special prime: `b_i = −(a_i·s + e_i) +
+    /// (p mod q_i)·s_from` on limb `i`, `a_i` uniform. Replays the slot's
+    /// RNG through the full-basis draw sequence ([`Self::skip_key`]),
+    /// drawing and discarding the uniform limbs of chain primes `level..r`,
+    /// so each residue equals the full-basis key's.
+    fn build_key(&self, slot: &KeySlot, level: usize) -> KsKey {
+        let ctx = &*self.ctx;
+        let (r, n) = (ctx.max_level(), ctx.degree());
+        let mut rng = slot.rng.clone();
+        let s_from = match slot.source {
+            KeySource::Square => {
+                let s = Self::chain_secret(&self.sk, level);
+                s.mul(ctx, &s)
+            }
+            KeySource::Galois(g) => {
+                let mut s = RnsPoly::from_signed(ctx, &self.sk_coeffs, level, false)
+                    .automorphism(ctx, g);
+                s.ntt_forward(ctx);
+                s
+            }
+        };
+        // Limb `k` of a level-`level` row is modulo `ctx.modulus(k)` for
+        // `k < level` and the special prime (index `r`) at `k == level`.
+        let modulus_of = |k: usize| if k == level { r } else { k };
+        let mut rows = Vec::with_capacity(level);
+        for i in 0..level {
+            let mut a = Vec::with_capacity(level + 1);
+            for k in 0..=r {
+                if k < level || k == r {
+                    let mut limb = vec![0u64; n];
+                    Self::fill_uniform(ctx, &mut rng, k, &mut limb);
+                    a.push(limb);
+                } else {
+                    Self::skip_words(&mut rng, n);
+                }
+            }
+            let e = Self::sample_error_ntt(ctx, &mut rng, self.error_stddev, level, true);
+            let (sk, a_ref, s_from) = (&self.sk, &a, &s_from);
+            let mut b: Limbs = (0..=level).map(|_| vec![0u64; n]).collect();
+            par::par_iter_mut(&mut b, |k, b_k| {
+                let m = modulus_of(k);
+                let (br, q) = (ctx.barrett(m), ctx.modulus(m));
+                let terms = a_ref[k].iter().zip(&sk.data[m]).zip(&e.data[k]);
+                for (dst, ((&a, &s), &e)) in b_k.iter_mut().zip(terms) {
+                    *dst = neg_mod(add_mod(br.mul(a, s), e, q), q);
+                }
+                if k == i {
+                    // Gadget: add (p mod q_i)·s_from on limb i only.
+                    let p_mod = ShoupMul::new(ctx.special() % q, q);
+                    for (dst, &s) in b_k.iter_mut().zip(&s_from.data[i]) {
+                        *dst = add_mod(*dst, p_mod.mul(s, q), q);
+                    }
+                }
+            });
             rows.push((b, a));
         }
         KsKey { rows }
@@ -347,16 +477,17 @@ impl RnsCkks {
     ) -> (RnsPoly, RnsPoly) {
         let level = digits.level;
         let comps = level + 1;
+        debug_assert!(key.level() >= level, "key below its use level");
         let mut acc0 = RnsPoly::uninit(ctx, level, true, true);
         let mut acc1 = RnsPoly::uninit(ctx, level, true, true);
         par::par_zip_mut(&mut acc0.data, &mut acc1.data, |k, acc0_k, acc1_k| {
             let mod_idx = if k == comps - 1 { ctx.special_index() } else { k };
             let br = ctx.barrett(mod_idx);
-            // Key rows live at the full basis: chain j ↔ data[j],
-            // special ↔ data[r].
-            let key_k = if k == comps - 1 { ctx.max_level() } else { k };
+            // Key rows live at the key's own level: chain j ↔ limb j,
+            // special ↔ the last limb.
+            let key_k = if k == comps - 1 { key.level() } else { k };
             let digit = |i: usize| digits.digits[i].data[k].as_slice();
-            let rows = |i: usize| (&key.rows[i].0.data[key_k], &key.rows[i].1.data[key_k]);
+            let rows = |i: usize| (&key.rows[i].0[key_k], &key.rows[i].1[key_k]);
             let mut gathered = [0u64; KS_TILE];
             let tiles = acc0_k.chunks_mut(KS_TILE).zip(acc1_k.chunks_mut(KS_TILE));
             if lanes::is_lane_modulus(br.modulus()) {
@@ -546,12 +677,13 @@ impl RnsCkks {
     ) -> Result<RnsCiphertext, HisaError> {
         let ctx = &self.ctx;
         let g = ctx.encoder().galois_element(step);
-        let key = self.galois.get(&step).ok_or_else(|| HisaError::MissingRotationKey {
+        let slot = self.keys.galois.get(&step).ok_or_else(|| HisaError::MissingRotationKey {
             step,
             available: self.key_steps.iter().copied().collect(),
         })?;
+        let key = self.key_at(slot, digits.level);
         let perm = ctx.auto_perm(g);
-        let (acc0, acc1) = Self::accumulate(ctx, digits, key, Some(&perm));
+        let (acc0, acc1) = Self::accumulate(ctx, digits, &key, Some(&perm));
         let ks0 = Self::mod_down_special(ctx, acc0);
         let ks1 = Self::mod_down_special(ctx, acc1);
         let mut out0 = ct.c0.permute_ntt(ctx, &perm);
@@ -615,13 +747,7 @@ impl Hisa for RnsCkks {
     fn decrypt(&mut self, c: &RnsCiphertext) -> RnsPlaintext {
         let RnsCkks { ctx, sk, crt_cache, .. } = self;
         let level = c.level();
-        let mut sk_l = sk.clone();
-        sk_l.special = false;
-        if let Some(limb) = sk_l.pop_component() {
-            pool::release(limb);
-        }
-        sk_l.drop_to_level(level);
-        let mut m = c.c1.mul(ctx, &sk_l);
+        let mut m = c.c1.mul(ctx, &Self::chain_secret(sk, level));
         m.add_assign(ctx, &c.c0);
         m.ntt_inverse(ctx);
         // CRT-reconstruct centered coefficients to floats.
@@ -701,7 +827,8 @@ impl Hisa for RnsCkks {
                 d1.add_assign(ctx, &x.c1.mul(ctx, &y.c0));
                 let d2 = x.c1.mul(ctx, &y.c1);
                 // Relinearize d2·s² back to a degree-1 ciphertext.
-                let (ks0, ks1) = self.switch_key(&d2, &self.relin);
+                let relin = self.key_at(&self.keys.relin, level);
+                let (ks0, ks1) = self.switch_key(&d2, &relin);
                 let mut c0 = d0;
                 c0.add_assign(ctx, &ks0);
                 let mut c1 = d1;
@@ -805,11 +932,11 @@ impl Hisa for RnsCkks {
         Some(self.key_steps.clone())
     }
 
-    /// Forks a child scheme for one fan-out job: the key material is shared
-    /// via [`Arc`], and the child RNG is seeded from the parent's stream so
-    /// the (parent, child₀, child₁, …) randomness split is a pure function
-    /// of program order — independent of how many threads later run the
-    /// children.
+    /// Forks a child scheme for one fan-out job: the key-switching keys are
+    /// shared via [`Arc`] (a key either side builds serves both), and the
+    /// child RNG is seeded from the parent's stream so the (parent, child₀,
+    /// child₁, …) randomness split is a pure function of program order —
+    /// independent of how many threads later run the children.
     fn fork(&mut self) -> Option<Self> {
         let child_seed = self.rng.next_u64();
         Some(RnsCkks {
@@ -817,8 +944,7 @@ impl Hisa for RnsCkks {
             sk_coeffs: self.sk_coeffs.clone(),
             sk: self.sk.clone(),
             pk: self.pk.clone(),
-            relin: Arc::clone(&self.relin),
-            galois: self.galois.clone(),
+            keys: Arc::clone(&self.keys),
             key_steps: self.key_steps.clone(),
             error_stddev: self.error_stddev,
             rng: StdRng::seed_from_u64(child_seed),
@@ -837,6 +963,7 @@ impl Hisa for RnsCkks {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
 
     const SCALE: f64 = (1u64 << 30) as f64;
 
@@ -1026,11 +1153,8 @@ mod tests {
                     level,
                     digits: (0..level).map(|_| filled(&ctx, level, &mut fill)).collect(),
                 };
-                let key = KsKey {
-                    rows: (0..level)
-                        .map(|_| (filled(&ctx, level, &mut fill), filled(&ctx, level, &mut fill)))
-                        .collect(),
-                };
+                let mut limbs = || std::mem::take(&mut filled(&ctx, level, &mut fill).data);
+                let key = KsKey { rows: (0..level).map(|_| (limbs(), limbs())).collect() };
                 for perm in [None, Some(perm.as_slice())] {
                     let (acc0, acc1) = RnsCkks::accumulate(&ctx, &digits, &key, perm);
                     for k in 0..=level {
@@ -1041,8 +1165,8 @@ mod tests {
                             let (mut w0, mut w1) = (0u128, 0u128);
                             for (i, (r0, r1)) in key.rows.iter().enumerate() {
                                 let d = u128::from(digits.digits[i].data[k][src]);
-                                w0 = (w0 + d * u128::from(r0.data[k][idx])) % q;
-                                w1 = (w1 + d * u128::from(r1.data[k][idx])) % q;
+                                w0 = (w0 + d * u128::from(r0[k][idx])) % q;
+                                w1 = (w1 + d * u128::from(r1[k][idx])) % q;
                             }
                             assert_eq!(u128::from(acc0.data[k][idx]), w0, "bits={bits} k={k}");
                             assert_eq!(u128::from(acc1.data[k][idx]), w1, "bits={bits} k={k}");
@@ -1075,6 +1199,73 @@ mod tests {
                 assert_eq!(limb, &want, "digit {i}, limb {k}");
             }
         }
+    }
+
+    /// FNV-1a over the little-endian bytes of every residue of `limbs`.
+    fn fnv<'a>(limbs: impl IntoIterator<Item = &'a Vec<u64>>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for b in limbs.into_iter().flatten().flat_map(|w| w.to_le_bytes()) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+        h
+    }
+
+    /// Every residue of the relinearization key and of each Galois key
+    /// (steps ascending), forced to the top level, row by row, `b` then `a`.
+    fn top_level_key_digest(h: &RnsCkks) -> u64 {
+        let r = h.ctx.max_level();
+        let mut keys = vec![h.key_at(&h.keys.relin, r)];
+        keys.extend(h.key_steps.iter().map(|s| h.key_at(&h.keys.galois[s], r)));
+        fnv(keys.iter().flat_map(|k| &k.rows).flat_map(|(b, a)| b.iter().chain(a)))
+    }
+
+    /// The key material `new` derives from its seed, and where it leaves
+    /// the RNG for later encryptions and forks, pinned bit for bit.
+    #[test]
+    fn top_level_keys_are_pinned() {
+        let mut h = scheme();
+        assert_eq!(top_level_key_digest(&h), 0xb228_bb28_424a_b87b);
+        assert_eq!(h.rng.next_u64(), 0x87d9_a171_ec14_0491);
+    }
+
+    /// The shape `(rows, limbs per row polynomial)` of `step`'s key as
+    /// built so far, if it is built.
+    fn galois_key_shape(h: &RnsCkks, step: usize) -> Option<(usize, usize)> {
+        let slot = h.keys.galois[&step].key.lock().expect("slot lock");
+        slot.as_ref().map(|k| (k.level(), k.rows[0].0.len()))
+    }
+
+    /// A key is built at its first use's level and rebuilt when a later use
+    /// sits higher; either way its outputs equal a fresh scheme's, which
+    /// builds the key at the top level first.
+    #[test]
+    fn keys_grow_to_the_level_they_are_used_at() {
+        let (mut h, mut fresh) = (scheme(), scheme());
+        let r = h.ctx.max_level();
+        assert!(r > 2);
+        let vals: Vec<f64> = (0..16).map(|i| i as f64).collect();
+        let top = enc(&mut h, &vals);
+        assert_eq!(top.c0.data, enc(&mut fresh, &vals).c0.data, "same RNG stream");
+        let low = h.align_level(&top, 2);
+        assert_eq!(galois_key_shape(&h, 4), None, "no key before its first use");
+
+        let low_rot = h.rot_left(&low, 4);
+        assert_eq!(galois_key_shape(&h, 4), Some((2, 3)));
+        let top_rot = h.rot_left(&top, 4);
+        assert_eq!(galois_key_shape(&h, 4), Some((r, r + 1)));
+
+        let fresh_top = fresh.rot_left(&top, 4);
+        let fresh_low = fresh.rot_left(&low, 4);
+        assert_eq!(galois_key_shape(&fresh, 4), Some((r, r + 1)));
+        for (got, want) in [(&low_rot, &fresh_low), (&top_rot, &fresh_top)] {
+            assert_eq!(got.c0.data, want.c0.data);
+            assert_eq!(got.c1.data, want.c1.data);
+        }
+        assert_close(&dec(&mut h, &low_rot)[..4], &[4.0, 5.0, 6.0, 7.0], 1e-2);
+
+        // A fork shares the built key rather than building its own.
+        let child = h.fork().expect("RnsCkks forks");
+        assert!(Arc::ptr_eq(&child.keys, &h.keys));
     }
 
     #[test]
