@@ -27,7 +27,8 @@ import glob, re
 
 CORE = {"slots", "try_encode", "decode", "encrypt", "decrypt", "max_rescale",
         "scale_of", "try_exec", "try_rotate"}
-OPTIONAL = {"copy", "available_rotations", "fork", "join", "cancel_requested"}
+OPTIONAL = {"copy", "available_rotations", "fork", "join", "cancel_requested",
+            "try_encode_with"}
 
 def blocks(path):
     """(header, [method names]) for each `impl ... Hisa for` block. The

@@ -314,12 +314,12 @@ impl RnsCkks {
     /// Advances `rng` past the draws of one full-basis key: per row (one
     /// per chain prime), `r + 1` uniform limbs of `N` words, then `N`
     /// Gaussian error coefficients — the sequence [`Self::build_key`]
-    /// replays.
+    /// replays. The Gaussians are skipped, not computed.
     fn skip_key(ctx: &RnsContext, rng: &mut StdRng, stddev: f64) {
         let (r, n) = (ctx.max_level(), ctx.degree());
         for _ in 0..r {
             Self::skip_words(rng, (r + 1) * n);
-            crate::sampling::gaussian(rng, n, stddev);
+            crate::sampling::skip_gaussian(rng, n, stddev);
         }
     }
 

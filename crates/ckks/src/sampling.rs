@@ -17,19 +17,45 @@ pub fn ternary<R: Rng>(rng: &mut R, n: usize) -> Vec<i64> {
 pub fn gaussian<R: Rng>(rng: &mut R, n: usize, stddev: f64) -> Vec<i64> {
     let bound = (6.0 * stddev).ceil();
     (0..n)
-        .map(|_| {
-            loop {
-                // Box–Muller.
-                let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-                let u2: f64 = rng.gen::<f64>();
-                let g = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-                let v = (g * stddev).round();
-                if v.abs() <= bound {
-                    return v as i64;
-                }
+        .map(|_| loop {
+            let (u1, u2) = box_muller_draws(rng);
+            if let Some(v) = rounded_box_muller(u1, u2, stddev, bound) {
+                return v;
             }
         })
         .collect()
+}
+
+/// Advances `rng` exactly as [`gaussian`] would for `n` samples, without
+/// computing them. `|g| <= sqrt(-2 ln u1)` for a Box–Muller sample `g`, so
+/// an attempt can be rejected only when `u1 < exp(-(bound/stddev)^2 / 2)`
+/// (about 3e-9 at the usual `stddev = 3.2`); only those attempts run the
+/// full transform, to learn whether [`gaussian`] drew again.
+pub fn skip_gaussian<R: Rng>(rng: &mut R, n: usize, stddev: f64) {
+    let bound = (6.0 * stddev).ceil();
+    let may_reject = (-(bound / stddev).powi(2) / 2.0).exp();
+    for _ in 0..n {
+        loop {
+            let (u1, u2) = box_muller_draws(rng);
+            if u1 >= may_reject || rounded_box_muller(u1, u2, stddev, bound).is_some() {
+                break;
+            }
+        }
+    }
+}
+
+/// The two uniform draws of one Box–Muller attempt.
+fn box_muller_draws<R: Rng>(rng: &mut R) -> (f64, f64) {
+    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+    let u2: f64 = rng.gen::<f64>();
+    (u1, u2)
+}
+
+/// One Box–Muller attempt, rounded: `None` when it falls outside `bound`.
+fn rounded_box_muller(u1: f64, u2: f64, stddev: f64, bound: f64) -> Option<i64> {
+    let g = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+    let v = (g * stddev).round();
+    (v.abs() <= bound).then_some(v as i64)
 }
 
 /// Samples a continuous Gaussian `N(0, stddev^2)` as `f64` (no rounding),
@@ -77,6 +103,30 @@ mod tests {
         assert!((var.sqrt() - stddev).abs() < 0.2, "stddev {} vs {stddev}", var.sqrt());
         let bound = (6.0 * stddev).ceil() as i64;
         assert!(e.iter().all(|&x| x.abs() <= bound));
+    }
+
+    #[test]
+    fn skip_gaussian_leaves_the_rng_where_gaussian_does() {
+        use rand::RngCore;
+        let mut a = StdRng::seed_from_u64(11);
+        let mut b = StdRng::seed_from_u64(11);
+        gaussian(&mut a, 20_000, 3.2);
+        skip_gaussian(&mut b, 20_000, 3.2);
+        assert_eq!(a.next_u64(), b.next_u64());
+    }
+
+    #[test]
+    fn only_tiny_u1_can_reject() {
+        let (stddev, bound) = (3.2, 20.0);
+        // The smallest `u1` the sampler draws can be rejected…
+        assert_eq!(rounded_box_muller(f64::EPSILON, 0.0, stddev, bound), None);
+        // …but none at or above the threshold the skip tests, whatever `u2`.
+        let may_reject = (-(bound / stddev).powi(2) / 2.0).exp();
+        assert!(may_reject > 3e-9 && may_reject < 4e-9, "{may_reject}");
+        for i in 0..=1000 {
+            let u2 = i as f64 / 1000.0;
+            assert!(rounded_box_muller(may_reject, u2, stddev, bound).is_some(), "u2 {u2}");
+        }
     }
 
     #[test]

@@ -771,6 +771,52 @@ mod tests {
     }
 
     #[test]
+    fn recording_through_the_fill_hook_matches_the_slice_path() {
+        use crate::compiler::Compiler;
+        use chet_runtime::kernels::ScaleConfig;
+        use chet_tensor::circuit::CircuitBuilder;
+
+        let mut b = CircuitBuilder::new();
+        let x = b.input(vec![4, 1, 1]);
+        let m = b.matmul(x, Tensor::from_fn(vec![2, 4], |i| i[1] as f64 * 0.25), None);
+        let circuit = b.build(m);
+        let compiled =
+            Compiler::new(SchemeKind::RnsCkks).compile(&circuit, &ScaleConfig::default()).unwrap();
+        let slots = compiled.params.slots();
+        let full: Vec<f64> = (0..slots).map(|i| (i % 5) as f64 - 2.0).collect();
+        let short = sample();
+        // A repeat of the first encode, and the same content at another
+        // scale.
+        let calls: [(&[f64], f64); 5] =
+            [(&full, 4096.0), (&short, 4096.0), (&full, 4096.0), (&full, 2.0), (&short, 4096.0)];
+        for mode in [ExtractMode::Full, ExtractMode::Metadata] {
+            let record = |hook: bool| {
+                let mut rec = Recorder::new(&compiled, mode);
+                rec.begin_body();
+                let mut h = VerifyInterp::recording(&compiled, Arc::default(), rec);
+                let pids: Vec<usize> = calls
+                    .iter()
+                    .map(|&(values, scale)| {
+                        let pt = if hook {
+                            let mut fill = |b: &mut [f64]| b.copy_from_slice(values);
+                            h.try_encode_with(values.len(), scale, &mut fill)
+                        } else {
+                            h.try_encode(values, scale)
+                        };
+                        pt.unwrap().pid
+                    })
+                    .collect();
+                let layout = Layout::dense_vector(2, slots);
+                let recorder = h.into_recorder().unwrap();
+                (pids, recorder.finish(&compiled, layout.clone(), layout, vec![], vec![2]))
+            };
+            let (pids, graph) = record(true);
+            assert_eq!(pids, [0, 1, 0, 2, 1], "{mode:?}");
+            assert_eq!((pids, graph), record(false), "{mode:?}");
+        }
+    }
+
+    #[test]
     fn equal_content_shares_a_pid() {
         for mode in [ExtractMode::Full, ExtractMode::Metadata] {
             let mut pool = PlainPool::new(mode);

@@ -12,7 +12,8 @@
 //! `walk` is the one entry point: the verifier, parameter selection (over the
 //! open search model) and IR extraction all call it. Extraction attaches an
 //! IR recorder ([`crate::ir::extract_ir`]); every other walk records
-//! nothing and pays nothing for it.
+//! nothing and pays nothing for it, not even the plaintext values the
+//! kernels would build ([`Hisa::try_encode_with`] skips the fill).
 
 use super::domain::{
     AbstractDomain, AbstractOp, LevelDomain, RotationDomain, ScaleDomain, SlotDomain,
@@ -156,6 +157,16 @@ impl<D: AbstractDomain> VerifyInterp<D> {
         VCt { fact, id }
     }
 
+    /// `CHET-E004` when an encode holds more values than slots.
+    fn check_slots(&self, len: usize) {
+        if len > self.slots {
+            self.sink.lock().unwrap_or_else(|e| e.into_inner()).emit(
+                LintCode::SlotOverflow,
+                format!("encoding {len} values into {} slots", self.slots),
+            );
+        }
+    }
+
     fn rotate(&mut self, c: &VCt<D::Fact>, step: usize) -> VCt<D::Fact> {
         if step == 0 {
             return c.clone();
@@ -173,18 +184,30 @@ impl<D: AbstractDomain> Hisa for VerifyInterp<D> {
     }
 
     fn try_encode(&mut self, values: &[f64], scale: f64) -> Result<VPt, HisaError> {
-        if values.len() > self.slots {
-            self.sink.lock().unwrap_or_else(|e| e.into_inner()).emit(
-                LintCode::SlotOverflow,
-                format!("encoding {} values into {} slots", values.len(), self.slots),
-            );
-        }
+        self.check_slots(values.len());
         let mut pid = 0;
         if let Some(r) = &mut self.recorder {
             let span = self.sink.lock().unwrap_or_else(|e| e.into_inner()).current_span();
             pid = r.encode(values, scale, span);
         }
         Ok(VPt { scale, len: values.len().min(self.slots), pid })
+    }
+
+    /// Without a recorder a walk reads only the length and scale, so the
+    /// values are never filled; the recorder interns them, so it fills.
+    fn try_encode_with(
+        &mut self,
+        len: usize,
+        scale: f64,
+        fill: &mut dyn FnMut(&mut [f64]),
+    ) -> Result<VPt, HisaError> {
+        if self.recorder.is_some() {
+            let mut values = vec![0.0; len];
+            fill(&mut values);
+            return self.try_encode(&values, scale);
+        }
+        self.check_slots(len);
+        Ok(VPt { scale, len: len.min(self.slots), pid: 0 })
     }
 
     fn decode(&mut self, _p: &VPt) -> Vec<f64> {
@@ -287,6 +310,57 @@ pub(crate) fn walk<D: AbstractDomain>(
 mod tests {
     use super::*;
     use chet_hisa::cost::HisaOp;
+    use chet_runtime::kernels::encode_tiled;
+    use chet_runtime::RunTally;
+
+    fn walker(sink: Arc<Mutex<DiagSink>>) -> VerifyInterp<(LevelDomain, RotationDomain)> {
+        let domain = (LevelDomain::open(None), RotationDomain::collector(64));
+        VerifyInterp::with_domain(64, domain, sink)
+    }
+
+    fn unread(_: &mut [f64]) {
+        panic!("a walk without a recorder filled a plaintext");
+    }
+
+    #[test]
+    fn a_walk_without_a_recorder_never_fills() {
+        let mut h = walker(Arc::default());
+        let pt = h.try_encode_with(48, 4.0, &mut unread).unwrap();
+        assert_eq!((pt.scale, pt.len, pt.pid), (4.0, 48, 0));
+        // The kernels' tiled encode (member width 16 of 64 slots) too.
+        let pt = encode_tiled(&mut h, 16, 8.0, unread).unwrap();
+        assert_eq!((pt.scale, pt.len), (8.0, 64));
+    }
+
+    #[test]
+    fn run_tally_forwards_the_hook_to_the_walker() {
+        let mut h = walker(Arc::default());
+        let mut tally = RunTally::new(&mut h, None);
+        let pt = tally.try_encode_with(48, 4.0, &mut unread).unwrap();
+        assert_eq!((pt.scale, pt.len), (4.0, 48));
+        let pt = encode_tiled(&mut tally, 16, 8.0, unread).unwrap();
+        assert_eq!(pt.len, 64);
+    }
+
+    #[test]
+    fn an_overflowing_encode_reports_as_the_slice_path_does() {
+        let findings = |hook: bool| {
+            let sink = Arc::new(Mutex::new(DiagSink::default()));
+            let mut h = walker(Arc::clone(&sink));
+            let pt = if hook {
+                h.try_encode_with(65, 4.0, &mut unread)
+            } else {
+                h.try_encode(&[0.0; 65], 4.0)
+            };
+            assert_eq!(pt.unwrap().len, 64);
+            let diags = sink.lock().unwrap().diagnostics().to_vec();
+            diags.into_iter().map(|d| (d.code, d.message)).collect::<Vec<_>>()
+        };
+        let hook = findings(true);
+        assert_eq!(hook.len(), 1);
+        assert_eq!(hook[0].0, LintCode::SlotOverflow);
+        assert_eq!(hook, findings(false));
+    }
 
     #[test]
     fn open_walk_ledgers_every_transfer_and_normalizes_rotations() {

@@ -37,6 +37,11 @@
 //! cannot lose a backend capability by forgetting to forward one of its
 //! spellings. `ci.sh` fails if any `impl Hisa` overrides an adapter.
 //!
+//! Kernels encode through one optional hook, [`Hisa::try_encode_with`],
+//! which hands the interpretation a length and a closure that fills the
+//! values: the backends fill and encode, while an analysis that reads only
+//! a plaintext's length and scale never builds the vector.
+//!
 //! # Examples
 //!
 //! ```
@@ -191,9 +196,9 @@ fn single<Ct>(r: Result<Vec<Ct>, HisaError>) -> Result<Ct, HisaError> {
 ///
 /// Implementations write the nine required methods (the fallible core, see
 /// the crate docs) plus, optionally, [`Hisa::copy`],
-/// [`Hisa::available_rotations`], [`Hisa::fork`], [`Hisa::join`] and
-/// [`Hisa::cancel_requested`]. The remaining methods are adapters over the
-/// core and must not be overridden.
+/// [`Hisa::available_rotations`], [`Hisa::fork`], [`Hisa::join`],
+/// [`Hisa::cancel_requested`] and [`Hisa::try_encode_with`]. The remaining
+/// methods are adapters over the core and must not be overridden.
 ///
 /// All methods take `&mut self` because backends carry mutable state
 /// (random number generators, lazily generated keys) and analyses accumulate
@@ -314,6 +319,25 @@ pub trait Hisa: Send {
     /// job boundary.
     fn cancel_requested(&self) -> bool {
         false
+    }
+
+    /// Encodes a `len`-value plaintext whose values `fill` writes into a
+    /// zeroed buffer, at the given scale: [`Hisa::try_encode`] with the
+    /// vector built on demand. Kernels encode every plaintext through this
+    /// hook, so an interpretation that reads only a plaintext's length and
+    /// scale (the compiler's analyses) can skip `fill` and never build the
+    /// vector. The default fills a buffer and calls [`Hisa::try_encode`];
+    /// an override must answer as that would, and a wrapper that changes
+    /// no encode forwards it.
+    fn try_encode_with(
+        &mut self,
+        len: usize,
+        scale: f64,
+        fill: &mut dyn FnMut(&mut [f64]),
+    ) -> Result<Self::Pt, HisaError> {
+        let mut values = vec![0.0; len];
+        fill(&mut values);
+        self.try_encode(&values, scale)
     }
 
     // ---- Adapters over the core (never overridden) ---------------------

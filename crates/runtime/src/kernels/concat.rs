@@ -11,14 +11,15 @@ use crate::ciphertensor::CipherTensor;
 use crate::layout::{prev_power_of_two, LayoutKind};
 use crate::par;
 use chet_hisa::Hisa;
+use std::ops::Range;
 
 /// One CHW placement job: rotate (optionally mask first) a source
 /// ciphertext's channel run into its destination position.
 struct PieceJob {
     /// Index into the flattened source-ciphertext list.
     src: usize,
-    /// Block mask isolating the run (general path only).
-    mask: Option<Vec<f64>>,
+    /// The source channel blocks a mask isolates (general path only).
+    mask: Option<Range<usize>>,
     /// Signed rotation placing the run at its destination offset.
     offset: isize,
     /// Destination ciphertext index.
@@ -129,17 +130,10 @@ pub fn try_hconcat<H: Hisa>(
                             let dest_ct = g / cpc_out;
                             // Run of source blocks landing in dest_ct.
                             let run_end = ((dest_ct + 1) * cpc_out - g_off).min(local_c1);
-                            let mut mask = vec![0.0; layout.slots];
-                            for blk in (b - local_c0)..(run_end - local_c0) {
-                                let start = blk * layout.c_stride;
-                                for v in mask.iter_mut().skip(start).take(layout.c_stride) {
-                                    *v = 1.0;
-                                }
-                            }
                             let delta = (g % cpc_out) as isize - (b - local_c0) as isize;
                             jobs.push(PieceJob {
                                 src,
-                                mask: Some(mask),
+                                mask: Some((b - local_c0)..(run_end - local_c0)),
                                 offset: -delta * layout.c_stride as isize,
                                 dest_ct,
                             });
@@ -154,8 +148,14 @@ pub fn try_hconcat<H: Hisa>(
             let pieces: Vec<H::Ct> = par::try_fan_out(h, jobs.len(), |h, j| {
                 let job = &jobs[j];
                 Ok(match &job.mask {
-                    Some(m) => {
-                        let masked = apply_mask(h, flat[job.src], m, scales)?;
+                    Some(blocks) => {
+                        let fill = |mask: &mut [f64]| {
+                            let run = blocks.start * layout.c_stride..blocks.end * layout.c_stride;
+                            for v in mask.iter_mut().take(run.end).skip(run.start) {
+                                *v = 1.0;
+                            }
+                        };
+                        let masked = apply_mask(h, flat[job.src], layout.slots, fill, scales)?;
                         rot_signed(h, &masked, job.offset)?
                     }
                     None => rot_signed(h, flat[job.src], job.offset)?,

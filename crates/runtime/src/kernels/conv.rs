@@ -145,7 +145,6 @@ pub fn try_hconv2d_with_mask<H: Hisa>(
     let mut grid_mask_layout = out_layout.clone();
     grid_mask_layout.channels = 1;
     grid_mask_layout.channels_per_ct = 1;
-    let grid_mask = grid_mask_layout.mask_for_ct(0);
 
     // Skipping the mask is only sound when no block placement happens
     // (placement overlap-adds rotated junk into other blocks' valid slots).
@@ -154,7 +153,8 @@ pub fn try_hconv2d_with_mask<H: Hisa>(
     // shared output ciphertexts runs on the parent in channel order.
     let placed: Vec<H::Ct> = par::try_fan_out(h, accs.len(), |h, k| {
         let masked = if must_mask {
-            apply_mask(h, &accs[k], &grid_mask, scales)?
+            let fill = |m: &mut [f64]| grid_mask_layout.fill_mask(0, m);
+            apply_mask(h, &accs[k], grid_mask_layout.slots, fill, scales)?
         } else {
             super::settle(h, accs[k].clone(), scales.input)?
         };
@@ -182,20 +182,21 @@ pub fn try_hconv2d_with_mask<H: Hisa>(
     if let Some(b) = bias {
         let layout = out.layout.clone();
         for (ct_idx, ct) in out.cts.iter_mut().enumerate() {
-            let mut vec = vec![0.0; layout.slots];
-            for c in 0..layout.channels {
-                if c / layout.channels_per_ct != ct_idx {
-                    continue;
-                }
-                for y in 0..layout.height {
-                    for x in 0..layout.width {
-                        let (_, slot) = layout.slot_of(c, y, x);
-                        vec[slot] = b[c];
+            let fill = |vec: &mut [f64]| {
+                for (c, &bias_c) in b.iter().enumerate() {
+                    if c / layout.channels_per_ct != ct_idx {
+                        continue;
+                    }
+                    for y in 0..layout.height {
+                        for x in 0..layout.width {
+                            let (_, slot) = layout.slot_of(c, y, x);
+                            vec[slot] = bias_c;
+                        }
                     }
                 }
-            }
+            };
             let scale = h.scale_of(ct);
-            let pt = super::encode_tiled(h, &vec, scale)?;
+            let pt = super::encode_tiled(h, layout.slots, scale, fill)?;
             *ct = h.try_add_plain(ct, &pt)?;
         }
     }
@@ -323,23 +324,23 @@ fn conv_accumulate_chw<H: Hisa>(
             // block's span.
             let c_base = ct_idx * cpc;
             let c_count = cpc.min(c_in - c_base);
-            let mut vec = vec![0.0; lin.slots];
-            let mut any = false;
-            for b in 0..c_count {
-                let w = weights.at(&[k, c_base + b, ry, rx]);
-                if w == 0.0 {
-                    continue;
-                }
-                any = true;
-                let start = b * lin.c_stride;
-                for v in vec.iter_mut().skip(start).take(lin.c_stride) {
-                    *v = w;
-                }
-            }
-            if !any {
+            let w = |b: usize| weights.at(&[k, c_base + b, ry, rx]);
+            if (0..c_count).all(|b| w(b) == 0.0) {
                 continue;
             }
-            let pt = super::encode_tiled(h, &vec, scales.weight_plain)?;
+            let fill = |vec: &mut [f64]| {
+                for b in 0..c_count {
+                    let w = w(b);
+                    if w == 0.0 {
+                        continue;
+                    }
+                    let start = b * lin.c_stride;
+                    for v in vec.iter_mut().skip(start).take(lin.c_stride) {
+                        *v = w;
+                    }
+                }
+            };
+            let pt = super::encode_tiled(h, lin.slots, scales.weight_plain, fill)?;
             let prod = h.try_mul_plain(&rotated[t], &pt)?;
             acc = Some(match acc {
                 None => prod,
@@ -349,7 +350,7 @@ fn conv_accumulate_chw<H: Hisa>(
         let acc = match acc {
             Some(acc) => acc,
             None => {
-                let pt = super::encode_tiled(h, &vec![0.0; lin.slots], scales.weight_plain)?;
+                let pt = super::encode_tiled(h, lin.slots, scales.weight_plain, |_| {})?;
                 h.try_mul_plain(&input.cts[0], &pt)?
             }
         };

@@ -69,7 +69,6 @@ pub fn try_convert_layout<H: Hisa>(
             let mut single = lin.clone();
             single.channels = 1;
             single.channels_per_ct = 1;
-            let grid_mask = single.mask_for_ct(0);
             let cts = par::try_fan_out(h, lin.channels, |h, c| {
                 let (src_ct, base_slot) = lin.slot_of(c, 0, 0);
                 let moved = if base_slot == 0 {
@@ -77,7 +76,7 @@ pub fn try_convert_layout<H: Hisa>(
                 } else {
                     h.try_rot_left(&input.cts[src_ct], base_slot)?
                 };
-                Ok(apply_mask(h, &moved, &grid_mask, scales)?)
+                Ok(apply_mask(h, &moved, single.slots, |m| single.fill_mask(0, m), scales)?)
             })?;
             Ok(CipherTensor { layout, cts })
         }

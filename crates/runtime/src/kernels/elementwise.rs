@@ -61,25 +61,25 @@ pub fn try_hbatch_norm<H: Hisa>(
     }
     let cts = par::try_fan_out(h, input.cts.len(), |h, ct_idx| {
         let ct = &input.cts[ct_idx];
-        let mut gain = vec![0.0; layout.slots];
-        let mut offset = vec![0.0; layout.slots];
-        for c in 0..layout.channels {
-            if c / layout.channels_per_ct != ct_idx {
-                continue;
-            }
-            for y in 0..layout.height {
-                for x in 0..layout.width {
-                    let (_, slot) = layout.slot_of(c, y, x);
-                    gain[slot] = scale[c];
-                    offset[slot] = shift[c];
+        // Writes `per_channel[c]` at every valid slot of channel `c`.
+        let spread = |per_channel: &[f64], vec: &mut [f64]| {
+            for (c, &v) in per_channel.iter().enumerate() {
+                if c / layout.channels_per_ct != ct_idx {
+                    continue;
+                }
+                for y in 0..layout.height {
+                    for x in 0..layout.width {
+                        let (_, slot) = layout.slot_of(c, y, x);
+                        vec[slot] = v;
+                    }
                 }
             }
-        }
-        let gpt = super::encode_tiled(h, &gain, scales.weight_plain)?;
+        };
+        let gpt = super::encode_tiled(h, layout.slots, scales.weight_plain, |v| spread(scale, v))?;
         let t = h.try_mul_plain(ct, &gpt)?;
         let t = settle(h, t, scales.input)?;
         let cur = h.scale_of(&t);
-        let spt = super::encode_tiled(h, &offset, cur)?;
+        let spt = super::encode_tiled(h, layout.slots, cur, |v| spread(shift, v))?;
         Ok(h.try_add_plain(&t, &spt)?)
     })?;
     Ok(CipherTensor { layout: layout.clone(), cts })

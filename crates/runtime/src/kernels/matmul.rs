@@ -83,38 +83,29 @@ pub fn try_hmatmul<H: Hisa>(
         ));
     }
 
-    let mut unit_mask = vec![0.0; lin.slots];
-    unit_mask[0] = 1.0;
-
     // One fan-out job per output neuron; the fold into the single output
     // ciphertext happens on the parent in neuron order.
     let placed: Vec<H::Ct> = par::try_fan_out(h, out_dim, |h, o| {
         // Weighted input, one plaintext multiply per input ciphertext.
         let mut acc: Option<H::Ct> = None;
         for (ct_idx, ct) in input.cts.iter().enumerate() {
-            let mut vec = vec![0.0; lin.slots];
-            let mut any = false;
-            for c in 0..lin.channels {
-                if c / lin.channels_per_ct != ct_idx {
-                    continue;
-                }
-                for y in 0..lin.height {
-                    for x in 0..lin.width {
-                        let flat = (c * lin.height + y) * lin.width + x;
-                        let w = weights.at(&[o, flat]);
-                        if w == 0.0 {
-                            continue;
-                        }
-                        let (_, slot) = lin.slot_of(c, y, x);
-                        vec[slot] = w;
-                        any = true;
-                    }
-                }
-            }
-            if !any {
+            // This ciphertext's channels hold a contiguous run of the
+            // flattened input.
+            let (cpc, grid) = (lin.channels_per_ct, lin.height * lin.width);
+            let elems = ct_idx * cpc * grid..lin.channels.min((ct_idx + 1) * cpc) * grid;
+            if elems.clone().all(|flat| weights.at(&[o, flat]) == 0.0) {
                 continue;
             }
-            let pt = super::encode_tiled(h, &vec, scales.weight_plain)?;
+            let fill = |vec: &mut [f64]| {
+                for flat in elems.clone() {
+                    let w = weights.at(&[o, flat]);
+                    if w != 0.0 {
+                        let (c, y, x) = (flat / grid, flat % grid / lin.width, flat % lin.width);
+                        vec[lin.slot_of(c, y, x).1] = w;
+                    }
+                }
+            };
+            let pt = super::encode_tiled(h, lin.slots, scales.weight_plain, fill)?;
             let prod = h.try_mul_plain(ct, &pt)?;
             acc = Some(match acc {
                 None => prod,
@@ -125,13 +116,13 @@ pub fn try_hmatmul<H: Hisa>(
             Some(a) => a,
             None => {
                 // All-zero row: synthesize a zero at the right scale.
-                let pt = super::encode_tiled(h, &vec![0.0; lin.slots], scales.weight_plain)?;
+                let pt = super::encode_tiled(h, lin.slots, scales.weight_plain, |_| {})?;
                 h.try_mul_plain(&input.cts[0], &pt)?
             }
         };
         // Sum all used slots into slot 0, isolate it, move to position o.
         let red = reduce_groups(h, &acc, 1, span_p2)?;
-        let masked = apply_mask(h, &red, &unit_mask, scales)?;
+        let masked = apply_mask(h, &red, lin.slots, |m| m[0] = 1.0, scales)?;
         Ok(if o == 0 {
             masked
         } else {
@@ -148,10 +139,8 @@ pub fn try_hmatmul<H: Hisa>(
 
     let mut result = out_ct.expect("out_dim >= 1 was validated");
     if let Some(b) = bias {
-        let mut vec = vec![0.0; lin.slots];
-        vec[..out_dim].copy_from_slice(b);
         let scale = h.scale_of(&result);
-        let pt = super::encode_tiled(h, &vec, scale)?;
+        let pt = super::encode_tiled(h, lin.slots, scale, |v| v[..out_dim].copy_from_slice(b))?;
         result = h.try_add_plain(&result, &pt)?;
     }
     Ok(CipherTensor {
@@ -224,24 +213,22 @@ pub fn try_hmatmul_bsgs<H: Hisa>(
             let d = gb + b;
             // diag'_{g,b}[j] for j in [gB, gB + n): row = j − gB,
             // col = (row + d) mod n.
-            let mut vec = vec![0.0; lin.slots];
-            let mut any = false;
-            for row in 0..n.min(out_dim) {
-                let col = (row + d) % n;
-                if col >= in_dim {
-                    continue;
-                }
-                let w = weights.at(&[row, col]);
-                if w == 0.0 {
-                    continue;
-                }
-                vec[gb + row] = w;
-                any = true;
-            }
-            if !any {
+            let diag = || {
+                (0..n.min(out_dim)).filter_map(move |row| {
+                    let col = (row + d) % n;
+                    let w = if col < in_dim { weights.at(&[row, col]) } else { 0.0 };
+                    (w != 0.0).then_some((row, w))
+                })
+            };
+            if diag().next().is_none() {
                 continue;
             }
-            let pt = super::encode_tiled(h, &vec, scales.weight_plain)?;
+            let fill = |vec: &mut [f64]| {
+                for (row, w) in diag() {
+                    vec[gb + row] = w;
+                }
+            };
+            let pt = super::encode_tiled(h, lin.slots, scales.weight_plain, fill)?;
             let prod = h.try_mul_plain(xb, &pt)?;
             acc = Some(match acc {
                 None => prod,
@@ -263,17 +250,15 @@ pub fn try_hmatmul_bsgs<H: Hisa>(
     let acc = match acc_total {
         Some(a) => super::settle(h, a, scales.input)?,
         None => {
-            let pt = super::encode_tiled(h, &vec![0.0; lin.slots], scales.weight_plain)?;
+            let pt = super::encode_tiled(h, lin.slots, scales.weight_plain, |_| {})?;
             let z = h.try_mul_plain(x, &pt)?;
             super::settle(h, z, scales.input)?
         }
     };
     let mut result = acc;
     if let Some(bv) = bias {
-        let mut vec = vec![0.0; lin.slots];
-        vec[..out_dim].copy_from_slice(bv);
         let scale = h.scale_of(&result);
-        let pt = super::encode_tiled(h, &vec, scale)?;
+        let pt = super::encode_tiled(h, lin.slots, scale, |v| v[..out_dim].copy_from_slice(bv))?;
         result = h.try_add_plain(&result, &pt)?;
     }
     Ok(CipherTensor {

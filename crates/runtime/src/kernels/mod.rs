@@ -195,39 +195,52 @@ pub fn reduce_groups<H: Hisa>(
     Ok(acc)
 }
 
-/// Encodes a kernel-built plaintext (mask, weight vector, bias), tiling it
-/// cyclically when the vector is shorter than the ciphertext and its length
-/// divides the slot count — the batch-packing contract: kernels build
-/// plaintexts at the layout's *member* width (`layout.slots`), and a
-/// batched ciphertext (`layout.batch > 1`) holds `batch` members at period
+/// Encodes a kernel-built plaintext (mask, weight vector, bias) of `len`
+/// values, which `fill` writes into a zeroed buffer, tiling it cyclically
+/// when the vector is shorter than the ciphertext and its length divides
+/// the slot count — the batch-packing contract: kernels build plaintexts
+/// at the layout's *member* width (`layout.slots`), and a batched
+/// ciphertext (`layout.batch > 1`) holds `batch` members at period
 /// `layout.slots`, so the same plaintext must act on every member.
 ///
 /// With `batch == 1` the member width equals the physical width and this is
-/// a plain [`Hisa::try_encode`]. Vectors whose length does not divide the
-/// slot count (hand-written test data) zero-pad as encoding always has.
-pub fn encode_tiled<H: Hisa>(h: &mut H, vec: &[f64], scale: f64) -> Result<H::Pt, HisaError> {
+/// a plain encode. Lengths that do not divide the slot count (hand-written
+/// test data) zero-pad as encoding always has.
+///
+/// The values are built only when the interpretation reads them
+/// ([`Hisa::try_encode_with`]): a compiler walk that needs only the length
+/// and scale never runs `fill`, and tiling happens inside the fill.
+pub fn encode_tiled<H: Hisa>(
+    h: &mut H,
+    len: usize,
+    scale: f64,
+    mut fill: impl FnMut(&mut [f64]),
+) -> Result<H::Pt, HisaError> {
     let slots = h.slots();
-    if !vec.is_empty() && vec.len() < slots && slots % vec.len() == 0 {
-        let mut tiled = Vec::with_capacity(slots);
-        while tiled.len() < slots {
-            tiled.extend_from_slice(vec);
-        }
-        h.try_encode(&tiled, scale)
+    if len > 0 && len < slots && slots.is_multiple_of(len) {
+        h.try_encode_with(slots, scale, &mut |values| {
+            fill(&mut values[..len]);
+            for start in (len..slots).step_by(len) {
+                values.copy_within(..len, start);
+            }
+        })
     } else {
-        h.try_encode(vec, scale)
+        h.try_encode_with(len, scale, &mut fill)
     }
 }
 
-/// Multiplies by a 0/1 mask vector at the mask scale and settles. The mask
-/// is encoded via [`encode_tiled`], so member-width masks act uniformly on
-/// every batch member of a batched ciphertext.
+/// Multiplies by a 0/1 mask of `len` values, which `fill` writes into a
+/// zeroed buffer, at the mask scale and settles. The mask is encoded via
+/// [`encode_tiled`], so member-width masks act uniformly on every batch
+/// member of a batched ciphertext.
 pub fn apply_mask<H: Hisa>(
     h: &mut H,
     ct: &H::Ct,
-    mask: &[f64],
+    len: usize,
+    fill: impl FnMut(&mut [f64]),
     scales: &ScaleConfig,
 ) -> Result<H::Ct, HisaError> {
-    let pt = encode_tiled(h, mask, scales.mask)?;
+    let pt = encode_tiled(h, len, scales.mask, fill)?;
     let masked = h.try_mul_plain(ct, &pt)?;
     settle(h, masked, scales.input)
 }
@@ -292,14 +305,61 @@ mod tests {
         assert!(h.scale_of(&settled) < 2f64.powi(40));
     }
 
+    /// `encode_tiled` as it took a built slice, before the fill closure:
+    /// the reference the closure form must match bit for bit.
+    fn encode_tiled_slice<H: Hisa>(h: &mut H, vec: &[f64], scale: f64) -> H::Pt {
+        let slots = h.slots();
+        if !vec.is_empty() && vec.len() < slots && slots.is_multiple_of(vec.len()) {
+            let mut tiled = Vec::with_capacity(slots);
+            while tiled.len() < slots {
+                tiled.extend_from_slice(vec);
+            }
+            h.encode(&tiled, scale)
+        } else {
+            h.encode(vec, scale)
+        }
+    }
+
+    /// Decoded plaintexts of both forms agree bit for bit at batch 1 (the
+    /// member width is the slot count), at tiled member widths (batch 2
+    /// and 8), and for a length that does not divide the slots.
+    fn check_encode_tiled_bit_identity<H: Hisa>(h: &mut H) {
+        let slots = h.slots();
+        for len in [slots, slots / 2, slots / 8, 3] {
+            let member: Vec<f64> = (0..len).map(|i| ((i * 7) % 13) as f64 * 0.125 - 0.5).collect();
+            let closure = encode_tiled(h, len, 2f64.powi(20), |b| b.copy_from_slice(&member))
+                .unwrap();
+            let slice = encode_tiled_slice(h, &member, 2f64.powi(20));
+            let (got, want) = (h.decode(&closure), h.decode(&slice));
+            assert!(
+                got.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "member width {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn encode_tiled_closure_matches_the_slice_form_on_sim() {
+        check_encode_tiled_bit_identity(&mut sim());
+    }
+
+    #[test]
+    fn encode_tiled_closure_matches_the_slice_form_on_rns() {
+        let params = EncryptionParams::rns_ckks(2048, 40, 2)
+            .with_security(chet_hisa::SecurityLevel::Insecure);
+        let policy = RotationKeyPolicy::Exact(Default::default());
+        check_encode_tiled_bit_identity(&mut chet_ckks::rns::RnsCkks::new(&params, &policy, 7));
+    }
+
     #[test]
     fn apply_mask_zeroes_junk() {
         let mut h = sim();
         let s = 2f64.powi(30);
         let pt = h.encode(&[5.0, 7.0, 9.0], s);
         let ct = h.encrypt(&pt);
-        let mask = vec![1.0, 0.0, 1.0];
-        let m = apply_mask(&mut h, &ct, &mask, &ScaleConfig::default()).unwrap();
+        let mask = [1.0, 0.0, 1.0];
+        let fill = |b: &mut [f64]| b.copy_from_slice(&mask);
+        let m = apply_mask(&mut h, &ct, mask.len(), fill, &ScaleConfig::default()).unwrap();
         let d = h.decrypt(&m);
         let out = h.decode(&d);
         assert_eq!(&out[..3], &[5.0, 0.0, 9.0]);

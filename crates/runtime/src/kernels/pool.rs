@@ -66,7 +66,7 @@ pub fn try_havg_pool2d_with_mask<H: Hisa>(
         let summed = acc.expect("kernel >= 1 was validated");
         let scaled = h.try_mul_scalar(&summed, inv, scales.weight_scalar)?;
         Ok(if mask_output {
-            apply_mask(h, &scaled, &out_layout.mask_for_ct(i), scales)?
+            apply_mask(h, &scaled, out_layout.slots, |m| out_layout.fill_mask(i, m), scales)?
         } else {
             super::settle(h, scaled, scales.input)?
         })
@@ -119,7 +119,7 @@ pub fn try_hglobal_avg_pool<H: Hisa>(
         }
         let summed = rows.expect("height >= 1 was validated");
         let scaled = h.try_mul_scalar(&summed, inv, scales.weight_scalar)?;
-        Ok(apply_mask(h, &scaled, &out_layout.mask_for_ct(i), scales)?)
+        Ok(apply_mask(h, &scaled, out_layout.slots, |m| out_layout.fill_mask(i, m), scales)?)
     })?;
     Ok(CipherTensor { layout: out_layout, cts })
 }

@@ -208,10 +208,10 @@ impl Layout {
         }
     }
 
-    /// Slot-indicator vector (1.0 at valid element positions) for one
-    /// ciphertext of this layout — the mask kernels multiply by.
-    pub fn mask_for_ct(&self, ct_index: usize) -> Vec<f64> {
-        let mut mask = vec![0.0; self.slots];
+    /// Writes the slot-indicator mask of one ciphertext of this layout —
+    /// the mask kernels multiply by — into a zeroed `slots`-long buffer:
+    /// 1.0 at valid element positions.
+    pub fn fill_mask(&self, ct_index: usize, mask: &mut [f64]) {
         for c in 0..self.channels {
             if c / self.channels_per_ct != ct_index {
                 continue;
@@ -223,7 +223,6 @@ impl Layout {
                 }
             }
         }
-        mask
     }
 
     /// Whether every logical element maps inside the vector.
@@ -306,7 +305,8 @@ mod tests {
     #[test]
     fn mask_marks_valid_positions_only() {
         let l = Layout::hw(1, 2, 2, 1, 16);
-        let m = l.mask_for_ct(0);
+        let mut m = vec![0.0; l.slots];
+        l.fill_mask(0, &mut m);
         // valid slots: 0,1 (row 0), 3,4 (row 1 at h_stride 3)
         let ones: Vec<usize> = m.iter().enumerate().filter(|(_, &v)| v == 1.0).map(|(i, _)| i).collect();
         assert_eq!(ones, vec![0, 1, 3, 4]);

@@ -105,6 +105,16 @@ impl<H: Hisa> Hisa for RunTally<'_, H> {
         self.inner.get_mut().try_encode(values, scale)
     }
 
+    /// Forwarded whole, so a backend that skips the fill still does.
+    fn try_encode_with(
+        &mut self,
+        len: usize,
+        scale: f64,
+        fill: &mut dyn FnMut(&mut [f64]),
+    ) -> Result<H::Pt, HisaError> {
+        self.inner.get_mut().try_encode_with(len, scale, fill)
+    }
+
     fn decode(&mut self, p: &H::Pt) -> Vec<f64> {
         self.inner.get_mut().decode(p)
     }
