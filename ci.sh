@@ -65,7 +65,6 @@ EXPECTED = {
     ("crates/core/src/verify/walker.rs", "impl<D: AbstractDomain> Hisa for VerifyInterp<D>"),
     ("crates/runtime/src/fault.rs", "impl<H: Hisa> Hisa for FaultInjector<H>"),
     ("crates/runtime/src/tally.rs", "impl<H: Hisa> Hisa for RunTally<'_, H>"),
-    ("crates/serve/src/chaos.rs", "impl<H: Hisa> Hisa for ChaosInjector<H>"),
 }
 bad = []
 found = set()

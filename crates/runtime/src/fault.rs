@@ -4,30 +4,50 @@
 //! healthy `try_*` instructions into the failures a production FHE service
 //! actually sees: rotation keys missing from the key bundle, operand scales
 //! that drifted apart, a modulus chain exhausted earlier than the plan
-//! assumed, and NaN-poisoned decrypted slots. Which faults can fire and how
-//! often is configured by [`FaultPlan`]; *when* they fire is a pure function
-//! of the seed and the instruction counter (splitmix64 — no wall clock, no
-//! global RNG), so every run with the same seed injects the same faults at
-//! the same instructions. That determinism is what makes the robustness
-//! property tests reproducible: `try_infer` must return `Err`, never panic,
-//! for **every** seed.
+//! assumed, NaN-poisoned decrypted slots, and ops that stall (briefly, or
+//! long enough that only a watchdog notices). Which faults can fire and
+//! how often is configured by [`FaultPlan`], one rate per class; *when*
+//! they fire is a pure function of the key and the roll counter
+//! (splitmix64 — no wall clock, no global RNG), so every run with the same
+//! seed injects the same faults at the same instructions. That determinism
+//! is what makes the robustness property tests reproducible: `try_infer`
+//! must return `Err`, never panic, for **every** seed.
+//!
+//! # One stream
+//!
+//! Roll `k` draws [`unit`]`(key + k)`. The key is the seed from
+//! [`FaultInjector::new`] until [`FaultInjector::begin_request`] rekeys it
+//! to `splitmix64(seed ^ splitmix64(id))` and restarts the counter, so a
+//! served request's faults depend only on `(seed, request id, op index)`
+//! and a retry replays them. Only armed classes roll: an unarmed class
+//! (`None`) never touches the counter, an armed one rolls at every
+//! eligible call, even at rate 0.
+//!
+//! # Interception
 //!
 //! The injector intercepts four entry points of the [`Hisa`] core and
-//! forwards the rest untouched: [`Hisa::try_encode`] (slot overflow),
-//! [`Hisa::try_exec`] (scale drift on `add`/`add_plain`/`sub`/`sub_plain`,
-//! exhausted levels and invalid divisors on `rescale`),
-//! [`Hisa::try_rotate`] (dropped rotation keys) and [`Hisa::decode`] (NaN
-//! poisoning). Every adapter — panicking or `try_*` — reaches the backend
-//! through those, so each instruction has one injection point.
+//! forwards the rest untouched. [`Hisa::try_encode`] rolls slow, hung,
+//! then slot overflow; [`Hisa::try_exec`] rolls slow, hung, then scale
+//! drift on `add`/`add_plain`/`sub`/`sub_plain` or exhausted levels and
+//! invalid divisors on `rescale`; each step of [`Hisa::try_rotate`] rolls
+//! slow, hung, then a dropped key; [`Hisa::decode`] rolls NaN poisoning.
+//! Every adapter — panicking or `try_*` — reaches the backend through
+//! those, so each instruction has one injection point, and two stacked
+//! injectors each keep their own faults.
 //!
 //! A rotation batch passes through to the wrapped backend whole — keeping
-//! its hoisted key switching — whenever [`FaultPlan::drop_rotation_keys`]
-//! is off. With rotation faults on, each step rolls and then reaches the
-//! backend as a one-element batch, so the schedule is the single-rotation
-//! schedule exactly.
+//! its hoisted key switching — unless slow, hung or key-drop faults are
+//! armed. Then each step rolls and reaches the backend as a one-element
+//! batch, so the schedule is the single-rotation schedule exactly:
+//! rolling the whole batch first would run the counter past an inner
+//! failure and shift every later decision.
+//!
+//! The injector forwards neither `fork` nor `join`: kernel fan-out under
+//! it runs in order on the one wrapped backend.
 
 use chet_hisa::{Hisa, HisaError, Instr, RotDir};
 use std::collections::BTreeSet;
+use std::time::Duration;
 
 /// splitmix64: the tiny deterministic mixer every seeded component in this
 /// codebase shares (fault injection, retry jitter, chaos schedules). Pure
@@ -39,110 +59,133 @@ pub fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Which fault classes the injector may fire, and how often.
+/// Uniform draw in `[0, 1)` at counter `z`: the top 53 bits of
+/// [`splitmix64`]`(z)`.
+pub fn unit(z: u64) -> f64 {
+    (splitmix64(z) >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// Which fault classes the injector may fire, and how often. Each class is
+/// unarmed (`None`) or armed at a per-eligible-call probability in
+/// `[0, 1]`.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     /// Rotations fail with [`HisaError::MissingRotationKey`].
-    pub drop_rotation_keys: bool,
+    pub drop_rotation_keys: Option<f64>,
     /// Binary adds/subs fail with [`HisaError::ScaleMismatch`] as if one
     /// operand's scale had drifted.
-    pub scale_drift: bool,
+    pub scale_drift: Option<f64>,
     /// Rescales fail with [`HisaError::LevelExhausted`] as if the modulus
     /// chain ran out early.
-    pub exhaust_levels: bool,
-    /// Decoded vectors get one slot poisoned to NaN (models catastrophic
-    /// noise growth flipping a slot).
-    pub nan_slots: bool,
+    pub exhaust_levels: Option<f64>,
+    /// Decoded vectors are poisoned to NaN (models catastrophic noise
+    /// growth, or a bit-flipped ciphertext).
+    pub nan_slots: Option<f64>,
     /// Encodes fail with [`HisaError::SlotOverflow`].
-    pub slot_overflow: bool,
+    pub slot_overflow: Option<f64>,
     /// Rescales fail with [`HisaError::InvalidRescale`].
-    pub invalid_rescale: bool,
-    /// Per-eligible-instruction probability in `[0, 1]` that a fault fires.
+    pub invalid_rescale: Option<f64>,
+    /// Ops stall for [`FaultPlan::slow_pause`]; cancellation checks
+    /// between ops still fire.
+    pub slow: Option<f64>,
+    /// Ops stall for [`FaultPlan::hang_pause`], ignoring any cancel token:
+    /// a wedged backend only a watchdog can detect.
+    pub hung: Option<f64>,
+    /// Length of a slow stall.
+    pub slow_pause: Duration,
+    /// Length of a hung stall. Deliberately bounded so soaks terminate; a
+    /// watchdog must still flag it, because a real wedge has no bound.
+    pub hang_pause: Duration,
+    /// The rate the `with_*` builders arm a class at.
     pub rate: f64,
     /// Transient-fault window: when `Some(n)`, faults only fire within the
-    /// first `n` eligible instructions, then the backend behaves healthily
-    /// (see [`FaultPlan::transient`]). `None` = faults never clear.
+    /// first `n` rolls (counted from `new` or the last `begin_request`),
+    /// then the backend behaves healthily (see [`FaultPlan::transient`]).
+    /// `None` = faults never clear.
     pub transient_after: Option<u64>,
 }
 
 impl FaultPlan {
-    /// No faults enabled; `with_*` builders switch classes on.
+    /// No faults armed; `with_*` builders arm classes at `rate`.
     pub fn none(rate: f64) -> Self {
         FaultPlan {
-            drop_rotation_keys: false,
-            scale_drift: false,
-            exhaust_levels: false,
-            nan_slots: false,
-            slot_overflow: false,
-            invalid_rescale: false,
+            drop_rotation_keys: None,
+            scale_drift: None,
+            exhaust_levels: None,
+            nan_slots: None,
+            slot_overflow: None,
+            invalid_rescale: None,
+            slow: None,
+            hung: None,
+            slow_pause: Duration::from_micros(200),
+            hang_pause: Duration::from_millis(120),
             rate,
             transient_after: None,
         }
     }
 
-    /// Every fault class enabled at the given rate.
+    /// Every error class armed at the given rate; the stalls stay unarmed.
     pub fn all(rate: f64) -> Self {
         FaultPlan {
-            drop_rotation_keys: true,
-            scale_drift: true,
-            exhaust_levels: true,
-            nan_slots: true,
-            slot_overflow: true,
-            invalid_rescale: true,
-            rate,
-            transient_after: None,
+            drop_rotation_keys: Some(rate),
+            scale_drift: Some(rate),
+            exhaust_levels: Some(rate),
+            nan_slots: Some(rate),
+            slot_overflow: Some(rate),
+            invalid_rescale: Some(rate),
+            ..FaultPlan::none(rate)
         }
     }
 
-    /// Enables dropped-rotation-key faults.
+    /// Arms dropped-rotation-key faults.
     pub fn with_dropped_rotation_keys(mut self) -> Self {
-        self.drop_rotation_keys = true;
+        self.drop_rotation_keys = Some(self.rate);
         self
     }
 
-    /// Enables scale-drift faults.
+    /// Arms scale-drift faults.
     pub fn with_scale_drift(mut self) -> Self {
-        self.scale_drift = true;
+        self.scale_drift = Some(self.rate);
         self
     }
 
-    /// Enables premature level-exhaustion faults.
+    /// Arms premature level-exhaustion faults.
     pub fn with_exhausted_levels(mut self) -> Self {
-        self.exhaust_levels = true;
+        self.exhaust_levels = Some(self.rate);
         self
     }
 
-    /// Enables NaN slot poisoning on decode.
+    /// Arms NaN poisoning on decode.
     pub fn with_nan_slots(mut self) -> Self {
-        self.nan_slots = true;
+        self.nan_slots = Some(self.rate);
         self
     }
 
-    /// Enables slot-overflow faults on encode.
+    /// Arms slot-overflow faults on encode.
     pub fn with_slot_overflow(mut self) -> Self {
-        self.slot_overflow = true;
+        self.slot_overflow = Some(self.rate);
         self
     }
 
-    /// Whether the plan still injects at eligible-instruction index `seen`.
-    fn active_at(&self, seen: u64) -> bool {
-        self.transient_after.is_none_or(|n| seen < n)
-    }
-
-    /// Enables invalid-rescale-divisor faults.
+    /// Arms invalid-rescale-divisor faults.
     pub fn with_invalid_rescale(mut self) -> Self {
-        self.invalid_rescale = true;
+        self.invalid_rescale = Some(self.rate);
         self
     }
 
     /// Makes the faults *transient*: injection stops after the first `n`
-    /// eligible instructions, modelling a backend that recovers (a key
-    /// bundle re-fetched, a flaky node restarted). Retry/backoff paths can
-    /// then be exercised deterministically — the first attempts fail, a
-    /// later retry against the same injector succeeds.
+    /// rolls, modelling a backend that recovers (a key bundle re-fetched,
+    /// a flaky node restarted). Retry/backoff paths can then be exercised
+    /// deterministically — the first attempts fail, a later retry against
+    /// the same injector succeeds.
     pub fn transient(mut self, n: u64) -> Self {
         self.transient_after = Some(n);
         self
+    }
+
+    /// Whether the plan still injects at roll index `seen`.
+    fn active_at(&self, seen: u64) -> bool {
+        self.transient_after.is_none_or(|n| seen < n)
     }
 }
 
@@ -151,15 +194,26 @@ impl FaultPlan {
 pub struct FaultInjector<H: Hisa> {
     inner: H,
     plan: FaultPlan,
-    state: u64,
-    rolls: u64,
+    seed: u64,
+    /// Stream origin: the seed, or the request's key after `begin_request`.
+    key: u64,
+    /// Rolls since `new` or the last `begin_request`.
+    ops: u64,
     injected: Vec<String>,
 }
 
 impl<H: Hisa> FaultInjector<H> {
     /// Wraps a backend; `seed` fully determines the fault schedule.
     pub fn new(inner: H, plan: FaultPlan, seed: u64) -> Self {
-        FaultInjector { inner, plan, state: seed, rolls: 0, injected: Vec::new() }
+        FaultInjector { inner, plan, seed, key: seed, ops: 0, injected: Vec::new() }
+    }
+
+    /// (Re)keys the fault stream for a request: all later decisions are a
+    /// pure function of `(seed, request_id, op index)`. Call before every
+    /// attempt — a retry of the same request replays the same schedule.
+    pub fn begin_request(&mut self, request_id: u64) {
+        self.key = splitmix64(self.seed ^ splitmix64(request_id));
+        self.ops = 0;
     }
 
     /// The wrapped backend.
@@ -182,26 +236,28 @@ impl<H: Hisa> FaultInjector<H> {
         &self.injected
     }
 
-    /// splitmix64 step: counter-mode, so the schedule depends only on the
-    /// seed and how many rolls preceded this one.
-    fn next_u64(&mut self) -> u64 {
-        let r = splitmix64(self.state);
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        r
+    /// Rolls one decision for a class. An armed class always advances the
+    /// counter, so a transient window (or a rate change) doesn't reshuffle
+    /// later decisions for the same seed.
+    fn roll(&mut self, rate: Option<f64>) -> bool {
+        let Some(rate) = rate else { return false };
+        let seen = self.ops;
+        self.ops += 1;
+        self.plan.active_at(seen) && unit(self.key.wrapping_add(seen)) < rate
     }
 
-    /// Rolls one fault decision for an enabled class.
-    fn roll(&mut self, enabled: bool) -> bool {
-        if !enabled {
-            return false;
+    /// The stalls every encode, instruction and rotation step may hit.
+    fn stall(&mut self) {
+        if self.roll(self.plan.slow) {
+            self.log("slow op".into());
+            std::thread::sleep(self.plan.slow_pause);
         }
-        // Always advance the counter when the class is enabled so a
-        // transient window (or rate change) doesn't reshuffle later
-        // decisions for the same seed.
-        let seen = self.rolls;
-        self.rolls += 1;
-        let r = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        self.plan.active_at(seen) && r < self.plan.rate
+        if self.roll(self.plan.hung) {
+            self.log("hung op (uncancellable stall)".into());
+            // Deliberately consults no cancel token: that is the fault
+            // being modelled.
+            std::thread::sleep(self.plan.hang_pause);
+        }
     }
 
     fn log(&mut self, what: String) {
@@ -218,6 +274,7 @@ impl<H: Hisa> Hisa for FaultInjector<H> {
     }
 
     fn try_encode(&mut self, values: &[f64], scale: f64) -> Result<H::Pt, HisaError> {
+        self.stall();
         if self.roll(self.plan.slot_overflow) {
             let slots = self.inner.slots();
             self.log(format!("slot overflow on encode of {} values", values.len()));
@@ -248,6 +305,7 @@ impl<H: Hisa> Hisa for FaultInjector<H> {
     }
 
     fn try_exec(&mut self, instr: Instr<'_, H::Ct, H::Pt>) -> Result<H::Ct, HisaError> {
+        self.stall();
         match instr {
             // One roll per instruction: the alternatives are disjoint, so
             // the guard runs once.
@@ -279,22 +337,23 @@ impl<H: Hisa> Hisa for FaultInjector<H> {
         self.inner.try_exec(instr)
     }
 
-    /// Forwards the whole batch unless rotation faults are enabled: a
-    /// disabled class neither fires nor advances the roll counter, so the
-    /// batch is exactly equivalent to its steps. Otherwise each step rolls,
-    /// then reaches the backend as a one-element batch.
+    /// Forwards the whole batch unless a class that rolls per rotation
+    /// step is armed; otherwise each step rolls, then reaches the backend
+    /// as a one-element batch (module docs).
     fn try_rotate(
         &mut self,
         c: &H::Ct,
         dir: RotDir,
         steps: &[usize],
     ) -> Result<Vec<H::Ct>, HisaError> {
-        if !self.plan.drop_rotation_keys {
+        let p = &self.plan;
+        if p.slow.is_none() && p.hung.is_none() && p.drop_rotation_keys.is_none() {
             return self.inner.try_rotate(c, dir, steps);
         }
         let mut out = Vec::with_capacity(steps.len());
         for &x in steps {
-            if self.roll(true) {
+            self.stall();
+            if self.roll(self.plan.drop_rotation_keys) {
                 let side = if dir == RotDir::Left { "left" } else { "right" };
                 self.log(format!("dropped rotation key for {side} step {x}"));
                 return Err(HisaError::MissingRotationKey { step: x, available: Vec::new() });
@@ -330,24 +389,72 @@ mod tests {
         SimCkks::new(&params, &RotationKeyPolicy::PowersOfTwo, 1).without_noise()
     }
 
+    /// `ChaosPlan::all(42, 0.3)`'s op classes with zero pauses: the four
+    /// classes a served request rolls.
+    fn keyed_plan() -> FaultPlan {
+        FaultPlan {
+            slow: Some(0.3),
+            hung: Some(0.3),
+            nan_slots: Some(0.3),
+            drop_rotation_keys: Some(0.3),
+            slow_pause: Duration::ZERO,
+            hang_pause: Duration::ZERO,
+            ..FaultPlan::none(0.3)
+        }
+    }
+
+    /// One encode, then a rotation and an add per step: the error pattern
+    /// and the injection log.
+    fn drive(f: &mut FaultInjector<SimCkks>) -> (Vec<bool>, Vec<String>) {
+        let mut errs = Vec::new();
+        if let Ok(pt) = f.try_encode(&[1.0, 2.0], S) {
+            let ct = f.encrypt(&pt);
+            for step in [1usize, 2, 4, 8] {
+                errs.push(f.try_rot_left(&ct, step).is_err());
+                errs.push(f.try_add(&ct, &ct).is_err());
+            }
+        }
+        (errs, f.injected().to_vec())
+    }
+
     #[test]
     fn same_seed_injects_identical_fault_schedule() {
-        let run = |seed: u64| {
-            let mut f = FaultInjector::new(sim(), FaultPlan::all(0.5), seed);
-            let pt = f.try_encode(&[1.0, 2.0], S).ok();
-            let mut errs = Vec::new();
-            if let Some(pt) = pt {
-                let ct = f.encrypt(&pt);
-                for step in [1usize, 2, 4, 8] {
-                    errs.push(f.try_rot_left(&ct, step).is_err());
-                    errs.push(f.try_add(&ct, &ct).is_err());
-                }
-            }
-            (f.injected().to_vec(), errs)
-        };
+        let run = |seed: u64| drive(&mut FaultInjector::new(sim(), FaultPlan::all(0.5), seed));
         assert_eq!(run(42), run(42));
         // A different seed produces a different schedule for this plan.
-        assert_ne!(run(42).0, run(43).0);
+        assert_ne!(run(42).1, run(43).1);
+
+        // Keyed by request: a pure function of the seed and the id.
+        let keyed = |seed: u64, id: u64| {
+            let mut f = FaultInjector::new(sim(), keyed_plan(), seed);
+            f.begin_request(id);
+            drive(&mut f)
+        };
+        assert_eq!(keyed(42, 7), keyed(42, 7));
+        assert_ne!(keyed(42, 7), keyed(42, 8));
+        assert_ne!(keyed(42, 7), keyed(43, 7));
+        // Rekeying the same injector replays the schedule on a retry.
+        let mut f = FaultInjector::new(sim(), keyed_plan(), 9);
+        f.begin_request(3);
+        let first = drive(&mut f).0;
+        f.begin_request(3);
+        assert_eq!(first, drive(&mut f).0);
+        // The schedule a served request sees, pinned for ids 0..16.
+        let (patterns, lens): (Vec<String>, Vec<usize>) = (0..16)
+            .map(|id| {
+                let (errs, log) = keyed(42, id);
+                (errs.iter().map(|&e| if e { '1' } else { '0' }).collect(), log.len())
+            })
+            .unzip();
+        assert_eq!(
+            patterns,
+            [
+                "00001000", "00000010", "00000000", "00001000", "00100000", "00101000",
+                "00000000", "00100000", "10000000", "00000000", "00000000", "00100000",
+                "00001000", "00000010", "00100000", "00000010",
+            ]
+        );
+        assert_eq!(lens, [4, 5, 5, 8, 8, 7, 8, 8, 7, 9, 9, 7, 6, 8, 10, 4]);
     }
 
     #[test]
@@ -370,11 +477,59 @@ mod tests {
         ));
         assert_eq!(hot.injected().len(), 4);
 
-        let mut cold = FaultInjector::new(sim(), FaultPlan::all(0.0), 7);
+        // Keyed by request: decode poisons every slot and a rotation fails
+        // typed.
+        let flips = FaultPlan::none(1.0).with_nan_slots().with_dropped_rotation_keys();
+        let mut keyed = FaultInjector::new(sim(), flips, 5);
+        keyed.begin_request(11);
+        assert!(keyed.decode(&pt).iter().all(|x| x.is_nan()));
+        assert!(matches!(
+            keyed.try_rot_left(&ct, 2),
+            Err(HisaError::MissingRotationKey { step: 2, .. })
+        ));
+        assert_eq!(keyed.injected().len(), 2);
+
+        // Both stalls fire on an instruction, which then still runs.
+        let stalls = FaultPlan {
+            slow: Some(1.0),
+            hung: Some(1.0),
+            slow_pause: Duration::ZERO,
+            hang_pause: Duration::ZERO,
+            ..FaultPlan::none(1.0)
+        };
+        let mut stalled = FaultInjector::new(sim(), stalls, 5);
+        assert!(stalled.try_mul(&ct, &ct).is_ok());
+        assert_eq!(stalled.injected(), ["slow op", "hung op (uncancellable stall)"]);
+
+        // Every class armed at rate 0 rolls and never fires.
+        let zero = FaultPlan { slow: Some(0.0), hung: Some(0.0), ..FaultPlan::all(0.0) };
+        let mut cold = FaultInjector::new(sim(), zero, 7);
         assert!(cold.try_encode(&[1.0], S).is_ok());
         assert!(cold.try_rot_left(&ct, 1).is_ok());
         assert!(cold.try_add(&ct, &ct).is_ok());
+        assert!(!cold.decode(&pt).iter().any(|x| x.is_nan()));
         assert!(cold.injected().is_empty());
+
+        // Nothing armed: transparent, even at rate 1 and keyed.
+        let mut inert = FaultInjector::new(sim(), FaultPlan::none(1.0), 1);
+        inert.begin_request(1);
+        assert!(inert.try_encode(&[1.0, 2.0], S).is_ok());
+        assert!(inert.try_rot_left(&ct, 1).is_ok());
+        assert!(inert.try_add(&ct, &ct).is_ok());
+        assert!(!inert.decode(&pt).iter().any(|x| x.is_nan()));
+        assert!(inert.injected().is_empty());
+
+        // Two stacked injectors: an inert outer one forwards the core, so
+        // the inner one's rate-1 fault still fires.
+        let inner = FaultInjector::new(sim(), FaultPlan::none(1.0).with_dropped_rotation_keys(), 3);
+        let mut stacked = FaultInjector::new(inner, FaultPlan::none(0.0), 0);
+        stacked.begin_request(1);
+        assert!(matches!(
+            stacked.try_rot_left(&ct, 1),
+            Err(HisaError::MissingRotationKey { .. })
+        ));
+        assert!(stacked.injected().is_empty());
+        assert_eq!(stacked.inner().injected().len(), 1);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod store;
 pub mod watchdog;
 
 pub use breaker::{BreakerConfig, BreakerSnapshot, BreakerState, BreakerTransition, CircuitBreaker};
-pub use chaos::{ChaosInjector, ChaosPlan, CrashPlan, CrashPoint};
+pub use chaos::{ChaosPlan, CrashPlan, CrashPoint};
 pub use health::{HealthReport, HealthVerdict, JournalHealth, WorkerHealth, WorkerState};
 pub use journal::{
     response_digest, CompletedResponse, FailCode, Journal, JournalConfig, JournalError,

@@ -11,13 +11,8 @@
 //! `CHET_THREADS` settings. That determinism is what lets the soak tests
 //! assert breaker transitions instead of sleeping and hoping.
 
-use chet_runtime::fault::splitmix64;
+use chet_runtime::fault::{splitmix64, unit};
 use std::time::Duration;
-
-/// Uniform draw in `[0, 1)` from a mixed word.
-fn unit(z: u64) -> f64 {
-    (splitmix64(z) >> 11) as f64 / (1u64 << 53) as f64
-}
 
 /// How a worker retries a failed primary attempt.
 #[derive(Debug, Clone)]

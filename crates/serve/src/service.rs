@@ -35,7 +35,7 @@
 //! and joins every worker before returning the final [`ServiceStats`].
 
 use crate::breaker::{BreakerConfig, CircuitBreaker, Route};
-use crate::chaos::{ChaosInjector, ChaosPlan, CrashPoint};
+use crate::chaos::{ChaosPlan, CrashPoint};
 use crate::health::{HealthReport, JournalHealth, WorkerHealth, WorkerState};
 use crate::journal::{
     response_digest, CompletedResponse, FailCode, Journal, JournalConfig, JournalRecord,
@@ -57,6 +57,7 @@ use chet_runtime::exec::{
     batch_capacity, try_infer_batch_with_control, try_infer_with_control, ExecControl, ExecError,
     ExecObserver, ExecReport,
 };
+use chet_runtime::fault::FaultInjector;
 use chet_runtime::kernels::ScaleConfig;
 use chet_tensor::circuit::Circuit;
 use chet_tensor::ops::ShapeError;
@@ -1376,9 +1377,9 @@ fn worker_loop<H, F>(
     F: Fn(usize, &CompiledCircuit) -> H,
 {
     // (artifact version, backend) — rebuilt when the artifact is repaired
-    // or the backend is lost to a caught panic. The chaos wrapper is
-    // transparent when no plan is configured.
-    let mut cached: Option<(u64, ChaosInjector<H>)> = None;
+    // or the backend is lost to a caught panic. The fault injector runs
+    // `config.chaos`'s op classes; with none armed it forwards every call.
+    let mut cached: Option<(u64, FaultInjector<H>)> = None;
     loop {
         // A quarantined worker has been replaced; once it regains control
         // (its wedged op finally returned and the job was replied to) it
@@ -1503,7 +1504,7 @@ fn run_cohort<H, F>(
     core: &ServiceCore,
     factory: &F,
     worker_id: usize,
-    cached: &mut Option<(u64, ChaosInjector<H>)>,
+    cached: &mut Option<(u64, FaultInjector<H>)>,
     jobs: &[&Job],
     slot: &WorkerSlot,
 ) -> Vec<Result<InferResponse, ServeError>>
@@ -1567,7 +1568,7 @@ fn run_primary<H, F>(
     core: &ServiceCore,
     factory: &F,
     worker_id: usize,
-    cached: &mut Option<(u64, ChaosInjector<H>)>,
+    cached: &mut Option<(u64, FaultInjector<H>)>,
     cohort: &[&Job],
     slot: &WorkerSlot,
 ) -> Result<Vec<Result<InferResponse, ServeError>>, GaveUp>
@@ -1596,10 +1597,9 @@ where
     while core.config.retry.allows(attempt) {
         let (version, compiled) = core.artifact_snapshot();
         if !matches!(cached, Some((v, _)) if *v == version) {
-            *cached = Some((
-                version,
-                ChaosInjector::new(factory(worker_id, &compiled), core.config.chaos.clone()),
-            ));
+            let chaos = core.config.chaos.clone().unwrap_or_else(|| ChaosPlan::disabled(0));
+            let backend = factory(worker_id, &compiled);
+            *cached = Some((version, FaultInjector::new(backend, chaos.faults, chaos.seed)));
         }
         let Some((_, backend)) = cached.as_mut() else {
             return Ok(cohort.iter().map(|_| Err(ServeError::WorkerLost)).collect());

@@ -13,6 +13,7 @@ use chet_compiler::Compiler;
 use chet_hisa::error::HisaError;
 use chet_hisa::params::SchemeKind;
 use chet_hisa::{Hisa, Instr, RotDir};
+use chet_runtime::fault::FaultPlan;
 use chet_runtime::kernels::ScaleConfig;
 use chet_serve::{
     BreakerConfig, BreakerState, ChaosPlan, InferenceService, RetryPolicy, ServeConfig,
@@ -81,14 +82,17 @@ fn assert_right_answer(id: u64, got: &Tensor, want: &Tensor) {
 /// fast while each class still fires many times.
 fn chaos_plan(seed: u64) -> ChaosPlan {
     ChaosPlan {
-        slow_workers: 0.01,
-        hung_workers: 0.002,
-        bitflip_ciphertexts: 0.002,
-        drop_rotation_keys: 0.003,
+        seed,
         drop_responses: 0.03,
-        slow_pause: Duration::from_micros(50),
-        hang_pause: Duration::from_millis(4),
-        ..ChaosPlan::disabled(seed)
+        faults: FaultPlan {
+            slow: Some(0.01),
+            hung: Some(0.002),
+            nan_slots: Some(0.002),
+            drop_rotation_keys: Some(0.003),
+            slow_pause: Duration::from_micros(50),
+            hang_pause: Duration::from_millis(4),
+            ..FaultPlan::none(0.0)
+        },
     }
 }
 
@@ -494,8 +498,14 @@ fn watchdog_escalates_hung_worker_and_respawns() {
         // Every op hangs long past the stall timeout, ignoring the
         // cancel token — exactly the wedge the watchdog exists for.
         chaos: Some(ChaosPlan {
-            hung_workers: 1.0,
-            hang_pause: Duration::from_millis(150),
+            faults: FaultPlan {
+                slow: Some(0.0),
+                hung: Some(1.0),
+                nan_slots: Some(0.0),
+                drop_rotation_keys: Some(0.0),
+                hang_pause: Duration::from_millis(150),
+                ..FaultPlan::none(0.0)
+            },
             ..ChaosPlan::disabled(0xD06_60D)
         }),
         ..ServeConfig::default()

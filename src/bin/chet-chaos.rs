@@ -21,6 +21,7 @@
 use chet::ckks::sim::SimCkks;
 use chet::compiler::Compiler;
 use chet::hisa::params::SchemeKind;
+use chet::runtime::fault::FaultPlan;
 use chet::runtime::kernels::ScaleConfig;
 use chet::serve::{
     BreakerConfig, ChaosPlan, InferenceService, RetryPolicy, ServeConfig, ServeError,
@@ -54,14 +55,17 @@ fn compiler() -> Compiler {
 
 fn chaos_plan(seed: u64) -> ChaosPlan {
     ChaosPlan {
-        slow_workers: 0.01,
-        hung_workers: 0.002,
-        bitflip_ciphertexts: 0.002,
-        drop_rotation_keys: 0.003,
+        seed,
         drop_responses: 0.03,
-        slow_pause: Duration::from_micros(50),
-        hang_pause: Duration::from_millis(4),
-        ..ChaosPlan::disabled(seed)
+        faults: FaultPlan {
+            slow: Some(0.01),
+            hung: Some(0.002),
+            nan_slots: Some(0.002),
+            drop_rotation_keys: Some(0.003),
+            slow_pause: Duration::from_micros(50),
+            hang_pause: Duration::from_millis(4),
+            ..FaultPlan::none(0.0)
+        },
     }
 }
 

@@ -7,12 +7,14 @@
 //! simulator implements only that core and logs every call that reaches
 //! it; the tests check that:
 //!
-//! * the bare backend, `RunTally`, inert `FaultInjector`,
-//!   `ChaosInjector(None)` and the stacked worker wrappers deliver an
-//!   identical call stream — every instruction kind, every rotation batch
-//!   with its direction and steps — with bit-equal outputs;
-//! * an active plan splits batches on exactly the single-rotation
-//!   schedule, so seeded fault campaigns replay unchanged;
+//! * the bare backend, `RunTally`, an inert `FaultInjector`, the
+//!   injector a worker runs with `chaos: None` and the two stacked
+//!   deliver an identical call stream — every instruction kind, every
+//!   rotation batch with its direction and steps — with bit-equal
+//!   outputs;
+//! * an active plan (a chaos plan's op classes, or rotation drops) splits
+//!   batches on exactly the single-rotation schedule, so seeded fault
+//!   campaigns replay unchanged;
 //! * both `chet-serve` worker paths (solo and cohort) hand batches to the
 //!   backend when chaos is off, and each path's stream — a whole
 //!   four-member cohort's included — is one direct solo run's.
@@ -26,7 +28,7 @@ use chet::runtime::fault::{FaultInjector, FaultPlan};
 use chet::runtime::kernels::ScaleConfig;
 use chet::runtime::layout::LayoutKind;
 use chet::runtime::RunTally;
-use chet::serve::{ChaosInjector, ChaosPlan, InferenceService, ServeConfig};
+use chet::serve::{ChaosPlan, InferenceService, ServeConfig};
 use chet::tensor::circuit::{Circuit, CircuitBuilder};
 use chet::tensor::ops::Padding;
 use chet::tensor::Tensor;
@@ -240,7 +242,7 @@ fn observe_on<R>(inner: SimCkks, run: impl FnOnce(Counting) -> R) -> (R, Vec<Cal
 /// Every fault class except rotations, enabled at rate 0: the counters
 /// advance but nothing fires.
 fn inert_faults() -> FaultPlan {
-    FaultPlan { drop_rotation_keys: false, ..FaultPlan::all(0.0) }
+    FaultPlan { drop_rotation_keys: None, ..FaultPlan::all(0.0) }
 }
 
 fn has_multi_step_batch(calls: &[Call]) -> bool {
@@ -275,11 +277,15 @@ fn inert_wrappers_deliver_rotation_batches_unchanged() {
     let stacks = [
         ("tally", observe(|mut h| everything(&mut RunTally::new(&mut h, None)))),
         ("fault(inert)", observe(|h| everything(&mut FaultInjector::new(h, inert_faults(), 3)))),
-        ("chaos(None)", observe(|h| everything(&mut ChaosInjector::new(h, None)))),
+        (
+            "chaos(None)",
+            observe(|h| everything(&mut FaultInjector::new(h, ChaosPlan::disabled(0).faults, 0))),
+        ),
         (
             "chaos(None) over fault(inert)",
             observe(|h| {
-                everything(&mut ChaosInjector::new(FaultInjector::new(h, inert_faults(), 3), None))
+                let inner = FaultInjector::new(h, inert_faults(), 3);
+                everything(&mut FaultInjector::new(inner, ChaosPlan::disabled(0).faults, 0))
             }),
         ),
     ];
@@ -329,10 +335,10 @@ fn assert_same_schedule<H: Hisa<Ct = Ct, Pt = Pt>>(
 }
 
 fn quick_chaos(seed: u64) -> ChaosPlan {
+    let all = ChaosPlan::all(seed, 0.3);
     ChaosPlan {
-        slow_pause: Duration::ZERO,
-        hang_pause: Duration::ZERO,
-        ..ChaosPlan::all(seed, 0.3)
+        faults: FaultPlan { slow_pause: Duration::ZERO, hang_pause: Duration::ZERO, ..all.faults },
+        ..all
     }
 }
 
@@ -341,7 +347,7 @@ fn active_chaos_splits_batches_on_the_single_rotation_schedule() {
     let mut outcomes = BTreeSet::new();
     for id in 0..16u64 {
         let twin = || {
-            let mut c = ChaosInjector::new(sim(), Some(quick_chaos(42)));
+            let mut c = FaultInjector::new(sim(), quick_chaos(42).faults, 42);
             c.begin_request(id);
             c
         };
@@ -352,11 +358,11 @@ fn active_chaos_splits_batches_on_the_single_rotation_schedule() {
         let stacked = || {
             let faults = FaultPlan::none(0.3).with_dropped_rotation_keys();
             let mut c =
-                ChaosInjector::new(FaultInjector::new(sim(), faults, id), Some(quick_chaos(7)));
+                FaultInjector::new(FaultInjector::new(sim(), faults, id), quick_chaos(7).faults, 7);
             c.begin_request(id);
             c
         };
-        let both = |c: &ChaosInjector<FaultInjector<SimCkks>>| {
+        let both = |c: &FaultInjector<FaultInjector<SimCkks>>| {
             [c.injected(), c.inner().injected()].concat()
         };
         outcomes.insert(assert_same_schedule(stacked(), stacked(), both));
