@@ -15,9 +15,11 @@
 //!
 //! # One stream
 //!
-//! Roll `k` draws [`unit`]`(key + k)`. The key is the seed from
-//! [`FaultInjector::new`] until [`FaultInjector::begin_request`] rekeys it
-//! to `splitmix64(seed ^ splitmix64(id))` and restarts the counter, so a
+//! Roll `k` draws [`unit`]`(key + k)`. The key is `splitmix64(seed)` from
+//! [`FaultInjector::new`] — mixed, so the streams of seeds `s` and `s + 1`
+//! are not one stream shifted by a roll — until
+//! [`FaultInjector::begin_request`] rekeys it to
+//! `splitmix64(seed ^ splitmix64(id))` and restarts the counter, so a
 //! served request's faults depend only on `(seed, request id, op index)`
 //! and a retry replays them. Only armed classes roll: an unarmed class
 //! (`None`) never touches the counter, an armed one rolls at every
@@ -195,7 +197,8 @@ pub struct FaultInjector<H: Hisa> {
     inner: H,
     plan: FaultPlan,
     seed: u64,
-    /// Stream origin: the seed, or the request's key after `begin_request`.
+    /// Stream origin: the mixed seed, or the request's key after
+    /// `begin_request`.
     key: u64,
     /// Rolls since `new` or the last `begin_request`.
     ops: u64,
@@ -205,7 +208,7 @@ pub struct FaultInjector<H: Hisa> {
 impl<H: Hisa> FaultInjector<H> {
     /// Wraps a backend; `seed` fully determines the fault schedule.
     pub fn new(inner: H, plan: FaultPlan, seed: u64) -> Self {
-        FaultInjector { inner, plan, seed, key: seed, ops: 0, injected: Vec::new() }
+        FaultInjector { inner, plan, seed, key: splitmix64(seed), ops: 0, injected: Vec::new() }
     }
 
     /// (Re)keys the fault stream for a request: all later decisions are a
@@ -455,6 +458,21 @@ mod tests {
             ]
         );
         assert_eq!(lens, [4, 5, 5, 8, 8, 7, 8, 8, 7, 9, 9, 7, 6, 8, 10, 4]);
+    }
+
+    /// Adjacent seeds (one per worker, say) start unrelated unkeyed
+    /// streams: no draw of seed `s + 1`'s first 64 appears among seed
+    /// `s`'s, so neither is the other shifted.
+    #[test]
+    fn adjacent_seeds_share_no_unkeyed_draws() {
+        let draws = |seed: u64| {
+            let f = FaultInjector::new(sim(), FaultPlan::none(0.5), seed);
+            (0..64).map(|k| unit(f.key.wrapping_add(k))).collect::<Vec<_>>()
+        };
+        for s in [0, 40, 90, 12_345] {
+            let (a, b) = (draws(s), draws(s + 1));
+            assert!(b.iter().all(|x| !a.contains(x)), "seeds {s} and {}", s + 1);
+        }
     }
 
     #[test]
