@@ -3,8 +3,10 @@
 //! In the paper's Figure 3 deployment the encrypted image travels from the
 //! client to the server and the encrypted prediction travels back. This
 //! module provides a versioned, length-checked binary codec for that hop
-//! (keys and parameters serialize via their `serde` derives; ciphertexts
-//! are the high-volume payload and get a dedicated format).
+//! (parameters travel inside the compiled artifact's codec, and keys are
+//! never serialized: the serving store persists the seed and rotation
+//! steps they regenerate from, its `KeyBundleRecord`; ciphertexts are the
+//! high-volume payload and get a dedicated format).
 
 use super::poly::RnsPoly;
 use super::scheme::RnsCiphertext;
