@@ -53,16 +53,18 @@ pub fn u64_budget(q: u64) -> usize {
 }
 
 /// `acc0[i] += d[i]·k0[i]` and `acc1[i] += d[i]·k1[i]` over equal-length
-/// slices — the key-switch inner product's step for one digit.
+/// slices — the key-switch inner product's step for one digit, with the
+/// key residues stored in the 32-bit words they fit (the AVX2 build
+/// zero-extends them into 64-bit lanes).
 ///
-/// Callers guarantee every `d`, `k0`, `k1` value is below `2^32` (the
-/// multiplies run on the low 32 bits) and that the sums stay below `2^64`
-/// (see [`u64_budget`]); debug builds check the latter.
+/// Callers guarantee every `d` value is below `2^32` (the multiplies run
+/// on its low 32 bits) and that the sums stay below `2^64` (see
+/// [`u64_budget`]); debug builds check the latter.
 ///
 /// # Panics
 ///
 /// Panics if the slice lengths differ.
-pub fn mul_acc_pair(acc0: &mut [u64], acc1: &mut [u64], d: &[u64], k0: &[u64], k1: &[u64]) {
+pub fn mul_acc_pair(acc0: &mut [u64], acc1: &mut [u64], d: &[u64], k0: &[u32], k1: &[u32]) {
     let n = acc0.len();
     assert!(acc1.len() == n && d.len() == n && k0.len() == n && k1.len() == n);
     #[cfg(target_arch = "x86_64")]
@@ -76,17 +78,17 @@ pub fn mul_acc_pair(acc0: &mut [u64], acc1: &mut [u64], d: &[u64], k0: &[u64], k
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn mul_acc_pair_avx2(acc0: &mut [u64], acc1: &mut [u64], d: &[u64], k0: &[u64], k1: &[u64]) {
+fn mul_acc_pair_avx2(acc0: &mut [u64], acc1: &mut [u64], d: &[u64], k0: &[u32], k1: &[u32]) {
     mul_acc_pair_lanes(acc0, acc1, d, k0, k1);
 }
 
 #[inline(always)]
-fn mul_acc_pair_lanes(acc0: &mut [u64], acc1: &mut [u64], d: &[u64], k0: &[u64], k1: &[u64]) {
+fn mul_acc_pair_lanes(acc0: &mut [u64], acc1: &mut [u64], d: &[u64], k0: &[u32], k1: &[u32]) {
     let rows = acc0.iter_mut().zip(acc1.iter_mut()).zip(d.iter().zip(k0.iter().zip(k1)));
     for ((a0, a1), (&d, (&k0, &k1))) in rows {
         let d = u64::from(d as u32);
-        *a0 += d * u64::from(k0 as u32);
-        *a1 += d * u64::from(k1 as u32);
+        *a0 += d * u64::from(k0);
+        *a1 += d * u64::from(k1);
     }
 }
 
@@ -263,8 +265,10 @@ mod tests {
         let q = ntt_primes(30, 32768, 1)[0];
         let n = 37; // not a multiple of any vector width
         let d: Vec<u64> = (0..n as u64).map(|i| (q - 1 - i * 7919) % q).collect();
-        let k0: Vec<u64> = (0..n as u64).map(|i| (i * 104_729) % q).collect();
-        let k1 = vec![q - 1; n];
+        // `u32` key residues: varied in `k0`, all at `q − 1` in `k1`, so
+        // `acc1[0]` reaches the budget's worst case `m·(q − 1)²`.
+        let k0: Vec<u32> = (0..n as u64).map(|i| ((i * 104_729) % q) as u32).collect();
+        let k1 = vec![(q - 1) as u32; n];
         let mut want0 = vec![0u128; n];
         let mut want1 = vec![0u128; n];
         let mut builds: Vec<(&str, Vec<u64>, Vec<u64>)> =
