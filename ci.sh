@@ -63,6 +63,7 @@ EXPECTED = {
     ("crates/ckks/src/rns/scheme.rs", "impl Hisa for RnsCkks"),
     ("crates/ckks/src/sim.rs", "impl Hisa for SimCkks"),
     ("crates/core/src/verify/walker.rs", "impl<D: AbstractDomain> Hisa for VerifyInterp<D>"),
+    ("crates/core/src/verify/walker.rs", "impl<D: AbstractDomain> Hisa for Sequential<D>"),
     ("crates/runtime/src/fault.rs", "impl<H: Hisa> Hisa for FaultInjector<H>"),
     ("crates/runtime/src/tally.rs", "impl<H: Hisa> Hisa for RunTally<'_, H>"),
 }
@@ -238,6 +239,19 @@ echo "=== static circuit lint (chet-lint over every Table 3 network) ==="
 # `chet-lint --write-baseline results/lint_baseline.txt` when findings
 # change deliberately.
 cargo run --release -q --bin chet-lint -- --check results/lint_baseline.txt
+
+echo "=== static circuit lint, bit-identical across CHET_THREADS ==="
+# The verifier's walker forks at every kernel fan-out (DESIGN.md §11-§12),
+# so every finding, its span and its order must come out the same at any
+# thread count. The reduced-network tests cover this at 1 and 4 threads;
+# this covers the full-size Table 3 networks.
+lint_one=$(CHET_THREADS=1 cargo run --release -q --bin chet-lint -- --machine | md5sum)
+lint_four=$(CHET_THREADS=4 cargo run --release -q --bin chet-lint -- --machine | md5sum)
+if [ "$lint_one" != "$lint_four" ]; then
+    echo "chet-lint --machine differs across thread counts: $lint_one (1) vs $lint_four (4)"
+    exit 1
+fi
+echo "chet-lint --machine identical at CHET_THREADS=1 and 4: $lint_one"
 
 echo "=== journal durability record (BENCH_journal.json) ==="
 # Regenerated by `cargo run --release -p chet-bench --bin bench_journal`;

@@ -46,8 +46,10 @@ use chet_runtime::exec::ExecError;
 use chet_runtime::layout::Layout;
 use chet_tensor::circuit::Circuit;
 use chet_tensor::Tensor;
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Sentinel plaintext id for input-phase encodes (client-side plaintexts
@@ -112,6 +114,28 @@ impl IrOp {
             | IrOp::Rescale { a, .. } => (Some(*a), None),
         };
         a.into_iter().chain(b)
+    }
+
+    /// Rewrites every ciphertext operand through `node` and every plaintext
+    /// operand through `pt`.
+    fn remap(&mut self, node: impl Fn(usize) -> usize, pt: impl Fn(usize) -> usize) {
+        match self {
+            IrOp::Input { .. } => {}
+            IrOp::Add { a, b } | IrOp::Sub { a, b } | IrOp::Mul { a, b } => {
+                *a = node(*a);
+                *b = node(*b);
+            }
+            IrOp::AddPlain { a, pt: p }
+            | IrOp::SubPlain { a, pt: p }
+            | IrOp::MulPlain { a, pt: p } => {
+                *a = node(*a);
+                *p = pt(*p);
+            }
+            IrOp::AddScalar { a, .. }
+            | IrOp::MulScalar { a, .. }
+            | IrOp::RotLeft { a, .. }
+            | IrOp::Rescale { a, .. } => *a = node(*a),
+        }
     }
 
     /// Short mnemonic for dumps and reports.
@@ -329,32 +353,37 @@ fn plain_key(values: &[f64], scale: f64) -> u64 {
     mix(mix(key, scale.to_bits(), LANE_MUL[0]), values.len() as u64, LANE_MUL[0])
 }
 
+/// One encode call's content as the pool interns it: the [`IrPlain`]
+/// key, hashed here (on the recording thread), and the values when `mode`
+/// keeps them.
+fn plain(mode: ExtractMode, values: Cow<'_, [f64]>, scale: f64) -> IrPlain {
+    let hash = plain_key(&values, scale);
+    let len = values.len();
+    let values = match mode {
+        ExtractMode::Full => Some(values.into_owned()),
+        ExtractMode::Metadata => None,
+    };
+    IrPlain { values, scale, len, hash }
+}
+
 /// The deduplicated encoded-plaintext pool behind [`IrGraph::plains`].
+#[derive(Default)]
 struct PlainPool {
-    mode: ExtractMode,
     plains: Vec<IrPlain>,
     buckets: HashMap<u64, Vec<usize>>,
 }
 
 impl PlainPool {
-    fn new(mode: ExtractMode) -> Self {
-        PlainPool { mode, plains: Vec::new(), buckets: HashMap::new() }
-    }
-
-    /// The pid of `values` at `scale`, adding a pool entry for new content.
-    fn intern(&mut self, values: &[f64], scale: f64) -> usize {
-        self.intern_keyed(values, scale, plain_key(values, scale))
-    }
-
-    /// [`Self::intern`] under a given key (the rule in [`IrPlain::hash`]).
-    fn intern_keyed(&mut self, values: &[f64], scale: f64, key: u64) -> usize {
-        if let Some(bucket) = self.buckets.get(&key) {
+    /// The pid of `plain`'s content, adding a pool entry for new content
+    /// (the rule in [`IrPlain::hash`]).
+    fn intern(&mut self, plain: IrPlain) -> usize {
+        if let Some(bucket) = self.buckets.get(&plain.hash) {
             for &pid in bucket {
                 let p = &self.plains[pid];
-                let same = p.scale.to_bits() == scale.to_bits()
-                    && p.len == values.len()
-                    && p.values.as_deref().is_none_or(|v| {
-                        v.iter().zip(values).all(|(a, b)| a.to_bits() == b.to_bits())
+                let same = p.scale.to_bits() == plain.scale.to_bits()
+                    && p.len == plain.len
+                    && p.values.as_deref().zip(plain.values.as_deref()).is_none_or(|(v, w)| {
+                        v.iter().zip(w).all(|(a, b)| a.to_bits() == b.to_bits())
                     });
                 if same {
                     return pid;
@@ -362,41 +391,121 @@ impl PlainPool {
             }
         }
         let pid = self.plains.len();
-        self.plains.push(IrPlain {
-            values: match self.mode {
-                ExtractMode::Full => Some(values.to_vec()),
-                ExtractMode::Metadata => None,
-            },
-            scale,
-            len: values.len(),
-            hash: key,
-        });
-        self.buckets.entry(key).or_default().push(pid);
+        self.buckets.entry(plain.hash).or_default().push(pid);
+        self.plains.push(plain);
         pid
     }
 }
 
-/// The IR recorder `extract_ir` attaches to the verifier's walker
-/// ([`VerifyInterp`]): every transfer the walk makes appends one
-/// [`IrNode`], and every server-side encode is interned in the plaintext
-/// pool.
-///
-/// The walker never forks (`fork() → None`), so kernel fan-out runs
-/// sequentially in job order and the recorded stream is the deterministic
-/// program-order trace, the same order every thread count produces values
-/// in (DESIGN.md §12).
-pub(crate) struct Recorder {
+const _: () = assert!(usize::BITS >= 64, "IR ids pack a frame number into the high 32 bits");
+
+/// A provisional id: the recording frame in the high 32 bits, the index in
+/// that frame's node or encode list in the low 32. The root recorder is
+/// frame 0, so its ids are plain indices.
+fn pack(frame: u32, index: usize) -> usize {
+    (frame as usize) << 32 | index
+}
+
+fn unpack(id: usize) -> (u32, usize) {
+    ((id >> 32) as u32, id & 0xFFFF_FFFF)
+}
+
+/// A node as a fan-out child records it: an [`IrNode`] but for its span,
+/// which is the child's.
+type Bare = (IrOp, f64, LevelInfo);
+
+/// The spans of a recorded list, as runs: each entry is the index of the
+/// first item under a span. Spans change only between circuit nodes, so a
+/// walk records about one run per circuit node instead of one span (and
+/// one string) per item; the items take their spans when the graph is
+/// built.
+#[derive(Default)]
+struct Runs(Vec<(usize, Option<OpSpan>)>);
+
+impl Runs {
+    /// Notes that the items from index `at` on carry `span`.
+    fn note(&mut self, at: usize, span: Option<&OpSpan>) {
+        if self.0.last().map(|(_, s)| s.as_ref()) != Some(span) {
+            self.0.push((at, span.cloned()));
+        }
+    }
+
+    /// The span of each of `len` items, in order.
+    fn expand(self, len: usize) -> impl Iterator<Item = Option<OpSpan>> {
+        let mut runs = self.0.into_iter().peekable();
+        let mut span = None;
+        (0..len).map(move |i| {
+            while let Some((_, next)) = runs.next_if(|(at, _)| *at <= i) {
+                span = next;
+            }
+            span.clone()
+        })
+    }
+}
+
+/// Nodes a fan-out child's list holds before it first grows. The list is
+/// allocated on the forking thread, and the allocator grows a buffer in
+/// the arena it came from, so a child's nodes never settle in a worker
+/// thread's arena, which would keep the freed bytes after the join.
+const FORK_CAPACITY: usize = 16;
+
+/// What every recorder of one extraction shares.
+struct RecordConfig {
+    mode: ExtractMode,
     /// CKKS: the artifact's total modulus bits; `None` for RNS-CKKS.
     pow2_log_q: Option<f64>,
     /// RNS-CKKS: prefix sums of `log2(chain[..i])` in artifact order.
     chain_log2: Vec<f64>,
+    /// The last frame number handed to a forked recorder.
+    frames: AtomicU32,
+}
+
+/// The IR recorder `extract_ir` attaches to the verifier's walker
+/// ([`VerifyInterp`]): every transfer the walk makes appends one node, and
+/// every server-side encode is interned in the plaintext pool.
+///
+/// The walker forks at every kernel fan-out (DESIGN.md §12), and so does
+/// its recorder: a child records its job's nodes and encodes under a fresh
+/// frame number, hashing its plaintexts on its own thread, and hands them
+/// to the parent at the join. Joins run in job order, so appending the
+/// child's lists keeps the root's in program order, and the root interns
+/// every plaintext in that order too: the graph is the one a sequential
+/// walk records, at every thread count. A value a job defines carries a
+/// provisional id in its frame; the parent maps each joined frame to an
+/// offset into its own lists, and resolves every operand through it when
+/// it records — whether the id reached it through a job's result or
+/// through a nested fan-out. A fan-out runs inside one circuit node, so a
+/// child's nodes and encodes all carry the span it was forked at.
+pub(crate) struct Recorder {
+    config: Arc<RecordConfig>,
+    /// Frame numbers grow with every fork, so a recorder's descendants all
+    /// have larger ones than it and its ancestors smaller.
+    frame: u32,
     /// Set once the input is encrypted: client-side encodes are not
     /// circuit work and are not interned.
     body: bool,
+    /// A child's span: that of every node and encode it records.
+    span: Option<OpSpan>,
+    /// The root's nodes, which take their spans when the graph is built.
     nodes: Vec<IrNode>,
+    /// The root's node spans.
+    node_spans: Runs,
+    /// A child's nodes.
+    bare: Vec<Bare>,
     inputs: Vec<usize>,
-    plains: PlainPool,
-    encodes: Vec<EncodeEvent>,
+    /// The plaintext id of every encode call.
+    encodes: Vec<usize>,
+    /// The root's encode spans.
+    encode_spans: Runs,
+    /// The root's plaintext pool; a child interns nothing.
+    pool: Option<PlainPool>,
+    /// A child's encode contents, one per [`Self::encodes`] entry, left for
+    /// the root to intern.
+    pending: Vec<IrPlain>,
+    /// Every frame joined into this one (a child's own and, through it,
+    /// its joined descendants'): the offsets of its node and encode lists
+    /// in this recorder's.
+    joined: HashMap<u32, (usize, usize)>,
 }
 
 impl Recorder {
@@ -413,15 +522,51 @@ impl Recorder {
                 (None, std::iter::once(0.0).chain(prefix).collect())
             }
         };
+        let config = RecordConfig { mode, pow2_log_q, chain_log2, frames: AtomicU32::new(0) };
+        Recorder::framed(Arc::new(config), 0, false, None, Some(PlainPool::default()))
+    }
+
+    fn framed(
+        config: Arc<RecordConfig>,
+        frame: u32,
+        body: bool,
+        span: Option<OpSpan>,
+        pool: Option<PlainPool>,
+    ) -> Self {
         Recorder {
-            pow2_log_q,
-            chain_log2,
-            body: false,
+            config,
+            frame,
+            body,
+            span,
             nodes: Vec::new(),
+            node_spans: Runs::default(),
+            bare: Vec::new(),
             inputs: Vec::new(),
-            plains: PlainPool::new(mode),
             encodes: Vec::new(),
+            encode_spans: Runs::default(),
+            pool,
+            pending: Vec::new(),
+            joined: HashMap::new(),
         }
+    }
+
+    /// A child recorder for one fan-out job, under a fresh frame; it runs
+    /// at this recorder's span (the root's is `root_span`).
+    pub(crate) fn fork(&mut self, root_span: Option<&OpSpan>) -> Self {
+        let span = if self.is_root() { root_span.cloned() } else { self.span.clone() };
+        let frame = self.config.frames.fetch_add(1, Ordering::Relaxed) + 1;
+        let mut child = Recorder::framed(Arc::clone(&self.config), frame, self.body, span, None);
+        child.bare.reserve_exact(FORK_CAPACITY);
+        child
+    }
+
+    fn is_root(&self) -> bool {
+        self.frame == 0
+    }
+
+    /// Whether the graph keeps plaintext values ([`ExtractMode::Full`]).
+    pub(crate) fn keeps_values(&self) -> bool {
+        self.config.mode == ExtractMode::Full
     }
 
     /// Switches from input capture to circuit recording.
@@ -432,50 +577,145 @@ impl Recorder {
     /// The modulus state a level fact stands for: RNS keeps the chain's
     /// first `len − chain_idx` primes (rescaling pops from the back).
     fn level_info(&self, at: LevelFact) -> LevelInfo {
-        match self.pow2_log_q {
+        let chain_log2 = &self.config.chain_log2;
+        match self.config.pow2_log_q {
             Some(log_q) => LevelInfo { log_q: log_q - at.consumed_log2, rns_len: 1 },
             None => {
-                let rns_len = (self.chain_log2.len() - 1).saturating_sub(at.chain_idx);
-                LevelInfo { log_q: self.chain_log2[rns_len], rns_len }
+                let rns_len = (chain_log2.len() - 1).saturating_sub(at.chain_idx);
+                LevelInfo { log_q: chain_log2[rns_len], rns_len }
             }
         }
     }
 
-    /// The pool id of one encode call: interned (and logged as an
-    /// [`EncodeEvent`]) in the body, [`INPUT_PT`] for the client's input.
-    pub(crate) fn encode(&mut self, values: &[f64], scale: f64, span: Option<OpSpan>) -> usize {
-        if !self.body {
-            return INPUT_PT;
+    /// The id in this recorder of a node id: a joined frame's through its
+    /// offset; this frame's, an ancestor's, or one the parent will resolve
+    /// at the join, unchanged.
+    fn resolve_node(&self, id: usize) -> usize {
+        let (frame, index) = unpack(id);
+        if frame <= self.frame {
+            return id;
         }
-        let pt = self.plains.intern(values, scale);
-        self.encodes.push(EncodeEvent { pt, span });
+        self.joined.get(&frame).map_or(id, |&(nodes, _)| pack(self.frame, nodes + index))
+    }
+
+    /// [`Self::resolve_node`] for a plaintext id: a joined frame's encode
+    /// resolves to the pid its entry here carries.
+    fn resolve_pt(&self, pid: usize) -> usize {
+        let (frame, index) = unpack(pid);
+        if frame <= self.frame {
+            return pid;
+        }
+        self.joined.get(&frame).map_or(pid, |&(_, encodes)| self.encodes[encodes + index])
+    }
+
+    /// Logs one body encode: the root interns it now, a child keeps it for
+    /// the root and hands out a provisional pid.
+    fn push_encode(&mut self, plain: IrPlain) -> usize {
+        let pt = match &mut self.pool {
+            Some(pool) => pool.intern(plain),
+            None => {
+                self.pending.push(plain);
+                pack(self.frame, self.encodes.len())
+            }
+        };
+        self.encodes.push(pt);
         pt
     }
 
-    /// Appends one node and returns its id. `at` is the operand's level.
+    /// The plaintext id of one encode call: interned (and logged as an
+    /// [`EncodeEvent`]) in the body, [`INPUT_PT`] for the client's input.
+    /// `span` is the root's current span (a child records at its own).
+    pub(crate) fn encode(
+        &mut self,
+        values: Cow<'_, [f64]>,
+        scale: f64,
+        span: Option<&OpSpan>,
+    ) -> usize {
+        if !self.body {
+            return INPUT_PT;
+        }
+        if self.is_root() {
+            self.encode_spans.note(self.encodes.len(), span);
+        }
+        self.push_encode(plain(self.config.mode, values, scale))
+    }
+
+    /// Appends one node and returns its id. `at` is the operand's level;
+    /// `span` is the root's current span (a child records at its own).
     pub(crate) fn node(
         &mut self,
-        op: IrOp,
-        span: Option<OpSpan>,
+        mut op: IrOp,
+        span: Option<&OpSpan>,
         scale: f64,
         at: LevelFact,
     ) -> usize {
-        let id = self.nodes.len();
+        if !self.joined.is_empty() {
+            op.remap(|id| self.resolve_node(id), |pid| self.resolve_pt(pid));
+        }
+        let id = pack(self.frame, self.nodes.len() + self.bare.len());
         if let IrOp::Input { .. } = op {
             self.inputs.push(id);
         }
         let level = self.level_info(at);
-        self.nodes.push(IrNode { op, span, scale, level });
+        if self.is_root() {
+            self.node_spans.note(self.nodes.len(), span);
+            self.nodes.push(IrNode { op, span: None, scale, level });
+        } else {
+            self.bare.push((op, scale, level));
+        }
         id
     }
 
-    /// The next [`IrOp::Input`] node (a freshly encrypted ciphertext).
+    /// The next [`IrOp::Input`] node (a freshly encrypted ciphertext; the
+    /// input is encrypted before the body, outside any fan-out).
     pub(crate) fn next_input(&self) -> IrOp {
         IrOp::Input { ct: self.inputs.len() }
     }
 
-    /// Consumes the recorder into a graph.
-    fn finish(
+    /// Appends a joined child's stream: its encodes first (interned here
+    /// at the root), then its nodes with every operand resolved to this
+    /// recorder's ids.
+    pub(crate) fn join(&mut self, child: Recorder) {
+        let (node_base, encode_base) = (self.nodes.len() + self.bare.len(), self.encodes.len());
+        let root = self.is_root();
+        if root {
+            self.node_spans.note(node_base, child.span.as_ref());
+            self.encode_spans.note(encode_base, child.span.as_ref());
+        }
+        for plain in child.pending {
+            self.push_encode(plain);
+        }
+        self.joined.insert(child.frame, (node_base, encode_base));
+        for (frame, (nodes, encodes)) in child.joined {
+            self.joined.insert(frame, (node_base + nodes, encode_base + encodes));
+        }
+        let inputs = child.inputs.into_iter().map(|id| pack(self.frame, node_base + unpack(id).1));
+        self.inputs.extend(inputs);
+        // The child's own ids map straight onto the offsets; only ids from
+        // other frames go through the table.
+        let own = child.frame;
+        for (mut op, scale, level) in child.bare {
+            op.remap(
+                |id| match unpack(id) {
+                    (frame, i) if frame == own => pack(self.frame, node_base + i),
+                    _ => self.resolve_node(id),
+                },
+                |pid| match unpack(pid) {
+                    (frame, i) if frame == own => self.encodes[encode_base + i],
+                    _ => self.resolve_pt(pid),
+                },
+            );
+            if root {
+                self.nodes.push(IrNode { op, span: None, scale, level });
+            } else {
+                self.bare.push((op, scale, level));
+            }
+        }
+    }
+
+    /// Consumes the recorder into a graph; `outputs` are the output
+    /// ciphertexts' ids as the walk returned them.
+    pub(crate) fn finish(
         self,
         compiled: &CompiledCircuit,
         input_layout: Layout,
@@ -483,12 +723,23 @@ impl Recorder {
         outputs: Vec<usize>,
         output_shape: Vec<usize>,
     ) -> IrGraph {
+        let outputs = outputs.into_iter().map(|id| self.resolve_node(id)).collect();
+        let mut nodes = self.nodes;
+        let spans = self.node_spans.expand(nodes.len());
+        for (node, span) in nodes.iter_mut().zip(spans) {
+            node.span = span;
+        }
+        let spans = self.encode_spans.expand(self.encodes.len());
+        let encodes =
+            self.encodes.into_iter().zip(spans).map(|(pt, span)| EncodeEvent { pt, span }).collect();
         let slots = compiled.params.slots();
         let (chain, log_q) = match &compiled.params.modulus {
             ModulusSpec::PrimeChain { primes, .. } => {
-                (primes.clone(), self.chain_log2.last().copied().unwrap_or(0.0))
+                (primes.clone(), self.config.chain_log2.last().copied().unwrap_or(0.0))
             }
-            ModulusSpec::PowerOfTwo { .. } => (Vec::new(), self.pow2_log_q.unwrap_or(0.0)),
+            ModulusSpec::PowerOfTwo { .. } => {
+                (Vec::new(), self.config.pow2_log_q.unwrap_or(0.0))
+            }
         };
         IrGraph {
             scheme: compiled.params.kind(),
@@ -501,11 +752,11 @@ impl Recorder {
             input_layout,
             output_layout,
             output_shape,
-            nodes: self.nodes,
+            nodes,
             inputs: self.inputs,
             outputs,
-            plains: self.plains.plains,
-            encodes: self.encodes,
+            plains: self.pool.map(|p| p.plains).unwrap_or_default(),
+            encodes,
         }
     }
 }
@@ -819,9 +1070,9 @@ mod tests {
     #[test]
     fn equal_content_shares_a_pid() {
         for mode in [ExtractMode::Full, ExtractMode::Metadata] {
-            let mut pool = PlainPool::new(mode);
-            let a = pool.intern(&sample(), 4096.0);
-            let b = pool.intern(&sample(), 4096.0);
+            let mut pool = PlainPool::default();
+            let a = pool.intern(plain(mode, sample().into(), 4096.0));
+            let b = pool.intern(plain(mode, sample().into(), 4096.0));
             assert_eq!(a, b, "{mode:?}");
             assert_eq!(pool.plains.len(), 1, "{mode:?}");
         }
@@ -867,15 +1118,18 @@ mod tests {
         let a = sample();
         let mut b = sample();
         b[3] = 7.5;
-        let mut full = PlainPool::new(ExtractMode::Full);
-        let pa = full.intern_keyed(&a, 1.0, 42);
-        let pb = full.intern_keyed(&b, 1.0, 42);
+        // Both contents under one key, as a collision would file them.
+        let keyed = |mode, values: &[f64]| IrPlain { hash: 42, ..plain(mode, values.into(), 1.0) };
+        let mut full = PlainPool::default();
+        let pa = full.intern(keyed(ExtractMode::Full, &a));
+        let pb = full.intern(keyed(ExtractMode::Full, &b));
         assert_ne!(pa, pb);
-        assert_eq!(full.intern_keyed(&a, 1.0, 42), pa);
-        assert_eq!(full.intern_keyed(&b, 1.0, 42), pb);
+        assert_eq!(full.intern(keyed(ExtractMode::Full, &a)), pa);
+        assert_eq!(full.intern(keyed(ExtractMode::Full, &b)), pb);
         assert_eq!(full.plains[pb].values.as_deref(), Some(&b[..]));
         // Metadata mode keeps nothing to compare: the key decides.
-        let mut meta = PlainPool::new(ExtractMode::Metadata);
-        assert_eq!(meta.intern_keyed(&a, 1.0, 42), meta.intern_keyed(&b, 1.0, 42));
+        let mut meta = PlainPool::default();
+        let pa = meta.intern(keyed(ExtractMode::Metadata, &a));
+        assert_eq!(meta.intern(keyed(ExtractMode::Metadata, &b)), pa);
     }
 }

@@ -97,17 +97,17 @@ pub struct LayoutChoice {
 /// walk's ledger: each `(op, operand level)` entry costs the model's
 /// `op_cost` at the modulus remaining there, summed in program order.
 pub fn estimate_cost(
-    ledger: &[(HisaOp, LevelFact)],
+    ledger: impl IntoIterator<Item = (HisaOp, LevelFact)>,
     params: &EncryptionParams,
     cost_model: &CostModel,
 ) -> f64 {
     let (log_q, rns_len) = (params.modulus.log_q(), params.modulus.chain_len());
-    ledger.iter().fold(0.0, |total, (op, at)| {
+    ledger.into_iter().fold(0.0, |total, (op, at)| {
         let lvl = LevelInfo {
             log_q: (log_q - at.consumed_log2).max(1.0),
             rns_len: rns_len.saturating_sub(at.chain_idx).max(1),
         };
-        total + cost_model.op_cost(*op, params.degree, lvl)
+        total + cost_model.op_cost(op, params.degree, lvl)
     })
 }
 
@@ -164,7 +164,7 @@ pub fn enumerate_layouts_with_margin(
         ) else {
             continue;
         };
-        let estimated_cost = estimate_cost(&ledger, &outcome.params, cost_model);
+        let estimated_cost = estimate_cost(ledger.iter(), &outcome.params, cost_model);
         let plan = ExecPlan { layouts, scales: *scales, margin };
         choices.push(LayoutChoice { policy, plan, outcome, estimated_cost });
     }
@@ -270,8 +270,8 @@ mod tests {
         let model = CostModel::for_scheme(SchemeKind::RnsCkks);
         let fresh = LevelFact { consumed_log2: 0.0, chain_idx: 0 };
         let deep = LevelFact { consumed_log2: 160.0, chain_idx: 4 };
-        let hi = estimate_cost(&[(HisaOp::MulCipher, fresh)], &params, &model);
-        let lo = estimate_cost(&[(HisaOp::MulCipher, deep)], &params, &model);
+        let hi = estimate_cost([(HisaOp::MulCipher, fresh)], &params, &model);
+        let lo = estimate_cost([(HisaOp::MulCipher, deep)], &params, &model);
         assert!(lo < hi, "ops at lower levels must be cheaper");
     }
 

@@ -6,7 +6,7 @@
 //! picks the smallest ring degree whose security budget admits it. The
 //! accepted walk's level ledger is what layout selection prices (§5.3).
 
-use crate::verify::domain::{LevelDomain, LevelFact, RotationDomain, ScaleDomain};
+use crate::verify::domain::{Ledger, LevelDomain, RotationDomain, ScaleDomain};
 use crate::verify::walker::{self, VerifyInterp};
 use chet_hisa::cost::HisaOp;
 use chet_hisa::params::{EncryptionParams, ModulusSpec, SchemeKind};
@@ -212,7 +212,7 @@ pub(crate) fn select_and_ledger(
     security: SecurityLevel,
     output_precision: f64,
     extra_levels: usize,
-) -> Result<(AnalysisOutcome, Vec<(HisaOp, LevelFact)>), SelectError> {
+) -> Result<(AnalysisOutcome, Ledger), SelectError> {
     let margin = chet_runtime::exec::required_margin_for(circuit);
     let plan = ExecPlan { layouts: layouts.to_vec(), scales: *scales, margin };
     let candidates = match kind {
@@ -271,8 +271,8 @@ pub(crate) fn select_and_ledger(
         };
         let ledger = walk.levels.ledger.unwrap_or_default();
         let mut op_counts = HashMap::new();
-        for (op, _) in &ledger {
-            *op_counts.entry(*op).or_insert(0) += 1;
+        for (op, _) in ledger.iter() {
+            *op_counts.entry(op).or_insert(0) += 1;
         }
         let outcome = AnalysisOutcome {
             params,

@@ -5,12 +5,36 @@
 //! composes them into products, so the walker runs every registered lint in
 //! a single forward pass. Circuits are DAGs executed in topological order,
 //! so no fixpoint iteration is needed — one transfer per HISA instruction.
+//!
+//! A domain forks with the walker: each fan-out job transfers on a child
+//! that shares the parent's immutable configuration and starts with empty
+//! accumulators, and the parent folds the child back in at the join
+//! ([`AbstractDomain::fork`], [`AbstractDomain::join`]).
 
 use super::LintCode;
 use chet_hisa::cost::HisaOp;
 use chet_hisa::keys::plan_rotation;
 use chet_hisa::params::ModulusSpec;
 use std::collections::BTreeSet;
+use std::sync::Arc;
+
+/// The key of a first-use finding: a domain reports it once per walk, at
+/// the key's first use in program order. A fan-out child only knows its
+/// own first uses, so it tags what it emits with the key, and the parent's
+/// sink keeps the finding only if the key is new there too
+/// ([`super::DiagSink`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum FirstUse {
+    /// `CHET-E002`: the walk's first crossing of the modulus budget.
+    Exhaustion,
+    /// `CHET-E003` / `CHET-N001`: the first rotation by this normalized
+    /// step.
+    Rotation(usize),
+}
+
+/// Where a transfer reports findings: the lint code, the [`FirstUse`] key
+/// for a once-per-walk finding (`None` for the rest) and the message.
+pub type Emit<'a> = dyn FnMut(LintCode, Option<FirstUse>, String) + 'a;
 
 /// The HISA instruction alphabet the domains interpret, with only the
 /// operands that matter to any fact family.
@@ -69,7 +93,7 @@ impl AbstractOp {
 /// violations as lints and keeps walking, never fails.
 /// (`Send` because the walker is a [`chet_hisa::Hisa`] interpretation and
 /// the HISA is `Send` for the parallel runtime; domains are plain data.)
-pub trait AbstractDomain: Send {
+pub trait AbstractDomain: Send + Sized {
     /// The per-ciphertext fact.
     type Fact: Clone + std::fmt::Debug + Send + Sync;
 
@@ -84,8 +108,16 @@ pub trait AbstractDomain: Send {
         op: &AbstractOp,
         a: &Self::Fact,
         b: Option<&Self::Fact>,
-        emit: &mut dyn FnMut(LintCode, String),
+        emit: &mut Emit<'_>,
     ) -> Self::Fact;
+
+    /// A child for one fan-out job: the same configuration (shared, never
+    /// copied) with empty accumulators.
+    fn fork(&mut self) -> Self;
+
+    /// Folds a joined child's accumulators into `self`. Children join in
+    /// job order, so whatever accumulates in program order stays in it.
+    fn join(&mut self, child: Self);
 
     /// The fixed-point scale this domain tracks for a fact, if it does.
     fn scale_of(&self, _f: &Self::Fact) -> Option<f64> {
@@ -118,12 +150,21 @@ impl<A: AbstractDomain, B: AbstractDomain> AbstractDomain for (A, B) {
         op: &AbstractOp,
         a: &Self::Fact,
         b: Option<&Self::Fact>,
-        emit: &mut dyn FnMut(LintCode, String),
+        emit: &mut Emit<'_>,
     ) -> Self::Fact {
         (
             self.0.transfer(op, &a.0, b.map(|f| &f.0), emit),
             self.1.transfer(op, &a.1, b.map(|f| &f.1), emit),
         )
+    }
+
+    fn fork(&mut self) -> Self {
+        (self.0.fork(), self.1.fork())
+    }
+
+    fn join(&mut self, child: Self) {
+        self.0.join(child.0);
+        self.1.join(child.1);
     }
 
     fn scale_of(&self, f: &Self::Fact) -> Option<f64> {
@@ -175,7 +216,7 @@ impl AbstractDomain for ScaleDomain {
         op: &AbstractOp,
         a: &f64,
         b: Option<&f64>,
-        emit: &mut dyn FnMut(LintCode, String),
+        emit: &mut Emit<'_>,
     ) -> f64 {
         match op {
             AbstractOp::Add => {
@@ -183,6 +224,7 @@ impl AbstractDomain for ScaleDomain {
                 if !Self::aligned(*a, b) {
                     emit(
                         LintCode::ScaleMismatch,
+                        None,
                         format!(
                             "operand scales diverged: 2^{:.2} vs 2^{:.2}",
                             a.log2(),
@@ -196,6 +238,7 @@ impl AbstractDomain for ScaleDomain {
                 if !Self::aligned(*a, *scale) {
                     emit(
                         LintCode::ScaleMismatch,
+                        None,
                         format!(
                             "ciphertext scale 2^{:.2} vs plaintext scale 2^{:.2}",
                             a.log2(),
@@ -212,6 +255,7 @@ impl AbstractDomain for ScaleDomain {
                 if *divisor > 1.0 && *a <= self.working * 1.5 {
                     emit(
                         LintCode::RedundantRescale,
+                        None,
                         format!(
                             "rescale by 2^{:.1} on a ciphertext already at the working \
                              scale (2^{:.2} <= 1.5 × 2^{:.2})",
@@ -229,6 +273,12 @@ impl AbstractDomain for ScaleDomain {
     fn scale_of(&self, f: &f64) -> Option<f64> {
         Some(*f)
     }
+
+    fn fork(&mut self) -> Self {
+        ScaleDomain { working: self.working }
+    }
+
+    fn join(&mut self, _child: Self) {}
 }
 
 /// A freshly encrypted ciphertext's level: nothing consumed.
@@ -243,6 +293,71 @@ pub struct LevelFact {
     /// Chain primes consumed (RNS only).
     pub chain_idx: usize,
 }
+
+/// Program-order `(op, operand level)` of every transfer. A walk meets few
+/// distinct levels, so each is kept once and an entry is an op and the
+/// level's index: a third of the bytes of the pairs themselves, in the
+/// parent and in every fan-out child, whose entries the join copies.
+#[derive(Debug, Default)]
+pub(crate) struct Ledger {
+    levels: Vec<LevelFact>,
+    entries: Vec<(HisaOp, u32)>,
+}
+
+impl Ledger {
+    /// A fan-out child's ledger, allocated here on the forking thread: the
+    /// allocator grows a buffer in the arena it came from, so a child's
+    /// entries never settle in a worker thread's arena, which would keep
+    /// the freed bytes after the join.
+    fn for_fork() -> Self {
+        Ledger { levels: Vec::new(), entries: Vec::with_capacity(FORK_CAPACITY) }
+    }
+
+    fn push(&mut self, op: HisaOp, at: LevelFact) {
+        // Consecutive transfers mostly share their operand's level.
+        let last = self.entries.last().map(|&(_, i)| i).filter(|&i| self.levels[i as usize] == at);
+        let index = last.unwrap_or_else(|| self.index(at));
+        self.entries.push((op, index));
+    }
+
+    /// The index of `at`, adding it to the level table if new.
+    fn index(&mut self, at: LevelFact) -> u32 {
+        let i = self.levels.iter().position(|l| *l == at).unwrap_or_else(|| {
+            self.levels.push(at);
+            self.levels.len() - 1
+        });
+        i as u32
+    }
+
+    /// Appends a joined child's entries after this ledger's.
+    fn append(&mut self, child: &Ledger) {
+        self.entries.reserve(child.entries.len());
+        // (child index, own index) of the last level mapped.
+        let mut last = None;
+        for &(op, i) in &child.entries {
+            let index = match last {
+                Some((from, to)) if from == i => to,
+                _ => self.index(child.levels[i as usize]),
+            };
+            last = Some((i, index));
+            self.entries.push((op, index));
+        }
+    }
+
+    /// The entries in program order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (HisaOp, LevelFact)> + '_ {
+        self.entries.iter().map(|&(op, i)| (op, self.levels[i as usize]))
+    }
+
+    /// The number of entries.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+}
+
+/// Entries a fan-out child's ledger holds before it first grows.
+const FORK_CAPACITY: usize = 64;
 
 /// Tracks rescale-driven modulus consumption against a modulus budget
 /// (`CHET-E002`).
@@ -270,10 +385,10 @@ pub struct LevelDomain {
     /// Program-order `(op, operand level)` of every transfer — what the
     /// cost model prices once parameters are chosen. Kept by the open
     /// search model only.
-    pub(crate) ledger: Option<Vec<(HisaOp, LevelFact)>>,
+    pub(crate) ledger: Option<Ledger>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum LevelModel {
     /// CKKS: `log_q` bits of budget, any power of two divides; the final
     /// bit is not consumable.
@@ -284,7 +399,7 @@ enum LevelModel {
     /// back-to-front); the last one anchors the residual value and is not
     /// consumable.
     Chain {
-        order: Vec<u64>,
+        order: Arc<[u64]>,
         usable: usize,
     },
 }
@@ -295,7 +410,7 @@ impl LevelDomain {
         let model = match modulus {
             ModulusSpec::PowerOfTwo { log_q, .. } => LevelModel::Pow2 { log_q: *log_q as f64 },
             ModulusSpec::PrimeChain { primes, .. } => {
-                let order: Vec<u64> = primes.iter().rev().copied().collect();
+                let order: Arc<[u64]> = primes.iter().rev().copied().collect();
                 LevelModel::Chain { usable: order.len().saturating_sub(1), order }
             }
         };
@@ -308,10 +423,10 @@ impl LevelDomain {
     /// exhaustion), or `None` for an unbounded power-of-two budget.
     pub(crate) fn open(candidates: Option<&[u64]>) -> Self {
         let model = match candidates {
-            Some(order) => LevelModel::Chain { order: order.to_vec(), usable: order.len() },
+            Some(order) => LevelModel::Chain { order: order.into(), usable: order.len() },
             None => LevelModel::Pow2 { log_q: f64::INFINITY },
         };
-        LevelDomain { model, reported: false, deepest: FRESH, ledger: Some(Vec::new()) }
+        LevelDomain { model, reported: false, deepest: FRESH, ledger: Some(Ledger::default()) }
     }
 
     /// Whether the walk crossed the budget (the `CHET-E002` it reported).
@@ -339,10 +454,10 @@ impl AbstractDomain for LevelDomain {
         op: &AbstractOp,
         a: &LevelFact,
         b: Option<&LevelFact>,
-        emit: &mut dyn FnMut(LintCode, String),
+        emit: &mut Emit<'_>,
     ) -> LevelFact {
         if let Some(ledger) = &mut self.ledger {
-            ledger.push((op.hisa_op(), *a));
+            ledger.push(op.hisa_op(), *a);
         }
         let out = match op {
             AbstractOp::Add | AbstractOp::Mul => {
@@ -357,6 +472,7 @@ impl AbstractDomain for LevelDomain {
                             self.reported = true;
                             emit(
                                 LintCode::LevelExhaustion,
+                                Some(FirstUse::Exhaustion),
                                 format!(
                                     "rescaling consumes {:.1} of the {log_q:.0} modulus \
                                      bits the artifact carries",
@@ -372,6 +488,7 @@ impl AbstractDomain for LevelDomain {
                                 self.reported = true;
                                 emit(
                                     LintCode::LevelExhaustion,
+                                    Some(FirstUse::Exhaustion),
                                     format!(
                                         "rescaling needs chain prime #{} but only {usable} \
                                          of {} primes are consumable",
@@ -428,6 +545,26 @@ impl AbstractDomain for LevelDomain {
     fn level_of(&self, f: &LevelFact) -> Option<LevelFact> {
         Some(*f)
     }
+
+    fn fork(&mut self) -> Self {
+        LevelDomain {
+            model: self.model.clone(),
+            reported: false,
+            deepest: FRESH,
+            ledger: self.ledger.as_ref().map(|_| Ledger::for_fork()),
+        }
+    }
+
+    /// Appends the child's ledger, keeps the deeper consumption, and takes
+    /// over a crossing the child reported (the sink decides whether its
+    /// `CHET-E002` was the walk's first).
+    fn join(&mut self, child: Self) {
+        self.reported |= child.reported;
+        self.deepest = Self::meet(&self.deepest, &child.deepest);
+        if let (Some(ledger), Some(more)) = (&mut self.ledger, child.ledger) {
+            ledger.append(&more);
+        }
+    }
 }
 
 /// Tracks slot occupancy per ciphertext (`CHET-E004` defensively — the
@@ -461,7 +598,7 @@ impl AbstractDomain for SlotDomain {
         op: &AbstractOp,
         a: &usize,
         b: Option<&usize>,
-        _emit: &mut dyn FnMut(LintCode, String),
+        _emit: &mut Emit<'_>,
     ) -> usize {
         match op {
             AbstractOp::Add | AbstractOp::Mul => (*a).max(b.copied().unwrap_or(0)),
@@ -469,6 +606,12 @@ impl AbstractDomain for SlotDomain {
             _ => *a,
         }
     }
+
+    fn fork(&mut self) -> Self {
+        SlotDomain { slots: self.slots }
+    }
+
+    fn join(&mut self, _child: Self) {}
 }
 
 /// Records every rotation step the trace requests and checks each against
@@ -480,7 +623,7 @@ impl AbstractDomain for SlotDomain {
 pub struct RotationDomain {
     slots: usize,
     /// The key set steps are checked against; `None` only collects.
-    keys: Option<BTreeSet<usize>>,
+    keys: Option<Arc<BTreeSet<usize>>>,
     /// Normalized steps the trace requested (each is diagnosed once, on
     /// first use).
     pub used: BTreeSet<usize>,
@@ -489,7 +632,7 @@ pub struct RotationDomain {
 impl RotationDomain {
     /// Domain for an artifact's key set.
     pub fn new(slots: usize, keys: BTreeSet<usize>) -> Self {
-        RotationDomain { slots, keys: Some(keys), used: BTreeSet::new() }
+        RotationDomain { slots, keys: Some(Arc::new(keys)), used: BTreeSet::new() }
     }
 
     /// A domain that only collects the requested steps (no key set yet).
@@ -508,16 +651,18 @@ impl AbstractDomain for RotationDomain {
         op: &AbstractOp,
         _a: &(),
         _b: Option<&()>,
-        emit: &mut dyn FnMut(LintCode, String),
+        emit: &mut Emit<'_>,
     ) {
         if let AbstractOp::Rotate { step } = op {
             if !self.used.insert(*step) {
                 return;
             }
             let Some(keys) = &self.keys else { return };
+            let first = Some(FirstUse::Rotation(*step));
             match plan_rotation(*step, keys, self.slots) {
                 None => emit(
                     LintCode::MissingRotationKey,
+                    first,
                     format!(
                         "rotation by {step} cannot be composed from the {} available \
                          key step(s)",
@@ -526,6 +671,7 @@ impl AbstractDomain for RotationDomain {
                 ),
                 Some(plan) if plan.len() > 1 => emit(
                     LintCode::DegradedRotation,
+                    first,
                     format!(
                         "rotation by {step} is served by composing {} keyed rotations",
                         plan.len()
@@ -535,14 +681,24 @@ impl AbstractDomain for RotationDomain {
             }
         }
     }
+
+    fn fork(&mut self) -> Self {
+        RotationDomain { slots: self.slots, keys: self.keys.clone(), used: BTreeSet::new() }
+    }
+
+    /// Inserts the child's few steps one by one (`BTreeSet::append` would
+    /// rebuild the parent's whole set at every join).
+    fn join(&mut self, child: Self) {
+        self.used.extend(child.used);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn no_emit() -> impl FnMut(LintCode, String) {
-        |_, _| {}
+    fn no_emit() -> impl FnMut(LintCode, Option<FirstUse>, String) {
+        |_, _, _| {}
     }
 
     #[test]
@@ -551,7 +707,7 @@ mod tests {
         let mut hits = Vec::new();
         let a = 2f64.powi(30);
         let b = 2f64.powi(31);
-        d.transfer(&AbstractOp::Add, &a, Some(&b), &mut |c, m| hits.push((c, m)));
+        d.transfer(&AbstractOp::Add, &a, Some(&b), &mut |c, _, m| hits.push((c, m)));
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].0, LintCode::ScaleMismatch);
     }
@@ -561,7 +717,7 @@ mod tests {
         let mut d = ScaleDomain::new(2f64.powi(30));
         let mut hits = Vec::new();
         let a = 2f64.powi(30);
-        d.transfer(&AbstractOp::Add, &a, Some(&a), &mut |c, m| hits.push((c, m)));
+        d.transfer(&AbstractOp::Add, &a, Some(&a), &mut |c, _, m| hits.push((c, m)));
         assert!(hits.is_empty());
     }
 
@@ -574,7 +730,7 @@ mod tests {
             &AbstractOp::Rescale { divisor: 2f64.powi(10) },
             &working,
             None,
-            &mut |c, m| hits.push((c, m)),
+            &mut |c, _, m| hits.push((c, m)),
         );
         assert_eq!(hits[0].0, LintCode::RedundantRescale);
         assert_eq!(out, working / 2f64.powi(10));
@@ -589,19 +745,19 @@ mod tests {
         assert!(divisor > 1.0);
         let mut hits = Vec::new();
         // First rescale uses the only consumable prime; the second crosses.
-        let f = d.transfer(&AbstractOp::Rescale { divisor }, &f, None, &mut |c, m| {
+        let f = d.transfer(&AbstractOp::Rescale { divisor }, &f, None, &mut |c, _, m| {
             hits.push((c, m))
         });
         assert!(hits.is_empty(), "{hits:?}");
         let divisor2 = d.max_rescale(&f, 2f64.powi(45)).unwrap();
-        let f = d.transfer(&AbstractOp::Rescale { divisor: divisor2 }, &f, None, &mut |c, m| {
+        let f = d.transfer(&AbstractOp::Rescale { divisor: divisor2 }, &f, None, &mut |c, _, m| {
             hits.push((c, m))
         });
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].0, LintCode::LevelExhaustion);
         // Further rescales stay silent (single report per walk).
         let d3 = d.max_rescale(&f, 2f64.powi(45)).unwrap();
-        d.transfer(&AbstractOp::Rescale { divisor: d3 }, &f, None, &mut |c, m| {
+        d.transfer(&AbstractOp::Rescale { divisor: d3 }, &f, None, &mut |c, _, m| {
             hits.push((c, m))
         });
         assert_eq!(hits.len(), 1);
@@ -616,7 +772,7 @@ mod tests {
         let d1 = d.max_rescale(&f, 2f64.powi(45)).unwrap();
         assert_eq!(d1, primes[0] as f64);
         let mut hits = Vec::new();
-        let f = d.transfer(&AbstractOp::Rescale { divisor: d1 }, &f, None, &mut |c, m| {
+        let f = d.transfer(&AbstractOp::Rescale { divisor: d1 }, &f, None, &mut |c, _, m| {
             hits.push((c, m))
         });
         let d2 = d.max_rescale(&f, 2f64.powi(85)).unwrap();
@@ -630,11 +786,11 @@ mod tests {
         assert!(hits.is_empty(), "{hits:?}");
         // Every candidate consumed: the next rescale is exhaustion.
         let d3 = d.max_rescale(&g, 2f64.powi(45)).unwrap();
-        d.transfer(&AbstractOp::Rescale { divisor: d3 }, &g, None, &mut |c, m| hits.push((c, m)));
+        d.transfer(&AbstractOp::Rescale { divisor: d3 }, &g, None, &mut |c, _, m| hits.push((c, m)));
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].0, LintCode::LevelExhaustion);
         assert!(d.exhausted());
-        let ops: Vec<HisaOp> = d.ledger.unwrap().iter().map(|(op, _)| *op).collect();
+        let ops: Vec<HisaOp> = d.ledger.unwrap().iter().map(|(op, _)| op).collect();
         assert_eq!(ops, [HisaOp::Rescale, HisaOp::Rescale, HisaOp::Add, HisaOp::Rescale]);
     }
 
@@ -648,10 +804,10 @@ mod tests {
             &AbstractOp::Rescale { divisor: 2f64.powi(40) },
             &f,
             None,
-            &mut |c, m| hits.push((c, m)),
+            &mut |c, _, m| hits.push((c, m)),
         );
         assert!(hits.is_empty());
-        d.transfer(&AbstractOp::Rescale { divisor: 2f64.powi(40) }, &f, None, &mut |c, m| {
+        d.transfer(&AbstractOp::Rescale { divisor: 2f64.powi(40) }, &f, None, &mut |c, _, m| {
             hits.push((c, m))
         });
         assert_eq!(hits.len(), 1);
@@ -664,11 +820,11 @@ mod tests {
         let mut d = RotationDomain::new(16, keys);
         let mut hits = Vec::new();
         // 8 = 4 + 4: composable but degraded.
-        d.transfer(&AbstractOp::Rotate { step: 8 }, &(), None, &mut |c, m| hits.push((c, m)));
+        d.transfer(&AbstractOp::Rotate { step: 8 }, &(), None, &mut |c, _, m| hits.push((c, m)));
         // 3 is outside the subgroup <4> generates.
-        d.transfer(&AbstractOp::Rotate { step: 3 }, &(), None, &mut |c, m| hits.push((c, m)));
+        d.transfer(&AbstractOp::Rotate { step: 3 }, &(), None, &mut |c, _, m| hits.push((c, m)));
         // Repeat: diagnosed once.
-        d.transfer(&AbstractOp::Rotate { step: 3 }, &(), None, &mut |c, m| hits.push((c, m)));
+        d.transfer(&AbstractOp::Rotate { step: 3 }, &(), None, &mut |c, _, m| hits.push((c, m)));
         assert_eq!(hits.len(), 2, "{hits:?}");
         assert_eq!(hits[0].0, LintCode::DegradedRotation);
         assert_eq!(hits[1].0, LintCode::MissingRotationKey);

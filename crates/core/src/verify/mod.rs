@@ -34,6 +34,7 @@ pub mod walker;
 
 use crate::compiler::CompiledCircuit;
 use crate::params::circuit_fits;
+use domain::FirstUse;
 use chet_runtime::exec::{op_name, ExecError};
 use chet_tensor::circuit::Circuit;
 use std::collections::BTreeSet;
@@ -478,23 +479,20 @@ impl DiagnosticReport {
 /// The diagnostic accumulator shared between the trace walker (which emits
 /// findings) and the executor observer (which stamps the current op span on
 /// them). Duplicate (code, op) pairs collapse to one finding, so a lint
-/// firing inside a kernel loop reports once per circuit node.
+/// firing inside a kernel loop reports once per circuit node; a first-use
+/// finding ([`FirstUse`]) is kept only the first time its key arrives.
 #[derive(Debug, Default)]
 pub struct DiagSink {
     diags: Vec<Diagnostic>,
     current: Option<OpSpan>,
     seen: BTreeSet<(&'static str, Option<usize>)>,
+    first_uses: BTreeSet<FirstUse>,
 }
 
 impl DiagSink {
     /// Sets the span subsequent [`DiagSink::emit`] calls are attributed to.
     pub fn set_span(&mut self, op_index: usize, kernel: &str) {
         self.current = Some(OpSpan::new(op_index, kernel));
-    }
-
-    /// The span subsequent findings are attributed to.
-    fn current_span(&self) -> Option<OpSpan> {
-        self.current.clone()
     }
 
     /// Clears the current span (post-walk audits attach explicit spans).
@@ -506,6 +504,16 @@ impl DiagSink {
     pub fn emit(&mut self, code: LintCode, message: String) {
         let span = self.current.clone();
         self.emit_at(code, span, message);
+    }
+
+    /// [`Self::emit`] for a finding a domain reports once per walk under
+    /// `first` (`None` is an ordinary finding). The key counts as used even
+    /// when the (code, op) pair collapses the finding, as a domain's own
+    /// first-use record would.
+    pub(crate) fn emit_first(&mut self, code: LintCode, first: Option<FirstUse>, message: String) {
+        if first.is_none_or(|key| self.first_uses.insert(key)) {
+            self.emit(code, message);
+        }
     }
 
     /// Emits a finding at an explicit span.

@@ -106,8 +106,9 @@ fn compile_checked_rejects_scale_mismatch_before_any_probe() {
     }
 }
 
-#[test]
-fn level_exhaustion_on_a_starved_modulus_chain() {
+/// conv → two squarings → global pool: more rescaling than a
+/// single-prime chain holds.
+fn two_squarings() -> Circuit {
     let mut b = CircuitBuilder::new();
     let x = b.input(vec![1, 6, 6]);
     let w = Tensor::from_fn(vec![1, 1, 3, 3], |i| (i[2] * 3 + i[3]) as f64 * 0.05 - 0.1);
@@ -115,11 +116,22 @@ fn level_exhaustion_on_a_starved_modulus_chain() {
     let a1 = b.activation(c, 0.2, 0.9);
     let a2 = b.activation(a1, 0.2, 0.9);
     let g = b.global_avg_pool(a2);
-    let circuit = b.build(g);
-    let mut compiled = compile(&circuit);
+    b.build(g)
+}
+
+/// `compiled` with its chain swapped for one with a single consumable
+/// prime.
+fn starve(mut compiled: CompiledCircuit) -> CompiledCircuit {
+    compiled.params = EncryptionParams::rns_ckks(compiled.params.degree, 40, 2);
+    compiled
+}
+
+#[test]
+fn level_exhaustion_on_a_starved_modulus_chain() {
+    let circuit = two_squarings();
     // Swap the selected chain for one with a single consumable prime; the
     // two squarings need more.
-    compiled.params = EncryptionParams::rns_ckks(compiled.params.degree, 40, 2);
+    let compiled = starve(compile(&circuit));
     let report = verify_compiled(&circuit, &compiled);
     assert!(report.has(LintCode::LevelExhaustion), "want CHET-E002 in:\n{}", report.render_text());
     let d = report.diagnostics.iter().find(|d| d.code == LintCode::LevelExhaustion).unwrap();
@@ -210,15 +222,21 @@ fn invalid_ring_degree_is_rejected() {
     assert!(report.has(LintCode::InvalidParams), "want CHET-E006 in:\n{}", report.render_text());
 }
 
-#[test]
-fn dead_node_is_warned_with_exact_span() {
+/// Two convolutions of the input, one of which never reaches the output;
+/// also returns the dead node.
+fn dead_node_circuit() -> (Circuit, usize) {
     let mut b = CircuitBuilder::new();
     let x = b.input(vec![1, 6, 6]);
     let w = Tensor::from_fn(vec![1, 1, 3, 3], |i| (i[2] * 3 + i[3]) as f64 * 0.05 - 0.1);
     let dead = b.conv2d(x, w.clone(), None, 1, Padding::Valid);
     let c = b.conv2d(x, w, Some(vec![0.1]), 1, Padding::Valid);
     let a = b.activation(c, 0.2, 0.9);
-    let circuit = b.build(a);
+    (b.build(a), dead)
+}
+
+#[test]
+fn dead_node_is_warned_with_exact_span() {
+    let (circuit, dead) = dead_node_circuit();
     let compiled = compile(&circuit);
     let report = verify_compiled(&circuit, &compiled);
     assert!(report.has(LintCode::DeadOp), "want CHET-W003 in:\n{}", report.render_text());
@@ -378,4 +396,81 @@ fn lint_catalog_is_complete() {
     ] {
         assert!(codes.contains(p), "missing {p}");
     }
+}
+
+/// Every adversary's rendered report: each artifact is compiled, tampered
+/// and verified at the current thread count. The redundant rescale runs
+/// inside a kernel-style fan-out, so its finding reaches the sink through
+/// a forked walker's join.
+fn adversary_reports() -> Vec<(&'static str, String)> {
+    use chet_compiler::verify::walker::VerifyInterp;
+    use chet_compiler::verify::DiagSink;
+    use chet_hisa::Hisa;
+    use std::sync::{Arc, Mutex};
+
+    let mut reports = Vec::new();
+    let mut push = |what, circuit: &Circuit, compiled: &CompiledCircuit| {
+        reports.push((what, verify_compiled(circuit, compiled).render_text()));
+    };
+
+    let circuit = scale_mismatch_adversary();
+    let chw = Compiler::new(SchemeKind::RnsCkks)
+        .with_output_precision(2f64.powi(20))
+        .with_layout_policy(LayoutPolicy::Chw)
+        .compile(&circuit, &scales())
+        .unwrap();
+    push("scale mismatch", &circuit, &chw);
+
+    let circuit = two_squarings();
+    push("level exhaustion", &circuit, &starve(compile(&circuit)));
+
+    let circuit = healthy();
+    let mut keyless = compile(&circuit);
+    keyless.rotation_keys = RotationKeyPolicy::Exact(BTreeSet::new());
+    push("stripped keys", &circuit, &keyless);
+    let mut composed = compile(&circuit);
+    composed.rotation_keys = RotationKeyPolicy::Exact(BTreeSet::from([1]));
+    push("composed rotations", &circuit, &composed);
+    let mut baseless = compile(&circuit);
+    let ModulusSpec::PrimeChain { primes, .. } = &mut baseless.params.modulus else {
+        panic!("an RNS artifact carries a prime chain");
+    };
+    primes.remove(0);
+    push("base prime removed", &circuit, &baseless);
+
+    let (circuit, _) = dead_node_circuit();
+    push("dead node", &circuit, &compile(&circuit));
+
+    let circuit = healthy();
+    let compiled = compile(&circuit);
+    let sink = Arc::new(Mutex::new(DiagSink::default()));
+    let mut h = VerifyInterp::new(&compiled, Arc::clone(&sink));
+    sink.lock().unwrap().set_span(1, "conv2d");
+    let pt = h.encode(&[1.0, 2.0, 3.0, 4.0], compiled.plan.scales.input);
+    let ct = h.encrypt(&pt);
+    chet_runtime::par::try_fan_out(&mut h, 4, |h, i| Ok(h.rescale(&ct, 2.0 + i as f64)))
+        .unwrap();
+    let sink = sink.lock().unwrap();
+    let text: Vec<String> = sink.diagnostics().iter().map(ToString::to_string).collect();
+    reports.push(("redundant rescale", text.join("\n")));
+    reports
+}
+
+/// The walker forks at every kernel fan-out, and a join replays the
+/// child's findings in job order, so every report — codes, spans,
+/// messages and their order — reads the same at any thread count.
+#[test]
+fn adversary_reports_are_identical_across_thread_counts() {
+    let _guard = chet_math::par::test_support::config_lock();
+    chet_runtime::par::set_threads(1);
+    let one = adversary_reports();
+    chet_runtime::par::set_threads(4);
+    let four = adversary_reports();
+    for ((what, a), (_, b)) in one.iter().zip(&four) {
+        assert!(!a.is_empty(), "{what}: empty report");
+        assert_eq!(a, b, "{what}: the report differs between 1 and 4 threads");
+    }
+    assert_eq!(one.len(), 7);
+    let rescale = &one[6].1;
+    assert!(rescale.contains("CHET-W001") && rescale.contains("op #1"), "{rescale}");
 }

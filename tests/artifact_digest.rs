@@ -7,11 +7,18 @@
 //! and the analysis facts (rotations, modulus consumption, output scale,
 //! op counts) — so a refactor of parameter selection or layout pricing
 //! that moves a single bit of any of them fails here.
+//!
+//! Parameter selection and layout pricing walk the circuit on a walker that
+//! forks at every kernel fan-out, so the digests are checked at 1 and at 4
+//! threads: the joined ledger and rotation set must come out in program
+//! order either way.
 
 use chet::compiler::{encode_compiled, Compiler};
 use chet::hisa::params::SchemeKind;
 use chet::hisa::serial::fnv1a64;
+use chet::math::par::test_support::config_lock;
 use chet::runtime::kernels::ScaleConfig;
+use chet::runtime::par::set_threads;
 use chet::Circuit;
 
 fn digest(circuit: &Circuit, kind: SchemeKind) -> u64 {
@@ -36,19 +43,26 @@ fn compiled_artifacts_are_bit_identical_to_the_pinned_digests() {
         ("SqueezeNet-CIFAR", SchemeKind::RnsCkks, 0x06A0_5E01_3689_6BD4),
         ("SqueezeNet-CIFAR", SchemeKind::Ckks, 0x3E84_040C_0810_28E3),
     ];
-    let mut drift = Vec::new();
-    for (name, kind, want) in PINNED {
-        let got = digest(&chet::networks::reduced(name).circuit, kind);
-        if got != want {
-            drift.push(format!("{name}/{kind}: 0x{got:016X} (pinned 0x{want:016X})"));
-        }
-    }
-    let full = digest(&chet::networks::lenet5_small().circuit, SchemeKind::RnsCkks);
     const FULL_LENET_SMALL_RNS: u64 = 0x1B08_E962_EFC3_AC33;
-    if full != FULL_LENET_SMALL_RNS {
-        drift.push(format!(
-            "full LeNet-5-small/RNS-CKKS: 0x{full:016X} (pinned 0x{FULL_LENET_SMALL_RNS:016X})"
-        ));
+    let _guard = config_lock();
+    let mut drift = Vec::new();
+    for threads in [1usize, 4] {
+        set_threads(threads);
+        for (name, kind, want) in PINNED {
+            let got = digest(&chet::networks::reduced(name).circuit, kind);
+            if got != want {
+                drift.push(format!(
+                    "{name}/{kind} ({threads} threads): 0x{got:016X} (pinned 0x{want:016X})"
+                ));
+            }
+        }
+        let full = digest(&chet::networks::lenet5_small().circuit, SchemeKind::RnsCkks);
+        if full != FULL_LENET_SMALL_RNS {
+            drift.push(format!(
+                "full LeNet-5-small/RNS-CKKS ({threads} threads): 0x{full:016X} \
+                 (pinned 0x{FULL_LENET_SMALL_RNS:016X})"
+            ));
+        }
     }
     assert!(drift.is_empty(), "compiled artifacts drifted:\n{}", drift.join("\n"));
 }
