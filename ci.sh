@@ -119,6 +119,36 @@ assert not bad, f"{len(bad)} panicking call(s) in kernel/executor code; use try_
 print(f"{len(files)} files: every HISA call in the kernels and executor is fallible")
 EOF
 
+echo "=== vendored stubs gate (every stub is excluded, declared and used) ==="
+# The stand-ins under `stubs/` exist only because the build has no
+# registry access. Each must be in the root `exclude` list, be a root
+# `[workspace.dependencies]` entry and be used by some manifest, and each
+# of those entries must name a stub that exists: a stub whose last user
+# goes away fails here instead of lingering in the build graph.
+python3 - <<'EOF'
+import glob, os, tomllib
+
+root = tomllib.load(open("Cargo.toml", "rb"))
+stubs = {d for d in os.listdir("stubs") if os.path.isdir(os.path.join("stubs", d))}
+excluded = {p.removeprefix("stubs/") for p in root["workspace"]["exclude"]}
+declared = {name: dep["path"].removeprefix("stubs/")
+            for name, dep in root["workspace"]["dependencies"].items()
+            if dep.get("path", "").startswith("stubs/")}
+used = set()
+for path in ["Cargo.toml"] + sorted(glob.glob("crates/*/Cargo.toml")):
+    doc = tomllib.load(open(path, "rb"))
+    for table in ("dependencies", "dev-dependencies", "build-dependencies"):
+        used |= {declared[name] for name, dep in doc.get(table, {}).items()
+                 if name in declared and isinstance(dep, dict) and dep.get("workspace")}
+bad = []
+for what, names in [("excluded", excluded), ("a workspace dependency", set(declared.values())),
+                    ("used by a manifest", used)]:
+    bad += [f"stubs/{n} is not {what}" for n in sorted(stubs - names)]
+    bad += [f"{n} is {what} but stubs/{n} does not exist" for n in sorted(names - stubs)]
+assert not bad, "\n".join(bad)
+print(f"stubs: {', '.join(sorted(stubs))} (each excluded, declared and used)")
+EOF
+
 echo "=== build (release) ==="
 cargo build --release
 

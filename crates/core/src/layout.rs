@@ -13,10 +13,9 @@ use chet_runtime::exec::{required_margin_for, ExecPlan};
 use chet_runtime::kernels::ScaleConfig;
 use chet_runtime::layout::LayoutKind;
 use chet_tensor::circuit::{Circuit, Op};
-use serde::{Deserialize, Serialize};
 
 /// The four pruned layout policies (paper §5.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayoutPolicy {
     /// Every tensor in HW.
     Hw,

@@ -6,10 +6,9 @@
 //! ("we use a combination of theoretical and experimental analysis").
 
 use crate::params::SchemeKind;
-use serde::{Deserialize, Serialize};
 
 /// The HISA primitive kinds that appear in circuit execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum HisaOp {
     /// Ciphertext ± ciphertext (also covers the scalar-add flavors, which
     /// cost the same).
@@ -81,7 +80,7 @@ pub fn op_from_name(name: &str) -> Option<HisaOp> {
 /// Modulus state of a ciphertext at the point an op executes: costs grow
 /// with the remaining modulus (`log Q` for CKKS, chain length `r` for
 /// RNS-CKKS).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LevelInfo {
     /// Remaining `log2 Q` of the operand ciphertext.
     pub log_q: f64,
@@ -90,7 +89,7 @@ pub struct LevelInfo {
 }
 
 /// Per-scheme cost model with tunable constants.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     kind: SchemeKind,
     add: f64,

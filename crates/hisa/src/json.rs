@@ -1,9 +1,8 @@
 //! Minimal JSON value type, parser, and serializer.
 //!
-//! The workspace deliberately carries no external serialization dependency
-//! (the vendored `serde` is a no-op stub), yet two artifacts must speak
-//! JSON: the `BENCH_rns_ops.json` calibration file consumed by
-//! `chet-lint --calibration` and CI, and `chet-lint --machine`'s
+//! The workspace deliberately carries no serialization dependency, yet two
+//! artifacts must speak JSON: the `BENCH_rns_ops.json` calibration file
+//! consumed by `chet-lint --calibration` and CI, and `chet-lint --machine`'s
 //! JSON-lines diagnostic stream. This module is the single shared
 //! implementation — a strict subset of RFC 8259 sufficient for those uses:
 //! objects, arrays, strings with `\uXXXX` escapes, finite numbers, bools,

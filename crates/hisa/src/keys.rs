@@ -7,7 +7,6 @@
 //! selection pass instead records the exact set of rotation amounts a
 //! circuit uses and generates precisely those keys.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Normalizes a signed rotation amount to a left-rotation step in
@@ -24,7 +23,7 @@ pub fn normalize_rotation(step: i64, slots: usize) -> usize {
 }
 
 /// Which rotation keys a scheme instance should generate.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RotationKeyPolicy {
     /// The library default: keys for every power-of-two left and right
     /// rotation (`2 log(N) − 2` keys). Arbitrary rotations are composed

@@ -2,10 +2,9 @@
 
 use crate::security::{max_log_q, SecurityLevel};
 use chet_math::prime::ntt_primes;
-use serde::{Deserialize, Serialize};
 
 /// Which CKKS variant a backend implements (paper §2.2–2.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchemeKind {
     /// HEAAN v1.0-style CKKS: `Q = 2^L`, big-integer coefficients,
     /// power-of-two rescaling.
@@ -25,7 +24,7 @@ impl std::fmt::Display for SchemeKind {
 }
 
 /// The coefficient modulus, in the representation native to each variant.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ModulusSpec {
     /// `Q = 2^log_q`, plus a special key-switching modulus `P = 2^log_special`.
     PowerOfTwo {
@@ -84,7 +83,7 @@ impl ModulusSpec {
 }
 
 /// Complete encryption parameters for a CKKS-family scheme instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EncryptionParams {
     /// Ring degree `N` (power of two). SIMD width is `N/2`.
     pub degree: usize,

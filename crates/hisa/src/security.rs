@@ -6,10 +6,8 @@
 //! a given Q and N is a table provided by the encryption scheme which CHET
 //! explicitly encodes").
 
-use serde::{Deserialize, Serialize};
-
 /// Classical security levels from the HE standard tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SecurityLevel {
     /// 128-bit classical security (CHET's default).
     #[default]

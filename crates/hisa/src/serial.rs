@@ -5,11 +5,10 @@
 //! is (a) deterministic — the same value always encodes to the same bytes,
 //! so record checksums are meaningful — and (b) *strictly validated* on
 //! the way back in: a truncated or bit-flipped record must surface as a
-//! typed [`CodecError`], never as a silently wrong value. The derive-based
-//! `serde` markers in this crate stay (they document intent and keep the
-//! types serde-compatible), but the on-disk format is this hand-rolled
-//! little-endian codec so there is no serializer dependency and no
-//! format drift.
+//! typed [`CodecError`], never as a silently wrong value. Compiled
+//! artifacts, store and journal records and the RNS-CKKS ciphertext wire
+//! format are all written with this hand-rolled little-endian codec, so
+//! there is no serializer dependency and no format drift.
 //!
 //! Layout conventions: integers are little-endian; `usize` travels as
 //! `u64`; `f64` travels as its IEEE-754 bit pattern; collections are
@@ -120,16 +119,19 @@ impl Writer {
     }
 
     /// Appends one byte.
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Appends a little-endian u32.
+    #[inline]
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian u64.
+    #[inline]
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -187,6 +189,7 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
+    #[inline]
     fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
             return Err(CodecError::Truncated { at: self.pos, what });
@@ -197,17 +200,20 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn get_u8(&mut self, what: &'static str) -> Result<u8, CodecError> {
         Ok(self.take(1, what)?[0])
     }
 
     /// Reads a little-endian u32.
+    #[inline]
     pub fn get_u32(&mut self, what: &'static str) -> Result<u32, CodecError> {
         let b = self.take(4, what)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Reads a little-endian u64.
+    #[inline]
     pub fn get_u64(&mut self, what: &'static str) -> Result<u64, CodecError> {
         let b = self.take(8, what)?;
         Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))

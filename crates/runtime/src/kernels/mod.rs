@@ -33,7 +33,6 @@ pub mod matmul;
 pub mod pool;
 
 use chet_hisa::{Hisa, HisaError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Why a kernel failed. The executor attributes each cause to the circuit
@@ -86,7 +85,7 @@ impl std::error::Error for KernelError {}
 /// The four fixed-point scales CHET exposes (paper §5.5, Table 4):
 /// image (`P_c`), plaintext-vector weights (`P_w`), scalar weights (`P_u`)
 /// and masks (`P_m`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScaleConfig {
     /// Fixed-point scale of the encrypted image and the working scale
     /// kernels settle toward (`P_c`).

@@ -16,10 +16,8 @@
 //! instead of repacking: the output keeps the physical frame and doubles
 //! its strides, so downstream kernels simply scale their rotation offsets.
 
-use serde::{Deserialize, Serialize};
-
 /// Which layout family a tensor uses (the unit of the compiler's search).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayoutKind {
     /// One ciphertext per channel.
     HW,
@@ -37,7 +35,7 @@ impl std::fmt::Display for LayoutKind {
 }
 
 /// Physical placement of a logical `[C, H, W]` tensor in FHE vectors.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Layout {
     /// Layout family.
     pub kind: LayoutKind,

@@ -8,14 +8,13 @@
 
 use crate::ops::{self, Padding};
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a node (operation result) within a circuit.
 pub type NodeId = usize;
 
 /// One tensor operation. Weights are embedded in the circuit because CHET
 /// treats the model as known to the server (only the image is encrypted).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Op {
     /// The encrypted input tensor (CHW).
     Input {
@@ -121,7 +120,7 @@ impl Op {
 }
 
 /// A tensor circuit: ops in topological order plus a designated output.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Circuit {
     ops: Vec<Op>,
     output: NodeId,

@@ -5,7 +5,6 @@
 //! are the semantics the homomorphic kernels in `chet-runtime` must match.
 
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A structured shape-contract violation from a reference tensor op: which
@@ -42,7 +41,7 @@ fn expect_shape<T>(r: Result<T, ShapeError>) -> T {
 }
 
 /// Spatial padding mode for convolutions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Padding {
     /// No padding: output is `(H − R)/stride + 1`.
     Valid,

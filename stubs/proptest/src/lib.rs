@@ -8,8 +8,6 @@
 //! module path and case index, so failures reproduce exactly; there is
 //! no shrinking — the failing case prints its case index instead.
 
-use std::ops::Range;
-
 /// Deterministic value sources and the [`Strategy`] trait.
 pub mod strategy {
     use super::test_runner::TestRng;
