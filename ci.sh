@@ -17,7 +17,8 @@ cd "$(dirname "$0")"
 
 echo "=== HISA structural gate (one fallible core, adapters never overridden) ==="
 # `Hisa` requires a nine-method fallible core; every other instruction
-# method is a provided adapter over it (DESIGN.md §9). A wrapper that
+# method is a provided fallible adapter over it, one per instruction
+# (DESIGN.md §9), and the provided set is checked exactly. A wrapper that
 # overrides an adapter reopens a second path for that instruction — the
 # way a missing batched-rotation override once silently split every
 # served rotation batch. Adapters must stay on `Hisa` itself
@@ -50,8 +51,21 @@ def blocks(path):
 
 trait = open("crates/hisa/src/lib.rs").read()
 body = trait[trait.index("pub trait Hisa"):]
+body = body[: body.index("\n}\n")]
 required = set(re.findall(r"\n    fn (\w+)\b[^{;]*;", body))
 assert required == CORE, f"Hisa's required methods drifted: {sorted(required)}"
+# One spelling per instruction: the provided methods are the optional hooks
+# plus one fallible adapter per rotation form and per `Instr` variant. A
+# re-added panicking, in-place or renamed twin fails here.
+ADAPTERS = {"try_rot_left", "try_rot_right", "try_rot_left_many", "try_rot_right_many",
+            "try_add", "try_add_plain", "try_add_scalar", "try_sub", "try_sub_plain",
+            "try_sub_scalar", "try_mul", "try_mul_plain", "try_mul_scalar", "try_rescale"}
+declared = re.findall(r"\n    fn (\w+)\b", body)
+provided = set(declared) - required
+assert provided == OPTIONAL | ADAPTERS, (
+    f"Hisa's provided methods drifted: added {sorted(provided - OPTIONAL - ADAPTERS)}, "
+    f"missing {sorted((OPTIONAL | ADAPTERS) - provided)}")
+assert len(declared) == len(CORE | OPTIONAL | ADAPTERS) == 29, f"Hisa declares {len(declared)}"
 
 files = sorted(glob.glob("crates/*/src/**/*.rs", recursive=True)
                + glob.glob("src/**/*.rs", recursive=True))
@@ -79,7 +93,8 @@ for path in files:
 bad += [f"unexpected impl: {p}: {h}" for p, h in sorted(found - EXPECTED)]
 bad += [f"missing impl: {p}: {h}" for p, h in sorted(EXPECTED - found)]
 assert not bad, "\n".join(bad)
-print(f"Hisa: {len(required)} required methods; {len(found)} impls, none overrides an adapter")
+print(f"Hisa: {len(required)} required + {len(provided)} provided methods; "
+      f"{len(found)} impls, none overrides an adapter")
 EOF
 
 echo "=== one error channel gate (kernels and executor propagate HISA failures) ==="

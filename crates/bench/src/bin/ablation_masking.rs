@@ -31,6 +31,7 @@ fn main() {
             SchemeKind::RnsCkks,
             SecurityLevel::Bits128,
             harness_precision(),
+            0,
         )
         .expect("compiles");
         let plan = ExecPlan {

@@ -13,7 +13,7 @@ use chet_compiler::verify::domain::{RotationDomain, ScaleDomain};
 use chet_compiler::verify::walker::VerifyInterp;
 use chet_hisa::cost::HisaOp;
 use chet_hisa::{EncryptionParams, Hisa, RotationKeyPolicy, SecurityLevel};
-use chet_runtime::ciphertensor::encrypt_tensor;
+use chet_runtime::ciphertensor::try_encrypt_tensor;
 use chet_runtime::kernels::matmul::{try_hmatmul, try_hmatmul_bsgs};
 use chet_runtime::kernels::ScaleConfig;
 use chet_runtime::layout::Layout;
@@ -34,7 +34,8 @@ fn main() {
         let count_rots = |bsgs: bool| {
             let mut h = SimCkks::new(&params, &RotationKeyPolicy::PowersOfTwo, 1).without_noise();
             let layout = Layout::dense_vector(inp, h.slots());
-            let enc = encrypt_tensor(&mut h, &x, &layout, scales.input);
+            let enc = try_encrypt_tensor(&mut h, &x, &layout, scales.input)
+                .expect("input fits the slots");
             if bsgs {
                 try_hmatmul_bsgs(&mut h, &enc, &w, None, &scales).expect("BSGS dense layer");
             } else {
@@ -55,7 +56,8 @@ fn main() {
                 let domain =
                     (ScaleDomain::new(scales.input), RotationDomain::collector(probe.slots()));
                 let mut walk = VerifyInterp::with_domain(probe.slots(), domain, Arc::default());
-                let enc = encrypt_tensor(&mut walk, &x, &layout, scales.input);
+                let enc = try_encrypt_tensor(&mut walk, &x, &layout, scales.input)
+                    .expect("input fits the slots");
                 if bsgs {
                     try_hmatmul_bsgs(&mut walk, &enc, &w, None, &scales).expect("BSGS dense layer");
                 } else {
@@ -64,7 +66,8 @@ fn main() {
                 walk.domain.1.used
             };
             let mut h = RnsCkks::new(&params, &RotationKeyPolicy::Exact(steps), 7);
-            let enc = encrypt_tensor(&mut h, &x, &layout, scales.input);
+            let enc = try_encrypt_tensor(&mut h, &x, &layout, scales.input)
+                .expect("input fits the slots");
             let t0 = Instant::now();
             if bsgs {
                 try_hmatmul_bsgs(&mut h, &enc, &w, None, &scales).expect("BSGS dense layer");

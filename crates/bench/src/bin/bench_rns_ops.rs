@@ -79,13 +79,13 @@ fn sample_config(n: usize, r: usize, reps: usize) -> Vec<CostSample> {
     let scale = 2f64.powi(RESCALE_PRIME_BITS as i32);
     let slots = n / 2;
     let vals: Vec<f64> = (0..slots).map(|i| (i % 64) as f64 * 0.01).collect();
-    let pt = h.encode(&vals, scale);
+    let pt = h.try_encode(&vals, scale).expect("encode");
     let a = h.encrypt(&pt);
     let b = h.encrypt(&pt);
     // Rescale needs a ciphertext whose scale can drop by one chain prime:
     // the ct×ct product at scale² qualifies; `max_rescale` picks the
     // divisor the backend would actually use (one prime off the chain).
-    let prod = h.mul(&a, &b);
+    let prod = h.try_mul(&a, &b).expect("mul");
     let divisor = h.max_rescale(&prod, 2f64.powi(RESCALE_PRIME_BITS as i32 + 1));
 
     let lvl = LevelInfo { log_q: params.modulus.log_q(), rns_len: r };
@@ -93,7 +93,7 @@ fn sample_config(n: usize, r: usize, reps: usize) -> Vec<CostSample> {
     // timing (`bench_op` warms up with one call, which builds one key), so
     // the timed loop measures steady-state rotations.
     for step in 1..=KEY_STEPS {
-        drop(h.rot_left(&a, step));
+        drop(h.try_rot_left(&a, step).expect("rot_left"));
     }
     // Cycle through the keyed steps so every rotation pulls a different key,
     // like the network does.
@@ -101,7 +101,7 @@ fn sample_config(n: usize, r: usize, reps: usize) -> Vec<CostSample> {
     let t_rotate = bench_op(
         || {
             next_step = next_step % KEY_STEPS + 1;
-            drop(h.rot_left(&a, next_step));
+            drop(h.try_rot_left(&a, next_step).expect("rot_left"));
         },
         reps * KEY_STEPS,
     );
@@ -110,16 +110,19 @@ fn sample_config(n: usize, r: usize, reps: usize) -> Vec<CostSample> {
     // per-extra-rotation cost beyond the first full rotation is the
     // `rotateHoisted` sample.
     let steps: Vec<usize> = (1..=KEY_STEPS).collect();
-    let t_batch = bench_op(|| drop(h.rot_left_many(&a, &steps)), reps);
+    let t_batch = bench_op(|| drop(h.try_rot_left_many(&a, &steps).expect("rot_left_many")), reps);
     let t_hoisted = t_batch.saturating_sub(t_rotate) / (KEY_STEPS as u32 - 1);
     let timed: Vec<(HisaOp, Duration)> = vec![
-        (HisaOp::Add, bench_op(|| drop(h.add(&a, &b)), reps)),
-        (HisaOp::MulScalar, bench_op(|| drop(h.mul_scalar(&a, 1.5, scale)), reps)),
-        (HisaOp::MulPlain, bench_op(|| drop(h.mul_plain(&a, &pt)), reps)),
-        (HisaOp::MulCipher, bench_op(|| drop(h.mul(&a, &b)), reps)),
+        (HisaOp::Add, bench_op(|| drop(h.try_add(&a, &b).expect("add")), reps)),
+        (
+            HisaOp::MulScalar,
+            bench_op(|| drop(h.try_mul_scalar(&a, 1.5, scale).expect("mul_scalar")), reps),
+        ),
+        (HisaOp::MulPlain, bench_op(|| drop(h.try_mul_plain(&a, &pt).expect("mul_plain")), reps)),
+        (HisaOp::MulCipher, bench_op(|| drop(h.try_mul(&a, &b).expect("mul")), reps)),
         (HisaOp::Rotate, t_rotate),
-        (HisaOp::Rescale, bench_op(|| drop(h.rescale(&prod, divisor)), reps)),
-        (HisaOp::Encode, bench_op(|| drop(h.encode(&vals, scale)), reps)),
+        (HisaOp::Rescale, bench_op(|| drop(h.try_rescale(&prod, divisor).expect("rescale")), reps)),
+        (HisaOp::Encode, bench_op(|| drop(h.try_encode(&vals, scale).expect("encode")), reps)),
         (HisaOp::RotateHoisted, t_hoisted),
     ];
     timed

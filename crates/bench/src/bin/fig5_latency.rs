@@ -65,6 +65,7 @@ fn main() {
             SchemeKind::Ckks,
             SecurityLevel::Bits128,
             harness_precision(),
+            0,
         )
         .expect("manual baseline parameters");
         let manual = CompiledCircuit {

@@ -30,6 +30,7 @@ fn main() {
             SecurityLevel::Bits128,
             harness_precision(),
             &cost_model,
+            0,
         )
         .expect("compiles");
         for choice in &choices {

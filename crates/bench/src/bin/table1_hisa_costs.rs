@@ -27,15 +27,15 @@ fn bench_op(mut f: impl FnMut(), reps: usize) -> Duration {
 fn bench_backend<H: Hisa>(h: &mut H, reps: usize) -> Vec<Duration> {
     let scale = 2f64.powi(30);
     let vals: Vec<f64> = (0..64).map(|i| i as f64 * 0.01).collect();
-    let pt = h.encode(&vals, scale);
+    let pt = h.try_encode(&vals, scale).expect("encode");
     let a = h.encrypt(&pt);
     let b = h.encrypt(&pt);
     vec![
-        bench_op(|| drop(h.add(&a, &b)), reps),
-        bench_op(|| drop(h.mul_scalar(&a, 1.5, scale)), reps),
-        bench_op(|| drop(h.mul_plain(&a, &pt)), reps),
-        bench_op(|| drop(h.mul(&a, &b)), reps),
-        bench_op(|| drop(h.rot_left(&a, 1)), reps),
+        bench_op(|| drop(h.try_add(&a, &b).expect("add")), reps),
+        bench_op(|| drop(h.try_mul_scalar(&a, 1.5, scale).expect("mul_scalar")), reps),
+        bench_op(|| drop(h.try_mul_plain(&a, &pt).expect("mul_plain")), reps),
+        bench_op(|| drop(h.try_mul(&a, &b).expect("mul")), reps),
+        bench_op(|| drop(h.try_rot_left(&a, 1).expect("rot_left")), reps),
     ]
 }
 

@@ -30,7 +30,7 @@ use chet_compiler::CompiledCircuit;
 use chet_hisa::params::SchemeKind;
 use chet_hisa::{EncryptionParams, RotationKeyPolicy};
 use chet_networks::Network;
-use chet_runtime::exec::{infer, ExecPlan};
+use chet_runtime::exec::{try_infer, ExecPlan};
 use chet_tensor::Tensor;
 use std::time::{Duration, Instant};
 
@@ -149,19 +149,19 @@ pub fn time_inference(
         BackendChoice::Rns => {
             let mut h = RnsCkks::new(params, keys, seed);
             let t0 = Instant::now();
-            let out = infer(&mut h, circuit, plan, image);
+            let out = try_infer(&mut h, circuit, plan, image).expect("compiled plan runs");
             (out, t0.elapsed())
         }
         BackendChoice::Big => {
             let mut h = BigCkks::new(params, keys, seed);
             let t0 = Instant::now();
-            let out = infer(&mut h, circuit, plan, image);
+            let out = try_infer(&mut h, circuit, plan, image).expect("compiled plan runs");
             (out, t0.elapsed())
         }
         BackendChoice::Sim => {
             let mut h = SimCkks::new(params, keys, seed);
             let t0 = Instant::now();
-            let out = infer(&mut h, circuit, plan, image);
+            let out = try_infer(&mut h, circuit, plan, image).expect("compiled plan runs");
             (out, t0.elapsed())
         }
     }
@@ -223,6 +223,7 @@ pub fn run_layout_table(
             security,
             harness_precision(),
             &cost_model,
+            0,
         )
         .expect("some policy compiles");
         let best = choices[0].policy;

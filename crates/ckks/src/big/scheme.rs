@@ -433,7 +433,7 @@ mod tests {
     }
 
     fn enc(h: &mut BigCkks, vals: &[f64]) -> BigCiphertext {
-        let pt = h.encode(vals, SCALE);
+        let pt = h.try_encode(vals, SCALE).unwrap();
         h.encrypt(&pt)
     }
 
@@ -461,9 +461,9 @@ mod tests {
         let mut h = scheme();
         let a = enc(&mut h, &[1.0, 2.0]);
         let b = enc(&mut h, &[0.5, -4.0]);
-        let s = h.add(&a, &b);
+        let s = h.try_add(&a, &b).unwrap();
         assert_close(&dec(&mut h, &s)[..2], &[1.5, -2.0], 1e-3);
-        let d = h.sub(&s, &b);
+        let d = h.try_sub(&s, &b).unwrap();
         assert_close(&dec(&mut h, &d)[..2], &[1.0, 2.0], 1e-3);
     }
 
@@ -472,10 +472,10 @@ mod tests {
         let mut h = scheme();
         let a = enc(&mut h, &[3.0, -2.0]);
         let b = enc(&mut h, &[2.0, 2.5]);
-        let c = h.mul(&a, &b);
+        let c = h.try_mul(&a, &b).unwrap();
         let d = h.max_rescale(&c, SCALE * SCALE);
         assert_eq!(d, SCALE * SCALE); // ub itself is a legal power of two
-        let c = h.rescale(&c, SCALE); // bring back to SCALE
+        let c = h.try_rescale(&c, SCALE).unwrap(); // bring back to SCALE
         assert_close(&dec(&mut h, &c)[..2], &[6.0, -5.0], 1e-2);
     }
 
@@ -483,12 +483,12 @@ mod tests {
     fn plaintext_and_scalar_mul() {
         let mut h = scheme();
         let a = enc(&mut h, &[1.0, 2.0, 3.0]);
-        let p = h.encode(&[2.0, -1.0, 0.5], SCALE);
-        let c = h.mul_plain(&a, &p);
-        let c = h.rescale(&c, SCALE);
+        let p = h.try_encode(&[2.0, -1.0, 0.5], SCALE).unwrap();
+        let c = h.try_mul_plain(&a, &p).unwrap();
+        let c = h.try_rescale(&c, SCALE).unwrap();
         assert_close(&dec(&mut h, &c)[..3], &[2.0, -2.0, 1.5], 1e-2);
-        let s = h.mul_scalar(&a, 0.25, SCALE);
-        let s = h.rescale(&s, SCALE);
+        let s = h.try_mul_scalar(&a, 0.25, SCALE).unwrap();
+        let s = h.try_rescale(&s, SCALE).unwrap();
         assert_close(&dec(&mut h, &s)[..3], &[0.25, 0.5, 0.75], 1e-2);
     }
 
@@ -497,10 +497,10 @@ mod tests {
         let mut h = scheme();
         let vals: Vec<f64> = (0..16).map(|i| i as f64).collect();
         let ct = enc(&mut h, &vals);
-        let r = h.rot_left(&ct, 3);
+        let r = h.try_rot_left(&ct, 3).unwrap();
         let out = dec(&mut h, &r);
         assert_close(&out[..4], &[3.0, 4.0, 5.0, 6.0], 1e-2);
-        let r = h.rot_right(&ct, 1);
+        let r = h.try_rot_right(&ct, 1).unwrap();
         let out = dec(&mut h, &r);
         assert_close(&out[1..4], &[0.0, 1.0, 2.0], 1e-2);
     }
@@ -509,7 +509,7 @@ mod tests {
     fn scalar_add() {
         let mut h = scheme();
         let a = enc(&mut h, &[10.0]);
-        let b = h.add_scalar(&a, -2.5);
+        let b = h.try_add_scalar(&a, -2.5).unwrap();
         assert_close(&dec(&mut h, &b)[..1], &[7.5], 1e-3);
     }
 
@@ -519,10 +519,10 @@ mod tests {
         let mut h = scheme();
         let a = enc(&mut h, &[2.0]);
         let b = enc(&mut h, &[3.0]);
-        let ab = h.mul(&a, &b); // scale 2^60
-        let ab = h.rescale(&ab, 2f64.powi(20)); // scale 2^40
+        let ab = h.try_mul(&a, &b).unwrap(); // scale 2^60
+        let ab = h.try_rescale(&ab, 2f64.powi(20)).unwrap(); // scale 2^40
         let c = enc(&mut h, &[4.0]);
-        let abc = h.mul(&ab, &c); // scale 2^70
+        let abc = h.try_mul(&ab, &c).unwrap(); // scale 2^70
         let out = dec(&mut h, &abc);
         assert!((out[0] - 24.0).abs() < 0.05, "got {}", out[0]);
     }
@@ -541,7 +541,7 @@ mod tests {
     fn non_pow2_rescale_panics() {
         let mut h = scheme();
         let a = enc(&mut h, &[1.0]);
-        let _ = h.rescale(&a, 3.0);
+        let _ = h.try_rescale(&a, 3.0).unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]
@@ -565,7 +565,7 @@ mod tests {
 
         // Scale mismatch surfaces as a value.
         let b = {
-            let pt = h.encode(&[1.0], SCALE * 2.0);
+            let pt = h.try_encode(&[1.0], SCALE * 2.0).unwrap();
             h.encrypt(&pt)
         };
         assert!(matches!(h.try_add(&a, &b), Err(HisaError::ScaleMismatch { .. })));

@@ -21,17 +21,18 @@
 //!
 //! ```
 //! use chet_ckks::sim::SimCkks;
-//! use chet_hisa::{EncryptionParams, Hisa, RotationKeyPolicy};
+//! use chet_hisa::{EncryptionParams, Hisa, HisaError, RotationKeyPolicy};
 //!
 //! let params = EncryptionParams::rns_ckks(8192, 40, 3);
 //! let mut fhe = SimCkks::new(&params, &RotationKeyPolicy::PowersOfTwo, 7);
 //! let scale = (1u64 << 30) as f64;
-//! let pt = fhe.encode(&[1.0, 2.0, 3.0], scale);
+//! let pt = fhe.try_encode(&[1.0, 2.0, 3.0], scale)?;
 //! let ct = fhe.encrypt(&pt);
-//! let doubled = fhe.add(&ct, &ct);
+//! let doubled = fhe.try_add(&ct, &ct)?;
 //! let dec = fhe.decrypt(&doubled);
 //! let out = fhe.decode(&dec);
 //! assert!((out[1] - 4.0).abs() < 1e-3);
+//! # Ok::<(), HisaError>(())
 //! ```
 
 // Vectorized limb kernels live behind safe functions in `chet-math`.

@@ -1021,7 +1021,7 @@ mod tests {
     }
 
     fn enc(h: &mut RnsCkks, vals: &[f64]) -> RnsCiphertext {
-        let pt = h.encode(vals, SCALE);
+        let pt = h.try_encode(vals, SCALE).unwrap();
         h.encrypt(&pt)
     }
 
@@ -1049,7 +1049,7 @@ mod tests {
         let mut h = scheme();
         let a = enc(&mut h, &[1.0, 2.0, 3.0]);
         let b = enc(&mut h, &[10.0, 20.0, 30.0]);
-        let c = h.add(&a, &b);
+        let c = h.try_add(&a, &b).unwrap();
         assert_close(&dec(&mut h, &c)[..3], &[11.0, 22.0, 33.0], 1e-3);
     }
 
@@ -1058,11 +1058,11 @@ mod tests {
         let mut h = scheme();
         let a = enc(&mut h, &[1.5, -2.0, 4.0]);
         let b = enc(&mut h, &[2.0, 3.0, -1.5]);
-        let c = h.mul(&a, &b);
+        let c = h.try_mul(&a, &b).unwrap();
         assert_eq!(h.scale_of(&c), SCALE * SCALE);
         let d = h.max_rescale(&c, SCALE * SCALE);
         assert!(d > 1.0);
-        let c = h.rescale(&c, d);
+        let c = h.try_rescale(&c, d).unwrap();
         assert_close(&dec(&mut h, &c)[..3], &[3.0, -6.0, -6.0], 1e-2);
     }
 
@@ -1070,10 +1070,10 @@ mod tests {
     fn plaintext_multiplication() {
         let mut h = scheme();
         let a = enc(&mut h, &[1.0, 2.0, 3.0, 4.0]);
-        let w = h.encode(&[0.5, -1.0, 2.0, 0.0], SCALE);
-        let c = h.mul_plain(&a, &w);
+        let w = h.try_encode(&[0.5, -1.0, 2.0, 0.0], SCALE).unwrap();
+        let c = h.try_mul_plain(&a, &w).unwrap();
         let d = h.max_rescale(&c, SCALE * SCALE);
-        let c = h.rescale(&c, d);
+        let c = h.try_rescale(&c, d).unwrap();
         assert_close(&dec(&mut h, &c)[..4], &[0.5, -2.0, 6.0, 0.0], 1e-2);
     }
 
@@ -1081,10 +1081,10 @@ mod tests {
     fn scalar_ops() {
         let mut h = scheme();
         let a = enc(&mut h, &[2.0, -4.0]);
-        let b = h.mul_scalar(&a, 2.5, SCALE);
+        let b = h.try_mul_scalar(&a, 2.5, SCALE).unwrap();
         let d = h.max_rescale(&b, SCALE * SCALE);
-        let b = h.rescale(&b, d);
-        let b = h.add_scalar(&b, 1.0);
+        let b = h.try_rescale(&b, d).unwrap();
+        let b = h.try_add_scalar(&b, 1.0).unwrap();
         assert_close(&dec(&mut h, &b)[..2], &[6.0, -9.0], 1e-2);
     }
 
@@ -1093,10 +1093,10 @@ mod tests {
         let mut h = scheme();
         let vals: Vec<f64> = (0..16).map(|i| i as f64).collect();
         let ct = enc(&mut h, &vals);
-        let r1 = h.rot_left(&ct, 1);
+        let r1 = h.try_rot_left(&ct, 1).unwrap();
         let out = dec(&mut h, &r1);
         assert_close(&out[..4], &[1.0, 2.0, 3.0, 4.0], 1e-2);
-        let r2 = h.rot_right(&ct, 2);
+        let r2 = h.try_rot_right(&ct, 2).unwrap();
         let out = dec(&mut h, &r2);
         assert_close(&out[2..6], &[0.0, 1.0, 2.0, 3.0], 1e-2);
     }
@@ -1106,7 +1106,7 @@ mod tests {
         let mut h = scheme();
         let vals: Vec<f64> = (0..32).map(|i| (i as f64) * 0.5).collect();
         let ct = enc(&mut h, &vals);
-        let r = h.rot_left(&ct, 7); // 4 + 2 + 1 under power-of-two keys
+        let r = h.try_rot_left(&ct, 7).unwrap(); // 4 + 2 + 1 under power-of-two keys
         let out = dec(&mut h, &r);
         assert_close(&out[..4], &[3.5, 4.0, 4.5, 5.0], 1e-2);
     }
@@ -1118,13 +1118,13 @@ mod tests {
         let a = enc(&mut h, &[2.0]);
         let b = enc(&mut h, &[3.0]);
         let c = enc(&mut h, &[4.0]);
-        let ab = h.mul(&a, &b);
+        let ab = h.try_mul(&a, &b).unwrap();
         let d = h.max_rescale(&ab, SCALE * SCALE);
-        let ab = h.rescale(&ab, d);
+        let ab = h.try_rescale(&ab, d).unwrap();
         let cc = h.align_level(&c, ab.level());
         // Scales differ slightly (SCALE² / q vs SCALE); rescale made scale
         // SCALE²/q. Multiply anyway: mul does not require equal scales.
-        let abc = h.mul(&ab, &cc);
+        let abc = h.try_mul(&ab, &cc).unwrap();
         // Decode at the large product scale directly; a final rescale would
         // shrink the scale to ~2^10 and surface the rounding noise.
         let out = dec(&mut h, &abc);
@@ -1135,12 +1135,12 @@ mod tests {
     fn add_plain_and_sub() {
         let mut h = scheme();
         let a = enc(&mut h, &[5.0, 7.0]);
-        let p = h.encode(&[1.0, 2.0], SCALE);
-        let b = h.add_plain(&a, &p);
+        let p = h.try_encode(&[1.0, 2.0], SCALE).unwrap();
+        let b = h.try_add_plain(&a, &p).unwrap();
         assert_close(&dec(&mut h, &b)[..2], &[6.0, 9.0], 1e-2);
-        let c = h.sub_plain(&b, &p);
+        let c = h.try_sub_plain(&b, &p).unwrap();
         assert_close(&dec(&mut h, &c)[..2], &[5.0, 7.0], 1e-2);
-        let d = h.sub(&b, &a);
+        let d = h.try_sub(&b, &a).unwrap();
         assert_close(&dec(&mut h, &d)[..2], &[1.0, 2.0], 1e-2);
     }
 
@@ -1151,14 +1151,14 @@ mod tests {
         let policy = RotationKeyPolicy::Exact([3usize, 5].into_iter().collect());
         let mut h = RnsCkks::new(&params, &policy, 7);
         let vals: Vec<f64> = (0..16).map(|i| i as f64).collect();
-        let pt = h.encode(&vals, SCALE);
+        let pt = h.try_encode(&vals, SCALE).unwrap();
         let ct = h.encrypt(&pt);
-        let r = h.rot_left(&ct, 5);
+        let r = h.try_rot_left(&ct, 5).unwrap();
         let ptd = h.decrypt(&r);
         let out = h.decode(&ptd);
         assert!((out[0] - 5.0).abs() < 1e-2);
         // Composite 8 = 3 + 5.
-        let r = h.rot_left(&ct, 8);
+        let r = h.try_rot_left(&ct, 8).unwrap();
         let ptd = h.decrypt(&r);
         let out = h.decode(&ptd);
         assert!((out[0] - 8.0).abs() < 1e-2, "got {}", out[0]);
@@ -1327,13 +1327,13 @@ mod tests {
         let low = h.align_level(&top, 2);
         assert_eq!(galois_key_shape(&h, 4), None, "no key before its first use");
 
-        let low_rot = h.rot_left(&low, 4);
+        let low_rot = h.try_rot_left(&low, 4).unwrap();
         assert_eq!(galois_key_shape(&h, 4), Some((2, 3)));
-        let top_rot = h.rot_left(&top, 4);
+        let top_rot = h.try_rot_left(&top, 4).unwrap();
         assert_eq!(galois_key_shape(&h, 4), Some((r, r + 1)));
 
-        let fresh_top = fresh.rot_left(&top, 4);
-        let fresh_low = fresh.rot_left(&low, 4);
+        let fresh_top = fresh.try_rot_left(&top, 4).unwrap();
+        let fresh_low = fresh.try_rot_left(&low, 4).unwrap();
         assert_eq!(galois_key_shape(&fresh, 4), Some((r, r + 1)));
         for (got, want) in [(&low_rot, &fresh_low), (&top_rot, &fresh_top)] {
             assert_eq!(got.c0.data, want.c0.data);
@@ -1378,7 +1378,7 @@ mod tests {
         let a = enc(&mut h, &[1.0]);
         let mut acc = a.clone();
         for _ in 0..63 {
-            acc = h.add(&acc, &a);
+            acc = h.try_add(&acc, &a).unwrap();
         }
         let out = dec(&mut h, &acc);
         assert!((out[0] - 64.0).abs() < 0.01, "got {}", out[0]);

@@ -153,7 +153,7 @@ mod tests {
 
     fn pinned_payload() -> Vec<u8> {
         let mut h = scheme();
-        let pt = h.encode(&[1.25, -3.5, 42.0], 2f64.powi(28));
+        let pt = h.try_encode(&[1.25, -3.5, 42.0], 2f64.powi(28)).unwrap();
         encode_ciphertext(&h.encrypt(&pt))
     }
 
@@ -180,7 +180,7 @@ mod tests {
     #[test]
     fn roundtrip_preserves_plaintext() {
         let mut h = scheme();
-        let pt = h.encode(&[1.25, -3.5, 42.0], 2f64.powi(28));
+        let pt = h.try_encode(&[1.25, -3.5, 42.0], 2f64.powi(28)).unwrap();
         let ct = h.encrypt(&pt);
         let bytes = encode_ciphertext(&ct);
         let back = decode_ciphertext(&bytes).expect("roundtrip decodes");
@@ -194,10 +194,10 @@ mod tests {
     #[test]
     fn decoded_ciphertext_supports_further_ops() {
         let mut h = scheme();
-        let pt = h.encode(&[2.0], 2f64.powi(28));
+        let pt = h.try_encode(&[2.0], 2f64.powi(28)).unwrap();
         let ct = h.encrypt(&pt);
         let back = decode_ciphertext(&encode_ciphertext(&ct)).unwrap();
-        let sum = h.add(&ct, &back);
+        let sum = h.try_add(&ct, &back).unwrap();
         let out_pt = h.decrypt(&sum);
         assert!((h.decode(&out_pt)[0] - 4.0).abs() < 1e-3);
     }

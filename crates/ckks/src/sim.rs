@@ -410,7 +410,7 @@ mod tests {
     use chet_hisa::params::EncryptionParams;
 
     fn enc(h: &mut SimCkks, vals: &[f64], scale: f64) -> SimCt {
-        let pt = h.encode(vals, scale);
+        let pt = h.try_encode(vals, scale).unwrap();
         h.encrypt(&pt)
     }
 
@@ -434,7 +434,7 @@ mod tests {
     #[test]
     fn encrypt_decrypt_roundtrip() {
         let mut h = sim(3);
-        let pt = h.encode(&[1.0, -2.5, 3.25], S);
+        let pt = h.try_encode(&[1.0, -2.5, 3.25], S).unwrap();
         let ct = h.encrypt(&pt);
         let out = dec(&mut h, &ct);
         assert_eq!(&out[..3], &[1.0, -2.5, 3.25]);
@@ -445,11 +445,11 @@ mod tests {
         let mut h = sim(3);
         let a = enc(&mut h, &[2.0], S);
         let b = enc(&mut h, &[3.0], S);
-        let c = h.mul(&a, &b);
+        let c = h.try_mul(&a, &b).unwrap();
         assert_eq!(h.scale_of(&c), S * S);
         let d = h.max_rescale(&c, S * S); // one ~40-bit prime fits
         assert!(d > 1.0);
-        let c = h.rescale(&c, d);
+        let c = h.try_rescale(&c, d).unwrap();
         assert!(h.scale_of(&c) < S * 4.0);
         let out = dec(&mut h, &c);
         assert!((out[0] - 6.0).abs() < 1e-6);
@@ -460,7 +460,7 @@ mod tests {
         let mut h = sim(2);
         let a = enc(&mut h, &[1.0], S);
         let d1 = h.max_rescale(&a, 2f64.powi(45));
-        let a = h.rescale(&a, d1);
+        let a = h.try_rescale(&a, d1).unwrap();
         // Only one prime left: no further rescale possible.
         let d2 = h.max_rescale(&a, 2f64.powi(45));
         assert_eq!(d2, 1.0);
@@ -471,8 +471,9 @@ mod tests {
     fn pow2_exhaustion_panics() {
         let mut h = sim_pow2(60);
         let a = enc(&mut h, &[1.0], S);
-        let a = h.rescale(&a, 2f64.powi(30));
-        let _ = h.rescale(&a, 2f64.powi(30)); // 0 bits left -> panic
+        let a = h.try_rescale(&a, 2f64.powi(30)).unwrap();
+        // 0 bits left -> panic
+        let _ = h.try_rescale(&a, 2f64.powi(30)).unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]
@@ -491,7 +492,7 @@ mod tests {
         let mut h = SimCkks::new(&params, &policy, 1).without_noise();
         let vals: Vec<f64> = (0..8).map(|i| i as f64).collect();
         let ct = enc(&mut h, &vals, S);
-        let r = h.rot_left(&ct, 5);
+        let r = h.try_rot_left(&ct, 5).unwrap();
         assert_eq!(h.op_count(HisaOp::Rotate), 1);
         let out = dec(&mut h, &r);
         assert_eq!(out[0], 5.0);
@@ -502,7 +503,7 @@ mod tests {
     fn composite_rotation_counts_multiple_ops() {
         let mut h = sim(2); // power-of-two keys
         let ct = enc(&mut h, &[0.0; 8], S);
-        let _ = h.rot_left(&ct, 7); // 4 + 2 + 1
+        let _ = h.try_rot_left(&ct, 7).unwrap(); // 4 + 2 + 1
         assert_eq!(h.op_count(HisaOp::Rotate), 3);
     }
 
@@ -513,7 +514,7 @@ mod tests {
         let policy = RotationKeyPolicy::Exact([4usize].into_iter().collect());
         let mut h = SimCkks::new(&params, &policy, 1);
         let ct = enc(&mut h, &[0.0], S);
-        let _ = h.rot_left(&ct, 3);
+        let _ = h.try_rot_left(&ct, 3).unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]
@@ -521,8 +522,8 @@ mod tests {
         let mut h = sim(2);
         let vals: Vec<f64> = (0..16).map(|i| (i * i) as f64).collect();
         let ct = enc(&mut h, &vals, S);
-        let r = h.rot_left(&ct, 6);
-        let rr = h.rot_right(&r, 6);
+        let r = h.try_rot_left(&ct, 6).unwrap();
+        let rr = h.try_rot_right(&r, 6).unwrap();
         let out = dec(&mut h, &rr);
         assert_eq!(&out[..16], &vals[..]);
     }
@@ -533,16 +534,16 @@ mod tests {
         let mut h = sim(2);
         let a = enc(&mut h, &[1.0], S);
         let b = enc(&mut h, &[1.0], S * 2.0);
-        let _ = h.add(&a, &b);
+        let _ = h.try_add(&a, &b).unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]
     fn scalar_ops_track_scale() {
         let mut h = sim(3);
         let a = enc(&mut h, &[4.0], S);
-        let b = h.mul_scalar(&a, 0.5, S);
+        let b = h.try_mul_scalar(&a, 0.5, S).unwrap();
         assert_eq!(h.scale_of(&b), S * S);
-        let c = h.add_scalar(&b, 1.0);
+        let c = h.try_add_scalar(&b, 1.0).unwrap();
         let out = dec(&mut h, &c);
         assert!((out[0] - 3.0).abs() < 1e-6);
     }
@@ -606,7 +607,7 @@ mod tests {
     fn noise_model_perturbs_but_preserves_precision() {
         let params = EncryptionParams::rns_ckks(8192, 40, 3);
         let mut h = SimCkks::new(&params, &RotationKeyPolicy::PowersOfTwo, 9);
-        let pt = h.encode(&[1.5; 16], (1u64 << 35) as f64);
+        let pt = h.try_encode(&[1.5; 16], (1u64 << 35) as f64).unwrap();
         let ct = h.encrypt(&pt);
         let out = dec(&mut h, &ct);
         let err = (out[0] - 1.5).abs();

@@ -6,7 +6,7 @@
 //! (layout plan), the encryption parameters for the encryptor/decryptor,
 //! and the rotation-key configuration the client must generate.
 
-use crate::layout::{select_data_layout_with_margin, LayoutChoice, LayoutPolicy};
+use crate::layout::{enumerate_layouts, LayoutChoice, LayoutPolicy};
 use crate::params::{AnalysisOutcome, SelectError};
 use crate::rotations::{prune_rotation_keys, select_rotation_keys};
 use crate::scales::{select_scales, ScaleSearch};
@@ -142,12 +142,6 @@ impl Compiler {
         self
     }
 
-    /// Overrides the cost model (e.g. after microbenchmark calibration).
-    pub fn with_cost_model(mut self, model: CostModel) -> Self {
-        self.cost_model = model;
-        self
-    }
-
     /// Reserves `levels` spare rescaling levels beyond what the static
     /// analysis measured (insurance against modulus exhaustion at run time;
     /// [`Compiler::compile_checked`] bumps this automatically).
@@ -223,34 +217,24 @@ impl Compiler {
                 reason: "circuits with multiple encrypted inputs are unsupported".into(),
             });
         }
-        let choice = match self.layout_policy {
-            None => select_data_layout_with_margin(
-                circuit,
-                scales,
-                self.kind,
-                self.security,
-                self.output_precision,
-                &self.cost_model,
-                self.margin_levels,
-            )?,
-            Some(policy) => {
-                let mut ranked = crate::layout::enumerate_layouts_with_margin(
-                    circuit,
-                    scales,
-                    self.kind,
-                    self.security,
-                    self.output_precision,
-                    &self.cost_model,
-                    self.margin_levels,
-                )?;
-                let at = ranked.iter().position(|c| c.policy == policy).ok_or_else(|| {
-                    SelectError::UnsupportedCircuit {
-                        reason: format!("layout policy {policy} produced no viable plan"),
-                    }
-                })?;
-                ranked.swap_remove(at)
-            }
+        let mut ranked = enumerate_layouts(
+            circuit,
+            scales,
+            self.kind,
+            self.security,
+            self.output_precision,
+            &self.cost_model,
+            self.margin_levels,
+        )?;
+        let at = match self.layout_policy {
+            None => 0,
+            Some(policy) => ranked.iter().position(|c| c.policy == policy).ok_or_else(|| {
+                SelectError::UnsupportedCircuit {
+                    reason: format!("layout policy {policy} produced no viable plan"),
+                }
+            })?,
         };
+        let choice = ranked.swap_remove(at);
         Ok(self.finish(choice))
     }
 
@@ -436,7 +420,7 @@ mod tests {
     use super::*;
     use chet_ckks::rns::RnsCkks;
     use chet_ckks::sim::SimCkks;
-    use chet_runtime::exec::infer;
+    use chet_runtime::exec::try_infer;
     use chet_tensor::circuit::CircuitBuilder;
     use chet_tensor::ops::Padding;
 
@@ -474,7 +458,7 @@ mod tests {
         let compiled = Compiler::new(SchemeKind::RnsCkks).compile(&circuit, &scales).unwrap();
         let mut sim = SimCkks::new(&compiled.params, &compiled.rotation_keys, 11);
         let image = Tensor::random(vec![1, 8, 8], 1.0, 3);
-        let got = infer(&mut sim, &circuit, &compiled.plan, &image);
+        let got = try_infer(&mut sim, &circuit, &compiled.plan, &image).unwrap();
         let want = circuit.eval(&[image]);
         assert!(
             got.max_abs_diff(&want) < 5e-2,
@@ -495,7 +479,7 @@ mod tests {
             .unwrap();
         let mut fhe = RnsCkks::new(&compiled.params, &compiled.rotation_keys, 99);
         let image = Tensor::random(vec![1, 8, 8], 1.0, 4);
-        let got = infer(&mut fhe, &circuit, &compiled.plan, &image);
+        let got = try_infer(&mut fhe, &circuit, &compiled.plan, &image).unwrap();
         let want = circuit.eval(&[image]);
         assert!(
             got.max_abs_diff(&want) < 0.05,

@@ -111,35 +111,16 @@ pub fn estimate_cost(
 }
 
 /// Searches the four layout policies and returns each priced choice,
-/// cheapest first (paper §5.3). Each choice costs one walk per ring degree
-/// tried; the accepted walk's ledger is priced without walking again.
+/// cheapest first (paper §5.3); the first is the data-layout selection.
+/// Each choice costs one walk per ring degree tried; the accepted walk's
+/// ledger is priced without walking again. `extra_levels` spare rescaling
+/// levels are budgeted per candidate (see [`crate::select_parameters`]).
 ///
 /// # Errors
 ///
 /// Returns an error if no policy admits valid encryption parameters.
-pub fn enumerate_layouts(
-    circuit: &Circuit,
-    scales: &ScaleConfig,
-    kind: SchemeKind,
-    security: SecurityLevel,
-    output_precision: f64,
-    cost_model: &CostModel,
-) -> Result<Vec<LayoutChoice>, SelectError> {
-    enumerate_layouts_with_margin(
-        circuit,
-        scales,
-        kind,
-        security,
-        output_precision,
-        cost_model,
-        0,
-    )
-}
-
-/// [`enumerate_layouts`] with `extra_levels` spare rescaling levels per
-/// candidate (see `select_parameters_with_margin`).
 #[allow(clippy::too_many_arguments)]
-pub fn enumerate_layouts_with_margin(
+pub fn enumerate_layouts(
     circuit: &Circuit,
     scales: &ScaleConfig,
     kind: SchemeKind,
@@ -176,54 +157,6 @@ pub fn enumerate_layouts_with_margin(
         a.estimated_cost.partial_cmp(&b.estimated_cost).expect("costs are finite")
     });
     Ok(choices)
-}
-
-/// Picks the cheapest layout policy (the paper's data-layout selection).
-///
-/// # Errors
-///
-/// Propagates [`enumerate_layouts`] failures.
-pub fn select_data_layout(
-    circuit: &Circuit,
-    scales: &ScaleConfig,
-    kind: SchemeKind,
-    security: SecurityLevel,
-    output_precision: f64,
-    cost_model: &CostModel,
-) -> Result<LayoutChoice, SelectError> {
-    select_data_layout_with_margin(
-        circuit,
-        scales,
-        kind,
-        security,
-        output_precision,
-        cost_model,
-        0,
-    )
-}
-
-/// [`select_data_layout`] with `extra_levels` spare rescaling levels (the
-/// repair loop's level-exhaustion knob).
-#[allow(clippy::too_many_arguments)]
-pub fn select_data_layout_with_margin(
-    circuit: &Circuit,
-    scales: &ScaleConfig,
-    kind: SchemeKind,
-    security: SecurityLevel,
-    output_precision: f64,
-    cost_model: &CostModel,
-    extra_levels: usize,
-) -> Result<LayoutChoice, SelectError> {
-    Ok(enumerate_layouts_with_margin(
-        circuit,
-        scales,
-        kind,
-        security,
-        output_precision,
-        cost_model,
-        extra_levels,
-    )?
-    .remove(0))
 }
 
 #[cfg(test)]
@@ -284,6 +217,7 @@ mod tests {
             SecurityLevel::Bits128,
             2f64.powi(30),
             &CostModel::for_scheme(SchemeKind::RnsCkks),
+            0,
         )
         .unwrap();
         assert_eq!(choices.len(), 4);
@@ -295,15 +229,17 @@ mod tests {
     #[test]
     fn best_choice_has_positive_cost_and_valid_params() {
         let c = cnn(2);
-        let best = select_data_layout(
+        let best = enumerate_layouts(
             &c,
             &ScaleConfig::default(),
             SchemeKind::RnsCkks,
             SecurityLevel::Bits128,
             2f64.powi(30),
             &CostModel::for_scheme(SchemeKind::RnsCkks),
+            0,
         )
-        .unwrap();
+        .unwrap()
+        .remove(0);
         assert!(best.estimated_cost > 0.0);
         assert!(best.outcome.params.validate().is_ok());
     }
@@ -320,6 +256,7 @@ mod tests {
             SecurityLevel::Bits128,
             2f64.powi(30),
             &CostModel::for_scheme(SchemeKind::RnsCkks),
+            0,
         )
         .unwrap();
         let cost_of = |p: LayoutPolicy| {

@@ -169,26 +169,16 @@ fn walk(
 /// paper's Table 4 practice and constrains `log Q` alone; for RNS-CKKS the
 /// full `Q·P` is checked against the HE-standard table.
 ///
+/// `extra_levels` budgets that many spare rescaling levels beyond what the
+/// analysis measured — the knob `compile_checked`'s repair loop turns when
+/// the simulated probe exhausts the modulus early (e.g. noise or scheduling
+/// effects the static analysis underestimates); a plain compile passes 0.
+///
 /// # Errors
 ///
 /// Returns an error when even `N = 32768` cannot hold the circuit.
-pub fn select_parameters(
-    circuit: &Circuit,
-    layouts: &[LayoutKind],
-    scales: &ScaleConfig,
-    kind: SchemeKind,
-    security: SecurityLevel,
-    output_precision: f64,
-) -> Result<AnalysisOutcome, SelectError> {
-    select_parameters_with_margin(circuit, layouts, scales, kind, security, output_precision, 0)
-}
-
-/// [`select_parameters`] with `extra_levels` spare rescaling levels beyond
-/// what the analysis measured — the knob `compile_checked`'s repair loop
-/// turns when the simulated probe exhausts the modulus early (e.g. noise or
-/// scheduling effects the static analysis underestimates).
 #[allow(clippy::too_many_arguments)]
-pub fn select_parameters_with_margin(
+pub fn select_parameters(
     circuit: &Circuit,
     layouts: &[LayoutKind],
     scales: &ScaleConfig,
@@ -201,7 +191,7 @@ pub fn select_parameters_with_margin(
         .map(|(outcome, _)| outcome)
 }
 
-/// [`select_parameters_with_margin`], also returning the accepted walk's
+/// [`select_parameters`], also returning the accepted walk's
 /// program-order `(op, operand level)` ledger for cost estimation.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn select_and_ledger(
@@ -320,6 +310,7 @@ mod tests {
             SchemeKind::RnsCkks,
             SecurityLevel::Bits128,
             2f64.powi(30),
+            0,
         )
         .unwrap();
         assert_eq!(out.params.kind(), SchemeKind::RnsCkks);
@@ -360,6 +351,7 @@ mod tests {
             SchemeKind::Ckks,
             SecurityLevel::Bits128,
             2f64.powi(30),
+            0,
         )
         .unwrap();
         match out.params.modulus {
@@ -385,8 +377,8 @@ mod tests {
         let scales = ScaleConfig::default();
         let l1 = vec![LayoutKind::CHW; shallow.ops().len()];
         let l2 = vec![LayoutKind::CHW; deep.ops().len()];
-        let s = select_parameters(&shallow, &l1, &scales, SchemeKind::Ckks, SecurityLevel::Bits128, 2f64.powi(30)).unwrap();
-        let d = select_parameters(&deep, &l2, &scales, SchemeKind::Ckks, SecurityLevel::Bits128, 2f64.powi(30)).unwrap();
+        let s = select_parameters(&shallow, &l1, &scales, SchemeKind::Ckks, SecurityLevel::Bits128, 2f64.powi(30), 0).unwrap();
+        let d = select_parameters(&deep, &l2, &scales, SchemeKind::Ckks, SecurityLevel::Bits128, 2f64.powi(30), 0).unwrap();
         assert!(d.consumed_log2 > s.consumed_log2);
         assert!(d.params.modulus.log_q() > s.params.modulus.log_q());
     }
@@ -406,6 +398,7 @@ mod tests {
             SchemeKind::RnsCkks,
             SecurityLevel::Bits128,
             2f64.powi(30),
+            0,
         )
         .unwrap();
         assert!(out.params.degree >= 16384, "90x90 image needs >= 8100 slots");

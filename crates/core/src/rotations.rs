@@ -74,6 +74,7 @@ mod tests {
             SchemeKind::RnsCkks,
             SecurityLevel::Bits128,
             2f64.powi(30),
+            0,
         )
         .unwrap();
         let policy = select_rotation_keys(&outcome);

@@ -15,7 +15,7 @@ use chet_ckks::sim::SimCkks;
 use chet_hisa::params::SchemeKind;
 use chet_hisa::security::SecurityLevel;
 use chet_hisa::RotationKeyPolicy;
-use chet_runtime::exec::{infer, required_margin_for, ExecPlan};
+use chet_runtime::exec::{required_margin_for, try_infer, ExecPlan};
 use chet_runtime::kernels::ScaleConfig;
 use chet_runtime::layout::LayoutKind;
 use chet_tensor::circuit::Circuit;
@@ -46,7 +46,9 @@ impl Default for ScaleSearch {
     }
 }
 
-/// Whether a scale configuration keeps every image within tolerance.
+/// Whether a scale configuration keeps every image within tolerance. A run
+/// that fails (an [`chet_runtime::ExecError`], non-finite output slots
+/// included) is not acceptable.
 fn acceptable(
     circuit: &Circuit,
     layouts: &[LayoutKind],
@@ -64,6 +66,7 @@ fn acceptable(
         kind,
         security,
         output_precision,
+        0,
     ) {
         Ok(o) => o,
         Err(_) => return false,
@@ -76,7 +79,9 @@ fn acceptable(
     let mut sim = SimCkks::new(&outcome.params, &RotationKeyPolicy::PowersOfTwo, 2024);
     for image in images {
         let reference = circuit.eval(&[image.clone()]);
-        let got = infer(&mut sim, circuit, &plan, image);
+        let Ok(got) = try_infer(&mut sim, circuit, &plan, image) else {
+            return false;
+        };
         let flat_ref = reference.reshape(vec![reference.numel()]);
         let flat_got = got.reshape(vec![got.numel()]);
         if flat_got.max_abs_diff(&flat_ref) > tolerance {

@@ -559,7 +559,7 @@ mod tests {
         let sink = Arc::new(Mutex::new(DiagSink::default()));
         let mut walker =
             VerifyInterp::recording(compiled, Arc::clone(&sink), Recorder::new(compiled, mode));
-        let input = walker.encode(&[0.5; 4], 1024.0);
+        let input = walker.try_encode(&[0.5; 4], 1024.0).unwrap();
         let x = walker.encrypt(&input);
         walker.recorder.as_mut().unwrap().begin_body();
         sink.lock().unwrap().set_span(3, "conv2d");
@@ -614,14 +614,14 @@ mod tests {
     fn open_walk_ledgers_every_transfer_and_normalizes_rotations() {
         let domain = (LevelDomain::open(None), RotationDomain::collector(64));
         let mut h = VerifyInterp::with_domain(64, domain, Arc::default());
-        let pt = h.encode(&[], 4.0);
+        let pt = h.try_encode(&[], 4.0).unwrap();
         let ct = h.encrypt(&pt);
-        h.add(&ct, &ct);
-        h.add(&ct, &ct);
-        h.mul(&ct, &ct);
-        h.rot_left(&ct, 5);
-        h.rot_right(&ct, 3);
-        h.rot_left(&ct, 64); // full turn: no key, no transfer
+        h.try_add(&ct, &ct).unwrap();
+        h.try_add(&ct, &ct).unwrap();
+        h.try_mul(&ct, &ct).unwrap();
+        h.try_rot_left(&ct, 5).unwrap();
+        h.try_rot_right(&ct, 3).unwrap();
+        h.try_rot_left(&ct, 64).unwrap(); // full turn: no key, no transfer
         let steps: Vec<usize> = h.domain.1.used.iter().copied().collect();
         assert_eq!(steps, vec![5, 61]);
         let ops: Vec<HisaOp> = h.domain.0.ledger.unwrap().iter().map(|(op, _)| op).collect();

@@ -262,9 +262,9 @@ fn redundant_rescale_is_warned() {
     let compiled = compile(&circuit);
     let sink = Arc::new(Mutex::new(DiagSink::default()));
     let mut h = VerifyInterp::new(&compiled, Arc::clone(&sink));
-    let pt = h.encode(&[1.0, 2.0, 3.0, 4.0], compiled.plan.scales.input);
+    let pt = h.try_encode(&[1.0, 2.0, 3.0, 4.0], compiled.plan.scales.input).unwrap();
     let ct = h.encrypt(&pt);
-    let _ = h.rescale(&ct, 2.0); // already at the working scale: pure waste
+    let _ = h.try_rescale(&ct, 2.0).unwrap(); // already at the working scale: pure waste
     let sink = sink.lock().unwrap_or_else(|e| e.into_inner());
     let d = sink
         .diagnostics()
@@ -446,9 +446,9 @@ fn adversary_reports() -> Vec<(&'static str, String)> {
     let sink = Arc::new(Mutex::new(DiagSink::default()));
     let mut h = VerifyInterp::new(&compiled, Arc::clone(&sink));
     sink.lock().unwrap().set_span(1, "conv2d");
-    let pt = h.encode(&[1.0, 2.0, 3.0, 4.0], compiled.plan.scales.input);
+    let pt = h.try_encode(&[1.0, 2.0, 3.0, 4.0], compiled.plan.scales.input).unwrap();
     let ct = h.encrypt(&pt);
-    chet_runtime::par::try_fan_out(&mut h, 4, |h, i| Ok(h.rescale(&ct, 2.0 + i as f64)))
+    chet_runtime::par::try_fan_out(&mut h, 4, |h, i| Ok(h.try_rescale(&ct, 2.0 + i as f64)?))
         .unwrap();
     let sink = sink.lock().unwrap();
     let text: Vec<String> = sink.diagnostics().iter().map(ToString::to_string).collect();

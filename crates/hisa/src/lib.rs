@@ -21,21 +21,23 @@
 //! * [`keys`] — rotation-key policies: default power-of-two keys vs the
 //!   exact key set chosen by the rotation-key-selection pass (paper §5.4).
 //!
-//! # One fallible core, many adapters
+//! # One fallible core, one spelling per instruction
 //!
 //! An interpretation implements nine methods: [`Hisa::slots`],
 //! [`Hisa::try_encode`], [`Hisa::decode`], [`Hisa::encrypt`],
 //! [`Hisa::decrypt`], [`Hisa::max_rescale`], [`Hisa::scale_of`],
 //! [`Hisa::try_exec`] — one entry point for the ten ciphertext-producing
 //! instructions, named by [`Instr`] — and [`Hisa::try_rotate`], the batched
-//! rotation primitive that hoisted key switching needs. Every other
-//! instruction method (`add`, `try_mul_plain`, `rot_left`,
-//! `try_rot_right_many`, `add_assign`, …) is a provided adapter that
-//! reaches the implementation only through that core: panicking forms
-//! unwrap the fallible one, single rotations are one-element batches. A
+//! rotation primitive that hoisted key switching needs. Each instruction
+//! then has exactly one more spelling: a provided adapter (`try_add`,
+//! `try_mul_plain`, `try_rot_left`, `try_rot_right_many`, …) that reaches
+//! the implementation only through that core, with single rotations as
+//! one-element batches. Every adapter returns the core's
+//! [`HisaError`]; a caller that wants a panic writes its own `expect`. A
 //! wrapper therefore intercepts an instruction in exactly one place, and
 //! cannot lose a backend capability by forgetting to forward one of its
-//! spellings. `ci.sh` fails if any `impl Hisa` overrides an adapter.
+//! spellings. `ci.sh` fails if any `impl Hisa` overrides an adapter, or if
+//! the trait's method set drifts from the 29 listed there.
 //!
 //! Kernels encode through one optional hook, [`Hisa::try_encode_with`],
 //! which hands the interpretation a length and a closure that fills the
@@ -176,12 +178,6 @@ impl<'a, Ct, Pt> Instr<'a, Ct, Pt> {
     }
 }
 
-/// The panicking adapters' unwrap: the error's message is the panic
-/// message, as it always was for the real backends.
-fn or_panic<T>(r: Result<T, HisaError>) -> T {
-    r.unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// The one result of a one-element rotation batch.
 fn single<Ct>(r: Result<Vec<Ct>, HisaError>) -> Result<Ct, HisaError> {
     r.map(|mut v| v.swap_remove(0))
@@ -198,7 +194,9 @@ fn single<Ct>(r: Result<Vec<Ct>, HisaError>) -> Result<Ct, HisaError> {
 /// the crate docs) plus, optionally, [`Hisa::copy`],
 /// [`Hisa::available_rotations`], [`Hisa::fork`], [`Hisa::join`],
 /// [`Hisa::cancel_requested`] and [`Hisa::try_encode_with`]. The remaining
-/// methods are adapters over the core and must not be overridden.
+/// fourteen methods — four `try_rot_*` and one `try_<instr>` per [`Instr`]
+/// variant — are fallible adapters over the core and must not be
+/// overridden.
 ///
 /// All methods take `&mut self` because backends carry mutable state
 /// (random number generators, lazily generated keys) and analyses accumulate
@@ -342,11 +340,6 @@ pub trait Hisa: Send {
 
     // ---- Adapters over the core (never overridden) ---------------------
 
-    /// [`Hisa::try_encode`], panicking on error.
-    fn encode(&mut self, values: &[f64], scale: f64) -> Self::Pt {
-        or_panic(self.try_encode(values, scale))
-    }
-
     /// Rotates slots left by `x` (slot `i` receives old slot `i + x`).
     fn try_rot_left(&mut self, c: &Self::Ct, x: usize) -> Result<Self::Ct, HisaError> {
         single(self.try_rotate(c, RotDir::Left, &[x]))
@@ -373,26 +366,6 @@ pub trait Hisa: Send {
         steps: &[usize],
     ) -> Result<Vec<Self::Ct>, HisaError> {
         self.try_rotate(c, RotDir::Right, steps)
-    }
-
-    /// [`Hisa::try_rot_left`], panicking on error.
-    fn rot_left(&mut self, c: &Self::Ct, x: usize) -> Self::Ct {
-        or_panic(self.try_rot_left(c, x))
-    }
-
-    /// [`Hisa::try_rot_right`], panicking on error.
-    fn rot_right(&mut self, c: &Self::Ct, x: usize) -> Self::Ct {
-        or_panic(self.try_rot_right(c, x))
-    }
-
-    /// [`Hisa::try_rot_left_many`], panicking on error.
-    fn rot_left_many(&mut self, c: &Self::Ct, steps: &[usize]) -> Vec<Self::Ct> {
-        or_panic(self.try_rot_left_many(c, steps))
-    }
-
-    /// [`Hisa::try_rot_right_many`], panicking on error.
-    fn rot_right_many(&mut self, c: &Self::Ct, steps: &[usize]) -> Vec<Self::Ct> {
-        or_panic(self.try_rot_right_many(c, steps))
     }
 
     /// [`Instr::Add`].
@@ -443,60 +416,5 @@ pub trait Hisa: Send {
     /// [`Instr::Rescale`].
     fn try_rescale(&mut self, c: &Self::Ct, divisor: f64) -> Result<Self::Ct, HisaError> {
         self.try_exec(Instr::Rescale(c, divisor))
-    }
-
-    /// [`Hisa::try_add`], panicking on error.
-    fn add(&mut self, a: &Self::Ct, b: &Self::Ct) -> Self::Ct {
-        or_panic(self.try_add(a, b))
-    }
-
-    /// In-place [`Hisa::add`].
-    fn add_assign(&mut self, a: &mut Self::Ct, b: &Self::Ct) {
-        *a = self.add(a, b);
-    }
-
-    /// [`Hisa::try_add_plain`], panicking on error.
-    fn add_plain(&mut self, a: &Self::Ct, p: &Self::Pt) -> Self::Ct {
-        or_panic(self.try_add_plain(a, p))
-    }
-
-    /// [`Hisa::try_add_scalar`], panicking on error.
-    fn add_scalar(&mut self, a: &Self::Ct, x: f64) -> Self::Ct {
-        or_panic(self.try_add_scalar(a, x))
-    }
-
-    /// [`Hisa::try_sub`], panicking on error.
-    fn sub(&mut self, a: &Self::Ct, b: &Self::Ct) -> Self::Ct {
-        or_panic(self.try_sub(a, b))
-    }
-
-    /// [`Hisa::try_sub_plain`], panicking on error.
-    fn sub_plain(&mut self, a: &Self::Ct, p: &Self::Pt) -> Self::Ct {
-        or_panic(self.try_sub_plain(a, p))
-    }
-
-    /// [`Hisa::try_sub_scalar`], panicking on error.
-    fn sub_scalar(&mut self, a: &Self::Ct, x: f64) -> Self::Ct {
-        or_panic(self.try_sub_scalar(a, x))
-    }
-
-    /// [`Hisa::try_mul`], panicking on error.
-    fn mul(&mut self, a: &Self::Ct, b: &Self::Ct) -> Self::Ct {
-        or_panic(self.try_mul(a, b))
-    }
-
-    /// [`Hisa::try_mul_plain`], panicking on error.
-    fn mul_plain(&mut self, a: &Self::Ct, p: &Self::Pt) -> Self::Ct {
-        or_panic(self.try_mul_plain(a, p))
-    }
-
-    /// [`Hisa::try_mul_scalar`], panicking on error.
-    fn mul_scalar(&mut self, a: &Self::Ct, x: f64, scale: f64) -> Self::Ct {
-        or_panic(self.try_mul_scalar(a, x, scale))
-    }
-
-    /// [`Hisa::try_rescale`], panicking on error.
-    fn rescale(&mut self, c: &Self::Ct, divisor: f64) -> Self::Ct {
-        or_panic(self.try_rescale(c, divisor))
     }
 }

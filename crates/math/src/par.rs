@@ -19,8 +19,7 @@
 //!
 //! Thread count resolution order: [`set_threads`] (programmatic, e.g. from
 //! `ServeConfig`), then the `CHET_THREADS` environment variable, then
-//! `std::thread::available_parallelism()` capped at 8. Compiling without
-//! the `parallel` feature forces every region inline on the calling thread.
+//! `std::thread::available_parallelism()` capped at 8.
 //!
 //! # Nesting
 //!
@@ -60,8 +59,7 @@ fn env_or_hardware_threads() -> usize {
 
 /// The thread count parallel regions target: the [`set_threads`] override
 /// if set, else `CHET_THREADS`, else hardware parallelism (capped at 8).
-/// Always ≥ 1. With the `parallel` feature disabled this is still the
-/// *configured* count; [`effective_threads`] is what regions obey.
+/// Always ≥ 1.
 pub fn threads() -> usize {
     match CONFIGURED.load(Ordering::Acquire) {
         0 => env_or_hardware_threads(),
@@ -86,16 +84,6 @@ pub mod test_support {
     pub fn config_lock() -> MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// The thread count regions actually use: [`threads`] with the `parallel`
-/// feature, 1 without it.
-pub fn effective_threads() -> usize {
-    if cfg!(feature = "parallel") {
-        threads()
-    } else {
-        1
     }
 }
 
@@ -267,13 +255,13 @@ fn run_region(count: usize, width: usize, f: &(dyn Fn(usize) + Sync)) {
 }
 
 /// Runs `f(i)` once for every `i in 0..count`, using up to
-/// [`effective_threads`] threads. Falls back to an inline sequential loop
+/// [`threads`] threads. Falls back to an inline sequential loop
 /// when the count or thread budget is 1, or when called from inside
 /// another region (no nesting). `f` must confine its writes to per-index
 /// state; the caller merges in index order, so results are independent of
 /// the thread count.
 pub fn parallel_for(count: usize, f: &(dyn Fn(usize) + Sync)) {
-    let width = effective_threads().min(count);
+    let width = threads().min(count);
     if count == 0 {
         return;
     }

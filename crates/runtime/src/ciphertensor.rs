@@ -99,18 +99,8 @@ pub fn unpack_tensor(vecs: &[Vec<f64>], layout: &Layout) -> Tensor {
 }
 
 /// Encrypts a plain tensor into a [`CipherTensor`] under the given layout
-/// and input scale (the client-side step of the paper's Figure 3).
-pub fn encrypt_tensor<H: Hisa>(
-    h: &mut H,
-    tensor: &Tensor,
-    layout: &Layout,
-    scale: f64,
-) -> CipherTensor<H::Ct> {
-    try_encrypt_tensor(h, tensor, layout, scale).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`encrypt_tensor`]: surfaces encode failures (slot overflow)
-/// as values instead of panicking.
+/// and input scale (the client-side step of the paper's Figure 3). Encode
+/// failures (slot overflow) come back as values.
 pub fn try_encrypt_tensor<H: Hisa>(
     h: &mut H,
     tensor: &Tensor,

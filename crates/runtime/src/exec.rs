@@ -15,7 +15,7 @@
 //! failing instruction.
 
 use crate::cancel::{CancelReason, CancelToken};
-use crate::ciphertensor::{decrypt_batch, decrypt_tensor, try_encrypt_batch, CipherTensor};
+use crate::ciphertensor::{decrypt_batch, try_encrypt_batch, CipherTensor};
 use crate::kernels::concat::try_hconcat;
 use crate::kernels::conv::{conv_output_layout, try_hconv2d_with_mask};
 use crate::kernels::convert::try_convert_layout;
@@ -505,32 +505,10 @@ fn min_member_width(circuit: &Circuit, plan: &ExecPlan, slots: usize) -> Option<
     Some(required.next_power_of_two())
 }
 
-/// The client conveniences' unwrap: the error's message is the panic
-/// message.
-fn or_panic<T>(r: Result<T, ExecError>) -> T {
-    match r {
-        Ok(v) => v,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Client-side step: encode + encrypt an image under the plan's layout.
-///
-/// # Panics
-///
-/// On any failure [`try_encrypt_input`] reports.
-pub fn encrypt_input<H: Hisa>(
-    h: &mut H,
-    circuit: &Circuit,
-    plan: &ExecPlan,
-    image: &Tensor,
-) -> CipherTensor<H::Ct> {
-    or_panic(try_encrypt_input(h, circuit, plan, image))
-}
-
-/// Fallible [`encrypt_input`]: encode failures come back as
-/// [`ExecError::Hisa`] attributed to the input node, a plan without an
-/// input layout as [`ExecError::UnsupportedCircuit`].
+/// Client-side step: encodes and encrypts an image under the plan's
+/// layout. Encode failures come back as [`ExecError::Hisa`] attributed to
+/// the input node, a plan without an input layout as
+/// [`ExecError::UnsupportedCircuit`].
 pub fn try_encrypt_input<H: Hisa>(
     h: &mut H,
     circuit: &Circuit,
@@ -724,58 +702,31 @@ fn run_nodes<H: Hisa>(
 }
 
 /// End-to-end convenience: encrypt, run, decrypt (the full Figure 3 flow on
-/// one machine).
-///
-/// # Panics
-///
-/// On any failure [`try_encrypt_input`] or [`try_run_encrypted_with`]
-/// reports. Unlike [`try_infer`], non-finite output slots are returned, not
-/// rejected.
-pub fn infer<H: Hisa>(h: &mut H, circuit: &Circuit, plan: &ExecPlan, image: &Tensor) -> Tensor {
-    let enc = encrypt_input(h, circuit, plan, image);
-    let run = try_run_encrypted_with(h, circuit, plan, enc, &mut ExecControl::none());
-    let (out, _) = or_panic(run);
-    let dec = decrypt_tensor(h, &out);
-    reshape_output(circuit, dec)
-}
-
-/// Fallible [`infer`]: returns the decrypted prediction or the precise
-/// [`ExecError`]. Unlike [`infer`], the decrypted output is also checked
-/// for non-finite slots (NaN/∞), which surface as
-/// [`ExecError::PrecisionLoss`].
+/// one machine). Returns the decrypted prediction or the precise
+/// [`ExecError`]; non-finite output slots (NaN/∞) surface as
+/// [`ExecError::PrecisionLoss`]. A solo run is a batch of one: for
+/// cancellation, per-op observation or the [`ExecReport`], call
+/// [`try_infer_batch_with_control`] with one image at `batch = 1`.
 pub fn try_infer<H: Hisa>(
     h: &mut H,
     circuit: &Circuit,
     plan: &ExecPlan,
     image: &Tensor,
 ) -> Result<Tensor, ExecError> {
-    try_infer_with_control(h, circuit, plan, image, &mut ExecControl::none()).map(|(t, _)| t)
-}
-
-/// [`try_infer`] under an [`ExecControl`], plus the [`ExecReport`]
-/// (degraded-rotation log): cooperative cancellation (deadlines) and
-/// per-op observation. A solo run is a batch of one
-/// ([`try_infer_batch_with_control`] at `batch = 1`).
-pub fn try_infer_with_control<H: Hisa>(
-    h: &mut H,
-    circuit: &Circuit,
-    plan: &ExecPlan,
-    image: &Tensor,
-    ctrl: &mut ExecControl<'_>,
-) -> Result<(Tensor, ExecReport), ExecError> {
-    let (mut outputs, report) = try_infer_batch_with_control(h, circuit, plan, &[image], 1, ctrl)?;
-    let output = outputs.pop().ok_or_else(|| ExecError::UnsupportedCircuit {
+    let (mut outputs, _) =
+        try_infer_batch_with_control(h, circuit, plan, &[image], 1, &mut ExecControl::none())?;
+    outputs.pop().ok_or_else(|| ExecError::UnsupportedCircuit {
         reason: "a batch of one decoded no output".into(),
-    })?;
-    Ok((output, report))
+    })
 }
 
-/// Batched [`try_infer_with_control`]: packs up to `batch` images along the
-/// slot axis of one ciphertext set (the paper's `slots / ciphertext_size`
-/// batch dimension), runs the circuit **once**, and returns one prediction
-/// per supplied image, in order — the full fallible surface the serving
-/// layer runs every cohort through. Non-finite output slots (NaN/∞)
-/// surface as [`ExecError::PrecisionLoss`].
+/// Packs up to `batch` images along the slot axis of one ciphertext set
+/// (the paper's `slots / ciphertext_size` batch dimension), runs the
+/// circuit **once** under an [`ExecControl`] (cooperative cancellation,
+/// per-op observation), and returns one prediction per supplied image, in
+/// order, plus the [`ExecReport`] (degraded-rotation log) — the full
+/// fallible surface the serving layer runs every request through.
+/// Non-finite output slots (NaN/∞) surface as [`ExecError::PrecisionLoss`].
 ///
 /// `batch` must be a power of two within [`batch_capacity`]; a partial
 /// batch (`images.len() < batch`) leaves the trailing members zero. Because
@@ -867,7 +818,7 @@ mod tests {
         for kind in [LayoutKind::HW, LayoutKind::CHW] {
             let mut h = sim(8);
             let plan = ExecPlan::uniform(&circuit, kind, ScaleConfig::default());
-            let got = infer(&mut h, &circuit, &plan, &image);
+            let got = try_infer(&mut h, &circuit, &plan, &image).unwrap();
             assert_eq!(got.shape(), want.shape());
             assert!(
                 got.max_abs_diff(&want) < 1e-4,
@@ -890,7 +841,7 @@ mod tests {
                 plan.layouts[i] = LayoutKind::CHW; // conv emits CHW
             }
         }
-        let got = infer(&mut h, &circuit, &plan, &image);
+        let got = try_infer(&mut h, &circuit, &plan, &image).unwrap();
         assert!(got.max_abs_diff(&want) < 1e-4, "diff {}", got.max_abs_diff(&want));
     }
 
@@ -903,7 +854,7 @@ mod tests {
         let token = crate::cancel::CancelToken::new();
         token.cancel();
         let mut ctrl = ExecControl::cancelled_by(&token);
-        match try_infer_with_control(&mut h, &circuit, &plan, &image, &mut ctrl) {
+        match try_infer_batch_with_control(&mut h, &circuit, &plan, &[&image], 1, &mut ctrl) {
             Err(ExecError::Cancelled { op_index, reason, .. }) => {
                 assert_eq!(op_index, 0);
                 assert_eq!(reason, crate::cancel::CancelReason::Cancelled);
@@ -920,7 +871,7 @@ mod tests {
         let mut h = sim(8);
         let token = crate::cancel::CancelToken::with_deadline(std::time::Duration::ZERO);
         let mut ctrl = ExecControl::cancelled_by(&token);
-        let err = try_infer_with_control(&mut h, &circuit, &plan, &image, &mut ctrl)
+        let err = try_infer_batch_with_control(&mut h, &circuit, &plan, &[&image], 1, &mut ctrl)
             .expect_err("expired deadline must abort");
         assert!(
             matches!(
@@ -948,7 +899,8 @@ mod tests {
         let mut h = sim(8);
         let mut counter = Counter(Vec::new());
         let mut ctrl = ExecControl { cancel: None, observer: Some(&mut counter) };
-        try_infer_with_control(&mut h, &circuit, &plan, &image, &mut ctrl).expect("healthy run");
+        try_infer_batch_with_control(&mut h, &circuit, &plan, &[&image], 1, &mut ctrl)
+            .expect("healthy run");
         assert_eq!(counter.0.len(), circuit.ops().len());
         assert_eq!(counter.0[0], "input");
     }
@@ -1097,7 +1049,7 @@ mod tests {
         for kind in [LayoutKind::HW, LayoutKind::CHW] {
             let mut h = sim(8);
             let plan = ExecPlan::uniform(&circuit, kind, ScaleConfig::default());
-            let got = infer(&mut h, &circuit, &plan, &image);
+            let got = try_infer(&mut h, &circuit, &plan, &image).unwrap();
             let diff = got
                 .reshape(vec![got.numel()])
                 .max_abs_diff(&want.reshape(vec![want.numel()]));

@@ -33,9 +33,9 @@
 //! drift on `add`/`add_plain`/`sub`/`sub_plain` or exhausted levels and
 //! invalid divisors on `rescale`; each step of [`Hisa::try_rotate`] rolls
 //! slow, hung, then a dropped key; [`Hisa::decode`] rolls NaN poisoning.
-//! Every adapter — panicking or `try_*` — reaches the backend through
-//! those, so each instruction has one injection point, and two stacked
-//! injectors each keep their own faults.
+//! Every `try_*` adapter reaches the backend through those, so each
+//! instruction has one injection point, and two stacked injectors each
+//! keep their own faults.
 //!
 //! A rotation batch passes through to the wrapped backend whole — keeping
 //! its hoisted key switching — unless slow, hung or key-drop faults are
@@ -482,7 +482,7 @@ mod tests {
             hot.try_encode(&[1.0], S),
             Err(HisaError::SlotOverflow { .. })
         ));
-        let pt = hot.inner_mut().encode(&[1.0, 2.0], S);
+        let pt = hot.inner_mut().try_encode(&[1.0, 2.0], S).unwrap();
         let ct = hot.inner_mut().encrypt(&pt);
         assert!(matches!(
             hot.try_rot_left(&ct, 1),
@@ -557,7 +557,7 @@ mod tests {
             FaultPlan::none(1.0).with_nan_slots(),
             11,
         );
-        let pt = f.encode(&[1.0, 2.0, 3.0], S);
+        let pt = f.try_encode(&[1.0, 2.0, 3.0], S).unwrap();
         let v = f.decode(&pt);
         assert!(v.iter().any(|x| x.is_nan()), "decode should poison a slot");
         assert_eq!(f.injected().len(), 1);
@@ -572,7 +572,7 @@ mod tests {
             FaultPlan::none(1.0).with_dropped_rotation_keys().transient(3),
             9,
         );
-        let pt = f.encode(&[1.0, 2.0], S);
+        let pt = f.try_encode(&[1.0, 2.0], S).unwrap();
         let ct = f.encrypt(&pt);
         let outcomes: Vec<bool> =
             (0..6).map(|_| f.try_rot_left(&ct, 1).is_err()).collect();
@@ -584,7 +584,7 @@ mod tests {
     fn transient_zero_window_never_fires() {
         let mut f = FaultInjector::new(sim(), FaultPlan::all(1.0).transient(0), 5);
         assert!(f.try_encode(&[1.0], S).is_ok());
-        let pt = f.encode(&[1.0], S);
+        let pt = f.try_encode(&[1.0], S).unwrap();
         let ct = f.encrypt(&pt);
         assert!(f.try_rot_left(&ct, 1).is_ok());
         assert!(f.try_add(&ct, &ct).is_ok());
@@ -599,7 +599,7 @@ mod tests {
         // plan keeps firing.
         let schedule = |plan: FaultPlan| {
             let mut f = FaultInjector::new(sim(), plan, 21);
-            let pt = f.encode(&[1.0], S);
+            let pt = f.try_encode(&[1.0], S).unwrap();
             let ct = f.encrypt(&pt);
             (0..16).map(|_| f.try_rot_left(&ct, 2).is_err()).collect::<Vec<_>>()
         };
@@ -618,7 +618,7 @@ mod tests {
             FaultPlan::none(1.0).with_invalid_rescale(),
             3,
         );
-        let pt = f.encode(&[1.0], S);
+        let pt = f.try_encode(&[1.0], S).unwrap();
         let ct = f.encrypt(&pt);
         assert!(matches!(
             f.try_rescale(&ct, 2f64.powi(40)),

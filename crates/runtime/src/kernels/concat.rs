@@ -179,7 +179,7 @@ pub fn try_hconcat<H: Hisa>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ciphertensor::{decrypt_tensor, encrypt_tensor};
+    use crate::ciphertensor::{decrypt_tensor, try_encrypt_tensor};
     use crate::layout::Layout;
     use chet_ckks::sim::SimCkks;
     use chet_hisa::{EncryptionParams, RotationKeyPolicy};
@@ -202,8 +202,8 @@ mod tests {
         let b = ramp(1, 3, 3, 1000.0);
         let la = Layout::hw(2, 3, 3, 0, h.slots());
         let lb = Layout::hw(1, 3, 3, 0, h.slots());
-        let ea = encrypt_tensor(&mut h, &a, &la, scales.input);
-        let eb = encrypt_tensor(&mut h, &b, &lb, scales.input);
+        let ea = try_encrypt_tensor(&mut h, &a, &la, scales.input).unwrap();
+        let eb = try_encrypt_tensor(&mut h, &b, &lb, scales.input).unwrap();
         let out = try_hconcat(&mut h, &[&ea, &eb], &scales).unwrap();
         assert_eq!(out.num_cts(), 3);
         let got = decrypt_tensor(&mut h, &out);
@@ -220,8 +220,8 @@ mod tests {
         let b = ramp(2, 4, 4, 1000.0);
         let la = Layout::chw(2, 4, 4, 0, h.slots());
         let lb = Layout::chw(2, 4, 4, 0, h.slots());
-        let ea = encrypt_tensor(&mut h, &a, &la, scales.input);
-        let eb = encrypt_tensor(&mut h, &b, &lb, scales.input);
+        let ea = try_encrypt_tensor(&mut h, &a, &la, scales.input).unwrap();
+        let eb = try_encrypt_tensor(&mut h, &b, &lb, scales.input).unwrap();
         let out = try_hconcat(&mut h, &[&ea, &eb], &scales).unwrap();
         assert_eq!(out.num_cts(), 1);
         let got = decrypt_tensor(&mut h, &out);
@@ -238,7 +238,7 @@ mod tests {
             .iter()
             .map(|t| {
                 let l = Layout::chw(1, 2, 2, 0, h.slots());
-                encrypt_tensor(&mut h, t, &l, scales.input)
+                try_encrypt_tensor(&mut h, t, &l, scales.input).unwrap()
             })
             .collect();
         let refs: Vec<&CipherTensor<_>> = encs.iter().collect();
@@ -255,8 +255,8 @@ mod tests {
         let a = ramp(1, 2, 2, 0.0);
         let lhw = Layout::hw(1, 2, 2, 0, h.slots());
         let lchw = Layout::chw(1, 2, 2, 0, h.slots());
-        let ea = encrypt_tensor(&mut h, &a, &lhw, scales.input);
-        let eb = encrypt_tensor(&mut h, &a, &lchw, scales.input);
+        let ea = try_encrypt_tensor(&mut h, &a, &lhw, scales.input).unwrap();
+        let eb = try_encrypt_tensor(&mut h, &a, &lchw, scales.input).unwrap();
         let e = try_hconcat(&mut h, &[&ea, &eb], &scales).unwrap_err();
         assert!(matches!(e, KernelError::Contract { kernel: "concat", .. }), "{e:?}");
         assert!(e.to_string().contains("share layout kind"), "{e}");

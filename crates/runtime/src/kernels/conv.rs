@@ -361,7 +361,7 @@ fn conv_accumulate_chw<H: Hisa>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ciphertensor::{decrypt_tensor, encrypt_tensor};
+    use crate::ciphertensor::{decrypt_tensor, try_encrypt_tensor};
     use chet_ckks::sim::SimCkks;
     use chet_hisa::{EncryptionParams, RotationKeyPolicy};
     use chet_tensor::ops;
@@ -394,7 +394,7 @@ mod tests {
             LayoutKind::HW => Layout::hw(c, ih, iw, margin, h.slots()),
             LayoutKind::CHW => Layout::chw(c, ih, iw, margin, h.slots()),
         };
-        let enc = encrypt_tensor(&mut h, &input, &layout, scales.input);
+        let enc = try_encrypt_tensor(&mut h, &input, &layout, scales.input).unwrap();
         let out = try_hconv2d_with_mask(
             &mut h, &enc, &weights, Some(&bias), stride, padding, out_kind, &scales, true,
         )
@@ -460,7 +460,7 @@ mod tests {
         let scales = ScaleConfig::default();
         let input = Tensor::zeros(vec![2, 4, 4]);
         let layout = Layout::chw(2, 4, 4, 0, h.slots());
-        let enc = encrypt_tensor(&mut h, &input, &layout, scales.input);
+        let enc = try_encrypt_tensor(&mut h, &input, &layout, scales.input).unwrap();
 
         // 3-D weights instead of KCRS.
         let w = Tensor::zeros(vec![2, 3, 3]);
@@ -502,7 +502,7 @@ mod tests {
         let scales = ScaleConfig::default();
         let input = Tensor::from_fn(vec![1, 4, 4], |i| (i[1] + i[2]) as f64 * 0.1);
         let layout = Layout::hw(1, 4, 4, 0, h.slots());
-        let enc = encrypt_tensor(&mut h, &input, &layout, scales.input);
+        let enc = try_encrypt_tensor(&mut h, &input, &layout, scales.input).unwrap();
         let w = Tensor::zeros(vec![2, 1, 2, 2]);
         let out = try_hconv2d_with_mask(
             &mut h, &enc, &w, None, 1, Padding::Valid, LayoutKind::HW, &scales, true,
@@ -520,7 +520,7 @@ mod tests {
         let input = Tensor::from_fn(vec![1, 30, 30], |i| ((i[1] + i[2]) % 7) as f64 * 0.1);
         let weights = Tensor::from_fn(vec![6, 1, 3, 3], |i| (i[0] as f64 - 2.5) * 0.1);
         let layout = Layout::chw(1, 30, 30, 2, h.slots());
-        let enc = encrypt_tensor(&mut h, &input, &layout, scales.input);
+        let enc = try_encrypt_tensor(&mut h, &input, &layout, scales.input).unwrap();
         let out = try_hconv2d_with_mask(
             &mut h, &enc, &weights, None, 1, Padding::Valid, LayoutKind::CHW, &scales, true,
         )

@@ -86,7 +86,7 @@ pub fn try_convert_layout<H: Hisa>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ciphertensor::{decrypt_tensor, encrypt_tensor};
+    use crate::ciphertensor::{decrypt_tensor, try_encrypt_tensor};
     use crate::layout::Layout;
     use chet_ckks::sim::SimCkks;
     use chet_hisa::{EncryptionParams, Hisa, RotationKeyPolicy};
@@ -107,7 +107,7 @@ mod tests {
         let scales = ScaleConfig::default();
         let t = ramp(5, 4, 4);
         let l = Layout::hw(5, 4, 4, 1, h.slots());
-        let enc = encrypt_tensor(&mut h, &t, &l, scales.input);
+        let enc = try_encrypt_tensor(&mut h, &t, &l, scales.input).unwrap();
         let chw = try_convert_layout(&mut h, &enc, LayoutKind::CHW, &scales).unwrap();
         assert_eq!(chw.layout.kind, LayoutKind::CHW);
         assert!(chw.num_cts() < enc.num_cts());
@@ -121,7 +121,7 @@ mod tests {
         let scales = ScaleConfig::default();
         let t = ramp(4, 3, 3);
         let l = Layout::chw(4, 3, 3, 0, h.slots());
-        let enc = encrypt_tensor(&mut h, &t, &l, scales.input);
+        let enc = try_encrypt_tensor(&mut h, &t, &l, scales.input).unwrap();
         let hw = try_convert_layout(&mut h, &enc, LayoutKind::HW, &scales).unwrap();
         assert_eq!(hw.layout.kind, LayoutKind::HW);
         assert_eq!(hw.num_cts(), 4);
@@ -135,7 +135,7 @@ mod tests {
         let scales = ScaleConfig::default();
         let t = ramp(3, 4, 4);
         let l = Layout::hw(3, 4, 4, 0, h.slots());
-        let enc = encrypt_tensor(&mut h, &t, &l, scales.input);
+        let enc = try_encrypt_tensor(&mut h, &t, &l, scales.input).unwrap();
         let chw = try_convert_layout(&mut h, &enc, LayoutKind::CHW, &scales).unwrap();
         let back = try_convert_layout(&mut h, &chw, LayoutKind::HW, &scales).unwrap();
         let got = decrypt_tensor(&mut h, &back);
@@ -148,7 +148,7 @@ mod tests {
         let scales = ScaleConfig::default();
         let t = ramp(2, 2, 2);
         let l = Layout::hw(2, 2, 2, 0, h.slots());
-        let enc = encrypt_tensor(&mut h, &t, &l, scales.input);
+        let enc = try_encrypt_tensor(&mut h, &t, &l, scales.input).unwrap();
         let out = try_convert_layout(&mut h, &enc, LayoutKind::HW, &scales).unwrap();
         assert_eq!(out.layout, enc.layout);
         let got = decrypt_tensor(&mut h, &out);

@@ -88,7 +88,7 @@ pub fn try_hbatch_norm<H: Hisa>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ciphertensor::{decrypt_tensor, encrypt_tensor};
+    use crate::ciphertensor::{decrypt_tensor, try_encrypt_tensor};
     use crate::layout::{Layout, LayoutKind};
     use chet_ckks::sim::SimCkks;
     use chet_hisa::{EncryptionParams, RotationKeyPolicy};
@@ -109,7 +109,7 @@ mod tests {
             let mut h = sim();
             let scales = ScaleConfig::default();
             let input = Tensor::from_fn(vec![2, 3, 3], |i| (i[0] + i[1] + i[2]) as f64 * 0.3 - 1.0);
-            let enc = encrypt_tensor(&mut h, &input, &layout, scales.input);
+            let enc = try_encrypt_tensor(&mut h, &input, &layout, scales.input).unwrap();
             let out = try_hactivation(&mut h, &enc, 0.25, 0.5, &scales).unwrap();
             let got = decrypt_tensor(&mut h, &out);
             let want = ops::activation(&input, 0.25, 0.5);
@@ -123,7 +123,7 @@ mod tests {
         let scales = ScaleConfig::default();
         let input = Tensor::from_fn(vec![1, 2, 2], |i| i[1] as f64 + 1.0);
         let layout = Layout::hw(1, 2, 2, 0, h.slots());
-        let enc = encrypt_tensor(&mut h, &input, &layout, scales.input);
+        let enc = try_encrypt_tensor(&mut h, &input, &layout, scales.input).unwrap();
         let out = try_hactivation(&mut h, &enc, 0.0, 2.0, &scales).unwrap();
         let got = decrypt_tensor(&mut h, &out);
         let want = ops::activation(&input, 0.0, 2.0);
@@ -136,7 +136,7 @@ mod tests {
         let scales = ScaleConfig::default();
         let input = Tensor::from_fn(vec![1, 2, 2], |_| 1.0);
         let layout = Layout::hw(1, 2, 2, 2, h.slots());
-        let enc = encrypt_tensor(&mut h, &input, &layout, scales.input);
+        let enc = try_encrypt_tensor(&mut h, &input, &layout, scales.input).unwrap();
         let out = try_hactivation(&mut h, &enc, 0.5, 1.0, &scales).unwrap();
         // Inspect raw slots: margin slot 2 must still be zero.
         let pt = h.decrypt(&out.cts[0]);
@@ -152,7 +152,7 @@ mod tests {
             let input = Tensor::from_fn(vec![3, 2, 2], |i| i[0] as f64 - 1.0 + 0.1 * i[2] as f64);
             let g = [0.5, 2.0, -1.0];
             let s = [1.0, -0.5, 0.25];
-            let enc = encrypt_tensor(&mut h, &input, &layout, scales.input);
+            let enc = try_encrypt_tensor(&mut h, &input, &layout, scales.input).unwrap();
             let out = try_hbatch_norm(&mut h, &enc, &g, &s, &scales).unwrap();
             let got = decrypt_tensor(&mut h, &out);
             let want = ops::batch_norm(&input, &g, &s);
@@ -166,7 +166,7 @@ mod tests {
         let scales = ScaleConfig::default();
         let input = Tensor::from_fn(vec![1, 2, 2], |_| 1.0);
         let layout = Layout::hw(1, 2, 2, 2, h.slots());
-        let enc = encrypt_tensor(&mut h, &input, &layout, scales.input);
+        let enc = try_encrypt_tensor(&mut h, &input, &layout, scales.input).unwrap();
         let out = try_hbatch_norm(&mut h, &enc, &[1.0], &[5.0], &scales).unwrap();
         let pt = h.decrypt(&out.cts[0]);
         let raw = h.decode(&pt);
@@ -181,7 +181,7 @@ mod tests {
         let input = Tensor::zeros(vec![4, 3, 3]);
         let layout = Layout::chw(4, 3, 3, 0, h.slots());
         assert_eq!(layout.kind, LayoutKind::CHW);
-        let enc = encrypt_tensor(&mut h, &input, &layout, scales.input);
+        let enc = try_encrypt_tensor(&mut h, &input, &layout, scales.input).unwrap();
         let out = try_hactivation(&mut h, &enc, 0.1, 1.0, &scales).unwrap();
         assert_eq!(out.layout, layout);
     }

@@ -270,7 +270,7 @@ pub fn try_hmatmul_bsgs<H: Hisa>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ciphertensor::{decrypt_tensor, encrypt_tensor};
+    use crate::ciphertensor::{decrypt_tensor, try_encrypt_tensor};
     use crate::layout::LayoutKind;
     use chet_ckks::sim::SimCkks;
     use chet_hisa::{EncryptionParams, RotationKeyPolicy};
@@ -296,7 +296,7 @@ mod tests {
             LayoutKind::HW => Layout::hw(c, ih, iw, 0, h.slots()),
             LayoutKind::CHW => Layout::chw(c, ih, iw, 0, h.slots()),
         };
-        let enc = encrypt_tensor(&mut h, &input, &layout, scales.input);
+        let enc = try_encrypt_tensor(&mut h, &input, &layout, scales.input).unwrap();
         let out = try_hmatmul(&mut h, &enc, &weights, bias.as_deref(), &scales).unwrap();
         let got = decrypt_tensor(&mut h, &out);
         let want = ops::matmul_vec(&weights, input.data(), bias.as_deref());
@@ -327,7 +327,7 @@ mod tests {
         let scales = ScaleConfig::default();
         let x = Tensor::from_fn(vec![6, 1, 1], |i| i[0] as f64 * 0.5 - 1.0);
         let layout = Layout::dense_vector(6, h.slots());
-        let enc = encrypt_tensor(&mut h, &x, &layout, scales.input);
+        let enc = try_encrypt_tensor(&mut h, &x, &layout, scales.input).unwrap();
         let w = Tensor::from_fn(vec![4, 6], |i| ((i[0] + i[1]) % 3) as f64 - 1.0);
         let out = try_hmatmul(&mut h, &enc, &w, None, &scales).unwrap();
         let got = decrypt_tensor(&mut h, &out);
@@ -344,7 +344,7 @@ mod tests {
         for (inp, out) in [(6usize, 4usize), (8, 8), (5, 12)] {
             let x = Tensor::from_fn(vec![inp, 1, 1], |i| (i[0] as f64) * 0.3 - 0.7);
             let layout = Layout::dense_vector(inp, h.slots());
-            let enc = encrypt_tensor(&mut h, &x, &layout, scales.input);
+            let enc = try_encrypt_tensor(&mut h, &x, &layout, scales.input).unwrap();
             let w = Tensor::from_fn(vec![out, inp], |i| ((i[0] * 3 + i[1]) % 5) as f64 * 0.2 - 0.4);
             let bias: Vec<f64> = (0..out).map(|o| o as f64 * 0.1).collect();
             let fast = try_hmatmul_bsgs(&mut h, &enc, &w, Some(&bias), &scales).unwrap();
@@ -367,12 +367,12 @@ mod tests {
 
         let mut h1 = sim();
         let layout = Layout::dense_vector(inp, h1.slots());
-        let enc = encrypt_tensor(&mut h1, &x, &layout, scales.input);
+        let enc = try_encrypt_tensor(&mut h1, &x, &layout, scales.input).unwrap();
         try_hmatmul(&mut h1, &enc, &w, None, &scales).unwrap();
         let standard_rots = h1.op_count(HisaOp::Rotate);
 
         let mut h2 = sim();
-        let enc = encrypt_tensor(&mut h2, &x, &layout, scales.input);
+        let enc = try_encrypt_tensor(&mut h2, &x, &layout, scales.input).unwrap();
         try_hmatmul_bsgs(&mut h2, &enc, &w, None, &scales).unwrap();
         let bsgs_rots = h2.op_count(HisaOp::Rotate);
 
@@ -388,7 +388,7 @@ mod tests {
         let scales = ScaleConfig::default();
         let x = Tensor::zeros(vec![2, 2, 2]);
         let layout = Layout::hw(2, 2, 2, 0, h.slots());
-        let enc = encrypt_tensor(&mut h, &x, &layout, scales.input);
+        let enc = try_encrypt_tensor(&mut h, &x, &layout, scales.input).unwrap();
 
         // 1-D weights.
         let w = Tensor::zeros(vec![8]);
@@ -417,7 +417,7 @@ mod tests {
         let scales = ScaleConfig::default();
         let x = Tensor::zeros(vec![2, 2, 2]);
         let layout = Layout::hw(2, 2, 2, 0, h.slots());
-        let enc = encrypt_tensor(&mut h, &x, &layout, scales.input);
+        let enc = try_encrypt_tensor(&mut h, &x, &layout, scales.input).unwrap();
         let w = Tensor::zeros(vec![3, 8]);
         let out = try_hmatmul(&mut h, &enc, &w, None, &scales).unwrap();
         assert_eq!(out.layout, Layout::dense_vector(3, h.slots()));

@@ -258,7 +258,7 @@ mod tests {
     #[test]
     fn rot_signed_directions() {
         let mut h = sim();
-        let pt = h.encode(&[1.0, 2.0, 3.0, 4.0], 2f64.powi(30));
+        let pt = h.try_encode(&[1.0, 2.0, 3.0, 4.0], 2f64.powi(30)).unwrap();
         let ct = h.encrypt(&pt);
         let l = rot_signed(&mut h, &ct, 1).unwrap();
         let r = rot_signed(&mut h, &ct, -1).unwrap();
@@ -279,7 +279,7 @@ mod tests {
         for g in 0..5 {
             v[g * 8] = (g + 1) as f64;
         }
-        let pt = h.encode(&v, 2f64.powi(30));
+        let pt = h.try_encode(&v, 2f64.powi(30)).unwrap();
         let ct = h.encrypt(&pt);
         let red = reduce_groups(&mut h, &ct, 8, 5).unwrap();
         let d = h.decrypt(&red);
@@ -290,15 +290,15 @@ mod tests {
     fn settle_brings_scale_down() {
         let mut h = sim();
         let s = 2f64.powi(30);
-        let pt = h.encode(&[2.0], s);
+        let pt = h.try_encode(&[2.0], s).unwrap();
         let ct = h.encrypt(&pt);
-        let big = h.mul_scalar(&ct, 3.0, 2f64.powi(20));
+        let big = h.try_mul_scalar(&ct, 3.0, 2f64.powi(20)).unwrap();
         assert_eq!(h.scale_of(&big), 2f64.powi(50));
         let settled = settle(&mut h, big, s).unwrap();
         // One 40-bit prime fits in the 2^20 excess? No: excess is 2^20 < prime,
         // so nothing happens yet (RNS drift semantics).
         assert_eq!(h.scale_of(&settled), 2f64.powi(50));
-        let bigger = h.mul_scalar(&settled, 1.0, 2f64.powi(25));
+        let bigger = h.try_mul_scalar(&settled, 1.0, 2f64.powi(25)).unwrap();
         let settled = settle(&mut h, bigger, s).unwrap();
         // Now excess 2^45 >= one 40-bit prime: rescale fires.
         assert!(h.scale_of(&settled) < 2f64.powi(40));
@@ -313,9 +313,9 @@ mod tests {
             while tiled.len() < slots {
                 tiled.extend_from_slice(vec);
             }
-            h.encode(&tiled, scale)
+            h.try_encode(&tiled, scale).unwrap()
         } else {
-            h.encode(vec, scale)
+            h.try_encode(vec, scale).unwrap()
         }
     }
 
@@ -354,7 +354,7 @@ mod tests {
     fn apply_mask_zeroes_junk() {
         let mut h = sim();
         let s = 2f64.powi(30);
-        let pt = h.encode(&[5.0, 7.0, 9.0], s);
+        let pt = h.try_encode(&[5.0, 7.0, 9.0], s).unwrap();
         let ct = h.encrypt(&pt);
         let mask = [1.0, 0.0, 1.0];
         let fill = |b: &mut [f64]| b.copy_from_slice(&mask);

@@ -127,7 +127,7 @@ pub fn try_hglobal_avg_pool<H: Hisa>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ciphertensor::{decrypt_tensor, encrypt_tensor};
+    use crate::ciphertensor::{decrypt_tensor, try_encrypt_tensor};
     use crate::layout::{Layout, LayoutKind};
     use chet_ckks::sim::SimCkks;
     use chet_hisa::{EncryptionParams, RotationKeyPolicy};
@@ -147,7 +147,7 @@ mod tests {
             LayoutKind::HW => Layout::hw(c, ih, iw, 0, h.slots()),
             LayoutKind::CHW => Layout::chw(c, ih, iw, 0, h.slots()),
         };
-        let enc = encrypt_tensor(&mut h, &input, &layout, scales.input);
+        let enc = try_encrypt_tensor(&mut h, &input, &layout, scales.input).unwrap();
         let out = try_havg_pool2d_with_mask(&mut h, &enc, kernel, stride, &scales, true).unwrap();
         let got = decrypt_tensor(&mut h, &out);
         let want = ops::avg_pool2d(&input, kernel, stride);
@@ -180,7 +180,7 @@ mod tests {
                 LayoutKind::HW => Layout::hw(4, 5, 5, 0, h.slots()),
                 LayoutKind::CHW => Layout::chw(4, 5, 5, 0, h.slots()),
             };
-            let enc = encrypt_tensor(&mut h, &input, &layout, scales.input);
+            let enc = try_encrypt_tensor(&mut h, &input, &layout, scales.input).unwrap();
             let out = try_hglobal_avg_pool(&mut h, &enc, &scales).unwrap();
             let got = decrypt_tensor(&mut h, &out);
             let want = ops::global_avg_pool(&input);
@@ -194,7 +194,7 @@ mod tests {
         let scales = ScaleConfig::default();
         let input = Tensor::from_fn(vec![1, 4, 4], |i| (i[1] * 4 + i[2]) as f64);
         let layout = Layout::hw(1, 4, 4, 0, h.slots());
-        let enc = encrypt_tensor(&mut h, &input, &layout, scales.input);
+        let enc = try_encrypt_tensor(&mut h, &input, &layout, scales.input).unwrap();
         let out = try_havg_pool2d_with_mask(&mut h, &enc, 2, 2, &scales, true).unwrap();
         assert_eq!(out.layout.h_stride, 8);
         assert_eq!(out.layout.w_stride, 2);

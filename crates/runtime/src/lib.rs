@@ -20,7 +20,7 @@
 //! ```
 //! use chet_ckks::sim::SimCkks;
 //! use chet_hisa::{EncryptionParams, RotationKeyPolicy};
-//! use chet_runtime::exec::{infer, ExecPlan};
+//! use chet_runtime::exec::{try_infer, ExecPlan};
 //! use chet_runtime::kernels::ScaleConfig;
 //! use chet_runtime::layout::LayoutKind;
 //! use chet_tensor::circuit::CircuitBuilder;
@@ -35,8 +35,9 @@
 //! let mut fhe = SimCkks::new(&params, &RotationKeyPolicy::PowersOfTwo, 1).without_noise();
 //! let plan = ExecPlan::uniform(&circuit, LayoutKind::CHW, ScaleConfig::default());
 //! let image = Tensor::from_fn(vec![1, 4, 4], |i| i[2] as f64);
-//! let out = infer(&mut fhe, &circuit, &plan, &image);
+//! let out = try_infer(&mut fhe, &circuit, &plan, &image)?;
 //! assert_eq!(out.shape(), &[1, 2, 2]);
+//! # Ok::<(), chet_runtime::ExecError>(())
 //! ```
 
 // Failure-model gate (enforced by `ci.sh` via clippy): non-test runtime
@@ -56,10 +57,9 @@ pub mod par;
 pub mod tally;
 
 pub use cancel::{CancelReason, CancelToken};
-pub use ciphertensor::{decrypt_tensor, encrypt_tensor, try_encrypt_tensor, CipherTensor};
+pub use ciphertensor::{decrypt_tensor, try_encrypt_tensor, CipherTensor};
 pub use exec::{
-    infer, try_infer, try_infer_with_control, try_run_encrypted_with, ExecControl, ExecError,
-    ExecObserver, ExecPlan, ExecReport,
+    try_infer, try_run_encrypted_with, ExecControl, ExecError, ExecObserver, ExecPlan, ExecReport,
 };
 pub use fault::{FaultInjector, FaultPlan};
 pub use kernels::{KernelError, ScaleConfig};

@@ -42,7 +42,7 @@ use chet_hisa::Hisa;
 // Re-export the pool's configuration surface so downstream crates (the
 // serving layer, benches) can tune thread counts without depending on
 // `chet-math` directly.
-pub use chet_math::par::{effective_threads, set_threads, threads, MAX_THREADS};
+pub use chet_math::par::{set_threads, threads, MAX_THREADS};
 use chet_math::par;
 
 /// Runs `count` independent jobs against forked backends and returns the
@@ -123,7 +123,7 @@ mod tests {
             let _guard = chet_math::par::test_support::config_lock();
             chet_math::par::set_threads(threads);
             let mut h = sim(7);
-            let pt = h.encode(&[1.0, 2.0, 3.0], S);
+            let pt = h.try_encode(&[1.0, 2.0, 3.0], S).unwrap();
             let ct = h.encrypt(&pt);
             let outs = try_fan_out(&mut h, 6, |h, i| {
                 let r = h.try_rot_left(&ct, i % 3)?;
@@ -150,7 +150,7 @@ mod tests {
             let _guard = chet_math::par::test_support::config_lock();
             chet_math::par::set_threads(threads);
             let mut h = sim(3);
-            let pt = h.encode(&[1.0; 8], S);
+            let pt = h.try_encode(&[1.0; 8], S).unwrap();
             let ct = h.encrypt(&pt);
             let slots = h.slots();
             let e = try_fan_out(&mut h, 5, |h, i| {
@@ -169,7 +169,7 @@ mod tests {
         let mut h = sim(3);
         let token = crate::cancel::CancelToken::new();
         token.cancel();
-        let pt = h.encode(&[1.0; 4], S);
+        let pt = h.try_encode(&[1.0; 4], S).unwrap();
         let ct = h.encrypt(&pt);
         let mut p = RunTally::new(&mut h, Some(token));
         let result = try_fan_out(&mut p, 4, |p, _| Ok(p.try_add(&ct, &ct)?));

@@ -198,7 +198,7 @@ mod tests {
         let mut h =
             SimCkks::new(&params, &RotationKeyPolicy::PowersOfTwo, 1).without_noise();
         let mut p = RunTally::new(&mut h, None);
-        let pt = p.encode(&[1.0; 8], S);
+        let pt = p.try_encode(&[1.0; 8], S).unwrap();
         let ct = p.encrypt(&pt);
         // 7 = 4 + 2 + 1 under power-of-two keys: degraded, 2 extra ops.
         p.try_rot_left(&ct, 7).unwrap();

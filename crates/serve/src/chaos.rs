@@ -235,7 +235,7 @@ mod tests {
     /// Drives a fixed op trace and returns (error pattern, injection log).
     fn trace(plan: &ChaosPlan, request_id: u64) -> (Vec<bool>, Vec<String>) {
         let mut c = worker(sim(), plan, request_id);
-        let pt = c.encode(&[1.0, 2.0], S);
+        let pt = c.try_encode(&[1.0, 2.0], S).unwrap();
         let ct = c.encrypt(&pt);
         let mut errs = Vec::new();
         for step in [1usize, 2, 4, 8, 16, 32] {
@@ -258,7 +258,7 @@ mod tests {
     fn begin_request_replays_the_same_schedule_on_retry() {
         let plan = no_pauses(ChaosPlan::all(9, 0.5));
         let mut c = FaultInjector::new(sim(), plan.faults, plan.seed);
-        let pt = c.inner_mut().encode(&[1.0], S);
+        let pt = c.inner_mut().try_encode(&[1.0], S).unwrap();
         let ct = c.inner_mut().encrypt(&pt);
         let attempt = |c: &mut FaultInjector<SimCkks>| {
             c.begin_request(3);
@@ -286,7 +286,7 @@ mod tests {
         plan.faults.nan_slots = Some(1.0);
         plan.faults.drop_rotation_keys = Some(1.0);
         let mut c = worker(sim(), &plan, 11);
-        let pt = c.encode(&[1.0, 2.0, 3.0], S);
+        let pt = c.try_encode(&[1.0, 2.0, 3.0], S).unwrap();
         let ct = c.encrypt(&pt);
         assert!(c.decode(&pt).iter().all(|x| x.is_nan()));
         assert!(matches!(
@@ -308,7 +308,7 @@ mod tests {
             3,
         );
         let mut c = worker(inner, &ChaosPlan::disabled(0), 1);
-        let pt = c.encode(&[1.0], S);
+        let pt = c.try_encode(&[1.0], S).unwrap();
         let ct = c.encrypt(&pt);
         assert!(matches!(
             c.try_rot_left(&ct, 1),

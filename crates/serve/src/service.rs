@@ -49,13 +49,12 @@ use chet_ckks::sim::SimCkks;
 use chet_compiler::ir::{cost as ir_cost, extract_ir, ExtractMode};
 use chet_compiler::{verify_compiled, CompiledCircuit, Compiler, SelectError};
 use chet_hisa::cost::CostModel;
-use chet_hisa::params::SchemeKind;
 use chet_hisa::serial::params_fingerprint;
 use chet_hisa::{Hisa, HisaError};
 use chet_runtime::cancel::{CancelReason, CancelToken};
 use chet_runtime::exec::{
-    batch_capacity, try_infer_batch_with_control, try_infer_with_control, ExecControl, ExecError,
-    ExecObserver, ExecReport,
+    batch_capacity, try_infer_batch_with_control, ExecControl, ExecError, ExecObserver,
+    ExecReport,
 };
 use chet_runtime::fault::FaultInjector;
 use chet_runtime::kernels::ScaleConfig;
@@ -92,8 +91,6 @@ pub struct ServeConfig {
     pub retry: RetryPolicy,
     /// Circuit-breaker tuning for the primary backend.
     pub breaker: BreakerConfig,
-    /// Seed for the degraded-route simulator backend.
-    pub degraded_seed: u64,
     /// Intra-request kernel/limb parallelism: threads each worker's
     /// parallel regions fan out over (`None` = leave the process-global
     /// setting alone, i.e. `CHET_THREADS` or hardware parallelism).
@@ -163,7 +160,6 @@ impl Default for ServeConfig {
             default_deadline: None,
             retry: RetryPolicy::default(),
             breaker: BreakerConfig::default(),
-            degraded_seed: 0x5EED,
             threads: None,
             degraded_fallback: true,
             store_dir: None,
@@ -461,7 +457,7 @@ struct ServiceCore {
     pending_keys: Mutex<HashMap<String, u64>>,
     /// Set by the watchdog's final rung: the respawn budget is exhausted
     /// and a supervisor should recycle this process through
-    /// [`InferenceService::restart_from_journal`].
+    /// [`InferenceService::start_with_compiler`].
     restart_requested: AtomicBool,
 }
 
@@ -777,26 +773,18 @@ fn recover_from_store(
 }
 
 impl InferenceService {
-    /// Compiles `circuit` with a default RNS-CKKS compiler (via the
-    /// checked-repair path, so the artifact starts probe-validated) and
-    /// starts the worker pool. `factory` builds one primary backend per
-    /// worker from the compiled artifact; it runs on the worker's own
-    /// thread, so the backend type need not be `Send`.
-    pub fn start<H, F>(
-        circuit: Circuit,
-        scales: ScaleConfig,
-        config: ServeConfig,
-        factory: F,
-    ) -> Result<Self, ServeError>
-    where
-        H: Hisa + 'static,
-        F: Fn(usize, &CompiledCircuit) -> H + Send + Sync + 'static,
-    {
-        Self::start_with_compiler(Compiler::new(SchemeKind::RnsCkks), circuit, scales, config, factory)
-    }
-
-    /// [`InferenceService::start`] with a caller-configured [`Compiler`]
-    /// (security level, output precision, cost model...).
+    /// Compiles `circuit` with `compiler` (via the checked-repair path, so
+    /// the artifact starts probe-validated) and starts the worker pool.
+    /// `factory` builds one primary backend per worker from the compiled
+    /// artifact; it runs on the worker's own thread, so the backend type
+    /// need not be `Send`.
+    ///
+    /// This is also the supervised-restart entry point. A supervisor that
+    /// sees [`InferenceService::needs_restart`] (or a crash) drops or loses
+    /// the old service and calls this again on the same `store_dir`: the
+    /// new instance steals the dead process's advisory lock, replays every
+    /// unresolved request from the journal in admission order, and serves
+    /// completed idempotency keys from the journal's response cache.
     pub fn start_with_compiler<H, F>(
         compiler: Compiler,
         circuit: Circuit,
@@ -1013,27 +1001,6 @@ impl InferenceService {
         Ok(InferenceService { core, queue, workers, watchdog: Some(watchdog) })
     }
 
-    /// Supervised-restart entry point: identical to
-    /// [`InferenceService::start_with_compiler`], named for the recovery
-    /// path. A supervisor that sees [`InferenceService::needs_restart`]
-    /// (or a crash) drops/loses the old service and calls this; the new
-    /// instance steals the dead process's advisory lock, replays every
-    /// unresolved request from the journal in admission order, and serves
-    /// completed idempotency keys from the journal's response cache.
-    pub fn restart_from_journal<H, F>(
-        compiler: Compiler,
-        circuit: Circuit,
-        scales: ScaleConfig,
-        config: ServeConfig,
-        factory: F,
-    ) -> Result<Self, ServeError>
-    where
-        H: Hisa + 'static,
-        F: Fn(usize, &CompiledCircuit) -> H + Send + Sync + 'static,
-    {
-        Self::start_with_compiler(compiler, circuit, scales, config, factory)
-    }
-
     /// Submits a request under the configured default deadline. Returns
     /// [`ServeError::Overloaded`] *immediately* when the queue is full.
     pub fn submit(&self, image: Tensor) -> Result<Ticket, ServeError> {
@@ -1085,7 +1052,7 @@ impl InferenceService {
     }
 
     /// Whether the watchdog has exhausted its respawn budget and asked
-    /// for a supervised restart ([`InferenceService::restart_from_journal`]).
+    /// for a supervised restart ([`InferenceService::start_with_compiler`]).
     pub fn needs_restart(&self) -> bool {
         self.core.restart_requested.load(Ordering::Acquire)
     }
@@ -1495,11 +1462,14 @@ fn finish_job(core: &ServiceCore, job: &Job, result: Result<InferResponse, Serve
 /// Resolves a dequeue as one cohort, results in `jobs` order. Members
 /// already cancelled (deadline expired while queued or in the linger
 /// window) resolve at once; the live ones run together on the primary
-/// route ([`run_primary`]). A cohort of one that the primary route gives
-/// up on ends as a lone request does: the strict-mode error or the
-/// degraded simulator route. A larger cohort hands those members back here
-/// one at a time, which re-applies breaker routing, retries and the
-/// degraded route exactly as an unbatched request would see them.
+/// route ([`run_primary`]). When the primary route gives up on a cohort of
+/// one, or on a larger cohort whose attempts ran out, each member goes
+/// straight to its final disposition ([`give_up`]): the degraded simulator
+/// route, or the strict-mode error. A larger cohort given up on for any
+/// other reason (a tripped cohort token, a permanent error, the breaker, a
+/// failed probe) hands its members back here one at a time, which
+/// re-applies breaker routing, retries and the degraded route exactly as an
+/// unbatched request would see them.
 fn run_cohort<H, F>(
     core: &ServiceCore,
     factory: &F,
@@ -1518,29 +1488,29 @@ where
         .collect();
     let live: Vec<&Job> =
         jobs.iter().zip(&results).filter(|(_, r)| r.is_none()).map(|(job, _)| *job).collect();
-    let resolved = match live.first() {
-        None => Vec::new(),
-        Some(head) => match run_primary(core, factory, worker_id, cached, &live, slot) {
+    let solo = live.len() == 1;
+    let resolved = if live.is_empty() {
+        Vec::new()
+    } else {
+        match run_primary(core, factory, worker_id, cached, &live, slot) {
             Ok(resolved) => resolved,
-            Err(_) if live.len() > 1 => live
+            // Retrying a member alone would repeat the attempts its cohort
+            // just spent, so only a cohort given up on early hands back.
+            Err(gave_up) if !solo && !gave_up.exhausted => live
                 .iter()
                 .flat_map(|job| run_cohort(core, factory, worker_id, cached, &[*job], slot))
                 .collect(),
-            Err(GaveUp { attempts, .. }) if core.config.degraded_fallback => {
-                vec![run_degraded(core, head, attempts, slot)]
-            }
-            // Strict mode: no simulator fallback. A request the breaker
-            // refused to admit to the primary is shed (it lost the
-            // half-open race, or arrived during cooldown); one whose
-            // attempts were exhausted fails with the last primary error.
-            Err(GaveUp { attempts, error: Some(error) }) => {
-                vec![Err(ServeError::Failed { attempts, error })]
-            }
-            Err(GaveUp { attempts: 0, .. }) => {
-                vec![Err(ServeError::Overloaded { capacity: core.config.queue_capacity })]
-            }
-            Err(GaveUp { .. }) => vec![Err(ServeError::WorkerLost)],
-        },
+            Err(gave_up) => live
+                .iter()
+                .map(|job| {
+                    if !solo {
+                        // The watchdog now watches this member's own run.
+                        slot.begin(job.id, &job.token);
+                    }
+                    give_up(core, job, &gave_up, slot)
+                })
+                .collect(),
+        }
     };
     let mut resolved = resolved.into_iter();
     results
@@ -1556,6 +1526,33 @@ struct GaveUp {
     /// The last primary error (`None` when no attempt ran, or every
     /// attempt panicked).
     error: Option<ExecError>,
+    /// Whether the retry policy's attempts ran out.
+    exhausted: bool,
+}
+
+/// A request's final disposition once the primary route gave up on it: the
+/// degraded simulator route, or in strict mode (no simulator fallback) an
+/// error. A request the breaker refused to admit to the primary is shed (it
+/// lost the half-open race, or arrived during cooldown); one whose attempts
+/// were exhausted fails with the last primary error.
+fn give_up(
+    core: &ServiceCore,
+    job: &Job,
+    gave_up: &GaveUp,
+    slot: &WorkerSlot,
+) -> Result<InferResponse, ServeError> {
+    match gave_up {
+        GaveUp { attempts, .. } if core.config.degraded_fallback => {
+            run_degraded(core, job, *attempts, slot)
+        }
+        GaveUp { attempts, error: Some(error), .. } => {
+            Err(ServeError::Failed { attempts: *attempts, error: error.clone() })
+        }
+        GaveUp { attempts: 0, .. } => {
+            Err(ServeError::Overloaded { capacity: core.config.queue_capacity })
+        }
+        GaveUp { .. } => Err(ServeError::WorkerLost),
+    }
 }
 
 /// Runs a cohort of live members through the primary route, retrying and
@@ -1563,7 +1560,7 @@ struct GaveUp {
 /// Returns one resolution per member, in order, or [`GaveUp`] when the
 /// breaker skipped the primary, a probe failed, the attempts ran out or —
 /// for a larger cohort — a member must finish alone (a permanent error, a
-/// tripped cohort token).
+/// tripped cohort token). Only the last sets [`GaveUp::exhausted`].
 fn run_primary<H, F>(
     core: &ServiceCore,
     factory: &F,
@@ -1577,7 +1574,7 @@ where
     F: Fn(usize, &CompiledCircuit) -> H,
 {
     let solo = cohort.len() == 1;
-    let head = cohort.first().ok_or(GaveUp { attempts: 0, error: None })?;
+    let head = cohort.first().ok_or(GaveUp { attempts: 0, error: None, exhausted: false })?;
     // A cohort of one runs under its member's own token, so a watchdog
     // cancel resolves it `Cancelled`. A larger cohort runs under a fresh
     // token that its observer trips once every member has cancelled, and
@@ -1587,7 +1584,7 @@ where
     slot.begin(head.id, &token);
     let route = core.breaker.route();
     if route == Route::Degraded {
-        return Err(GaveUp { attempts: 0, error: None });
+        return Err(GaveUp { attempts: 0, error: None, exhausted: false });
     }
     let probe = route == Route::Probe;
     let images: Vec<&Tensor> = cohort.iter().map(|job| &job.image).collect();
@@ -1657,7 +1654,7 @@ where
                 // repair has grown past the slot-axis capacity. Each member
                 // resolves alone, on its own terms.
                 Disposition::Cancelled(_) | Disposition::Permanent => {
-                    return Err(GaveUp { attempts: attempt, error: Some(e) });
+                    return Err(GaveUp { attempts: attempt, error: Some(e), exhausted: false });
                 }
                 Disposition::Repair => {
                     core.breaker.record_failure(probe);
@@ -1679,7 +1676,7 @@ where
         }
         // A failed probe never gets a second chance: the breaker reopened.
         if probe {
-            return Err(GaveUp { attempts: attempt, error: last_error });
+            return Err(GaveUp { attempts: attempt, error: last_error, exhausted: false });
         }
         attempt += 1;
         if !core.config.retry.allows(attempt) {
@@ -1699,12 +1696,13 @@ where
             return Ok(reasons.into_iter().map(|r| Err(ServeError::Cancelled(r))).collect());
         }
     }
-    // Retries exhausted. A request's own primary route ends only here in a
-    // cohort of one; a larger cohort's members each get theirs alone.
-    if solo {
-        Counters::bump(&core.counters.retries_exhausted);
-    }
-    Err(GaveUp { attempts: attempt.min(core.config.retry.max_attempts.max(1)), error: last_error })
+    // Retries exhausted: every member's primary route ends here.
+    Counters::add(&core.counters.retries_exhausted, cohort.len() as u64);
+    Err(GaveUp {
+        attempts: attempt.min(core.config.retry.max_attempts.max(1)),
+        error: last_error,
+        exhausted: true,
+    })
 }
 
 fn run_degraded(
@@ -1717,21 +1715,26 @@ fn run_degraded(
         return Err(ServeError::Cancelled(reason));
     }
     let (version, compiled) = core.artifact_snapshot();
-    let mut sim = SimCkks::new(&compiled.params, &compiled.rotation_keys, core.config.degraded_seed)
-        .without_noise();
+    // Noiseless: the simulator draws nothing from its seed.
+    let mut sim = SimCkks::new(&compiled.params, &compiled.rotation_keys, 0).without_noise();
     let mut observer = CohortObserver { ops: 0, slot, members: &[], cohort: &job.token };
     let mut ctrl = ExecControl { cancel: Some(&job.token), observer: Some(&mut observer) };
-    match try_infer_with_control(&mut sim, &core.circuit, &compiled.plan, &job.image, &mut ctrl) {
-        Ok((output, report)) => Ok(InferResponse {
-            id: job.id,
-            output,
-            degraded: true,
-            attempts,
-            artifact_version: version,
-            ops_executed: observer.ops,
-            report,
-            latency: Duration::ZERO, // finish_job fills this in
-        }),
+    let images = [&job.image];
+    let plan = &compiled.plan;
+    match try_infer_batch_with_control(&mut sim, &core.circuit, plan, &images, 1, &mut ctrl) {
+        // One output per image.
+        Ok((outputs, report)) => {
+            outputs.into_iter().next().ok_or(ServeError::WorkerLost).map(|output| InferResponse {
+                id: job.id,
+                output,
+                degraded: true,
+                attempts,
+                artifact_version: version,
+                ops_executed: observer.ops,
+                report,
+                latency: Duration::ZERO, // finish_job fills this in
+            })
+        }
         Err(ExecError::Cancelled { reason, .. }) => Err(ServeError::Cancelled(reason)),
         Err(e) => Err(ServeError::Failed { attempts, error: e }),
     }

@@ -82,7 +82,7 @@ pub enum Escalation {
     /// a supervised-restart request — the service flags
     /// [`restart_requested`](crate::health::HealthReport::restart_requested)
     /// and a supervisor recycles the process through
-    /// [`InferenceService::restart_from_journal`](crate::InferenceService::restart_from_journal),
+    /// [`InferenceService::start_with_compiler`](crate::InferenceService::start_with_compiler),
     /// which replays every unresolved request from the durable journal.
     RestartRequested,
 }

@@ -7,7 +7,7 @@
 //! * one member cancelling or blowing its deadline mid-window resolves
 //!   that member as `Cancelled` without failing its cohort;
 //! * idempotency digests are stable across the batched and solo paths,
-//!   including after a journal restart (`restart_from_journal`);
+//!   including after a journal restart (`start_with_compiler` on the same store);
 //! * malformed (wrong-shape) requests are refused at admission with the
 //!   structured, non-retryable [`ServeError::InvalidRequest`] — they
 //!   never occupy the queue or charge the breaker.
@@ -188,8 +188,9 @@ fn exhausted_cohort_counts_each_request_once() {
     let images: Vec<Tensor> = (0..4).map(|i| image(400 + i)).collect();
     let config = ServeConfig {
         retry: RetryPolicy { max_attempts: 2, ..RetryPolicy::default() },
-        // Ten primary failures (two cohort attempts, then two per member
-        // run alone) stay below the threshold: the breaker never opens.
+        // Two primary failures (two cohort attempts; an exhausted cohort's
+        // members go straight to the degraded route) stay below the
+        // threshold: the breaker never opens.
         breaker: BreakerConfig { failure_threshold: 100, ..BreakerConfig::default() },
         ..batching_config(4, Duration::from_millis(300))
     };
@@ -201,9 +202,9 @@ fn exhausted_cohort_counts_each_request_once() {
     }
     assert_eq!(stats.batches_formed, 1, "{stats:?}");
     assert_eq!(stats.retries_exhausted, 4, "one exhaustion per request: {stats:?}");
-    // A cohort attempt counts as one attempt: one cohort retry, then one
-    // per member run alone.
-    assert_eq!(stats.retries, 5, "{stats:?}");
+    // A cohort attempt counts as one attempt: one cohort retry, and no
+    // member runs the primary route again alone.
+    assert_eq!(stats.retries, 1, "{stats:?}");
 }
 
 #[test]
@@ -323,7 +324,7 @@ fn duplicate_key_after_batched_run_replays_identical_digest() {
     svc.shutdown();
 
     // Journal replay path: a restarted process must serve the same bytes.
-    let svc = InferenceService::restart_from_journal(
+    let svc = InferenceService::start_with_compiler(
         compiler(),
         circuit,
         scales(),

@@ -62,7 +62,6 @@ fn config(workers: usize, queue: usize) -> ServeConfig {
             seed: 0x00C0_FFEE,
         },
         breaker: BreakerConfig { failure_threshold: 3, open_requests: 2, half_open_successes: 1 },
-        degraded_seed: 0x5EED,
         threads: None,
         ..ServeConfig::default()
     }

@@ -108,13 +108,22 @@ impl Tensor {
         Tensor::new(shape, self.data.clone())
     }
 
-    /// Largest absolute difference to another tensor of the same shape.
+    /// Largest absolute difference to another tensor of the same shape. A
+    /// NaN difference is `f64::INFINITY`, so a NaN slot fails every
+    /// `max_abs_diff(..) < tol` check (`f64::max` alone would drop it).
     pub fn max_abs_diff(&self, other: &Tensor) -> f64 {
         assert_eq!(self.shape, other.shape, "shape mismatch");
         self.data
             .iter()
             .zip(&other.data)
-            .map(|(a, b)| (a - b).abs())
+            .map(|(a, b)| {
+                let d = (a - b).abs();
+                if d.is_nan() {
+                    f64::INFINITY
+                } else {
+                    d
+                }
+            })
             .fold(0.0, f64::max)
     }
 
@@ -176,6 +185,17 @@ mod tests {
         assert_eq!(a.argmax(), 1);
         let b = Tensor::new(vec![4], vec![0.1, 3.5, -2.0, 1.0]);
         assert!((a.max_abs_diff(&b) - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_nan_difference_is_infinite() {
+        let a = Tensor::new(vec![3], vec![0.0, f64::NAN, 1.0]);
+        let b = Tensor::new(vec![3], vec![0.0, 0.0, 1.0]);
+        assert_eq!(a.max_abs_diff(&b), f64::INFINITY);
+        assert_eq!(b.max_abs_diff(&a), f64::INFINITY);
+        let inf = Tensor::new(vec![3], vec![0.0, f64::INFINITY, 1.0]);
+        assert_eq!(inf.max_abs_diff(&inf), f64::INFINITY);
+        assert_eq!(a.max_abs_diff(&a), f64::INFINITY);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use chet::compiler::Compiler;
 use chet::hisa::params::SchemeKind;
 use chet::hisa::Hisa;
 use chet::runtime::ciphertensor::decrypt_tensor;
-use chet::runtime::exec::{encrypt_input, try_run_encrypted_with, ExecControl};
+use chet::runtime::exec::{try_encrypt_input, try_run_encrypted_with, ExecControl};
 use chet::runtime::kernels::ScaleConfig;
 
 fn main() {
@@ -41,7 +41,8 @@ fn main() {
     // ---- Client: keygen + encrypt (private key never leaves). ----
     let mut client = RnsCkks::new(&compiled.params, &compiled.rotation_keys, 2024);
     let image = net.sample_image(5);
-    let encrypted_image = encrypt_input(&mut client, &net.circuit, &compiled.plan, &image);
+    let encrypted_image = try_encrypt_input(&mut client, &net.circuit, &compiled.plan, &image)
+        .expect("the image fits the plan's input layout");
     println!(
         "client: image encrypted into {} ciphertext(s) of {} slots",
         encrypted_image.num_cts(),

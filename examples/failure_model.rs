@@ -10,7 +10,7 @@ use chet::ckks::sim::SimCkks;
 use chet::compiler::Compiler;
 use chet::hisa::params::SchemeKind;
 use chet::hisa::RotationKeyPolicy;
-use chet::runtime::exec::{try_infer, try_infer_with_control, ExecControl, ExecPlan};
+use chet::runtime::exec::{try_infer, try_infer_batch_with_control, ExecControl, ExecPlan};
 use chet::runtime::fault::{FaultInjector, FaultPlan};
 use chet::runtime::kernels::ScaleConfig;
 use chet::runtime::layout::LayoutKind;
@@ -69,11 +69,12 @@ fn main() {
         [1usize, 2, 4, 8, 16].iter().flat_map(|&s| [s, slots - s]).collect();
     let mut degraded =
         SimCkks::new(&compiled.params, &RotationKeyPolicy::Exact(sparse), 2024);
-    let (out, report) = try_infer_with_control(
+    let (out, report) = try_infer_batch_with_control(
         &mut degraded,
         &circuit,
         &compiled.plan,
-        &image,
+        &[&image],
+        1,
         &mut ExecControl::none(),
     )
     .expect("degraded keys still infer");
@@ -81,7 +82,7 @@ fn main() {
         "degraded rotations: {} (+{} extra key-switches), max |err| {:.4}",
         report.degraded_rotations,
         report.extra_rotation_ops,
-        out.max_abs_diff(&reference)
+        out[0].max_abs_diff(&reference)
     );
 
     // 4. Deterministic fault injection: every backend fault surfaces as a

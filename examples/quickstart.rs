@@ -8,7 +8,7 @@
 use chet::ckks::rns::RnsCkks;
 use chet::compiler::Compiler;
 use chet::hisa::params::SchemeKind;
-use chet::runtime::exec::infer;
+use chet::runtime::exec::try_infer;
 use chet::runtime::kernels::ScaleConfig;
 use chet::tensor::circuit::CircuitBuilder;
 use chet::tensor::ops::Padding;
@@ -49,7 +49,8 @@ fn main() {
 
     println!("running homomorphic convolution ...");
     let t0 = std::time::Instant::now();
-    let encrypted_result = infer(&mut fhe, &circuit, &compiled.plan, &image);
+    let encrypted_result = try_infer(&mut fhe, &circuit, &compiled.plan, &image)
+        .expect("the compiled plan runs on its own parameters");
     println!("  done in {:.2} s", t0.elapsed().as_secs_f64());
 
     let reference = circuit.eval(&[image]);

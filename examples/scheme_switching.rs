@@ -10,7 +10,7 @@ use chet::ckks::big::BigCkks;
 use chet::ckks::rns::RnsCkks;
 use chet::compiler::Compiler;
 use chet::hisa::params::SchemeKind;
-use chet::runtime::exec::infer;
+use chet::runtime::exec::try_infer;
 use chet::runtime::kernels::ScaleConfig;
 use chet::tensor::circuit::CircuitBuilder;
 use chet::tensor::ops::Padding;
@@ -47,13 +47,14 @@ fn main() {
         let out = match kind {
             SchemeKind::RnsCkks => {
                 let mut h = RnsCkks::new(&compiled.params, &compiled.rotation_keys, 1);
-                infer(&mut h, &circuit, &compiled.plan, &image)
+                try_infer(&mut h, &circuit, &compiled.plan, &image)
             }
             SchemeKind::Ckks => {
                 let mut h = BigCkks::new(&compiled.params, &compiled.rotation_keys, 1);
-                infer(&mut h, &circuit, &compiled.plan, &image)
+                try_infer(&mut h, &circuit, &compiled.plan, &image)
             }
-        };
+        }
+        .expect("the compiled plan runs on its own parameters");
         println!(
             "  latency {:.2} s, max |Δ| vs reference = {:.2e}\n",
             t0.elapsed().as_secs_f64(),

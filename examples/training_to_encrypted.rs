@@ -10,7 +10,7 @@
 use chet::ckks::rns::RnsCkks;
 use chet::compiler::{Compiler, ScaleSearch};
 use chet::hisa::params::SchemeKind;
-use chet::runtime::exec::infer;
+use chet::runtime::exec::try_infer;
 use chet::tensor::train::{synthetic_blobs, Mlp, TrainConfig};
 use chet::tensor::Tensor;
 
@@ -65,7 +65,8 @@ fn main() {
     let n_eval = 20usize;
     for (x, y) in test.iter().take(n_eval) {
         let image = Tensor::new(vec![12, 1, 1], x.clone());
-        let out = infer(&mut fhe, &circuit, &compiled.plan, &image);
+        let out = try_infer(&mut fhe, &circuit, &compiled.plan, &image)
+            .expect("the compiled plan runs on its own parameters");
         if out.argmax() == *y {
             enc_correct += 1;
         }

@@ -24,7 +24,7 @@
 //! use chet::compiler::Compiler;
 //! use chet::hisa::params::SchemeKind;
 //! use chet::ckks::rns::RnsCkks;
-//! use chet::runtime::exec::infer;
+//! use chet::runtime::exec::try_infer;
 //! use chet::runtime::kernels::ScaleConfig;
 //! use chet::tensor::circuit::CircuitBuilder;
 //! use chet::tensor::Tensor;
@@ -41,15 +41,15 @@
 //! let scales = ScaleConfig::from_log2(25, 12, 12, 10);
 //! let compiled = Compiler::new(SchemeKind::RnsCkks)
 //!     .with_output_precision(2f64.powi(25))
-//!     .compile(&circuit, &scales)
-//!     .expect("compiles");
+//!     .compile(&circuit, &scales)?;
 //!
 //! // 3. Run encrypted inference on the real lattice backend.
 //! let mut fhe = RnsCkks::new(&compiled.params, &compiled.rotation_keys, 42);
 //! let input = Tensor::random(vec![1, 8, 8], 1.0, 3);
-//! let encrypted_result = infer(&mut fhe, &circuit, &compiled.plan, &input);
+//! let encrypted_result = try_infer(&mut fhe, &circuit, &compiled.plan, &input)?;
 //! let reference = circuit.eval(&[input]);
 //! assert!(encrypted_result.max_abs_diff(&reference) < 0.1);
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 pub use chet_ckks as ckks;

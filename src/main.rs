@@ -13,7 +13,7 @@
 use chet::ckks::rns::RnsCkks;
 use chet::compiler::Compiler;
 use chet::hisa::params::SchemeKind;
-use chet::runtime::exec::infer;
+use chet::runtime::exec::try_infer;
 use chet::runtime::kernels::ScaleConfig;
 
 fn scales() -> ScaleConfig {
@@ -100,7 +100,10 @@ fn cmd_infer(name: &str, seed: u64, full: bool) {
     let mut fhe = RnsCkks::new(&compiled.params, &compiled.rotation_keys, 2024);
     let image = net.sample_image(seed);
     let t0 = std::time::Instant::now();
-    let out = infer(&mut fhe, &net.circuit, &compiled.plan, &image);
+    let out = try_infer(&mut fhe, &net.circuit, &compiled.plan, &image).unwrap_or_else(|e| {
+        eprintln!("encrypted inference failed: {e}");
+        std::process::exit(1);
+    });
     let secs = t0.elapsed().as_secs_f64();
     let want = net.circuit.eval(&[image]);
     let of = out.reshape(vec![out.numel()]);

@@ -4,7 +4,7 @@
 
 use chet::compiler::Compiler;
 use chet::hisa::params::SchemeKind;
-use chet::runtime::exec::infer;
+use chet::runtime::exec::try_infer;
 use chet::runtime::kernels::ScaleConfig;
 use chet_ckks::sim::SimCkks;
 
@@ -24,7 +24,7 @@ fn every_network_compiles_and_runs_on_simulator() {
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let mut sim = SimCkks::new(&compiled.params, &compiled.rotation_keys, 7);
         let image = net.sample_image(3);
-        let got = infer(&mut sim, &net.circuit, &compiled.plan, &image);
+        let got = try_infer(&mut sim, &net.circuit, &compiled.plan, &image).unwrap();
         let want = net.circuit.eval(&[image]);
         let gf = got.reshape(vec![got.numel()]);
         let wf = want.reshape(vec![want.numel()]);

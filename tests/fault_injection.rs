@@ -8,7 +8,7 @@ use chet::compiler::Compiler;
 use chet::hisa::params::SchemeKind;
 use chet::hisa::{EncryptionParams, HisaError, RotationKeyPolicy};
 use chet::runtime::exec::{
-    infer, try_infer, try_infer_with_control, ExecControl, ExecError, ExecPlan,
+    try_infer, try_infer_batch_with_control, ExecControl, ExecError, ExecPlan,
 };
 use chet::runtime::fault::{FaultInjector, FaultPlan};
 use chet::runtime::kernels::ScaleConfig;
@@ -136,11 +136,18 @@ fn fault_free_run_reports_no_degradation() {
         .compile(&circuit, &SCALES)
         .expect("compiles");
     let mut h = SimCkks::new(&compiled.params, &compiled.rotation_keys, 5).without_noise();
-    let (got, report) =
-        try_infer_with_control(&mut h, &circuit, &compiled.plan, &image(), &mut ExecControl::none())
-            .expect("healthy run");
-    let want = circuit.eval(&[image()]);
-    assert!(got.max_abs_diff(&want) < 1e-3);
+    let image = image();
+    let (got, report) = try_infer_batch_with_control(
+        &mut h,
+        &circuit,
+        &compiled.plan,
+        &[&image],
+        1,
+        &mut ExecControl::none(),
+    )
+    .expect("healthy run");
+    let want = circuit.eval(&[image]);
+    assert!(got[0].max_abs_diff(&want) < 1e-3);
     assert_eq!(report.degraded_rotations, 0);
     assert_eq!(report.extra_rotation_ops, 0);
 }
@@ -161,11 +168,18 @@ fn missing_exact_keys_degrade_gracefully_with_logged_penalty() {
             .into_iter()
             .collect();
     let mut h = sim(&RotationKeyPolicy::Exact(keys));
-    let (got, report) =
-        try_infer_with_control(&mut h, &circuit, &plan, &image(), &mut ExecControl::none())
-            .expect("degraded run completes");
-    let want = circuit.eval(&[image()]);
-    assert!(got.max_abs_diff(&want) < 1e-3, "degraded run stays correct");
+    let image = image();
+    let (got, report) = try_infer_batch_with_control(
+        &mut h,
+        &circuit,
+        &plan,
+        &[&image],
+        1,
+        &mut ExecControl::none(),
+    )
+    .expect("degraded run completes");
+    let want = circuit.eval(&[image]);
+    assert!(got[0].max_abs_diff(&want) < 1e-3, "degraded run stays correct");
     assert!(report.degraded_rotations > 0, "missing exact keys must be logged");
     assert!(report.extra_rotation_ops >= report.degraded_rotations);
 }
@@ -191,7 +205,7 @@ fn compile_checked_repairs_starved_scales_and_infers_on_both_backends() {
     let want = circuit.eval(&[image.clone()]);
 
     let mut sim = SimCkks::new(&compiled.params, &compiled.rotation_keys, 2024);
-    let got_sim = infer(&mut sim, &circuit, &compiled.plan, &image);
+    let got_sim = try_infer(&mut sim, &circuit, &compiled.plan, &image).unwrap();
     assert!(
         got_sim.max_abs_diff(&want) < 5e-2,
         "repaired artifact on SimCkks: {}",
@@ -199,7 +213,7 @@ fn compile_checked_repairs_starved_scales_and_infers_on_both_backends() {
     );
 
     let mut fhe = RnsCkks::new(&compiled.params, &compiled.rotation_keys, 99);
-    let got_fhe = infer(&mut fhe, &circuit, &compiled.plan, &image);
+    let got_fhe = try_infer(&mut fhe, &circuit, &compiled.plan, &image).unwrap();
     assert!(
         got_fhe.max_abs_diff(&want) < 5e-2,
         "repaired artifact on RnsCkks: {}",

@@ -14,7 +14,7 @@ use chet::hisa::params::SchemeKind;
 use chet::math::par::test_support::config_lock;
 use chet::runtime::cancel::CancelToken;
 use chet::runtime::exec::{
-    try_infer, try_infer_with_control, ExecControl, ExecError, ExecPlan,
+    try_infer, try_infer_batch_with_control, ExecControl, ExecError, ExecPlan,
 };
 use chet::runtime::kernels::ScaleConfig;
 use chet::runtime::layout::LayoutKind;
@@ -83,7 +83,7 @@ fn cancellation_mid_run_is_clean_under_parallelism() {
     token.cancel();
     let mut sim = SimCkks::new(&compiled.params, &compiled.rotation_keys, 7);
     let mut ctrl = ExecControl::cancelled_by(&token);
-    let err = try_infer_with_control(&mut sim, &net.circuit, &plan, &image, &mut ctrl)
+    let err = try_infer_batch_with_control(&mut sim, &net.circuit, &plan, &[&image], 1, &mut ctrl)
         .expect_err("cancelled run must not succeed");
     assert!(
         matches!(err, ExecError::Cancelled { .. }),
@@ -96,7 +96,7 @@ fn cancellation_mid_run_is_clean_under_parallelism() {
     let token = CancelToken::with_deadline(std::time::Duration::from_micros(200));
     let mut sim = SimCkks::new(&compiled.params, &compiled.rotation_keys, 7);
     let mut ctrl = ExecControl::cancelled_by(&token);
-    match try_infer_with_control(&mut sim, &net.circuit, &plan, &image, &mut ctrl) {
+    match try_infer_batch_with_control(&mut sim, &net.circuit, &plan, &[&image], 1, &mut ctrl) {
         Ok(_) => {} // a fast machine may beat a 200 µs budget; that's fine
         Err(ExecError::Cancelled { .. }) => {}
         Err(other) => panic!("deadline must surface as Cancelled, not {other}"),

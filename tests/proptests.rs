@@ -24,7 +24,7 @@ proptest! {
     fn encode_decode_roundtrip_rns(values in prop::collection::vec(-100.0f64..100.0, 1..32)) {
         let mut h = rns_backend();
         let scale = 2f64.powi(30);
-        let pt = h.encode(&values, scale);
+        let pt = h.try_encode(&values, scale).unwrap();
         let out = h.decode(&pt);
         for (i, v) in values.iter().enumerate() {
             prop_assert!((out[i] - v).abs() < 1e-4, "slot {i}: {} vs {v}", out[i]);
@@ -38,11 +38,11 @@ proptest! {
     ) {
         let mut h = rns_backend();
         let scale = 2f64.powi(30);
-        let pa = h.encode(&a, scale);
-        let pb = h.encode(&b, scale);
+        let pa = h.try_encode(&a, scale).unwrap();
+        let pb = h.try_encode(&b, scale).unwrap();
         let ca = h.encrypt(&pa);
         let cb = h.encrypt(&pb);
-        let sum = h.add(&ca, &cb);
+        let sum = h.try_add(&ca, &cb).unwrap();
         let pt = h.decrypt(&sum);
         let out = h.decode(&pt);
         for i in 0..8 {
@@ -57,13 +57,13 @@ proptest! {
     ) {
         let mut h = rns_backend();
         let scale = 2f64.powi(28);
-        let pa = h.encode(&a, scale);
-        let pb = h.encode(&b, scale);
+        let pa = h.try_encode(&a, scale).unwrap();
+        let pb = h.try_encode(&b, scale).unwrap();
         let ca = h.encrypt(&pa);
         let cb = h.encrypt(&pb);
-        let prod = h.mul(&ca, &cb);
+        let prod = h.try_mul(&ca, &cb).unwrap();
         let d = h.max_rescale(&prod, scale * scale);
-        let prod = h.rescale(&prod, d);
+        let prod = h.try_rescale(&prod, d).unwrap();
         let pt = h.decrypt(&prod);
         let out = h.decode(&pt);
         for i in 0..4 {
@@ -76,11 +76,11 @@ proptest! {
         let mut h = rns_backend();
         let scale = 2f64.powi(30);
         let vals: Vec<f64> = (0..128).map(|i| (i % 17) as f64).collect();
-        let pt = h.encode(&vals, scale);
+        let pt = h.try_encode(&vals, scale).unwrap();
         let ct = h.encrypt(&pt);
-        let r1 = h.rot_left(&ct, x);
-        let r1 = h.rot_left(&r1, y);
-        let r2 = h.rot_left(&ct, x + y);
+        let r1 = h.try_rot_left(&ct, x).unwrap();
+        let r1 = h.try_rot_left(&r1, y).unwrap();
+        let r2 = h.try_rot_left(&ct, x + y).unwrap();
         let p1 = h.decrypt(&r1);
         let p2 = h.decrypt(&r2);
         let o1 = h.decode(&p1);
@@ -202,7 +202,7 @@ proptest! {
         vals in prop::collection::vec(-2.0f64..2.0, 4),
     ) {
         use chet::runtime::kernels::elementwise::try_hactivation;
-        use chet::runtime::ciphertensor::{decrypt_tensor, encrypt_tensor};
+        use chet::runtime::ciphertensor::{decrypt_tensor, try_encrypt_tensor};
         use chet::runtime::kernels::ScaleConfig;
         let mut h = chet_ckks::sim::SimCkks::new(
             &EncryptionParams::rns_ckks(8192, 40, 4),
@@ -213,7 +213,7 @@ proptest! {
         let t = Tensor::new(vec![1, 2, 2], vals.clone());
         let layout = Layout::hw(1, 2, 2, 0, h.slots());
         let scales = ScaleConfig::from_log2(30, 20, 20, 14);
-        let enc = encrypt_tensor(&mut h, &t, &layout, scales.input);
+        let enc = try_encrypt_tensor(&mut h, &t, &layout, scales.input).unwrap();
         let out = try_hactivation(&mut h, &enc, a, b, &scales).unwrap();
         let got = decrypt_tensor(&mut h, &out);
         let want = chet::tensor::ops::activation(&t, a, b);

@@ -5,7 +5,7 @@ use chet::ckks::big::BigCkks;
 use chet::ckks::rns::RnsCkks;
 use chet::compiler::Compiler;
 use chet::hisa::params::SchemeKind;
-use chet::runtime::exec::infer;
+use chet::runtime::exec::try_infer;
 use chet::runtime::kernels::ScaleConfig;
 use chet::tensor::circuit::CircuitBuilder;
 use chet::tensor::ops::Padding;
@@ -34,7 +34,7 @@ fn rns_ckks_encrypted_inference_tracks_reference() {
         .unwrap();
     let mut h = RnsCkks::new(&compiled.params, &compiled.rotation_keys, 9);
     let image = Tensor::random(vec![1, 6, 6], 1.0, 8);
-    let got = infer(&mut h, &circuit, &compiled.plan, &image);
+    let got = try_infer(&mut h, &circuit, &compiled.plan, &image).unwrap();
     let want = circuit.eval(&[image]);
     let diff = got.max_abs_diff(&want);
     assert!(diff < 0.05, "diff {diff}");
@@ -50,7 +50,7 @@ fn big_ckks_encrypted_inference_tracks_reference() {
         .unwrap();
     let mut h = BigCkks::new(&compiled.params, &compiled.rotation_keys, 9);
     let image = Tensor::random(vec![1, 6, 6], 1.0, 8);
-    let got = infer(&mut h, &circuit, &compiled.plan, &image);
+    let got = try_infer(&mut h, &circuit, &compiled.plan, &image).unwrap();
     let want = circuit.eval(&[image]);
     let diff = got.max_abs_diff(&want);
     assert!(diff < 0.05, "diff {diff}");
@@ -67,14 +67,14 @@ fn both_backends_agree_with_each_other() {
         .compile(&circuit, &scales)
         .unwrap();
     let mut h1 = RnsCkks::new(&rns.params, &rns.rotation_keys, 1);
-    let out_rns = infer(&mut h1, &circuit, &rns.plan, &image);
+    let out_rns = try_infer(&mut h1, &circuit, &rns.plan, &image).unwrap();
 
     let big = Compiler::new(SchemeKind::Ckks)
         .with_output_precision(2f64.powi(25))
         .compile(&circuit, &scales)
         .unwrap();
     let mut h2 = BigCkks::new(&big.params, &big.rotation_keys, 1);
-    let out_big = infer(&mut h2, &circuit, &big.plan, &image);
+    let out_big = try_infer(&mut h2, &circuit, &big.plan, &image).unwrap();
 
     assert!(
         out_rns.max_abs_diff(&out_big) < 0.05,
@@ -95,7 +95,7 @@ fn reduced_lenet_runs_under_real_rns_encryption() {
         .unwrap();
     let mut h = RnsCkks::new(&compiled.params, &compiled.rotation_keys, 4);
     let image = net.sample_image(6);
-    let got = infer(&mut h, &net.circuit, &compiled.plan, &image);
+    let got = try_infer(&mut h, &net.circuit, &compiled.plan, &image).unwrap();
     let want = net.circuit.eval(&[image]);
     let gf = got.reshape(vec![got.numel()]);
     let wf = want.reshape(vec![want.numel()]);

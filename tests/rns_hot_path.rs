@@ -204,15 +204,15 @@ fn hoisted_batch_matches_single_rotations_bitwise() {
     let policy = RotationKeyPolicy::Exact([1usize, 2, 3, 5, 8].into_iter().collect());
     let mut h = RnsCkks::new(&params, &policy, 7);
     let vals: Vec<f64> = (0..n / 2).map(|i| (i as f64).sin()).collect();
-    let pt = h.encode(&vals, 2f64.powi(40));
+    let pt = h.try_encode(&vals, 2f64.powi(40)).unwrap();
     let ct = h.encrypt(&pt);
 
     // Mix of keyed steps, composed (multi-hop) steps, repeats, and zero.
     let steps = [1usize, 2, 3, 5, 8, 4, 13, 1, 0];
-    let batched = h.rot_left_many(&ct, &steps);
+    let batched = h.try_rot_left_many(&ct, &steps).unwrap();
     assert_eq!(batched.len(), steps.len());
     for (i, &step) in steps.iter().enumerate() {
-        let single = h.rot_left(&ct, step);
+        let single = h.try_rot_left(&ct, step).unwrap();
         let pt_single = h.decrypt(&single);
         let pt_batched = h.decrypt(&batched[i]);
         let single_bits: Vec<u64> =

@@ -41,7 +41,7 @@ fn sparse_mask_survives_encoding() {
     let no_rotations = RotationKeyPolicy::Exact(Default::default());
     let mut h = RnsCkks::new(&compiled.params, &no_rotations, 42);
     let mask: Vec<f64> = (0..h.slots()).map(|i| f64::from(u8::from(i % 1024 == 0))).collect();
-    let pt = h.encode(&mask, 2f64.powi(10));
+    let pt = h.try_encode(&mask, 2f64.powi(10)).unwrap();
     let decoded = h.decode(&pt);
     let worst = mask.iter().zip(&decoded).map(|(m, d)| (m - d).abs()).fold(0.0, f64::max);
     assert!(worst < 0.05, "{CAUSE}: mask decodes {worst:.3} away from 0/1");

@@ -166,49 +166,33 @@ fn infer_bits<H: Hisa>(h: &mut H, circuit: &Circuit) -> Vec<u64> {
     bits(&try_infer(h, circuit, &plan, &image(17)).expect("fault-free run"))
 }
 
-/// Issues every instruction kind through both of its adapters (fallible
-/// and panicking), plus single and batched rotations in both directions.
-/// Kernels never subtract, so this is where the `Sub*` kinds get covered.
+/// Issues every instruction kind through its adapter, plus single and
+/// batched rotations in both directions. Kernels never subtract, so this
+/// is where the `Sub*` kinds get covered.
 fn drive_adapters<H: Hisa>(h: &mut H) -> Vec<u64> {
     const S: f64 = (1u64 << 30) as f64;
-    let p = h.encode(&[0.5, -1.0, 2.0, 0.25], S);
+    let p = h.try_encode(&[0.5, -1.0, 2.0, 0.25], S).expect("fits");
     let q = h.try_encode(&[1.5, 0.75, -0.5, 1.0], S).expect("fits");
     let (a, b) = (h.encrypt(&p), h.encrypt(&q));
     let prod = h.try_mul(&a, &b).unwrap();
     let d = h.max_rescale(&prod, S * S);
     let mut out = vec![
         h.try_add(&a, &b).unwrap(),
-        h.add(&a, &b),
         h.try_add_plain(&a, &q).unwrap(),
-        h.add_plain(&a, &q),
         h.try_add_scalar(&a, 1.5).unwrap(),
-        h.add_scalar(&a, 1.5),
         h.try_sub(&a, &b).unwrap(),
-        h.sub(&a, &b),
         h.try_sub_plain(&a, &q).unwrap(),
-        h.sub_plain(&a, &q),
         h.try_sub_scalar(&a, 0.5).unwrap(),
-        h.sub_scalar(&a, 0.5),
-        h.mul(&a, &b),
         h.try_mul_plain(&a, &q).unwrap(),
-        h.mul_plain(&a, &q),
         h.try_mul_scalar(&a, 2.0, S).unwrap(),
-        h.mul_scalar(&a, 2.0, S),
         h.try_rescale(&prod, d).unwrap(),
-        h.rescale(&prod, d),
         h.try_rot_left(&a, 1).unwrap(),
-        h.rot_left(&a, 1),
         h.try_rot_right(&a, 2).unwrap(),
-        h.rot_right(&a, 2),
         prod,
     ];
     out.extend(h.try_rot_left_many(&a, &[1, 2, 4]).unwrap());
-    out.extend(h.rot_left_many(&a, &[3, 0]));
     out.extend(h.try_rot_right_many(&a, &[1, 5]).unwrap());
-    out.extend(h.rot_right_many(&a, &[]));
-    let mut acc = a.clone();
-    h.add_assign(&mut acc, &b);
-    out.push(acc);
+    out.extend(h.try_rot_right_many(&a, &[]).unwrap());
     out.iter()
         .flat_map(|c| {
             let pt = h.decrypt(c);
@@ -315,7 +299,7 @@ fn assert_same_schedule<H: Hisa<Ct = Ct, Pt = Pt>>(
     log: impl Fn(&H) -> Vec<String>,
 ) -> bool {
     let mut plain = sim();
-    let pt = plain.encode(&[1.0, 2.0, 3.0], (1u64 << 30) as f64);
+    let pt = plain.try_encode(&[1.0, 2.0, 3.0], (1u64 << 30) as f64).unwrap();
     let ct = plain.encrypt(&pt);
 
     let a = batched.try_rot_left_many(&ct, &STEPS).map(|v| v.len());
