@@ -1532,15 +1532,20 @@ struct GaveUp {
 
 /// A request's final disposition once the primary route gave up on it: the
 /// degraded simulator route, or in strict mode (no simulator fallback) an
-/// error. A request the breaker refused to admit to the primary is shed (it
-/// lost the half-open race, or arrived during cooldown); one whose attempts
-/// were exhausted fails with the last primary error.
+/// error. A request whose own token tripped (deadline, cancel) resolves
+/// `Cancelled` either way. A request the breaker refused to admit to the
+/// primary is shed (it lost the half-open race, or arrived during
+/// cooldown); one whose attempts were exhausted fails with the last primary
+/// error.
 fn give_up(
     core: &ServiceCore,
     job: &Job,
     gave_up: &GaveUp,
     slot: &WorkerSlot,
 ) -> Result<InferResponse, ServeError> {
+    if let Err(reason) = job.token.check() {
+        return Err(ServeError::Cancelled(reason));
+    }
     match gave_up {
         GaveUp { attempts, .. } if core.config.degraded_fallback => {
             run_degraded(core, job, *attempts, slot)
@@ -1711,9 +1716,6 @@ fn run_degraded(
     attempts: usize,
     slot: &WorkerSlot,
 ) -> Result<InferResponse, ServeError> {
-    if let Err(reason) = job.token.check() {
-        return Err(ServeError::Cancelled(reason));
-    }
     let (version, compiled) = core.artifact_snapshot();
     // Noiseless: the simulator draws nothing from its seed.
     let mut sim = SimCkks::new(&compiled.params, &compiled.rotation_keys, 0).without_noise();

@@ -208,6 +208,51 @@ fn exhausted_cohort_counts_each_request_once() {
 }
 
 #[test]
+fn strict_exhausted_cohort_cancels_the_member_whose_deadline_passed() {
+    let config = ServeConfig {
+        // The backoff outlasts A's deadline, so the pause before the
+        // second attempt is cut to A's remaining time and A's deadline
+        // passes while its cohort still runs.
+        retry: RetryPolicy {
+            max_attempts: 2,
+            base: Duration::from_secs(5),
+            cap: Duration::from_secs(5),
+            jitter: 0.0,
+            seed: 1,
+        },
+        breaker: BreakerConfig { failure_threshold: 100, ..BreakerConfig::default() },
+        degraded_fallback: false,
+        // Target 2: the cohort forms as soon as both requests are queued.
+        ..batching_config(2, Duration::from_millis(300))
+    };
+    let svc = InferenceService::start_with_compiler(
+        compiler(),
+        small_cnn(),
+        scales(),
+        config,
+        faulty_factory(1.0, None),
+    )
+    .unwrap();
+    let a = svc
+        .submit_with(image(500), CancelToken::with_deadline(Duration::from_millis(500)))
+        .unwrap();
+    let b = svc.submit(image(501)).unwrap();
+    let (ra, rb) = (a.wait(), b.wait());
+    assert!(
+        matches!(ra, Err(ServeError::Cancelled(CancelReason::DeadlineExceeded))),
+        "the member whose deadline passed must cancel, got {ra:?}"
+    );
+    assert!(
+        matches!(rb, Err(ServeError::Failed { attempts: 2, .. })),
+        "the live member must fail with its cohort's attempts, got {rb:?}"
+    );
+    let stats = svc.shutdown();
+    assert_eq!(stats.batches_formed, 1, "the two requests must have coalesced: {stats:?}");
+    assert_eq!((stats.cancelled, stats.failed), (1, 1), "{stats:?}");
+    assert_eq!(stats.retries, 1, "{stats:?}");
+}
+
+#[test]
 fn member_deadline_expiring_in_window_cancels_member_not_cohort() {
     let svc = InferenceService::start_with_compiler(
         compiler(),

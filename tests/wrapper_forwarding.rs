@@ -191,6 +191,7 @@ fn drive_adapters<H: Hisa>(h: &mut H) -> Vec<u64> {
         prod,
     ];
     out.extend(h.try_rot_left_many(&a, &[1, 2, 4]).unwrap());
+    out.extend(h.try_rot_left_many(&a, &[3, 0]).unwrap());
     out.extend(h.try_rot_right_many(&a, &[1, 5]).unwrap());
     out.extend(h.try_rot_right_many(&a, &[]).unwrap());
     out.iter()
