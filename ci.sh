@@ -97,6 +97,28 @@ print(f"Hisa: {len(required)} required + {len(provided)} provided methods; "
       f"{len(found)} impls, none overrides an adapter")
 EOF
 
+echo "=== one-spelling gate (no public panicking twin beside a try_* operation) ==="
+# Every operation has one public spelling, the fallible one (DESIGN.md §9).
+# A file that declares both `pub fn X` and `pub fn try_X` has re-grown a
+# panicking or forwarding twin; callers that want a panic write their own
+# `.expect("why")`.
+python3 - <<'EOF'
+import glob, re
+
+DECL = re.compile(r"^\s*pub (?:const )?fn (\w+)", re.M)
+files = sorted(glob.glob("crates/*/src/**/*.rs", recursive=True)
+               + glob.glob("src/**/*.rs", recursive=True))
+bad = []
+for path in files:
+    names = set(DECL.findall(open(path).read()))
+    bad += [f"{path}: pub fn {n[4:]} beside pub fn {n}"
+            for n in sorted(names) if n.startswith("try_") and n[4:] in names]
+for b in bad:
+    print("  " + b)
+assert not bad, f"{len(bad)} operation(s) with two public spellings; keep the try_* one"
+print(f"{len(files)} files: every operation has one public spelling")
+EOF
+
 echo "=== one error channel gate (kernels and executor propagate HISA failures) ==="
 # Kernels and the executor issue every instruction through the fallible
 # `try_*` adapters and return failures with `?` (DESIGN.md §9); the HISA

@@ -6,12 +6,13 @@
 //! consumer needs ("lazy"); this binary quantifies what that saves: modulus
 //! consumed, the resulting ring degree / chain length, and real latency.
 
-use chet_bench::{fmt_dur, harness_precision, harness_scales, print_table, time_inference, BackendChoice, HarnessArgs};
+use chet_bench::{fmt_dur, harness_precision, print_table, time_inference, BackendChoice, HarnessArgs};
 use chet_compiler::layout::policy_layouts;
 use chet_compiler::{select_parameters, select_rotation_keys, LayoutPolicy};
 use chet_hisa::params::SchemeKind;
 use chet_hisa::SecurityLevel;
 use chet_runtime::exec::{clean_output_required, required_margin_for, ExecPlan};
+use chet_runtime::kernels::ScaleConfig;
 
 fn main() {
     let mut args = HarnessArgs::parse();
@@ -20,7 +21,7 @@ fn main() {
     }
     let backend = if args.sim { BackendChoice::Sim } else { BackendChoice::Rns };
     println!("== Ablation: eager vs lazy masking (HW layout, RNS-CKKS) ==\n");
-    let scales = harness_scales();
+    let scales = ScaleConfig::REFERENCE;
     let mut rows = Vec::new();
     for net in args.networks() {
         let layouts = policy_layouts(&net.circuit, LayoutPolicy::Hw);

@@ -23,7 +23,7 @@ use std::time::Instant;
 
 fn main() {
     println!("== Ablation: dense-layer kernels (rotate-reduce vs BSGS diagonals) ==\n");
-    let scales = ScaleConfig::from_log2(25, 12, 12, 10);
+    let scales = ScaleConfig::REFERENCE;
     let mut rows = Vec::new();
     for (inp, out) in [(64usize, 16usize), (128, 32), (256, 64)] {
         let x = Tensor::from_fn(vec![inp, 1, 1], |i| (i[0] % 13) as f64 * 0.05 - 0.3);

@@ -131,7 +131,7 @@ fn bench_service(journal_dir: Option<PathBuf>, clients: usize, per_client: usize
     let service = InferenceService::start_with_compiler(
         Compiler::new(SchemeKind::RnsCkks).with_output_precision(2f64.powi(20)),
         bench_cnn(),
-        ScaleConfig::from_log2(25, 12, 12, 10),
+        ScaleConfig::REFERENCE,
         config,
         |_, compiled| SimCkks::new(&compiled.params, &compiled.rotation_keys, 9).without_noise(),
     )

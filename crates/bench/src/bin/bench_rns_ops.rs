@@ -136,7 +136,7 @@ fn sample_config(n: usize, r: usize, reps: usize) -> Vec<CostSample> {
 /// prices the circuit body, not the client-side encrypt).
 fn measure_network(model: &chet_hisa::cost::CostModel, reps: usize) -> (String, f64, f64) {
     let net = chet_networks::try_reduced("LeNet-5-small").expect("known network");
-    let scales = ScaleConfig::from_log2(25, 12, 12, 10);
+    let scales = ScaleConfig::REFERENCE;
     let compiled = Compiler::new(SchemeKind::RnsCkks)
         .with_output_precision(2f64.powi(25))
         .compile(&net.circuit, &scales)

@@ -10,7 +10,7 @@
 //! would start from (DESIGN.md substitution): fixed HW layout, default
 //! power-of-two rotation keys, conservative fixed-point scales.
 
-use chet_bench::{average_latency, fmt_dur, harness_precision, harness_scales, print_table, BackendChoice, HarnessArgs};
+use chet_bench::{average_latency, fmt_dur, harness_precision, print_table, BackendChoice, HarnessArgs};
 use chet_compiler::layout::policy_layouts;
 use chet_compiler::{select_parameters, select_rotation_keys, CompiledCircuit, Compiler, LayoutPolicy};
 use chet_hisa::params::SchemeKind;
@@ -33,7 +33,7 @@ fn main() {
         args.images
     );
 
-    let chet_scales = harness_scales();
+    let chet_scales = ScaleConfig::REFERENCE;
     // The "manual" developer uses generous, untuned scales (costing depth)
     // and no layout/rotation-key search.
     let manual_scales = ScaleConfig::from_log2(30, 18, 18, 14);

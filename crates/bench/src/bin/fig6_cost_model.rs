@@ -5,18 +5,19 @@
 //! latencies are highly correlated (the paper shows a tight log-log trend),
 //! validating cost-model-driven layout selection.
 
-use chet_bench::{average_latency, harness_precision, harness_scales, pearson, print_table, spearman, BackendChoice, HarnessArgs};
+use chet_bench::{average_latency, harness_precision, pearson, print_table, spearman, BackendChoice, HarnessArgs};
 use chet_compiler::layout::enumerate_layouts;
-use chet_compiler::{select_rotation_keys, CompiledCircuit};
+use chet_compiler::CompiledCircuit;
 use chet_hisa::cost::CostModel;
 use chet_hisa::params::SchemeKind;
 use chet_hisa::SecurityLevel;
+use chet_runtime::kernels::ScaleConfig;
 
 fn main() {
     let args = HarnessArgs::parse();
     let backend = if args.sim { BackendChoice::Sim } else { BackendChoice::Rns };
     println!("== Figure 6: estimated cost vs observed latency (RNS-CKKS) ==\n");
-    let scales = harness_scales();
+    let scales = ScaleConfig::REFERENCE;
     let cost_model = CostModel::for_scheme(SchemeKind::RnsCkks);
 
     let mut rows = Vec::new();
@@ -34,16 +35,7 @@ fn main() {
         )
         .expect("compiles");
         for choice in &choices {
-            let compiled = CompiledCircuit {
-                plan: choice.plan.clone(),
-                params: choice.outcome.params.clone(),
-                rotation_keys: select_rotation_keys(&choice.outcome),
-                policy: choice.policy,
-                estimated_cost: choice.estimated_cost,
-                outcome: choice.outcome.clone(),
-                output_precision: harness_precision(),
-                pruned_rotations: Vec::new(),
-            };
+            let compiled = CompiledCircuit::from_choice(choice.clone(), harness_precision());
             let dt = average_latency(backend, &compiled, &net.circuit, &net, args.images);
             eprintln!("[cell] {} / {}: {}", net.name, choice.policy, dt.as_secs_f64());
             est.push(choice.estimated_cost.ln());

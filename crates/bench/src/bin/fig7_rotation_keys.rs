@@ -7,14 +7,15 @@
 //! several power-of-two rotations — while the number of keys stays within
 //! a small factor of `log N`.
 
-use chet_bench::{average_latency, fmt_dur, harness_precision, harness_scales, print_table, BackendChoice, HarnessArgs};
+use chet_bench::{average_latency, fmt_dur, harness_precision, print_table, BackendChoice, HarnessArgs};
 use chet_compiler::Compiler;
 use chet_hisa::params::SchemeKind;
 use chet_hisa::RotationKeyPolicy;
+use chet_runtime::kernels::ScaleConfig;
 
 fn main() {
     let args = HarnessArgs::parse();
-    let scales = harness_scales();
+    let scales = ScaleConfig::REFERENCE;
     println!("== Figure 7: selected rotation keys vs power-of-two keys ==\n");
     let mut rows = Vec::new();
     let mut ratios = Vec::new();

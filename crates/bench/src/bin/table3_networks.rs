@@ -8,9 +8,10 @@
 //! end-to-end trained-model demonstration on synthetic data (plain vs
 //! encrypted accuracy of an MLP with learnable `ax²+bx` activations).
 
-use chet_bench::{harness_precision, harness_scales, print_table, BackendChoice, HarnessArgs};
+use chet_bench::{harness_precision, print_table, BackendChoice, HarnessArgs};
 use chet_compiler::Compiler;
 use chet_hisa::params::SchemeKind;
+use chet_runtime::kernels::ScaleConfig;
 use chet_tensor::train::{synthetic_blobs, Mlp, TrainConfig};
 use chet_tensor::Tensor;
 
@@ -31,7 +32,7 @@ fn main() {
         let counts = net.circuit.layer_counts();
         let compiled = Compiler::new(SchemeKind::RnsCkks)
             .with_output_precision(harness_precision())
-            .compile(&net.circuit, &harness_scales())
+            .compile(&net.circuit, &ScaleConfig::REFERENCE)
             .expect("network compiles");
         // Encrypted-vs-plain agreement over a few images (simulator with
         // the CKKS noise model: same code path, fast).
@@ -99,7 +100,7 @@ fn main() {
     let circuit = mlp.to_circuit(vec![16, 1, 1]);
     let compiled = Compiler::new(SchemeKind::RnsCkks)
         .with_output_precision(harness_precision())
-        .compile(&circuit, &harness_scales())
+        .compile(&circuit, &ScaleConfig::REFERENCE)
         .expect("mlp compiles");
     let mut enc_correct = 0usize;
     let eval_n = if args.full { test.len() } else { 25 };

@@ -7,9 +7,10 @@
 //! discipline and mask scales differ from the authors' implementation; the
 //! monotone growth with depth is the reproduced claim.
 
-use chet_bench::{harness_precision, harness_scales, print_table, HarnessArgs};
+use chet_bench::{harness_precision, print_table, HarnessArgs};
 use chet_compiler::Compiler;
 use chet_hisa::params::{ModulusSpec, SchemeKind};
+use chet_runtime::kernels::ScaleConfig;
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -23,7 +24,7 @@ fn main() {
     ];
 
     println!("== Table 4: encryption parameters selected by CHET (CKKS/HEAAN target) ==\n");
-    let scales = harness_scales();
+    let scales = ScaleConfig::REFERENCE;
     let mut rows = Vec::new();
     for (i, net) in nets.iter().enumerate() {
         let compiled = Compiler::new(SchemeKind::Ckks)

@@ -15,7 +15,7 @@
 //!
 //! * `--full` runs the full-size Table 3 networks (can take hours on the
 //!   real lattice backends); the default uses the structurally identical
-//!   reduced variants (see `chet_networks::reduced`) so the whole suite
+//!   reduced variants (see `chet_networks::try_reduced`) so the whole suite
 //!   completes in CI time.
 //! * `--sim` replaces the lattice backends with the plaintext simulator
 //!   (exact slot semantics; useful to sanity-check harness logic quickly).
@@ -31,6 +31,7 @@ use chet_hisa::params::SchemeKind;
 use chet_hisa::{EncryptionParams, RotationKeyPolicy};
 use chet_networks::Network;
 use chet_runtime::exec::{try_infer, ExecPlan};
+use chet_runtime::kernels::ScaleConfig;
 use chet_tensor::Tensor;
 use std::time::{Duration, Instant};
 
@@ -122,13 +123,6 @@ fn positive_count(flag: &str, value: Option<String>) -> Result<usize, String> {
     }
 }
 
-/// Fixed-point scales used across the harness binaries: small enough that
-/// the reduced networks select `N = 8192–16384` (fast single-core runs),
-/// large enough that encrypted outputs track the reference.
-pub fn harness_scales() -> chet_runtime::kernels::ScaleConfig {
-    chet_runtime::kernels::ScaleConfig::from_log2(25, 12, 12, 10)
-}
-
 /// Output fixed-point precision requested from the compiler in harness
 /// runs (matches the working scale).
 pub fn harness_precision() -> f64 {
@@ -202,7 +196,7 @@ pub fn run_layout_table(
     args: &HarnessArgs,
 ) {
     use chet_compiler::layout::enumerate_layouts;
-    use chet_compiler::{select_rotation_keys, ALL_POLICIES};
+    use chet_compiler::ALL_POLICIES;
     use chet_hisa::cost::CostModel;
 
     println!("== {title} ==");
@@ -212,7 +206,7 @@ pub fn run_layout_table(
         backend,
         args.images
     );
-    let scales = harness_scales();
+    let scales = ScaleConfig::REFERENCE;
     let cost_model = CostModel::for_scheme(kind);
     let mut rows = Vec::new();
     for net in args.networks() {
@@ -233,16 +227,7 @@ pub fn run_layout_table(
                 row.push("n/a".into());
                 continue;
             };
-            let compiled = CompiledCircuit {
-                plan: choice.plan.clone(),
-                params: choice.outcome.params.clone(),
-                rotation_keys: select_rotation_keys(&choice.outcome),
-                policy: choice.policy,
-                estimated_cost: choice.estimated_cost,
-                outcome: choice.outcome.clone(),
-                output_precision: harness_precision(),
-                pruned_rotations: Vec::new(),
-            };
+            let compiled = CompiledCircuit::from_choice(choice.clone(), harness_precision());
             let dt = average_latency(backend, &compiled, &net.circuit, &net, args.images);
             let marker = if policy == best { " *" } else { "" };
             eprintln!("[cell] {} / {}: {}{}", net.name, choice.policy, fmt_dur(dt), marker);

@@ -133,11 +133,6 @@ impl BigCkks {
         scheme
     }
 
-    /// The rotation steps for which keys exist.
-    pub fn rotation_key_steps(&self) -> &BTreeSet<usize> {
-        &self.key_steps
-    }
-
     fn sample_uniform(rng: &mut StdRng, n: usize, log_q: u32) -> BigPoly {
         let limbs = (log_q as usize).div_ceil(64);
         let mut p = BigPoly::zero(n, log_q);

@@ -278,11 +278,6 @@ impl RnsCkks {
         &self.ctx
     }
 
-    /// The rotation steps for which keys exist.
-    pub fn rotation_key_steps(&self) -> &BTreeSet<usize> {
-        &self.key_steps
-    }
-
     /// The secret key over chain primes `0..level` (no special prime),
     /// NTT form.
     fn chain_secret(sk: &RnsPoly, level: usize) -> RnsPoly {

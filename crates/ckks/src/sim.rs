@@ -52,14 +52,6 @@ impl SimCt {
     pub fn values(&self) -> &[f64] {
         &self.values
     }
-
-    /// Remaining modulus in bits (CKKS) — for diagnostics.
-    pub fn remaining_log_q(&self) -> f64 {
-        match &self.remaining {
-            Remaining::Pow2 { log_q } => *log_q,
-            Remaining::Chain { level } => *level as f64,
-        }
-    }
 }
 
 /// A simulated plaintext.
@@ -111,11 +103,6 @@ impl SimCkks {
     /// Number of times each HISA op has executed.
     pub fn op_count(&self, op: HisaOp) -> u64 {
         self.counters.get(&op).copied().unwrap_or(0)
-    }
-
-    /// Resets the op counters.
-    pub fn reset_counters(&mut self) {
-        self.counters.clear();
     }
 
     fn bump(&mut self, op: HisaOp) {

@@ -247,7 +247,7 @@ mod tests {
         let a = b.activation(c, 0.2, 0.9);
         let g = b.global_avg_pool(a);
         let circuit = b.build(g);
-        let scales = ScaleConfig::from_log2(25, 12, 12, 10);
+        let scales = ScaleConfig::REFERENCE;
         let (compiled, _) = Compiler::new(SchemeKind::RnsCkks)
             .with_output_precision(2f64.powi(20))
             .compile_checked(&circuit, &scales)
@@ -330,7 +330,7 @@ mod tests {
     fn non_finite_and_sub_unit_scales_fail_to_decode() {
         for bad in [0.5, f64::NAN, f64::INFINITY] {
             for field in 0..4 {
-                let mut s = ScaleConfig::from_log2(25, 12, 12, 10);
+                let mut s = ScaleConfig::REFERENCE;
                 *[&mut s.input, &mut s.weight_plain, &mut s.weight_scalar, &mut s.mask][field] =
                     bad;
                 let err = decode_scales(&encode_scales(&s)).expect_err("bad scale decoded");

@@ -60,6 +60,28 @@ pub struct CompiledCircuit {
 }
 
 impl CompiledCircuit {
+    /// Assembles the artifact for one priced layout choice, as
+    /// [`Compiler::compile`] does for the winner: the rotation keys are the
+    /// outcome's steps, pruned against them (a no-op for the outcome's own
+    /// key request, but it keeps a stale policy from shipping unused keys,
+    /// the §5.4 invariant).
+    pub fn from_choice(choice: LayoutChoice, output_precision: f64) -> CompiledCircuit {
+        let rotation_keys = select_rotation_keys(&choice.outcome);
+        let slots = choice.outcome.params.slots();
+        let (rotation_keys, pruned_rotations) =
+            prune_rotation_keys(rotation_keys, &choice.outcome.rotations, slots);
+        CompiledCircuit {
+            plan: choice.plan,
+            params: choice.outcome.params.clone(),
+            rotation_keys,
+            policy: choice.policy,
+            estimated_cost: choice.estimated_cost,
+            outcome: choice.outcome,
+            output_precision,
+            pruned_rotations,
+        }
+    }
+
     /// How many inference requests batch-pack into one ciphertext set under
     /// this artifact's plan and parameters (the paper's `slots /
     /// ciphertext_size` throughput lever; surfaced as the `CHET-B001` note
@@ -174,27 +196,6 @@ impl Compiler {
         &self.cost_model
     }
 
-    fn finish(&self, choice: LayoutChoice) -> CompiledCircuit {
-        let rotation_keys = select_rotation_keys(&choice.outcome);
-        // §5.4 invariant: the emitted key set must exactly match the steps
-        // the analysis recorded. Pruning is a no-op for the Exact policy
-        // built from the outcome, but keeps stale/hand-edited policies from
-        // shipping unused keys.
-        let slots = choice.outcome.params.slots();
-        let (rotation_keys, extras) =
-            prune_rotation_keys(rotation_keys, &choice.outcome.rotations, slots);
-        CompiledCircuit {
-            plan: choice.plan,
-            params: choice.outcome.params.clone(),
-            rotation_keys,
-            policy: choice.policy,
-            estimated_cost: choice.estimated_cost,
-            outcome: choice.outcome,
-            output_precision: self.output_precision,
-            pruned_rotations: extras,
-        }
-    }
-
     /// Compiles a circuit with user-provided fixed-point scales: runs the
     /// layout search (each candidate priced after parameter selection) and
     /// the rotation-key selection on the winner.
@@ -235,7 +236,7 @@ impl Compiler {
             })?,
         };
         let choice = ranked.swap_remove(at);
-        Ok(self.finish(choice))
+        Ok(CompiledCircuit::from_choice(choice, self.output_precision))
     }
 
     /// Compiles, then validates the artifact in two phases: the *static

@@ -271,30 +271,6 @@ impl LintCode {
         }
     }
 
-    /// The paper section that motivates the property the lint protects.
-    pub fn paper_section(self) -> &'static str {
-        match self {
-            LintCode::ScaleMismatch => "§5.5",
-            LintCode::LevelExhaustion => "§5.2",
-            LintCode::MissingRotationKey => "§5.4",
-            LintCode::SlotOverflow => "§5.2",
-            LintCode::UnsupportedOp => "§4",
-            LintCode::InvalidParams => "§2.3/§5.2",
-            LintCode::RedundantRescale => "§2.2",
-            LintCode::UnusedRotationKey => "§5.4",
-            LintCode::DeadOp => "§3",
-            LintCode::PrecisionBudget => "§5.5",
-            LintCode::DegradedRotation => "§5.4",
-            LintCode::PrunedRotationKey => "§5.4",
-            LintCode::DuplicateRotation => "§5.1/§5.4",
-            LintCode::HoistableRotation => "§5.4/§6",
-            LintCode::CommonSubexpression => "§5.1",
-            LintCode::DeadCiphertext => "§5.1",
-            LintCode::UnusedKeyedStep => "§5.4",
-            LintCode::BatchCapacity => "§4.2/§7",
-        }
-    }
-
     /// Parses a stable code string back into the enum.
     pub fn from_code(code: &str) -> Option<LintCode> {
         LintCode::ALL.iter().copied().find(|c| c.code() == code)

@@ -31,14 +31,10 @@ use chet_tensor::Tensor;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
-fn scales() -> ScaleConfig {
-    ScaleConfig::from_log2(25, 12, 12, 10)
-}
-
 fn compile(circuit: &Circuit) -> CompiledCircuit {
     Compiler::new(SchemeKind::RnsCkks)
         .with_output_precision(2f64.powi(20))
-        .compile(circuit, &scales())
+        .compile(circuit, &ScaleConfig::REFERENCE)
         .unwrap()
 }
 
@@ -73,7 +69,7 @@ fn scale_mismatch_is_rejected_statically_with_span() {
     let compiled = Compiler::new(SchemeKind::RnsCkks)
         .with_output_precision(2f64.powi(20))
         .with_layout_policy(LayoutPolicy::Chw)
-        .compile(&circuit, &scales())
+        .compile(&circuit, &ScaleConfig::REFERENCE)
         .unwrap();
     let report = verify_compiled(&circuit, &compiled);
     assert!(report.has(LintCode::ScaleMismatch), "want CHET-E001 in:\n{}", report.render_text());
@@ -94,7 +90,7 @@ fn compile_checked_rejects_scale_mismatch_before_any_probe() {
     let err = Compiler::new(SchemeKind::RnsCkks)
         .with_output_precision(2f64.powi(20))
         .with_layout_policy(LayoutPolicy::Chw)
-        .compile_checked(&circuit, &scales())
+        .compile_checked(&circuit, &ScaleConfig::REFERENCE)
         .unwrap_err();
     match err {
         SelectError::RepairFailed { last_error, .. } => {
@@ -417,7 +413,7 @@ fn adversary_reports() -> Vec<(&'static str, String)> {
     let chw = Compiler::new(SchemeKind::RnsCkks)
         .with_output_precision(2f64.powi(20))
         .with_layout_policy(LayoutPolicy::Chw)
-        .compile(&circuit, &scales())
+        .compile(&circuit, &ScaleConfig::REFERENCE)
         .unwrap();
     push("scale mismatch", &circuit, &chw);
 

@@ -16,7 +16,7 @@
 //! refuses to guess about.
 
 use crate::keys::RotationKeyPolicy;
-use crate::params::{EncryptionParams, ModulusSpec, SchemeKind};
+use crate::params::{EncryptionParams, ModulusSpec};
 use crate::security::SecurityLevel;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -262,28 +262,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-fn scheme_tag(kind: SchemeKind) -> u8 {
-    match kind {
-        SchemeKind::Ckks => 0,
-        SchemeKind::RnsCkks => 1,
-    }
-}
-
-/// Encodes a [`SchemeKind`].
-pub fn put_scheme(w: &mut Writer, kind: SchemeKind) {
-    w.put_u8(scheme_tag(kind));
-}
-
-/// Decodes a [`SchemeKind`].
-pub fn get_scheme(r: &mut Reader<'_>) -> Result<SchemeKind, CodecError> {
-    let at = r.position();
-    match r.get_u8("SchemeKind")? {
-        0 => Ok(SchemeKind::Ckks),
-        1 => Ok(SchemeKind::RnsCkks),
-        tag => Err(CodecError::BadTag { at, what: "SchemeKind", tag }),
-    }
-}
-
 /// Encodes a [`SecurityLevel`].
 pub fn put_security(w: &mut Writer, level: SecurityLevel) {
     w.put_u8(match level {
@@ -480,8 +458,8 @@ mod tests {
     fn bad_tags_are_rejected() {
         let mut r = Reader::new(&[9]);
         assert!(matches!(
-            get_scheme(&mut r),
-            Err(CodecError::BadTag { what: "SchemeKind", tag: 9, .. })
+            get_security(&mut r),
+            Err(CodecError::BadTag { what: "SecurityLevel", tag: 9, .. })
         ));
     }
 

@@ -18,8 +18,9 @@
 //! what these circuits certify is that *encrypted inference matches
 //! unencrypted inference*, which is the property the compiler owns.
 //!
-//! [`reduced`] variants shrink spatial dimensions for quick CI runs of the
-//! benchmark harness.
+//! [`try_reduced`] variants shrink spatial dimensions for quick CI runs of
+//! the benchmark harness; an unknown name is an [`UnknownNetworkError`]
+//! value, not a panic.
 
 use chet_tensor::circuit::{Circuit, CircuitBuilder, NodeId};
 use chet_tensor::flops::count_flops;
@@ -309,21 +310,9 @@ impl std::fmt::Display for UnknownNetworkError {
 impl std::error::Error for UnknownNetworkError {}
 
 /// Reduced-size stand-ins with identical structure, for quick harness runs
-/// on the real lattice backends (see EXPERIMENTS.md).
-///
-/// # Panics
-///
-/// Panics on a name outside [`NETWORK_NAMES`] — the panicking shim over
-/// [`try_reduced`] for one-shot harness use.
-pub fn reduced(network: &str) -> Network {
-    match try_reduced(network) {
-        Ok(net) => net,
-        Err(e) => std::panic::panic_any(e.to_string()),
-    }
-}
-
-/// Fallible [`reduced`]: unrecognized names come back as a structured
-/// [`UnknownNetworkError`] naming the valid choices.
+/// on the real lattice backends (see EXPERIMENTS.md). An unrecognized name
+/// comes back as a structured [`UnknownNetworkError`] naming the valid
+/// choices.
 pub fn try_reduced(network: &str) -> Result<Network, UnknownNetworkError> {
     Ok(match network {
         "LeNet-5-small" => lenet("LeNet-5-small (reduced)", 16, 2, 2, Padding::Valid, 8, false, 1000),
@@ -459,7 +448,7 @@ mod tests {
                 .get("conv2d")
                 .copied()
                 .unwrap_or(0);
-            let red = reduced(name);
+            let red = try_reduced(name).unwrap();
             let red_convs = red.circuit.layer_counts().get("conv2d").copied().unwrap_or(0);
             if name == "SqueezeNet-CIFAR" {
                 assert!(red_convs >= 4, "reduced squeezenet keeps fire structure");

@@ -99,7 +99,8 @@ pub fn unpack_tensor(vecs: &[Vec<f64>], layout: &Layout) -> Tensor {
 }
 
 /// Encrypts a plain tensor into a [`CipherTensor`] under the given layout
-/// and input scale (the client-side step of the paper's Figure 3). Encode
+/// and input scale (the client-side step of the paper's Figure 3): batch
+/// member 0 of [`try_encrypt_batch`], the other members zero. Encode
 /// failures (slot overflow) come back as values.
 pub fn try_encrypt_tensor<H: Hisa>(
     h: &mut H,
@@ -107,20 +108,7 @@ pub fn try_encrypt_tensor<H: Hisa>(
     layout: &Layout,
     scale: f64,
 ) -> Result<CipherTensor<H::Ct>, HisaError> {
-    assert_eq!(
-        layout.physical_slots(),
-        h.slots(),
-        "layout slot width must match the scheme"
-    );
-    // Member vectors are `layout.slots` wide; encode zero-pads to the
-    // physical width, which places the tensor in batch member 0 and leaves
-    // any remaining members zero — identical to `pack_batch` of one.
-    let mut cts = Vec::with_capacity(layout.num_cts());
-    for v in pack_tensor(tensor, layout) {
-        let pt = h.try_encode(&v, scale)?;
-        cts.push(h.encrypt(&pt));
-    }
-    Ok(CipherTensor { layout: layout.clone(), cts })
+    try_encrypt_batch(h, &[tensor], layout, scale)
 }
 
 /// Encrypts a batch of plain tensors into one [`CipherTensor`] with the
@@ -158,17 +146,10 @@ pub fn decrypt_batch<H: Hisa>(h: &mut H, ct: &CipherTensor<H::Ct>) -> Vec<Tensor
     (0..ct.layout.batch).map(|b| unpack_batch_member(&vecs, &ct.layout, b)).collect()
 }
 
-/// Decrypts a [`CipherTensor`] back into a plain tensor.
+/// Decrypts a [`CipherTensor`] back into a plain tensor: batch member 0
+/// of [`decrypt_batch`].
 pub fn decrypt_tensor<H: Hisa>(h: &mut H, ct: &CipherTensor<H::Ct>) -> Tensor {
-    let vecs: Vec<Vec<f64>> = ct
-        .cts
-        .iter()
-        .map(|c| {
-            let pt = h.decrypt(c);
-            h.decode(&pt)
-        })
-        .collect();
-    unpack_tensor(&vecs, &ct.layout)
+    decrypt_batch(h, ct).swap_remove(0)
 }
 
 #[cfg(test)]

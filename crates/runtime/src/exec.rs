@@ -124,27 +124,6 @@ impl ExecError {
             | ExecError::Cancelled { op_index, op, .. } => Some((*op_index, op.as_str())),
         }
     }
-
-    /// The stable lint code of the static diagnostic that predicts this
-    /// runtime failure, or `None` for failures with no static analogue
-    /// (cancellation). Returned as a plain string because the lint catalog
-    /// lives upstream in the compiler crate.
-    pub fn lint_code(&self) -> Option<&'static str> {
-        match self {
-            ExecError::UnsupportedCircuit { .. } | ExecError::Kernel { .. } => {
-                Some("CHET-E005")
-            }
-            ExecError::Hisa { source, .. } => Some(match source {
-                HisaError::ScaleMismatch { .. } => "CHET-E001",
-                HisaError::LevelExhausted { .. } => "CHET-E002",
-                HisaError::MissingRotationKey { .. } => "CHET-E003",
-                HisaError::SlotOverflow { .. } => "CHET-E004",
-                HisaError::InvalidRescale { .. } => "CHET-E005",
-            }),
-            ExecError::PrecisionLoss { .. } => Some("CHET-W004"),
-            ExecError::Cancelled { .. } => None,
-        }
-    }
 }
 
 /// Execution statistics from a fallible run — chiefly the graceful-

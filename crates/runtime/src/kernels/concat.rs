@@ -207,7 +207,7 @@ mod tests {
         let out = try_hconcat(&mut h, &[&ea, &eb], &scales).unwrap();
         assert_eq!(out.num_cts(), 3);
         let got = decrypt_tensor(&mut h, &out);
-        let want = ops::concat_channels(&[&a, &b]);
+        let want = ops::try_concat_channels(&[&a, &b]).unwrap();
         assert!(got.max_abs_diff(&want) < 1e-9);
     }
 
@@ -225,7 +225,7 @@ mod tests {
         let out = try_hconcat(&mut h, &[&ea, &eb], &scales).unwrap();
         assert_eq!(out.num_cts(), 1);
         let got = decrypt_tensor(&mut h, &out);
-        let want = ops::concat_channels(&[&a, &b]);
+        let want = ops::try_concat_channels(&[&a, &b]).unwrap();
         assert!(got.max_abs_diff(&want) < 1e-9, "diff {}", got.max_abs_diff(&want));
     }
 
@@ -244,7 +244,7 @@ mod tests {
         let refs: Vec<&CipherTensor<_>> = encs.iter().collect();
         let out = try_hconcat(&mut h, &refs, &scales).unwrap();
         let got = decrypt_tensor(&mut h, &out);
-        let want = ops::concat_channels(&[&ts[0], &ts[1], &ts[2]]);
+        let want = ops::try_concat_channels(&[&ts[0], &ts[1], &ts[2]]).unwrap();
         assert!(got.max_abs_diff(&want) < 1e-9);
     }
 

@@ -400,7 +400,7 @@ mod tests {
         )
         .unwrap();
         let got = decrypt_tensor(&mut h, &out);
-        let want = ops::conv2d(&input, &weights, Some(&bias), stride, padding);
+        let want = ops::try_conv2d(&input, &weights, Some(&bias), stride, padding).unwrap();
         assert_eq!(got.shape(), want.shape());
         assert!(
             got.max_abs_diff(&want) < 1e-6,
@@ -527,7 +527,7 @@ mod tests {
         .unwrap();
         assert!(out.layout.num_cts() >= 1);
         let got = decrypt_tensor(&mut h, &out);
-        let want = ops::conv2d(&input, &weights, None, 1, Padding::Valid);
+        let want = ops::try_conv2d(&input, &weights, None, 1, Padding::Valid).unwrap();
         assert!(got.max_abs_diff(&want) < 1e-3);
     }
 }

@@ -299,7 +299,7 @@ mod tests {
         let enc = try_encrypt_tensor(&mut h, &input, &layout, scales.input).unwrap();
         let out = try_hmatmul(&mut h, &enc, &weights, bias.as_deref(), &scales).unwrap();
         let got = decrypt_tensor(&mut h, &out);
-        let want = ops::matmul_vec(&weights, input.data(), bias.as_deref());
+        let want = ops::try_matmul_vec(&weights, input.data(), bias.as_deref()).unwrap();
         for (i, (&g, &w)) in got.data().iter().zip(&want).enumerate() {
             assert!((g - w).abs() < 1e-3, "{kind} out {i}: got {g}, want {w}");
         }
@@ -331,7 +331,7 @@ mod tests {
         let w = Tensor::from_fn(vec![4, 6], |i| ((i[0] + i[1]) % 3) as f64 - 1.0);
         let out = try_hmatmul(&mut h, &enc, &w, None, &scales).unwrap();
         let got = decrypt_tensor(&mut h, &out);
-        let want = ops::matmul_vec(&w, x.data(), None);
+        let want = ops::try_matmul_vec(&w, x.data(), None).unwrap();
         for (g, w) in got.data().iter().zip(&want) {
             assert!((g - w).abs() < 1e-6);
         }
@@ -348,7 +348,7 @@ mod tests {
             let w = Tensor::from_fn(vec![out, inp], |i| ((i[0] * 3 + i[1]) % 5) as f64 * 0.2 - 0.4);
             let bias: Vec<f64> = (0..out).map(|o| o as f64 * 0.1).collect();
             let fast = try_hmatmul_bsgs(&mut h, &enc, &w, Some(&bias), &scales).unwrap();
-            let want = ops::matmul_vec(&w, x.data(), Some(&bias));
+            let want = ops::try_matmul_vec(&w, x.data(), Some(&bias)).unwrap();
             let got = decrypt_tensor(&mut h, &fast);
             for (i, (&g, &e)) in got.data().iter().zip(&want).enumerate() {
                 assert!((g - e).abs() < 1e-3, "({inp}x{out}) out {i}: {g} vs {e}");

@@ -99,15 +99,32 @@ pub struct ScaleConfig {
 }
 
 impl ScaleConfig {
+    /// The reference scale set the tests, examples and command-line tools
+    /// compile with (`P_c = 2^25`, `P_w = P_u = 2^12`, `P_m = 2^10`): small
+    /// enough that the reduced networks select `N = 8192–16384`, large
+    /// enough that encrypted outputs track the reference.
+    pub const REFERENCE: ScaleConfig = ScaleConfig::from_log2(25, 12, 12, 10);
+
     /// Builds a config from log2 exponents `(P_c, P_w, P_u, P_m)`.
-    pub fn from_log2(pc: u32, pw: u32, pu: u32, pm: u32) -> Self {
+    pub const fn from_log2(pc: u32, pw: u32, pu: u32, pm: u32) -> Self {
         ScaleConfig {
-            input: 2f64.powi(pc as i32),
-            weight_plain: 2f64.powi(pw as i32),
-            weight_scalar: 2f64.powi(pu as i32),
-            mask: 2f64.powi(pm as i32),
+            input: pow2(pc),
+            weight_plain: pow2(pw),
+            weight_scalar: pow2(pu),
+            mask: pow2(pm),
         }
     }
+}
+
+/// `2^e`, exactly (`f64::powi` is not `const`).
+const fn pow2(e: u32) -> f64 {
+    let mut x = 1.0;
+    let mut i = 0;
+    while i < e {
+        x *= 2.0;
+        i += 1;
+    }
+    x
 }
 
 impl Default for ScaleConfig {

@@ -248,12 +248,6 @@ pub(crate) fn prev_power_of_two(x: usize) -> usize {
     }
 }
 
-/// The margin (in rows/columns) a circuit's convolutions need so that
-/// `Same`-padding reads hit zero slots: the maximum kernel overhang.
-pub fn required_margin(max_kernel: usize) -> usize {
-    max_kernel.saturating_sub(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -55,10 +55,6 @@ fn small_cnn() -> Circuit {
     b.build(p)
 }
 
-fn scales() -> ScaleConfig {
-    ScaleConfig::from_log2(25, 12, 12, 10)
-}
-
 fn compiler() -> Compiler {
     Compiler::new(SchemeKind::RnsCkks).with_output_precision(2f64.powi(20))
 }
@@ -147,7 +143,7 @@ fn run_child(args: &Args) -> ExitCode {
     let service = match InferenceService::start_with_compiler(
         compiler(),
         small_cnn(),
-        scales(),
+        ScaleConfig::REFERENCE,
         config,
         |_, compiled| SimCkks::new(&compiled.params, &compiled.rotation_keys, 9).without_noise(),
     ) {

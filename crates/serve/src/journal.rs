@@ -24,8 +24,9 @@
 //!
 //! # On-disk format
 //!
-//! The journal reuses the store's framing discipline: one append-only
-//! file (`journal.wal`) of self-delimiting records, each
+//! The journal frames its records with the store's record framing
+//! (`store::frame_record`) under its own magic: one append-only file
+//! (`journal.wal`) of self-delimiting records, each
 //!
 //! ```text
 //! magic[8]="CHETJRNL" | version u8 | kind u8 | payload_len u32 | payload | fnv1a64 u64
@@ -60,7 +61,7 @@
 //! answered from the journal instead of re-running ciphertext compute.
 
 use crate::chaos::{CrashPlan, CrashPoint};
-use crate::store::RecordFault;
+use crate::store::{frame_record, unframe_record, RecordFault};
 use chet_hisa::serial::{fnv1a64, CodecError, Reader, Writer};
 use chet_tensor::Tensor;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -76,9 +77,6 @@ const MAGIC: &[u8; 8] = b"CHETJRNL";
 
 /// Journal format version; bump on layout changes.
 pub const JOURNAL_FORMAT_VERSION: u8 = 1;
-
-/// Fixed bytes before the payload: magic + version + kind + payload_len.
-const HEADER: usize = 8 + 1 + 1 + 4;
 
 /// Live journal file name inside the store directory.
 pub const JOURNAL_FILE: &str = "journal.wal";
@@ -325,48 +323,14 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<JournalRecord, CodecError>
 
 /// Frames one record for the wire: header, payload, trailing checksum.
 fn frame(rec: &JournalRecord) -> Vec<u8> {
-    let payload = encode_payload(rec);
-    let mut body = Vec::with_capacity(HEADER + payload.len() + 8);
-    body.extend_from_slice(MAGIC);
-    body.push(JOURNAL_FORMAT_VERSION);
-    body.push(rec.kind_tag());
-    body.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    body.extend_from_slice(&payload);
-    let sum = fnv1a64(&body);
-    body.extend_from_slice(&sum.to_le_bytes());
-    body
+    frame_record(MAGIC, JOURNAL_FORMAT_VERSION, rec.kind_tag(), &encode_payload(rec))
 }
 
 /// Attempts to read one record at the front of `bytes`; returns the record
 /// and the total bytes it consumed.
 fn unframe(bytes: &[u8]) -> Result<(JournalRecord, usize), RecordFault> {
-    if bytes.len() < HEADER + 8 {
-        return Err(RecordFault::Truncated { len: bytes.len() });
-    }
-    if &bytes[..8] != MAGIC {
-        return Err(RecordFault::BadMagic);
-    }
-    let version = bytes[8];
-    if version != JOURNAL_FORMAT_VERSION {
-        return Err(RecordFault::UnknownVersion { version });
-    }
-    let payload_len = u32::from_le_bytes([bytes[10], bytes[11], bytes[12], bytes[13]]) as usize;
-    let total = HEADER + payload_len + 8;
-    if bytes.len() < total {
-        return Err(RecordFault::Truncated { len: bytes.len() });
-    }
-    let body = &bytes[..HEADER + payload_len];
-    let stored = u64::from_le_bytes(
-        bytes[HEADER + payload_len..total]
-            .try_into()
-            .map_err(|_| RecordFault::Truncated { len: bytes.len() })?,
-    );
-    let computed = fnv1a64(body);
-    if stored != computed {
-        return Err(RecordFault::ChecksumMismatch { stored, computed });
-    }
-    let rec = decode_payload(bytes[9], &bytes[HEADER..HEADER + payload_len])
-        .map_err(RecordFault::Undecodable)?;
+    let (kind, payload, total) = unframe_record(MAGIC, JOURNAL_FORMAT_VERSION, bytes, false)?;
+    let rec = decode_payload(kind, payload).map_err(RecordFault::Undecodable)?;
     Ok((rec, total))
 }
 
@@ -1070,6 +1034,27 @@ mod tests {
         assert!(rep.pending.is_empty());
         assert_eq!(rep.completed.len(), 1);
         assert_eq!(rep.failed, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn framed_admitted_record_is_pinned() {
+        // The shared record layout under the journal's magic, byte for byte.
+        let framed = frame(&admit(7, "pin"));
+        assert_eq!(framed.len(), 101);
+        assert_eq!(fnv1a64(&framed), 0x7ae1_eab0_08e2_31d3);
+    }
+
+    #[test]
+    fn a_store_record_is_not_a_journal_record() {
+        use crate::store::{ArtifactStore, KeyBundleRecord};
+        let dir = tmpdir("store-magic");
+        let (store, _) = ArtifactStore::open(&dir).unwrap();
+        let bundle =
+            KeyBundleRecord { params_fingerprint: 1, seed: 2, rotation_steps: Default::default() };
+        store.put_key_bundle("keys", &bundle).unwrap();
+        let bytes = fs::read(dir.join("keys.rec")).unwrap();
+        assert!(matches!(unframe(&bytes), Err(RecordFault::BadMagic)));
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -86,7 +86,9 @@ pub enum RecordFault {
         /// Bytes actually present.
         len: usize,
     },
-    /// The leading magic bytes are wrong: not a store record at all.
+    /// The leading magic bytes are wrong: not a record of this kind of
+    /// file at all (a journal record read as a store record, or the
+    /// reverse, fails here).
     BadMagic,
     /// A record from a future (or corrupted) format version.
     UnknownVersion {
@@ -116,7 +118,7 @@ impl fmt::Display for RecordFault {
             RecordFault::Truncated { len } => write!(f, "record truncated ({len} bytes)"),
             RecordFault::BadMagic => write!(f, "bad record magic"),
             RecordFault::UnknownVersion { version } => {
-                write!(f, "unknown store format version {version}")
+                write!(f, "unknown record format version {version}")
             }
             RecordFault::ChecksumMismatch { stored, computed } => {
                 write!(f, "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}")
@@ -271,7 +273,11 @@ fn decode_key_bundle_payload(bytes: &[u8]) -> Result<KeyBundleRecord, CodecError
     Ok(KeyBundleRecord { params_fingerprint, seed, rotation_steps })
 }
 
-/// Frames a payload into the on-disk record format:
+/// Fixed bytes before a record's payload: magic, version, kind, length.
+const HEADER: usize = 8 + 1 + 1 + 4;
+
+/// Frames a payload into the record format the store and the journal
+/// ([`crate::journal`]) share, each with its own magic and version:
 ///
 /// ```text
 /// magic[8] | version u8 | kind u8 | payload_len u32 | payload | fnv1a64 u64
@@ -279,11 +285,11 @@ fn decode_key_bundle_payload(bytes: &[u8]) -> Result<KeyBundleRecord, CodecError
 ///
 /// The checksum covers everything before it (magic through payload), so
 /// header corruption is caught too.
-fn frame_record(kind: RecordKind, payload: &[u8]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(8 + 2 + 4 + payload.len() + 8);
-    body.extend_from_slice(MAGIC);
-    body.push(STORE_FORMAT_VERSION);
-    body.push(kind.tag());
+pub(crate) fn frame_record(magic: &[u8; 8], version: u8, kind: u8, payload: &[u8]) -> Vec<u8> {
+    let mut body = Vec::with_capacity(HEADER + payload.len() + 8);
+    body.extend_from_slice(magic);
+    body.push(version);
+    body.push(kind);
     body.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     body.extend_from_slice(payload);
     let sum = fnv1a64(&body);
@@ -291,28 +297,34 @@ fn frame_record(kind: RecordKind, payload: &[u8]) -> Vec<u8> {
     body
 }
 
-/// Verifies framing + checksum, returning kind and payload bytes.
-fn unframe_record(bytes: &[u8]) -> Result<(RecordKind, &[u8]), RecordFault> {
-    const HEADER: usize = 8 + 1 + 1 + 4;
+/// Verifies the framing and checksum of the record at the front of
+/// `bytes`, returning its kind tag, its payload and the bytes it spans.
+/// With `whole`, bytes past the record are a length mismatch reported as
+/// [`RecordFault::Truncated`] (a store file holds one record); without,
+/// they belong to the next record (the journal scans a sequence).
+pub(crate) fn unframe_record<'a>(
+    magic: &[u8; 8],
+    version: u8,
+    bytes: &'a [u8],
+    whole: bool,
+) -> Result<(u8, &'a [u8], usize), RecordFault> {
     if bytes.len() < HEADER + 8 {
         return Err(RecordFault::Truncated { len: bytes.len() });
     }
-    if &bytes[..8] != MAGIC {
+    if &bytes[..8] != magic {
         return Err(RecordFault::BadMagic);
     }
-    let version = bytes[8];
-    if version != STORE_FORMAT_VERSION {
-        return Err(RecordFault::UnknownVersion { version });
+    if bytes[8] != version {
+        return Err(RecordFault::UnknownVersion { version: bytes[8] });
     }
-    let payload_len =
-        u32::from_le_bytes([bytes[10], bytes[11], bytes[12], bytes[13]]) as usize;
-    let expected = HEADER + payload_len + 8;
-    if bytes.len() != expected {
+    let payload_len = u32::from_le_bytes([bytes[10], bytes[11], bytes[12], bytes[13]]) as usize;
+    let total = HEADER + payload_len + 8;
+    if bytes.len() < total || (whole && bytes.len() != total) {
         return Err(RecordFault::Truncated { len: bytes.len() });
     }
     let body = &bytes[..HEADER + payload_len];
     let stored = u64::from_le_bytes(
-        bytes[HEADER + payload_len..]
+        bytes[HEADER + payload_len..total]
             .try_into()
             .map_err(|_| RecordFault::Truncated { len: bytes.len() })?,
     );
@@ -320,8 +332,14 @@ fn unframe_record(bytes: &[u8]) -> Result<(RecordKind, &[u8]), RecordFault> {
     if stored != computed {
         return Err(RecordFault::ChecksumMismatch { stored, computed });
     }
-    let kind = RecordKind::from_tag(bytes[9]).ok_or(RecordFault::UnknownKind { tag: bytes[9] })?;
-    Ok((kind, &bytes[HEADER..HEADER + payload_len]))
+    Ok((bytes[9], &bytes[HEADER..HEADER + payload_len], total))
+}
+
+/// Unframes a whole store file into its record kind and payload.
+fn unframe_store_record(bytes: &[u8]) -> Result<(RecordKind, &[u8]), RecordFault> {
+    let (tag, payload, _) = unframe_record(MAGIC, STORE_FORMAT_VERSION, bytes, true)?;
+    let kind = RecordKind::from_tag(tag).ok_or(RecordFault::UnknownKind { tag })?;
+    Ok((kind, payload))
 }
 
 /// The crash-safe store. See the module docs for the format and recovery
@@ -362,7 +380,7 @@ impl ArtifactStore {
                 continue;
             };
             let bytes = fs::read(&path)?;
-            match unframe_record(&bytes).and_then(|(kind, payload)| {
+            match unframe_store_record(&bytes).and_then(|(kind, payload)| {
                 decode_payload_checked(kind, payload).map(|_| ())
             }) {
                 Ok(()) => report.intact.push(stem.to_string()),
@@ -401,7 +419,7 @@ impl ArtifactStore {
     /// Atomically writes a framed record: temp file in the same directory,
     /// flush + fsync, rename over the target.
     fn write_record(&self, name: &str, kind: RecordKind, payload: &[u8]) -> Result<(), StoreError> {
-        let framed = frame_record(kind, payload);
+        let framed = frame_record(MAGIC, STORE_FORMAT_VERSION, kind.tag(), payload);
         let target = self.record_path(name);
         let tmp = self.dir.join(format!("{name}.{RECORD_EXT}.tmp"));
         {
@@ -432,7 +450,7 @@ impl ArtifactStore {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(StoreError::Io(e)),
         };
-        match unframe_record(&bytes) {
+        match unframe_store_record(&bytes) {
             Ok((kind, payload)) if kind == want => Ok(Some(payload.to_vec())),
             Ok((kind, _)) => {
                 self.quarantine(&path, name)?;
@@ -681,7 +699,7 @@ mod tests {
         let c = b.conv2d(x, w, None, 1, Padding::Valid);
         let g = b.global_avg_pool(c);
         let circuit = b.build(g);
-        let scales = ScaleConfig::from_log2(25, 12, 12, 10);
+        let scales = ScaleConfig::REFERENCE;
         let (compiled, report) = chet_compiler::Compiler::new(SchemeKind::RnsCkks)
             .with_output_precision(2f64.powi(20))
             .compile_checked(&circuit, &scales)
@@ -848,6 +866,35 @@ mod tests {
             )
             .unwrap();
         assert!(matches!(store.get_artifact("a"), Err(StoreError::Corrupt { .. })));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn framed_key_bundle_record_is_pinned() {
+        // The shared record layout, byte for byte: a change to the framing
+        // (field order, widths, checksum span) moves this digest.
+        let bundle = KeyBundleRecord {
+            params_fingerprint: 0x0123_4567_89ab_cdef,
+            seed: 7,
+            rotation_steps: [1, 2, 4, 8].into_iter().collect(),
+        };
+        let payload = encode_key_bundle_payload(&bundle);
+        let framed =
+            frame_record(MAGIC, STORE_FORMAT_VERSION, RecordKind::KeyBundle.tag(), &payload);
+        assert_eq!(framed.len(), 74);
+        assert_eq!(fnv1a64(&framed), 0x0097_e33c_7e0c_9262);
+        assert_eq!(unframe_store_record(&framed), Ok((RecordKind::KeyBundle, &payload[..])));
+    }
+
+    #[test]
+    fn a_journal_record_is_not_a_store_record() {
+        use crate::journal::{Journal, JournalConfig, JournalRecord, JOURNAL_FILE};
+        let dir = tmpdir("journal-magic");
+        let cfg = JournalConfig { enabled: true, ..JournalConfig::default() };
+        let (journal, _) = Journal::open(&dir, &cfg).unwrap();
+        journal.append_durable(&JournalRecord::Started { request_id: 1 }).unwrap();
+        let bytes = fs::read(dir.join(JOURNAL_FILE)).unwrap();
+        assert_eq!(unframe_store_record(&bytes), Err(RecordFault::BadMagic));
         let _ = fs::remove_dir_all(&dir);
     }
 }

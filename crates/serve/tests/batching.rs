@@ -39,10 +39,6 @@ fn small_cnn() -> Circuit {
     b.build(p)
 }
 
-fn scales() -> ScaleConfig {
-    ScaleConfig::from_log2(25, 12, 12, 10)
-}
-
 fn compiler() -> Compiler {
     Compiler::new(SchemeKind::RnsCkks).with_output_precision(2f64.powi(20))
 }
@@ -83,7 +79,7 @@ fn coalesced_batch_is_bit_identical_to_solo() {
     let solo = InferenceService::start_with_compiler(
         compiler(),
         small_cnn(),
-        scales(),
+        ScaleConfig::REFERENCE,
         ServeConfig { workers: 1, ..ServeConfig::default() },
         sim_factory(),
     )
@@ -98,7 +94,7 @@ fn coalesced_batch_is_bit_identical_to_solo() {
     let svc = InferenceService::start_with_compiler(
         compiler(),
         small_cnn(),
-        scales(),
+        ScaleConfig::REFERENCE,
         batching_config(4, Duration::from_millis(300)),
         sim_factory(),
     )
@@ -148,9 +144,9 @@ where
     H: chet_hisa::Hisa + 'static,
     F: Fn(usize, &chet_compiler::CompiledCircuit) -> H + Send + Sync + 'static,
 {
-    let svc =
-        InferenceService::start_with_compiler(compiler(), small_cnn(), scales(), config, factory)
-            .unwrap();
+    let scales = ScaleConfig::REFERENCE;
+    let svc = InferenceService::start_with_compiler(compiler(), small_cnn(), scales, config, factory)
+        .unwrap();
     let tickets: Vec<_> = images.iter().map(|img| svc.submit(img.clone()).unwrap()).collect();
     let results = tickets.into_iter().map(|t| t.wait()).collect();
     (results, svc.shutdown())
@@ -228,7 +224,7 @@ fn strict_exhausted_cohort_cancels_the_member_whose_deadline_passed() {
     let svc = InferenceService::start_with_compiler(
         compiler(),
         small_cnn(),
-        scales(),
+        ScaleConfig::REFERENCE,
         config,
         faulty_factory(1.0, None),
     )
@@ -257,7 +253,7 @@ fn member_deadline_expiring_in_window_cancels_member_not_cohort() {
     let svc = InferenceService::start_with_compiler(
         compiler(),
         small_cnn(),
-        scales(),
+        ScaleConfig::REFERENCE,
         // Target 4 with only 2 submissions: the worker lingers the full
         // window, and A's deadline expires inside it.
         batching_config(4, Duration::from_millis(400)),
@@ -288,7 +284,7 @@ fn explicit_cancel_of_one_member_leaves_cohort_intact() {
     let svc = InferenceService::start_with_compiler(
         compiler(),
         small_cnn(),
-        scales(),
+        ScaleConfig::REFERENCE,
         batching_config(4, Duration::from_millis(400)),
         sim_factory(),
     )
@@ -322,7 +318,7 @@ fn duplicate_key_after_batched_run_replays_identical_digest() {
     let solo = InferenceService::start_with_compiler(
         compiler(),
         circuit.clone(),
-        scales(),
+        ScaleConfig::REFERENCE,
         ServeConfig { workers: 1, ..ServeConfig::default() },
         sim_factory(),
     )
@@ -334,7 +330,7 @@ fn duplicate_key_after_batched_run_replays_identical_digest() {
     let svc = InferenceService::start_with_compiler(
         compiler(),
         circuit.clone(),
-        scales(),
+        ScaleConfig::REFERENCE,
         config.clone(),
         sim_factory(),
     )
@@ -372,7 +368,7 @@ fn duplicate_key_after_batched_run_replays_identical_digest() {
     let svc = InferenceService::start_with_compiler(
         compiler(),
         circuit,
-        scales(),
+        ScaleConfig::REFERENCE,
         config,
         sim_factory(),
     )
@@ -393,7 +389,7 @@ fn invalid_shape_is_refused_at_admission_non_retryable() {
     let svc = InferenceService::start_with_compiler(
         compiler(),
         small_cnn(),
-        scales(),
+        ScaleConfig::REFERENCE,
         batching_config(4, Duration::from_millis(5)),
         sim_factory(),
     )
@@ -422,7 +418,7 @@ fn soak_mixed_batchable_and_invalid_requests() {
     let svc = InferenceService::start_with_compiler(
         compiler(),
         small_cnn(),
-        scales(),
+        ScaleConfig::REFERENCE,
         ServeConfig {
             workers: 2,
             queue_capacity: 128,

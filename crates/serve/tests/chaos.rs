@@ -37,10 +37,6 @@ fn small_cnn() -> Circuit {
     b.build(p)
 }
 
-fn scales() -> ScaleConfig {
-    ScaleConfig::from_log2(25, 12, 12, 10)
-}
-
 fn image(seed: u64) -> Tensor {
     Tensor::random(vec![1, 6, 6], 1.0, seed)
 }
@@ -59,8 +55,9 @@ fn reference(img: &Tensor) -> Tensor {
     static ARTIFACT: OnceLock<(Circuit, CompiledCircuit)> = OnceLock::new();
     let (circuit, compiled) = ARTIFACT.get_or_init(|| {
         let circuit = small_cnn();
-        let (compiled, _) =
-            compiler().compile_checked(&circuit, &scales()).expect("reference must compile");
+        let (compiled, _) = compiler()
+            .compile_checked(&circuit, &ScaleConfig::REFERENCE)
+            .expect("reference must compile");
         (circuit, compiled)
     });
     let mut sim = SimCkks::new(&compiled.params, &compiled.rotation_keys, 9).without_noise();
@@ -169,7 +166,7 @@ fn run_soak(workers: usize, seed: u64, requests: u64) -> (u64, chet_serve::Servi
     let svc = InferenceService::start_with_compiler(
         compiler(),
         small_cnn(),
-        scales(),
+        ScaleConfig::REFERENCE,
         soak_config(workers, seed),
         |_, compiled| SimCkks::new(&compiled.params, &compiled.rotation_keys, 9).without_noise(),
     )
@@ -246,7 +243,7 @@ fn concurrent_chaos_burst_never_loses_or_corrupts_a_request() {
     let svc = InferenceService::start_with_compiler(
         compiler(),
         small_cnn(),
-        scales(),
+        ScaleConfig::REFERENCE,
         soak_config(3, 0xB02_57ED),
         |_, compiled| SimCkks::new(&compiled.params, &compiled.rotation_keys, 9).without_noise(),
     )
@@ -290,7 +287,7 @@ fn shutdown_under_chaos_accounts_for_every_request() {
     let svc = InferenceService::start_with_compiler(
         compiler(),
         small_cnn(),
-        scales(),
+        ScaleConfig::REFERENCE,
         cfg,
         |_, compiled| SimCkks::new(&compiled.params, &compiled.rotation_keys, 9).without_noise(),
     )
@@ -427,7 +424,7 @@ fn half_open_breaker_admits_exactly_one_concurrent_probe() {
     let svc = InferenceService::start_with_compiler(
         compiler(),
         small_cnn(),
-        scales(),
+        ScaleConfig::REFERENCE,
         cfg,
         move |_, compiled| Gate {
             inner: SimCkks::new(&compiled.params, &compiled.rotation_keys, 9).without_noise(),
@@ -513,7 +510,7 @@ fn watchdog_escalates_hung_worker_and_respawns() {
     let svc = InferenceService::start_with_compiler(
         compiler(),
         small_cnn(),
-        scales(),
+        ScaleConfig::REFERENCE,
         cfg,
         |_, compiled| SimCkks::new(&compiled.params, &compiled.rotation_keys, 9).without_noise(),
     )

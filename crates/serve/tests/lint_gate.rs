@@ -25,7 +25,7 @@ fn compile() -> (Circuit, chet_compiler::CompiledCircuit) {
     let circuit = small_cnn();
     let compiled = Compiler::new(SchemeKind::RnsCkks)
         .with_output_precision(2f64.powi(20))
-        .compile(&circuit, &ScaleConfig::from_log2(25, 12, 12, 10))
+        .compile(&circuit, &ScaleConfig::REFERENCE)
         .unwrap();
     (circuit, compiled)
 }

@@ -36,10 +36,6 @@ fn small_cnn() -> Circuit {
     b.build(p)
 }
 
-fn scales() -> ScaleConfig {
-    ScaleConfig::from_log2(25, 12, 12, 10)
-}
-
 fn image(seed: u64) -> Tensor {
     Tensor::random(vec![1, 6, 6], 1.0, seed)
 }
@@ -72,7 +68,7 @@ fn soak_transient_faults_all_requests_resolve_and_breaker_recovers() {
     let svc = InferenceService::start_with_compiler(
         compiler(),
         small_cnn(),
-        scales(),
+        ScaleConfig::REFERENCE,
         config(3, 128),
         |worker_id, compiled| {
             let sim = SimCkks::new(&compiled.params, &compiled.rotation_keys, 5).without_noise();
@@ -138,7 +134,7 @@ fn single_worker_breaker_lifecycle_is_deterministic() {
     let svc = InferenceService::start_with_compiler(
         compiler(),
         small_cnn(),
-        scales(),
+        ScaleConfig::REFERENCE,
         config(1, 8),
         |_, compiled| {
             let sim = SimCkks::new(&compiled.params, &compiled.rotation_keys, 5).without_noise();
@@ -201,7 +197,7 @@ fn overload_sheds_immediately_with_structured_rejection() {
     let svc = InferenceService::start_with_compiler(
         compiler(),
         small_cnn(),
-        scales(),
+        ScaleConfig::REFERENCE,
         cfg,
         |_, compiled| {
             let sim = SimCkks::new(&compiled.params, &compiled.rotation_keys, 5).without_noise();
@@ -241,7 +237,7 @@ fn deadlines_and_cancellation_abort_cooperatively() {
     let svc = InferenceService::start_with_compiler(
         compiler(),
         small_cnn(),
-        scales(),
+        ScaleConfig::REFERENCE,
         cfg,
         |_, compiled| SimCkks::new(&compiled.params, &compiled.rotation_keys, 5).without_noise(),
     )
@@ -268,7 +264,7 @@ fn level_exhaustion_escalates_into_repair_recompilation() {
     let svc = InferenceService::start_with_compiler(
         compiler(),
         small_cnn(),
-        scales(),
+        ScaleConfig::REFERENCE,
         config(1, 8),
         |_, compiled| {
             let sim = SimCkks::new(&compiled.params, &compiled.rotation_keys, 5).without_noise();
@@ -294,7 +290,7 @@ fn healthy_service_matches_direct_inference_and_reports_cleanly() {
     let svc = InferenceService::start_with_compiler(
         compiler(),
         small_cnn(),
-        scales(),
+        ScaleConfig::REFERENCE,
         config(2, 16),
         |_, compiled| SimCkks::new(&compiled.params, &compiled.rotation_keys, 9).without_noise(),
     )
@@ -302,8 +298,9 @@ fn healthy_service_matches_direct_inference_and_reports_cleanly() {
 
     // Reference: the same compiled artifact run directly.
     let circuit = small_cnn();
-    let (compiled, _) =
-        compiler().compile_checked(&circuit, &scales()).expect("artifact must compile");
+    let (compiled, _) = compiler()
+        .compile_checked(&circuit, &ScaleConfig::REFERENCE)
+        .expect("artifact must compile");
     let mut direct = SimCkks::new(&compiled.params, &compiled.rotation_keys, 9).without_noise();
     let expected =
         chet_runtime::exec::try_infer(&mut direct, &circuit, &compiled.plan, &image(42))
@@ -384,7 +381,7 @@ fn worker_contains_backend_panics_and_recovers() {
     let svc = InferenceService::start_with_compiler(
         compiler(),
         small_cnn(),
-        scales(),
+        ScaleConfig::REFERENCE,
         config(1, 8),
         move |_, compiled| {
             // Only the first backend instance is armed to panic; the

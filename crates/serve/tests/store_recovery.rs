@@ -23,10 +23,6 @@ fn small_cnn() -> Circuit {
     b.build(p)
 }
 
-fn scales() -> ScaleConfig {
-    ScaleConfig::from_log2(25, 12, 12, 10)
-}
-
 fn image(seed: u64) -> Tensor {
     Tensor::random(vec![1, 6, 6], 1.0, seed)
 }
@@ -55,7 +51,7 @@ fn start(dir: &Path) -> InferenceService {
     InferenceService::start_with_compiler(
         compiler(),
         small_cnn(),
-        scales(),
+        ScaleConfig::REFERENCE,
         config(dir),
         |_, compiled| SimCkks::new(&compiled.params, &compiled.rotation_keys, 9).without_noise(),
     )

@@ -202,6 +202,13 @@ impl Circuit {
 
     /// Reference floating-point evaluation (the unencrypted inference
     /// engine). `inputs` supplies one tensor per [`Op::Input`], in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a missing or misshapen input, and with the [`ShapeError`]
+    /// text when an operation rejects its operands' shapes.
+    ///
+    /// [`ShapeError`]: crate::ops::ShapeError
     pub fn eval(&self, inputs: &[Tensor]) -> Tensor {
         let mut values: Vec<Tensor> = Vec::with_capacity(self.ops.len());
         let mut next_input = 0usize;
@@ -214,35 +221,33 @@ impl Circuit {
                         .clone();
                     assert_eq!(t.shape(), &shape[..], "input shape mismatch");
                     next_input += 1;
-                    t
+                    Ok(t)
                 }
                 Op::Conv2d { input, weights, bias, stride, padding } => {
-                    ops::conv2d(&values[*input], weights, bias.as_deref(), *stride, *padding)
+                    ops::try_conv2d(&values[*input], weights, bias.as_deref(), *stride, *padding)
                 }
                 Op::MatMul { input, weights, bias } => {
-                    let x = values[*input].data().to_vec();
-                    let y = ops::matmul_vec(weights, &x, bias.as_deref());
-                    let len = y.len();
-                    Tensor::new(vec![len], y)
+                    ops::try_matmul_vec(weights, values[*input].data(), bias.as_deref())
+                        .map(|y| Tensor::new(vec![y.len()], y))
                 }
                 Op::AvgPool2d { input, kernel, stride } => {
-                    ops::avg_pool2d(&values[*input], *kernel, *stride)
+                    ops::try_avg_pool2d(&values[*input], *kernel, *stride)
                 }
-                Op::GlobalAvgPool { input } => ops::global_avg_pool(&values[*input]),
-                Op::Activation { input, a, b } => ops::activation(&values[*input], *a, *b),
+                Op::GlobalAvgPool { input } => ops::try_global_avg_pool(&values[*input]),
+                Op::Activation { input, a, b } => Ok(ops::activation(&values[*input], *a, *b)),
                 Op::BatchNorm { input, scale, shift } => {
-                    ops::batch_norm(&values[*input], scale, shift)
+                    ops::try_batch_norm(&values[*input], scale, shift)
                 }
                 Op::Concat { inputs } => {
                     let ts: Vec<&Tensor> = inputs.iter().map(|&i| &values[i]).collect();
-                    ops::concat_channels(&ts)
+                    ops::try_concat_channels(&ts)
                 }
                 Op::Flatten { input } => {
                     let t = &values[*input];
-                    t.reshape(vec![t.numel()])
+                    Ok(t.reshape(vec![t.numel()]))
                 }
             };
-            values.push(v);
+            values.push(v.unwrap_or_else(|e| panic!("{e}")));
         }
         values[self.output].clone()
     }
@@ -413,14 +418,15 @@ mod tests {
             Op::Conv2d { weights, .. } => weights.clone(),
             _ => unreachable!(),
         };
-        let conv = crate::ops::conv2d(&input, &w, Some(&[0.0, 1.0]), 2, Padding::Valid);
+        let conv =
+            crate::ops::try_conv2d(&input, &w, Some(&[0.0, 1.0]), 2, Padding::Valid).unwrap();
         let act = crate::ops::activation(&conv, 0.1, 1.0);
         let flat: Vec<f64> = act.data().to_vec();
         let wfc = match &c.ops()[4] {
             Op::MatMul { weights, .. } => weights.clone(),
             _ => unreachable!(),
         };
-        let expect = crate::ops::matmul_vec(&wfc, &flat, None);
+        let expect = crate::ops::try_matmul_vec(&wfc, &flat, None).unwrap();
         assert_eq!(out.data(), &expect[..]);
     }
 

@@ -3,15 +3,18 @@
 //! Inputs use CHW layout (`[channels, height, width]`); convolutions take
 //! KCRS weights (`[out_channels, in_channels, kernel_h, kernel_w]`). These
 //! are the semantics the homomorphic kernels in `chet-runtime` must match.
+//!
+//! Each shape-checked operation has one spelling, the fallible `try_*`
+//! form: a shape-contract violation comes back as a [`ShapeError`] value.
+//! [`crate::circuit::Circuit::eval`] turns it into a panic with the error
+//! text.
 
 use crate::tensor::Tensor;
 use std::fmt;
 
 /// A structured shape-contract violation from a reference tensor op: which
-/// operation rejected its inputs and why. The `try_*` entry points return
-/// these as values (mirroring the runtime kernels' `KernelError` pattern);
-/// the panicking shims preserve the historical `panic!` behaviour for
-/// callers that treat malformed shapes as programming errors.
+/// operation rejected its inputs and why. The `try_*` operations return
+/// these as values, mirroring the runtime kernels' `KernelError` pattern.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShapeError {
     /// The operation that rejected its inputs ("conv2d", "matmul", ...).
@@ -33,12 +36,6 @@ impl fmt::Display for ShapeError {
 }
 
 impl std::error::Error for ShapeError {}
-
-/// Unwraps a `try_*` result, panicking with the error text (so existing
-/// `should_panic` expectations keep matching the reason substrings).
-fn expect_shape<T>(r: Result<T, ShapeError>) -> T {
-    r.unwrap_or_else(|e| std::panic::panic_any(e.to_string()))
-}
 
 /// Spatial padding mode for convolutions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,22 +62,6 @@ pub fn conv_output_dim(input: usize, kernel: usize, stride: usize, padding: Padd
 }
 
 /// 2-D cross-correlation of a CHW input with KCRS weights.
-///
-/// # Panics
-///
-/// Panics on rank or channel mismatches; [`try_conv2d`] reports the same
-/// conditions as a [`ShapeError`] value.
-pub fn conv2d(
-    input: &Tensor,
-    weights: &Tensor,
-    bias: Option<&[f64]>,
-    stride: usize,
-    padding: Padding,
-) -> Tensor {
-    expect_shape(try_conv2d(input, weights, bias, stride, padding))
-}
-
-/// Fallible [`conv2d`].
 ///
 /// # Errors
 ///
@@ -154,16 +135,6 @@ pub fn try_conv2d(
 
 /// Dense layer: `y = W·x + b` for a flattened input vector.
 ///
-/// # Panics
-///
-/// Panics if `weights` is not 2-D or the inner dimension mismatches;
-/// [`try_matmul_vec`] reports the same conditions as a [`ShapeError`].
-pub fn matmul_vec(weights: &Tensor, x: &[f64], bias: Option<&[f64]>) -> Vec<f64> {
-    expect_shape(try_matmul_vec(weights, x, bias))
-}
-
-/// Fallible [`matmul_vec`].
-///
 /// # Errors
 ///
 /// Rejects non-2-D weights and input/bias length mismatches.
@@ -202,16 +173,6 @@ pub fn try_matmul_vec(
 }
 
 /// Average pooling with a square window.
-///
-/// # Panics
-///
-/// Panics on non-CHW inputs or windows larger than the input;
-/// [`try_avg_pool2d`] reports the same conditions as a [`ShapeError`].
-pub fn avg_pool2d(input: &Tensor, kernel: usize, stride: usize) -> Tensor {
-    expect_shape(try_avg_pool2d(input, kernel, stride))
-}
-
-/// Fallible [`avg_pool2d`].
 ///
 /// # Errors
 ///
@@ -257,16 +218,6 @@ pub fn try_avg_pool2d(
 
 /// Global average pooling: one value per channel.
 ///
-/// # Panics
-///
-/// Panics on non-CHW inputs; [`try_global_avg_pool`] reports the same
-/// condition as a [`ShapeError`].
-pub fn global_avg_pool(input: &Tensor) -> Tensor {
-    expect_shape(try_global_avg_pool(input))
-}
-
-/// Fallible [`global_avg_pool`].
-///
 /// # Errors
 ///
 /// Rejects non-CHW inputs.
@@ -303,16 +254,6 @@ pub fn activation(input: &Tensor, a: f64, b: f64) -> Tensor {
 
 /// Per-channel affine transform (`y_c = scale_c · x_c + shift_c`), the
 /// inference-time form of batch normalization.
-///
-/// # Panics
-///
-/// Panics on non-CHW inputs or scale/shift length mismatches;
-/// [`try_batch_norm`] reports the same conditions as a [`ShapeError`].
-pub fn batch_norm(input: &Tensor, scale: &[f64], shift: &[f64]) -> Tensor {
-    expect_shape(try_batch_norm(input, scale, shift))
-}
-
-/// Fallible [`batch_norm`].
 ///
 /// # Errors
 ///
@@ -354,16 +295,6 @@ pub fn try_batch_norm(
 }
 
 /// Concatenates CHW tensors along the channel dimension.
-///
-/// # Panics
-///
-/// Panics if spatial dimensions disagree; [`try_concat_channels`] reports
-/// the same conditions as a [`ShapeError`].
-pub fn concat_channels(inputs: &[&Tensor]) -> Tensor {
-    expect_shape(try_concat_channels(inputs))
-}
-
-/// Fallible [`concat_channels`].
 ///
 /// # Errors
 ///
@@ -430,7 +361,7 @@ mod tests {
         let input = ramp(vec![1, 3, 3]);
         let mut w = Tensor::zeros(vec![1, 1, 1, 1]);
         *w.at_mut(&[0, 0, 0, 0]) = 1.0;
-        let out = conv2d(&input, &w, None, 1, Padding::Valid);
+        let out = try_conv2d(&input, &w, None, 1, Padding::Valid).unwrap();
         assert_eq!(out, input);
     }
 
@@ -439,7 +370,7 @@ mod tests {
         // Figure 4's setup: 3×3 image, 2×2 filter, valid padding.
         let input = Tensor::from_fn(vec![1, 3, 3], |i| (i[1] * 3 + i[2] + 1) as f64);
         let w = Tensor::from_fn(vec![1, 1, 2, 2], |i| (i[2] * 2 + i[3] + 1) as f64);
-        let out = conv2d(&input, &w, None, 1, Padding::Valid);
+        let out = try_conv2d(&input, &w, None, 1, Padding::Valid).unwrap();
         // b11 = 1·1 + 2·2 + 4·3 + 5·4 = 37
         assert_eq!(out.shape(), &[1, 2, 2]);
         assert_eq!(out.at(&[0, 0, 0]), 37.0);
@@ -452,7 +383,7 @@ mod tests {
     fn conv2d_same_padding_preserves_size() {
         let input = ramp(vec![2, 5, 5]);
         let w = Tensor::random(vec![3, 2, 3, 3], 1.0, 1);
-        let out = conv2d(&input, &w, None, 1, Padding::Same);
+        let out = try_conv2d(&input, &w, None, 1, Padding::Same).unwrap();
         assert_eq!(out.shape(), &[3, 5, 5]);
     }
 
@@ -460,7 +391,7 @@ mod tests {
     fn conv2d_stride_two() {
         let input = ramp(vec![1, 4, 4]);
         let w = Tensor::from_fn(vec![1, 1, 2, 2], |_| 1.0);
-        let out = conv2d(&input, &w, None, 2, Padding::Valid);
+        let out = try_conv2d(&input, &w, None, 2, Padding::Valid).unwrap();
         assert_eq!(out.shape(), &[1, 2, 2]);
         // windows: (1+2+5+6), (3+4+7+8), (9+10+13+14), (11+12+15+16)
         assert_eq!(out.data(), &[14.0, 22.0, 46.0, 54.0]);
@@ -470,7 +401,7 @@ mod tests {
     fn conv2d_bias_and_channels() {
         let input = ramp(vec![2, 2, 2]);
         let w = Tensor::from_fn(vec![1, 2, 1, 1], |_| 1.0);
-        let out = conv2d(&input, &w, Some(&[0.5]), 1, Padding::Valid);
+        let out = try_conv2d(&input, &w, Some(&[0.5]), 1, Padding::Valid).unwrap();
         // each output = x[0,y,x] + x[1,y,x] + 0.5
         assert_eq!(out.at(&[0, 0, 0]), 1.0 + 5.0 + 0.5);
     }
@@ -478,21 +409,21 @@ mod tests {
     #[test]
     fn matmul_matches_manual() {
         let w = Tensor::new(vec![2, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let y = matmul_vec(&w, &[1.0, 0.0, -1.0], Some(&[10.0, 20.0]));
+        let y = try_matmul_vec(&w, &[1.0, 0.0, -1.0], Some(&[10.0, 20.0])).unwrap();
         assert_eq!(y, vec![1.0 - 3.0 + 10.0, 4.0 - 6.0 + 20.0]);
     }
 
     #[test]
     fn avg_pool_basic() {
         let input = ramp(vec![1, 4, 4]);
-        let out = avg_pool2d(&input, 2, 2);
+        let out = try_avg_pool2d(&input, 2, 2).unwrap();
         assert_eq!(out.data(), &[3.5, 5.5, 11.5, 13.5]);
     }
 
     #[test]
     fn global_pool_averages_everything() {
         let input = ramp(vec![2, 2, 2]);
-        let out = global_avg_pool(&input);
+        let out = try_global_avg_pool(&input).unwrap();
         assert_eq!(out.data(), &[2.5, 6.5]);
     }
 
@@ -506,7 +437,7 @@ mod tests {
     #[test]
     fn batch_norm_affine() {
         let input = ramp(vec![2, 1, 2]);
-        let out = batch_norm(&input, &[2.0, 0.5], &[1.0, -1.0]);
+        let out = try_batch_norm(&input, &[2.0, 0.5], &[1.0, -1.0]).unwrap();
         assert_eq!(out.data(), &[3.0, 5.0, 0.5, 1.0]);
     }
 
@@ -514,7 +445,7 @@ mod tests {
     fn concat_stacks_channels() {
         let a = ramp(vec![1, 2, 2]);
         let b = ramp(vec![2, 2, 2]);
-        let out = concat_channels(&[&a, &b]);
+        let out = try_concat_channels(&[&a, &b]).unwrap();
         assert_eq!(out.shape(), &[3, 2, 2]);
         assert_eq!(out.at(&[0, 0, 0]), a.at(&[0, 0, 0]));
         assert_eq!(out.at(&[1, 1, 1]), b.at(&[0, 1, 1]));
@@ -522,11 +453,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "spatial dimensions")]
-    fn concat_mismatched_spatial_panics() {
+    fn concat_mismatched_spatial_is_rejected() {
         let a = Tensor::zeros(vec![1, 2, 2]);
         let b = Tensor::zeros(vec![1, 3, 3]);
-        concat_channels(&[&a, &b]);
+        let e = try_concat_channels(&[&a, &b]).unwrap_err();
+        assert_eq!(e.op, "concat");
+        assert!(e.reason.contains("spatial dimensions"), "{e}");
     }
 
     #[test]
@@ -570,31 +502,5 @@ mod tests {
         assert!(e.reason.contains("at least one"), "{e}");
         let e = try_concat_channels(&[&chw, &Tensor::zeros(vec![1, 4, 4])]).unwrap_err();
         assert!(e.reason.contains("spatial dimensions"), "{e}");
-    }
-
-    #[test]
-    fn try_ops_match_panicking_ops_on_good_shapes() {
-        let input = ramp(vec![2, 4, 4]);
-        let w = Tensor::random(vec![3, 2, 3, 3], 1.0, 7);
-        assert_eq!(
-            try_conv2d(&input, &w, Some(&[0.1, 0.2, 0.3]), 1, Padding::Same).unwrap(),
-            conv2d(&input, &w, Some(&[0.1, 0.2, 0.3]), 1, Padding::Same)
-        );
-        assert_eq!(try_avg_pool2d(&input, 2, 2).unwrap(), avg_pool2d(&input, 2, 2));
-        assert_eq!(try_global_avg_pool(&input).unwrap(), global_avg_pool(&input));
-        let w2 = Tensor::new(vec![2, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(
-            try_matmul_vec(&w2, &[1.0, 0.0, -1.0], None).unwrap(),
-            matmul_vec(&w2, &[1.0, 0.0, -1.0], None)
-        );
-        assert_eq!(
-            try_batch_norm(&input, &[2.0, 0.5], &[1.0, -1.0]).unwrap(),
-            batch_norm(&input, &[2.0, 0.5], &[1.0, -1.0])
-        );
-        let b = ramp(vec![1, 4, 4]);
-        assert_eq!(
-            try_concat_channels(&[&input, &b]).unwrap(),
-            concat_channels(&[&input, &b])
-        );
     }
 }

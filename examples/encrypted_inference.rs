@@ -20,12 +20,12 @@ fn main() {
     let net = if full {
         chet::networks::lenet5_small()
     } else {
-        chet::networks::reduced("LeNet-5-small")
+        chet::networks::try_reduced("LeNet-5-small").expect("known network")
     };
     println!("network: {} ({} FP ops)", net.name, net.flops());
 
     // ---- Offline: CHET compiles the circuit (Figure 2). ----
-    let scales = ScaleConfig::from_log2(25, 12, 12, 10);
+    let scales = ScaleConfig::REFERENCE;
     let compiled = Compiler::new(SchemeKind::RnsCkks)
         .with_output_precision(2f64.powi(25))
         .compile(&net.circuit, &scales)

@@ -23,7 +23,7 @@ fn main() {
     let circuit = b.build(out);
 
     // The input schema: image is encrypted at fixed-point scale 2^25.
-    let scales = ScaleConfig::from_log2(25, 12, 12, 10);
+    let scales = ScaleConfig::REFERENCE;
 
     println!("compiling for RNS-CKKS (SEAL-style) ...");
     let compiled = Compiler::new(SchemeKind::RnsCkks)

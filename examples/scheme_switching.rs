@@ -26,7 +26,7 @@ fn main() {
     let p = b.avg_pool2d(a, 2, 2);
     let circuit = b.build(p);
 
-    let scales = ScaleConfig::from_log2(25, 12, 12, 10);
+    let scales = ScaleConfig::REFERENCE;
     let image = Tensor::random(vec![1, 10, 10], 1.0, 3);
     let reference = circuit.eval(&[image.clone()]);
 

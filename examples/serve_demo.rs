@@ -30,7 +30,7 @@ fn main() {
     let circuit = b.build(p);
 
     let compiler = Compiler::new(SchemeKind::RnsCkks).with_output_precision(2f64.powi(20));
-    let scales = ScaleConfig::from_log2(25, 12, 12, 10);
+    let scales = ScaleConfig::REFERENCE;
 
     // Primary backends: simulators wrapped in a transient fault injector —
     // each worker's backend drops rotation keys for its first 3 eligible

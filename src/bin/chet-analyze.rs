@@ -22,10 +22,6 @@ use chet::hisa::params::SchemeKind;
 use chet::runtime::exec::batch_capacity;
 use chet::runtime::kernels::ScaleConfig;
 
-fn scales() -> ScaleConfig {
-    ScaleConfig::from_log2(25, 12, 12, 10)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let machine = args.iter().any(|a| a == "--machine");
@@ -58,7 +54,7 @@ fn main() {
     for net in &networks {
         let compiled = Compiler::new(SchemeKind::RnsCkks)
             .with_output_precision(2f64.powi(25))
-            .compile(&net.circuit, &scales())
+            .compile(&net.circuit, &ScaleConfig::REFERENCE)
             .unwrap_or_else(|e| {
                 eprintln!("chet-analyze: {} failed to compile: {e}", net.name);
                 std::process::exit(1);

@@ -41,10 +41,6 @@ fn small_cnn() -> Circuit {
     b.build(p)
 }
 
-fn scales() -> ScaleConfig {
-    ScaleConfig::from_log2(25, 12, 12, 10)
-}
-
 fn image(seed: u64) -> Tensor {
     Tensor::random(vec![1, 6, 6], 1.0, seed)
 }
@@ -108,7 +104,7 @@ fn main() {
 
     let circuit = small_cnn();
     let (reference_artifact, _): (CompiledCircuit, _) = compiler()
-        .compile_checked(&circuit, &scales())
+        .compile_checked(&circuit, &ScaleConfig::REFERENCE)
         .unwrap_or_else(|e| {
             eprintln!("chet-chaos: reference compile failed: {e}");
             std::process::exit(2);
@@ -131,7 +127,7 @@ fn main() {
     let svc = InferenceService::start_with_compiler(
         compiler(),
         small_cnn(),
-        scales(),
+        ScaleConfig::REFERENCE,
         config,
         |_, compiled| SimCkks::new(&compiled.params, &compiled.rotation_keys, 9).without_noise(),
     )

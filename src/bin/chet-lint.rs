@@ -43,10 +43,6 @@ use std::time::Instant;
 /// (network, lint code) -> finding count.
 type Counts = BTreeMap<(String, String), usize>;
 
-fn scales() -> ScaleConfig {
-    ScaleConfig::from_log2(25, 12, 12, 10)
-}
-
 fn parse_baseline(path: &str) -> Counts {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("chet-lint: cannot read baseline {path}: {e}");
@@ -166,7 +162,7 @@ fn main() {
     for net in chet::networks::all_networks() {
         let compiled = Compiler::new(SchemeKind::RnsCkks)
             .with_output_precision(2f64.powi(25))
-            .compile(&net.circuit, &scales())
+            .compile(&net.circuit, &ScaleConfig::REFERENCE)
             .unwrap_or_else(|e| {
                 eprintln!("chet-lint: {} failed to compile: {e}", net.name);
                 std::process::exit(1);

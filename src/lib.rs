@@ -38,7 +38,7 @@
 //! let circuit = b.build(out);
 //!
 //! // 2. Compile: CHET picks parameters, layouts, rotation keys.
-//! let scales = ScaleConfig::from_log2(25, 12, 12, 10);
+//! let scales = ScaleConfig::REFERENCE;
 //! let compiled = Compiler::new(SchemeKind::RnsCkks)
 //!     .with_output_precision(2f64.powi(25))
 //!     .compile(&circuit, &scales)?;

@@ -16,10 +16,6 @@ use chet::hisa::params::SchemeKind;
 use chet::runtime::exec::try_infer;
 use chet::runtime::kernels::ScaleConfig;
 
-fn scales() -> ScaleConfig {
-    ScaleConfig::from_log2(25, 12, 12, 10)
-}
-
 fn find_network(name: &str, full: bool) -> chet::networks::Network {
     let canonical = chet::networks::NETWORK_NAMES
         .iter()
@@ -63,7 +59,7 @@ fn cmd_compile(name: &str, kind: SchemeKind, full: bool) {
     println!("compiling {} for {kind} ...", net.name);
     let compiled = Compiler::new(kind)
         .with_output_precision(2f64.powi(25))
-        .compile(&net.circuit, &scales())
+        .compile(&net.circuit, &ScaleConfig::REFERENCE)
         .unwrap_or_else(|e| {
             eprintln!("compilation failed: {e}");
             std::process::exit(1);
@@ -85,7 +81,7 @@ fn cmd_infer(name: &str, seed: u64, full: bool) {
     let net = find_network(name, full);
     let compiled = Compiler::new(SchemeKind::RnsCkks)
         .with_output_precision(2f64.powi(25))
-        .compile(&net.circuit, &scales())
+        .compile(&net.circuit, &ScaleConfig::REFERENCE)
         .unwrap_or_else(|e| {
             eprintln!("compilation failed: {e}");
             std::process::exit(1);

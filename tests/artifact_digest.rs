@@ -24,7 +24,7 @@ use chet::Circuit;
 fn digest(circuit: &Circuit, kind: SchemeKind) -> u64 {
     let compiled = Compiler::new(kind)
         .with_output_precision(2f64.powi(25))
-        .compile(circuit, &ScaleConfig::from_log2(25, 12, 12, 10))
+        .compile(circuit, &ScaleConfig::REFERENCE)
         .unwrap_or_else(|e| panic!("{kind}: {e}"));
     fnv1a64(&encode_compiled(&compiled))
 }
@@ -49,7 +49,8 @@ fn compiled_artifacts_are_bit_identical_to_the_pinned_digests() {
     for threads in [1usize, 4] {
         set_threads(threads);
         for (name, kind, want) in PINNED {
-            let got = digest(&chet::networks::reduced(name).circuit, kind);
+            let net = chet::networks::try_reduced(name).expect("known network");
+            let got = digest(&net.circuit, kind);
             if got != want {
                 drift.push(format!(
                     "{name}/{kind} ({threads} threads): 0x{got:016X} (pinned 0x{want:016X})"

@@ -13,19 +13,15 @@ use chet::runtime::exec::{batch_capacity, try_infer, try_infer_batch_with_contro
 use chet::runtime::kernels::ScaleConfig;
 use chet_ckks::sim::SimCkks;
 
-fn scales() -> ScaleConfig {
-    ScaleConfig::from_log2(25, 12, 12, 10)
-}
-
 #[test]
 fn batched_members_are_bit_identical_to_solo_for_every_network() {
     for name in
         ["LeNet-5-small", "LeNet-5-medium", "LeNet-5-large", "Industrial", "SqueezeNet-CIFAR"]
     {
-        let net = chet::networks::reduced(name);
+        let net = chet::networks::try_reduced(name).expect("known network");
         let compiled = Compiler::new(SchemeKind::RnsCkks)
             .with_output_precision(2f64.powi(25))
-            .compile(&net.circuit, &scales())
+            .compile(&net.circuit, &ScaleConfig::REFERENCE)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let cap = batch_capacity(&net.circuit, &compiled.plan, compiled.params.slots());
         assert!(cap >= 2, "{name}: reduced layout must fit at least 2 members, got {cap}");

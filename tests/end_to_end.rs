@@ -8,19 +8,15 @@ use chet::runtime::exec::try_infer;
 use chet::runtime::kernels::ScaleConfig;
 use chet_ckks::sim::SimCkks;
 
-fn scales() -> ScaleConfig {
-    ScaleConfig::from_log2(25, 12, 12, 10)
-}
-
 #[test]
 fn every_network_compiles_and_runs_on_simulator() {
     for name in
         ["LeNet-5-small", "LeNet-5-medium", "LeNet-5-large", "Industrial", "SqueezeNet-CIFAR"]
     {
-        let net = chet::networks::reduced(name);
+        let net = chet::networks::try_reduced(name).expect("known network");
         let compiled = Compiler::new(SchemeKind::RnsCkks)
             .with_output_precision(2f64.powi(25))
-            .compile(&net.circuit, &scales())
+            .compile(&net.circuit, &ScaleConfig::REFERENCE)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let mut sim = SimCkks::new(&compiled.params, &compiled.rotation_keys, 7);
         let image = net.sample_image(3);
@@ -39,11 +35,11 @@ fn both_scheme_targets_compile_every_network() {
     for name in
         ["LeNet-5-small", "LeNet-5-medium", "LeNet-5-large", "Industrial", "SqueezeNet-CIFAR"]
     {
-        let net = chet::networks::reduced(name);
+        let net = chet::networks::try_reduced(name).expect("known network");
         for kind in [SchemeKind::RnsCkks, SchemeKind::Ckks] {
             let compiled = Compiler::new(kind)
                 .with_output_precision(2f64.powi(25))
-                .compile(&net.circuit, &scales())
+                .compile(&net.circuit, &ScaleConfig::REFERENCE)
                 .unwrap_or_else(|e| panic!("{name}/{kind}: {e}"));
             assert!(compiled.params.degree >= 1024);
             assert!(compiled.estimated_cost > 0.0);
@@ -53,15 +49,15 @@ fn both_scheme_targets_compile_every_network() {
 
 #[test]
 fn deeper_networks_consume_more_modulus() {
-    let shallow = chet::networks::reduced("LeNet-5-small");
-    let deep = chet::networks::reduced("Industrial");
+    let shallow = chet::networks::try_reduced("LeNet-5-small").expect("known network");
+    let deep = chet::networks::try_reduced("Industrial").expect("known network");
     let a = Compiler::new(SchemeKind::Ckks)
         .with_output_precision(2f64.powi(25))
-        .compile(&shallow.circuit, &scales())
+        .compile(&shallow.circuit, &ScaleConfig::REFERENCE)
         .unwrap();
     let b = Compiler::new(SchemeKind::Ckks)
         .with_output_precision(2f64.powi(25))
-        .compile(&deep.circuit, &scales())
+        .compile(&deep.circuit, &ScaleConfig::REFERENCE)
         .unwrap();
     assert!(
         b.outcome.consumed_log2 > a.outcome.consumed_log2,
@@ -73,10 +69,10 @@ fn deeper_networks_consume_more_modulus() {
 
 #[test]
 fn rotation_keys_are_circuit_specific_and_compact() {
-    let net = chet::networks::reduced("LeNet-5-small");
+    let net = chet::networks::try_reduced("LeNet-5-small").expect("known network");
     let compiled = Compiler::new(SchemeKind::RnsCkks)
         .with_output_precision(2f64.powi(25))
-        .compile(&net.circuit, &scales())
+        .compile(&net.circuit, &ScaleConfig::REFERENCE)
         .unwrap();
     let slots = compiled.params.slots();
     let exact = compiled.rotation_keys.key_count(slots);
@@ -98,14 +94,14 @@ fn layout_choice_differs_across_schemes_somewhere() {
     // the two targets (cost models differ in the mulScalar/mulPlain gap).
     let mut any_differ = false;
     for name in ["LeNet-5-small", "LeNet-5-medium", "LeNet-5-large", "Industrial", "SqueezeNet-CIFAR"] {
-        let net = chet::networks::reduced(name);
+        let net = chet::networks::try_reduced(name).expect("known network");
         let rns = Compiler::new(SchemeKind::RnsCkks)
             .with_output_precision(2f64.powi(25))
-            .compile(&net.circuit, &scales())
+            .compile(&net.circuit, &ScaleConfig::REFERENCE)
             .unwrap();
         let big = Compiler::new(SchemeKind::Ckks)
             .with_output_precision(2f64.powi(25))
-            .compile(&net.circuit, &scales())
+            .compile(&net.circuit, &ScaleConfig::REFERENCE)
             .unwrap();
         if rns.policy != big.policy {
             any_differ = true;
@@ -126,7 +122,7 @@ fn circuits_deeper_than_the_prime_candidates_fail_selection_without_panicking() 
         }
         let circuit = b.build(node);
         let compiled = std::panic::catch_unwind(|| {
-            Compiler::new(SchemeKind::RnsCkks).compile(&circuit, &scales())
+            Compiler::new(SchemeKind::RnsCkks).compile(&circuit, &ScaleConfig::REFERENCE)
         })
         .unwrap_or_else(|_| panic!("depth {depth}: compile panicked"));
         assert!(compiled.is_err(), "depth {depth}: compiled past the candidate primes");

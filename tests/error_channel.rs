@@ -276,7 +276,7 @@ fn plan_for_another_circuit_is_rejected_not_panicked() {
     assert_eq!((four.ops().len(), five.ops().len()), (4, 5));
     let artifact = Compiler::new(SchemeKind::RnsCkks)
         .with_output_precision(2f64.powi(20))
-        .compile(&four, &ScaleConfig::from_log2(25, 12, 12, 10))
+        .compile(&four, &ScaleConfig::REFERENCE)
         .expect("the 4-node CNN compiles");
 
     match vet_artifact(&five, &artifact) {

@@ -23,15 +23,11 @@ use chet_ckks::sim::SimCkks;
 const NETWORKS: [&str; 5] =
     ["LeNet-5-small", "LeNet-5-medium", "LeNet-5-large", "Industrial", "SqueezeNet-CIFAR"];
 
-fn scales() -> ScaleConfig {
-    ScaleConfig::from_log2(25, 12, 12, 10)
-}
-
 fn compile(name: &str) -> (chet::networks::Network, CompiledCircuit) {
     let net = chet::networks::try_reduced(name).expect("known network");
     let compiled = Compiler::new(SchemeKind::RnsCkks)
         .with_output_precision(2f64.powi(25))
-        .compile(&net.circuit, &scales())
+        .compile(&net.circuit, &ScaleConfig::REFERENCE)
         .unwrap_or_else(|e| panic!("{name}: {e}"));
     (net, compiled)
 }

@@ -50,7 +50,7 @@ fn ir_shape_is_bit_identical_to_the_pinned_digests() {
         let net = chet::networks::try_reduced(name).expect("known network");
         let compiled = Compiler::new(SchemeKind::RnsCkks)
             .with_output_precision(2f64.powi(25))
-            .compile(&net.circuit, &ScaleConfig::from_log2(25, 12, 12, 10))
+            .compile(&net.circuit, &ScaleConfig::REFERENCE)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         for threads in [1usize, 4] {
             set_threads(threads);
@@ -160,7 +160,7 @@ fn ir_nodes_are_bit_identical_to_the_pinned_digests_under_both_schemes() {
         let net = chet::networks::try_reduced(name).expect("known network");
         let compiled = Compiler::new(scheme)
             .with_output_precision(2f64.powi(25))
-            .compile(&net.circuit, &ScaleConfig::from_log2(25, 12, 12, 10))
+            .compile(&net.circuit, &ScaleConfig::REFERENCE)
             .unwrap_or_else(|e| panic!("{name} {scheme:?}: {e}"));
         for threads in [1usize, 4] {
             set_threads(threads);

@@ -22,10 +22,6 @@ use chet::runtime::par::set_threads;
 use chet_ckks::sim::SimCkks;
 use chet_tensor::Tensor;
 
-fn scales() -> ScaleConfig {
-    ScaleConfig::from_log2(25, 12, 12, 10)
-}
-
 const NETWORKS: [&str; 5] =
     ["LeNet-5-small", "LeNet-5-medium", "LeNet-5-large", "Industrial", "SqueezeNet-CIFAR"];
 
@@ -36,9 +32,9 @@ fn run_once(name: &str, kind: LayoutKind, threads: usize) -> Tensor {
     let net = chet::networks::try_reduced(name).expect("known network");
     let compiled = Compiler::new(SchemeKind::RnsCkks)
         .with_output_precision(2f64.powi(25))
-        .compile(&net.circuit, &scales())
+        .compile(&net.circuit, &ScaleConfig::REFERENCE)
         .unwrap_or_else(|e| panic!("{name}: {e}"));
-    let plan = ExecPlan::uniform(&net.circuit, kind, scales());
+    let plan = ExecPlan::uniform(&net.circuit, kind, ScaleConfig::REFERENCE);
     let mut sim = SimCkks::new(&compiled.params, &compiled.rotation_keys, 7);
     let image = net.sample_image(3);
     set_threads(threads);
@@ -72,9 +68,9 @@ fn cancellation_mid_run_is_clean_under_parallelism() {
     let net = chet::networks::try_reduced("Industrial").expect("known network");
     let compiled = Compiler::new(SchemeKind::RnsCkks)
         .with_output_precision(2f64.powi(25))
-        .compile(&net.circuit, &scales())
+        .compile(&net.circuit, &ScaleConfig::REFERENCE)
         .expect("compiles");
-    let plan = ExecPlan::uniform(&net.circuit, LayoutKind::CHW, scales());
+    let plan = ExecPlan::uniform(&net.circuit, LayoutKind::CHW, ScaleConfig::REFERENCE);
     let image = net.sample_image(3);
 
     // Pre-tripped token: deterministic "deadline fired mid-fan-out" — the

@@ -87,7 +87,7 @@ fn both_backends_agree_with_each_other() {
 fn reduced_lenet_runs_under_real_rns_encryption() {
     // The flagship: a structurally complete LeNet (2 conv, 2 FC, 4 act)
     // under real RLWE encryption, with compiler-selected everything.
-    let net = chet::networks::reduced("LeNet-5-small");
+    let net = chet::networks::try_reduced("LeNet-5-small").expect("known network");
     let scales = ScaleConfig::from_log2(25, 12, 12, 12);
     let compiled = Compiler::new(SchemeKind::RnsCkks)
         .with_output_precision(2f64.powi(25))

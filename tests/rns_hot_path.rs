@@ -37,7 +37,7 @@ fn compile_small() -> (chet::networks::Network, CompiledCircuit) {
     let net = chet::networks::try_reduced("LeNet-5-small").expect("known network");
     let compiled = Compiler::new(SchemeKind::RnsCkks)
         .with_output_precision(2f64.powi(25))
-        .compile(&net.circuit, &ScaleConfig::from_log2(25, 12, 12, 10))
+        .compile(&net.circuit, &ScaleConfig::REFERENCE)
         .expect("LeNet-5-small compiles");
     (net, compiled)
 }

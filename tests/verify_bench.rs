@@ -50,7 +50,7 @@ fn static_verify_is_fast_on_every_network() {
     for net in chet::networks::all_networks() {
         let compiled = Compiler::new(SchemeKind::RnsCkks)
             .with_output_precision(2f64.powi(25))
-            .compile(&net.circuit, &ScaleConfig::from_log2(25, 12, 12, 10))
+            .compile(&net.circuit, &ScaleConfig::REFERENCE)
             .unwrap_or_else(|e| panic!("{}: {e}", net.name));
         let t0 = Instant::now();
         let report = verify_compiled(&net.circuit, &compiled);

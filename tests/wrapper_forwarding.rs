@@ -379,7 +379,7 @@ fn serve(config: ServeConfig, n: u64) -> (chet::serve::ServiceStats, Vec<Call>) 
     let svc = InferenceService::start_with_compiler(
         compiler(),
         small_cnn(),
-        serve_scales(),
+        ScaleConfig::REFERENCE,
         config,
         factory,
     )
@@ -401,10 +401,6 @@ fn compiler() -> Compiler {
     Compiler::new(SchemeKind::RnsCkks).with_output_precision(2f64.powi(20))
 }
 
-fn serve_scales() -> ScaleConfig {
-    ScaleConfig::from_log2(25, 12, 12, 10)
-}
-
 #[test]
 fn served_requests_reach_the_backend_as_rotation_batches() {
     // A solo request: a cohort of one.
@@ -414,7 +410,7 @@ fn served_requests_reach_the_backend_as_rotation_batches() {
     assert!(has_multi_step_batch(&calls), "solo path split the batches: {calls:?}");
     // The worker stack (chaos(None) under the executor's pipeline) hands
     // the backend exactly the direct run's stream.
-    let (compiled, _) = compiler().compile_checked(&small_cnn(), &serve_scales()).unwrap();
+    let (compiled, _) = compiler().compile_checked(&small_cnn(), &ScaleConfig::REFERENCE).unwrap();
     let (_, direct) = observe_on(serve_sim(&compiled), |mut h| {
         try_infer(&mut h, &small_cnn(), &compiled.plan, &image(100)).unwrap()
     });
@@ -422,7 +418,7 @@ fn served_requests_reach_the_backend_as_rotation_batches() {
 
     // A cohort of four: all four members fit one batch, and the linger
     // holds the worker until they have all arrived.
-    let compiled = compiler().compile(&small_cnn(), &serve_scales()).unwrap();
+    let compiled = compiler().compile(&small_cnn(), &ScaleConfig::REFERENCE).unwrap();
     let cap = batch_capacity(&small_cnn(), &compiled.plan, compiled.params.slots());
     assert!(cap >= 4, "capacity {cap}");
     let cohort = ServeConfig {
